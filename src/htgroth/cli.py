@@ -2,7 +2,7 @@
 
 Subcommands: diagram, reduce, jacquet, red, cohomology, balance, torsion,
 verify, figures.  All output is UTF-8 JSON, ASCII art or SVG 1.1; outputs
-are deterministic for a fixed invocation and seed.  Invalid input exits
+are deterministic for a fixed invocation.  Invalid input exits
 with code 2 (parse errors) or 3 (precondition violations), printing a
 machine-readable error record on stderr.
 """
@@ -51,14 +51,6 @@ def _fail(code: int, kind: str, message: str):
     raise SystemExit(code)
 
 
-def thread_cap() -> int:
-    """Parallelism cap from HT_GROTH_THREADS; sweeps here are pure per cell."""
-    try:
-        return max(1, int(os.environ.get("HT_GROTH_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -70,7 +62,10 @@ def cmd_diagram(args) -> int:
         except ValueError:
             _fail(PARSE_ERROR, "parse", f"bad --blocks {args.blocks!r}")
         pi = CuspidalLabel("pi")
-        comp = LocalComponent(args.s, tuple((pi, t, Fraction(0)) for t in ts))
+        try:
+            comp = LocalComponent(args.s, tuple((pi, t, Fraction(0)) for t in ts))
+        except ValueError as exc:
+            _fail(PRECONDITION_ERROR, "precondition", str(exc))
         obj = superpose(comp, pi, kind)
         if args.format == "json":
             payload = {
@@ -81,7 +76,10 @@ def cmd_diagram(args) -> int:
             return 0
         print(render(obj, args.format), end="")
         return 0
-    support = m_support(args.s, args.t) if kind == "M" else n_support(args.s, args.t)
+    try:
+        support = m_support(args.s, args.t) if kind == "M" else n_support(args.s, args.t)
+    except ValueError as exc:
+        _fail(PRECONDITION_ERROR, "precondition", str(exc))
     if args.format == "json":
         print(jsonio.dumps(sorted(support.points)))
         return 0
@@ -90,10 +88,8 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_jacquet(args) -> int:
-    pi = CuspidalLabel("pi", g=args.g)
-    label = make_speh_st(pi, args.s, args.t)
-    lad = label.multisegments()[0]
     try:
+        lad = make_speh_st(CuspidalLabel("pi", g=args.g), args.s, args.t).multisegments()[0]
         cuts = ladder_cuts(lad, args.left_rank)
     except ValueError as exc:
         _fail(PRECONDITION_ERROR, "precondition", str(exc))
@@ -109,9 +105,11 @@ def cmd_jacquet(args) -> int:
 
 
 def cmd_red(args) -> int:
-    pi = CuspidalLabel("pi", g=args.g)
-    x = GrothElement.of(make_speh_st(pi, args.s, args.t))
-    out = red_tau(pi, args.r, x)
+    try:
+        pi = CuspidalLabel("pi", g=args.g)
+        out = red_tau(pi, args.r, GrothElement.of(make_speh_st(pi, args.s, args.t)))
+    except ValueError as exc:
+        _fail(PRECONDITION_ERROR, "precondition", str(exc))
     print(jsonio.dumps(jsonio.groth_to_json(out)))
     return 0
 
@@ -256,23 +254,14 @@ def cmd_verify(args) -> int:
 
     from .diagrams import m_coeff, m_coeff_hull
 
-    def grid_agrees(st_pair) -> bool:
-        s, t = st_pair
+    def grid_agrees(s: int, t: int) -> bool:
         return all(
             m_coeff(s, t, r, i) == m_coeff_hull(s, t, r, i)
             for r in range(1, s + t)
             for i in range(-(s + t), s + t + 1)
         )
 
-    cells = [(s, t) for s in range(1, n + 1) for t in range(1, n + 1)]
-    cap = thread_cap()
-    if cap > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            agree = all(pool.map(grid_agrees, cells))
-    else:
-        agree = all(map(grid_agrees, cells))
+    agree = all(grid_agrees(s, t) for s in range(1, n + 1) for t in range(1, n + 1))
     checks.append(("diagram-bullets-vs-hull", agree))
     checks.append(
         (
@@ -413,9 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_torsion)
 
     p = sub.add_parser("verify", help="run the invariant suites")
-    p.add_argument("--suite", default="all")
     p.add_argument("--max", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("figures", help="regenerate the reference diagrams as SVG")

@@ -184,6 +184,7 @@ class DiagramSupport:
 
 
 def m_support(s: int, t: int) -> DiagramSupport:
+    _check_st(s, t)
     pts = {
         (r, i)
         for r in range(1, s + t)
@@ -194,6 +195,7 @@ def m_support(s: int, t: int) -> DiagramSupport:
 
 
 def n_support(s: int, t: int) -> DiagramSupport:
+    _check_st(s, t)
     pts = {
         (r, i)
         for r in range(1, s + t)

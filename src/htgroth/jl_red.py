@@ -208,47 +208,95 @@ def _suffix_pieces(lad: Multisegment, ks: Sequence[int]):
     return Multisegment(a1), Multisegment(a2), rows, tuple(a2_rows[idx] for idx in order)
 
 
+def _make_cut(lad: Multisegment, ks: Sequence[int], center: Fraction) -> Cut:
+    a1, a2, rows, a2_rows = _suffix_pieces(lad, ks)
+    inside = set()
+    for seg in a1.segments:
+        ppos = seg.positions()
+        inside.update(zip(ppos, ppos[1:]))
+    return Cut(
+        ks=tuple(ks),
+        a1=a1,
+        a2=a2,
+        sign=(-1) ** (len(a1.segments) - 1),
+        center=center,
+        a1_rows=tuple(sorted(rows.items())),
+        a2_rows=a2_rows,
+        inside=frozenset(inside),
+    )
+
+
+def _run_tuples(lad: Multisegment, left_units: int) -> list[tuple[tuple[int, ...], Fraction]]:
+    """(ks, center) of every suffix tuple whose a1 tiles one run once, ks ascending.
+
+    Sorted by end, the nonzero pieces of such a tuple are a chain of rows
+    j_1, ..., j_n with strictly increasing ends on one cuspidal line.  The
+    bottom piece k(j_1) is free in 1..len(j_1); every later piece starts just
+    above the previous top, so k(j_(m+1)) = end(j_(m+1)) - end(j_m) is forced
+    and must be an integer in 1..len(j_(m+1)); the ks sum to left_units.
+    Ends are kept doubled so the walk stays in integers.
+    """
+    segs = lad.segments
+    ends2 = [int(2 * seg.end) for seg in segs]
+    order = sorted(range(len(segs)), key=ends2.__getitem__)
+    ks = [0] * len(segs)
+    out = []
+
+    def extend(nxt: int, top2: int, remaining: int, bottom2: int, cuspidal: CuspidalLabel):
+        if remaining == 0:
+            out.append((tuple(ks), Fraction(bottom2 + top2, 4)))
+            return
+        for idx in range(nxt, len(order)):
+            j = order[idx]
+            gap2 = ends2[j] - top2
+            if gap2 > 2 * remaining:
+                break  # ends only grow along the order
+            if gap2 < 2 or gap2 % 2 or gap2 > 2 * segs[j].length or segs[j].cuspidal != cuspidal:
+                continue
+            ks[j] = gap2 // 2
+            extend(idx + 1, ends2[j], remaining - ks[j], bottom2, cuspidal)
+            ks[j] = 0
+
+    for idx, j in enumerate(order):
+        for k in range(1, min(segs[j].length, left_units) + 1):
+            ks[j] = k
+            extend(idx + 1, ends2[j], left_units - k, ends2[j] - 2 * k + 2, segs[j].cuspidal)
+        ks[j] = 0
+    out.sort()  # ks are distinct, so this is their lexicographic order
+    return out
+
+
 def run_cuts(lad: Multisegment, left_units: int) -> list[Cut]:
     """All suffix cuts of the ladder whose first half survives the transfer.
 
     Unlike the public ``ladder_cuts`` (which lists the Jacquet-module terms),
-    this enumerates every suffix tuple and keeps exactly those whose a1 is a
-    multiplicity-one consecutive run; these are the terms with a nonzero
-    pseudo-coefficient trace, which is what the cohomology cells aggregate.
+    this lists exactly the suffix tuples whose a1 is a multiplicity-one
+    consecutive run, i.e. the terms with a nonzero pseudo-coefficient trace
+    that the cohomology cells aggregate.  The tuples are generated directly
+    as chains of rows tiling the run (see ``_run_tuples``, after Kret-Lapid's
+    description of the Jacquet modules of ladders) instead of being filtered
+    out of all suffix tuples; the cuts come in the lexicographic order of
+    their ks, the order of ``run_cuts_scan``.
     """
+    return [_make_cut(lad, ks, center) for ks, center in _run_tuples(lad, left_units)]
+
+
+def run_cuts_scan(lad: Multisegment, left_units: int) -> list[Cut]:
+    """Reference for ``run_cuts``: scan every suffix tuple, keep the runs."""
     lengths = [seg.length for seg in lad.segments]
     if left_units > sum(lengths) or left_units < 0:
         return []
     out = []
     for ks in cut_tuples(lengths, left_units):
-        a1, a2, rows, a2_rows = _suffix_pieces(lad, ks)
-        run = _run_data(a1)
-        if run is None:
-            continue
-        _, _, _, center = run
-        inside = set()
-        for seg in a1.segments:
-            ppos = seg.positions()
-            for a, b in zip(ppos, ppos[1:]):
-                inside.add((a, b))
-        out.append(
-            Cut(
-                ks=tuple(ks),
-                a1=a1,
-                a2=a2,
-                sign=(-1) ** (len(a1.segments) - 1),
-                center=center,
-                a1_rows=tuple(sorted(rows.items())),
-                a2_rows=a2_rows,
-                inside=frozenset(inside),
-            )
-        )
+        run = _run_data(_suffix_pieces(lad, ks)[0])
+        if run is not None:
+            out.append(_make_cut(lad, ks, run[3]))
     return out
 
 
 @lru_cache(maxsize=4096)
-def rectangle_cuts(pi: CuspidalLabel, s: int, t: int, left_units: int) -> list[Cut]:
-    return run_cuts(speh_st_multisegment(pi, s, t), left_units)
+def rectangle_cuts(pi: CuspidalLabel, s: int, t: int, left_units: int) -> tuple[Cut, ...]:
+    return tuple(run_cuts(speh_st_multisegment(pi, s, t), left_units))
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +352,6 @@ def S_cell(s: int, t: int, r: int, i: int, pi: CuspidalLabel) -> GrothElement:
     cuts = rectangle_cuts(pi, s, t, r)
     return _cut_element(cuts, Fraction(-i_m, 2))
 
-
-R_sti = R_cell
-S_sti = S_cell
 
 
 # ---------------------------------------------------------------------------

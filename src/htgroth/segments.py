@@ -40,8 +40,10 @@ def ensure_half(x: Union[int, Fraction]) -> Fraction:
 class CuspidalLabel:
     """Opaque label of an irreducible cuspidal of GL_g.
 
-    Labels compare equal exactly when their ids do; ``g`` (the rank) and
-    ``e_pi`` (the unramified fixator count) are attributes of the id.
+    Labels compare equal exactly when their id, ``g`` (the rank) and
+    ``e_pi`` (the unramified fixator count) all agree: ranks depend on ``g``
+    and the cohomology scalar on ``e_pi``, so caches keyed by labels must
+    tell them apart.
     """
 
     __slots__ = ("id", "g", "e_pi")
@@ -53,14 +55,17 @@ class CuspidalLabel:
         self.g = g
         self.e_pi = e_pi
 
+    def _key(self):
+        return (self.id, self.g, self.e_pi)
+
     def __eq__(self, other):
-        return isinstance(other, CuspidalLabel) and self.id == other.id
+        return isinstance(other, CuspidalLabel) and self._key() == other._key()
 
     def __hash__(self):
-        return hash(self.id)
+        return hash(self._key())
 
     def __lt__(self, other):
-        return self.id < other.id
+        return self._key() < other._key()
 
     def __repr__(self):
         return f"CuspidalLabel({self.id!r}, g={self.g})"

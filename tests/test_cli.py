@@ -16,6 +16,14 @@ def run_cli(args, capsys):
     return code, out
 
 
+def assert_precondition_error(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "precondition" and record["message"]
+
+
 SC = '{"id":"rho","g":1,"q":2,"l":3,"epsilon":2}'
 PROFILE = '[{"s":3,"t":1,"cuspidal":"pi","mult":"m"}]'
 
@@ -30,6 +38,9 @@ class TestDiagramCommand:
         points = {tuple(p) for p in json.loads(out)}
         assert len(points) == 9
         assert (5, 0) in points
+
+    def test_empty_shape_exit_code(self, capsys):
+        assert_precondition_error(["diagram", "--kind", "n", "--s", "0"], capsys)
 
     def test_ascii_deterministic(self, capsys):
         _, a = run_cli(["diagram", "--kind", "m", "--s", "4", "--t", "1"], capsys)
@@ -66,6 +77,11 @@ class TestJacquetCommand:
             main(["jacquet", "--s", "2", "--t", "2", "--g", "2", "--left-rank", "3"])
         assert exc.value.code == 3
 
+    def test_empty_shape_exit_code(self, capsys):
+        assert_precondition_error(
+            ["jacquet", "--s", "0", "--t", "2", "--left-rank", "1"], capsys
+        )
+
 
 class TestRedCommand:
     def test_json_round_trip(self, capsys):
@@ -74,6 +90,9 @@ class TestRedCommand:
         data = json.loads(out)
         element = jsonio.groth_from_json(data)
         assert jsonio.groth_to_json(element) == data
+
+    def test_zero_depth_exit_code(self, capsys):
+        assert_precondition_error(["red", "--s", "2", "--t", "1", "--r", "0"], capsys)
 
 
 class TestReduceCommand:

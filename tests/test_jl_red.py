@@ -14,6 +14,8 @@ from htgroth.jl_red import (
     r_tau_sign,
     rectangle_cuts,
     red_tau,
+    run_cuts,
+    run_cuts_scan,
 )
 from htgroth.segments import (
     CuspidalLabel,
@@ -241,3 +243,41 @@ def test_rectangle_cut_rows_partition():
             for cut in rectangle_cuts(PI, s, t, rank):
                 assert len(cut.positions()) == rank
                 assert cut.a1.rank + cut.a2.rank == s * t
+
+
+def test_rectangle_cuts_key_on_the_whole_label():
+    rectangle_cuts(PI, 2, 2, 2)
+    cuts = rectangle_cuts(CuspidalLabel("pi", g=3), 2, 2, 2)
+    assert isinstance(cuts, tuple) and cuts
+    for cut in cuts:
+        for seg in cut.a1.segments + cut.a2.segments:
+            assert seg.cuspidal.g == 3
+
+
+def test_run_cuts_matches_scan_on_rectangles():
+    # the scan costs about 0.3 ms per suffix tuple, (t + 1)^s tuples per
+    # shape, so the larger rectangles are left out
+    for s in range(1, 7):
+        for t in range(1, 7):
+            if s * t > 20:
+                continue
+            lad = speh_st_multisegment(PI, s, t)
+            for r in range(0, s * t + 2):
+                assert run_cuts(lad, r) == run_cuts_scan(lad, r), (s, t, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_run_cuts_matches_scan_on_multisegments(data):
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    segs = [
+        Segment(
+            data.draw(st.sampled_from((PI, PI, PI, RHO))),
+            half(data.draw(st.integers(min_value=-4, max_value=4))),
+            data.draw(st.integers(min_value=1, max_value=4)),
+        )
+        for _ in range(n)
+    ]
+    ms = Multisegment(segs)
+    r = data.draw(st.integers(min_value=0, max_value=sum(seg.length for seg in segs) + 1))
+    assert run_cuts(ms, r) == run_cuts_scan(ms, r)
