@@ -35,6 +35,7 @@ from .jl_red import red_tau
 from .modl import (
     SupercuspidalData,
     TowerLevel,
+    modl_label,
     rl_division_rep,
     rl_speh,
     tower_cuspidal,
@@ -115,16 +116,14 @@ def cmd_red(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    if args.division:
-        out = rl_division_rep(args.m_tau, args.iota)
-        print(jsonio.dumps(jsonio.groth_to_json(out)))
-        return 0
-    sc = _load_supercuspidal(args)
-    pi = tower_cuspidal(TowerLevel(sc, args.u))
-    label = make_speh_st(pi, args.s, 1)
-    from .modl import modl_label
-
-    out = rl_speh(label, modl_label(pi))
+    try:
+        if args.division:
+            out = rl_division_rep(args.m_tau, args.iota)
+        else:
+            pi = tower_cuspidal(TowerLevel(_load_supercuspidal(args), args.u))
+            out = rl_speh(make_speh_st(pi, args.s, 1), modl_label(pi))
+    except ValueError as exc:
+        _fail(PRECONDITION_ERROR, "precondition", str(exc))
     print(jsonio.dumps(jsonio.groth_to_json(out)))
     return 0
 
@@ -183,17 +182,13 @@ def cmd_cohomology(args) -> int:
 
 def cmd_balance(args) -> int:
     sc = _load_supercuspidal(args)
-    cuspidals: dict[str, CuspidalLabel] = {}
-    lifts = {}
-    pi_u = tower_cuspidal(TowerLevel(sc, args.u))
-    pi_up = tower_cuspidal(TowerLevel(sc, args.u_prime))
-    cuspidals[pi_u.id] = pi_u
-    cuspidals[pi_up.id] = pi_up
-    lifts[pi_u.id] = TowerLevel(sc, args.u)
-    lifts[pi_up.id] = TowerLevel(sc, args.u_prime)
-    profile_u = _load_profile(args.profile_u, cuspidals)
-    profile_up = _load_profile(args.profile_u_prime, cuspidals)
     try:
+        level_u, level_up = TowerLevel(sc, args.u), TowerLevel(sc, args.u_prime)
+        pi_u, pi_up = tower_cuspidal(level_u), tower_cuspidal(level_up)
+        cuspidals = {pi_u.id: pi_u, pi_up.id: pi_up}
+        lifts = {pi_u.id: level_u, pi_up.id: level_up}
+        profile_u = _load_profile(args.profile_u, cuspidals)
+        profile_up = _load_profile(args.profile_u_prime, cuspidals)
         constraints = rl_hi_balance(
             profile_u, profile_up, sc, args.u, args.u_prime, args.r, args.r_prime,
             pi_u, pi_up, lifts,

@@ -12,7 +12,10 @@ Degree conventions.  The intermediate table of a block is indexed by the
 degrees i of the intermediate diagram; the shriek table by the sheared
 degrees of the shriek diagram, i_n = (i_m + s + t - 1 - r)/2.  With this
 indexing the twist exponents of the two tables coincide cut for cut, and the
-shared vertex (s+t-1, 0) carries the same cell on both sides.
+shared vertex (s+t-1, 0) carries the same cell on both sides.  Both tables
+and both sides of the Euler identity read their cells through
+:func:`htgroth.jl_red.marked_cells`, the one walk over the cells of a
+column; the center and shear conventions live there only.
 
 The master identity (the alternating-sum consequence of the two triangular
 base changes) reads, per block and stratum r:
@@ -36,12 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .diagrams import m_coeff, n_coeff
-from .jl_red import (
-    Cut,
-    intermediate_degree,
-    rectangle_cuts,
-)
+from .jl_red import Cut, cut_sum, marked_cells
 from .modl import (
     LiftMap,
     SupercuspidalData,
@@ -158,28 +156,30 @@ def _entry_term(entry: ProfileEntry, cell: GrothElement, xi_exp: Fraction) -> Gr
     return term.xi_twist(entry.xi + xi_exp).scale(entry.mult)
 
 
-def coh_intermediate(profile: SpectrumProfile, pi: CuspidalLabel, r: int) -> CohomologyTable:
-    """Degree-resolved intermediate-extension table at stratum r.
+def _table(profile: SpectrumProfile, pi: CuspidalLabel, r: int, kind: str) -> CohomologyTable:
+    """The intermediate ("M") or shriek ("N") table at stratum r.
 
-    Sums, over the profile entries on the line of ``pi`` and over the degrees
-    marked by their diagrams, the signed cut representations times the
-    symbolic weights and the global scalar.
+    Sums, over the entries on the line of ``pi`` and the cells their diagram
+    marks in column r, the cell values times the symbolic weights, the tails,
+    the twists and the global scalar.
     """
     rows: dict[int, GrothElement] = {}
     scal = _global_scalar(pi)
     for entry in profile:
         if entry.cuspidal != pi:
             continue
-        s, t = entry.s, entry.t
-        for i in range(-(s + t), s + t + 1):
-            if not m_coeff(s, t, r, i):
-                continue
-            cell = _cell_from_cuts(rectangle_cuts(pi, s, t, r), Fraction(-i, 2))
+        for degree, i_m, cuts in marked_cells(pi, entry.s, entry.t, r, kind):
+            cell = cut_sum(cuts)
             if cell.is_zero():
                 continue
-            term = _entry_term(entry, cell, Fraction(i, 2)).scale(scal)
-            rows[i] = rows.get(i, GrothElement.zero()) + term
+            term = _entry_term(entry, cell, Fraction(i_m, 2)).scale(scal)
+            rows[degree] = rows.get(degree, GrothElement.zero()) + term
     return CohomologyTable(rows)
+
+
+def coh_intermediate(profile: SpectrumProfile, pi: CuspidalLabel, r: int) -> CohomologyTable:
+    """Degree-resolved intermediate-extension table at stratum r."""
+    return _table(profile, pi, r, "M")
 
 
 def coh_shriek(profile: SpectrumProfile, pi: CuspidalLabel, r: int) -> CohomologyTable:
@@ -189,32 +189,7 @@ def coh_shriek(profile: SpectrumProfile, pi: CuspidalLabel, r: int) -> Cohomolog
     degrees of the shriek diagram; the twist exponent of a cell equals the
     intermediate exponent of the cut behind it.
     """
-    rows: dict[int, GrothElement] = {}
-    scal = _global_scalar(pi)
-    for entry in profile:
-        if entry.cuspidal != pi:
-            continue
-        s, t = entry.s, entry.t
-        for i_n in range(0, s + t + 1):
-            if not n_coeff(s, t, r, i_n):
-                continue
-            i_m = intermediate_degree(s, t, r, i_n)
-            cell = _cell_from_cuts(rectangle_cuts(pi, s, t, r), Fraction(-i_m, 2))
-            if cell.is_zero():
-                continue
-            term = _entry_term(entry, cell, Fraction(i_m, 2)).scale(scal)
-            rows[i_n] = rows.get(i_n, GrothElement.zero()) + term
-    return CohomologyTable(rows)
-
-
-def _cell_from_cuts(cuts, center: Fraction) -> GrothElement:
-    acc = GrothElement.zero()
-    for cut in cuts:
-        if cut.center == center:
-            acc = acc + GrothElement.of(
-                label_of_multisegment(cut.a2, KIND_FORMAL), Fraction(0), integer(cut.sign)
-            )
-    return acc
+    return _table(profile, pi, r, "N")
 
 
 # ---------------------------------------------------------------------------
@@ -389,16 +364,10 @@ def _attached_euler(
     (-1)^{i_m}, the kept-part sign, and a flip when the peel boundary cuts
     through an a1 segment; the Tate twist is compensated by Xi^{-m/2}.
     """
-    s, t = entry.s, entry.t
     acc = GrothElement.zero()
-    for i_n in range(0, s + t + 1):
-        if not n_coeff(s, t, r + m, i_n):
-            continue
-        i_m = intermediate_degree(s, t, r + m, i_n)
+    for _, i_m, cuts in marked_cells(pi, entry.s, entry.t, r + m, "N"):
         parity = -1 if i_m % 2 else 1
-        for cut in rectangle_cuts(pi, s, t, r + m):
-            if cut.center != Fraction(-i_m, 2):
-                continue
+        for cut in cuts:
             if m == 0:
                 expanded = GrothElement.of(label_of_multisegment(cut.a2, KIND_FORMAL))
             else:
@@ -418,14 +387,10 @@ def _attached_euler(
 
 def euler_intermediate(entry: ProfileEntry, pi: CuspidalLabel, r: int) -> GrothElement:
     """Alternating sum of the intermediate table of one block at stratum r."""
-    s, t = entry.s, entry.t
     acc = GrothElement.zero()
-    for i in range(-(s + t), s + t + 1):
-        if not m_coeff(s, t, r, i):
-            continue
-        cell = _cell_from_cuts(rectangle_cuts(pi, s, t, r), Fraction(-i, 2))
+    for i, _, cuts in marked_cells(pi, entry.s, entry.t, r, "M"):
         sign = -1 if i % 2 else 1
-        acc = acc + cell.scale(integer(sign)).xi_twist(Fraction(i, 2))
+        acc = acc + cut_sum(cuts).scale(integer(sign)).xi_twist(Fraction(i, 2))
     return acc
 
 
@@ -463,10 +428,7 @@ def euler_shriek_profile_expansion(
     for entry in profile:
         if entry.cuspidal != pi:
             continue
-        per = GrothElement.zero()
-        for m in range(0, entry.s * entry.t - r + 1):
-            term = _attached_euler(entry, pi, r, m)
-            per = per + (term if m % 2 == 0 else -term)
+        per = euler_shriek_expansion(entry, pi, r)
         per = per.twist(entry.xi).xi_twist(entry.xi)
         per = groth_product(GrothElement.of(entry.tail), per)
         acc = acc + per.scale(entry.mult).scale(scal)

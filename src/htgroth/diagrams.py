@@ -7,8 +7,10 @@ Two families of lattice diagrams drive the cohomology bookkeeping:
   plus a parity rule; a convex-hull description of the same region is kept
   as an independent oracle (exact integer cross products, no floats).
 
-* ``n_coeff(s, t, r, i)`` marks the shriek-extension cells: all lattice
-  points of the convex hull of (s+t-1,0), (s,0), (1,s-1), (t,s-1).
+* ``n_coeff(s, t, r, i)`` marks the shriek-extension cells: the lattice
+  points of the parallelogram 0 <= i <= s-1, s <= r+i <= s+t-1.  Its
+  oracle is the closed convex hull of the vertices (s+t-1,0), (s,0),
+  (1,s-1), (t,s-1).
 
 Superposition glues the per-block diagrams of a product local component,
 remembering for every cell which blocks contribute and from which source
@@ -48,12 +50,9 @@ def m_coeff(s: int, t: int, r: int, i: int) -> int:
 
 
 def n_coeff(s: int, t: int, r: int, i: int) -> int:
-    """1 when (r, i) lies in the closed shriek-extension hull, else 0."""
+    """1 when (r, i) is a marked shriek-extension cell, else 0."""
     _check_st(s, t)
-    if i < 0:
-        return 0
-    verts = n_polygon_vertices(s, t)
-    return int(hull_contains(verts, (r, i)))
+    return int(0 <= i <= s - 1 and s <= r + i <= s + t - 1)
 
 
 def _check_st(s: int, t: int):

@@ -8,12 +8,15 @@ value is then a sign depending only on the orientation (pinned here as
 (-1)^(number of segments - 1), Steinberg positive) times the unramified
 character cut out by the run's center.
 
-``R_cell``/``S_cell`` package the signed cut sums of a rectangle ladder
-into the (stratum, degree) cells marked by the diagrams of
-:mod:`htgroth.diagrams`.  The two tables read off the same underlying cut
-data: the shriek table indexes it through the sheared degree
-i -> 2 i + r - (s + t - 1), which also makes the two twist conventions
-agree on the nose, and the endpoint identity at (s + t - 1, 0) exact.
+A cell (stratum r, degree i) of the intermediate or shriek table is the
+signed sum of the cuts of a rectangle ladder at left rank r whose center is
+-i_m/2, masked by the M or N diagram of :mod:`htgroth.diagrams`.
+``marked_cells`` is the one iterator over these cells; the tables, the
+Euler oracle and ``R_cell``/``S_cell`` all read them through it.  The two
+tables read off the same underlying cut data: the shriek cell of degree i
+reads the sheared intermediate degree i_m = 2 i + r - (s + t - 1), which also
+makes the two twist conventions agree on the nose, and the endpoint identity
+at (s + t - 1, 0) exact.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .diagrams import m_coeff, n_coeff
 from .segments import (
@@ -55,10 +58,6 @@ class Orientation:
     def __post_init__(self):
         if self.t < 1 or len(self.edges) != self.t - 1:
             raise ValueError("need t-1 edges for t vertices")
-
-    def segment_count(self) -> int:
-        # maximal rightward runs
-        return 1 + sum(1 for e in self.edges if not e)
 
 
 def orientations(t: int) -> list[Orientation]:
@@ -132,10 +131,6 @@ def _run_data(ms: Multisegment):
         return None
     center = (points[0] + points[-1]) / 2
     return lines[0], points[0], len(points), center
-
-
-def is_consecutive_run(ms: Multisegment) -> bool:
-    return _run_data(ms) is not None
 
 
 def r_tau_sign(a1: Multisegment) -> SignedCharacter:
@@ -304,15 +299,51 @@ def rectangle_cuts(pi: CuspidalLabel, s: int, t: int, left_units: int) -> tuple[
 # ---------------------------------------------------------------------------
 
 
-def _cut_element(cuts: Iterable[Cut], center: Fraction) -> GrothElement:
+def marked_cells(
+    pi: CuspidalLabel, s: int, t: int, r: int, kind: str
+) -> Iterator[tuple[int, int, tuple[Cut, ...]]]:
+    """(degree, i_m, cuts) for every cell of column r marked by the M or N diagram.
+
+    ``degree`` indexes the cell in its own diagram and ``i_m`` is the
+    intermediate degree behind it: i_m = degree on the M side, and the shear
+    i_m = 2 degree + r - (s + t - 1) on the N side.  ``cuts`` are the cuts of
+    the s-by-t rectangle at left rank r whose center is -i_m/2, grouped once
+    per column.  The only walk over the cells of a column.
+    """
+    if s < 1 or t < 1:
+        raise ValueError("s and t must be >= 1")
+    if kind == "M":
+        cells = [(i, i) for i in range(-(s + t), s + t + 1) if m_coeff(s, t, r, i)]
+    elif kind == "N":
+        cells = [
+            (i, 2 * i + r - (s + t - 1)) for i in range(0, s + t + 1) if n_coeff(s, t, r, i)
+        ]
+    else:
+        raise ValueError("kind must be 'M' or 'N'")
+    if not cells:
+        return
+    by_center: dict[Fraction, list[Cut]] = {}
+    for cut in rectangle_cuts(pi, s, t, r):
+        by_center.setdefault(cut.center, []).append(cut)
+    for degree, i_m in cells:
+        yield degree, i_m, tuple(by_center.get(Fraction(-i_m, 2), ()))
+
+
+def cut_sum(cuts: Iterable[Cut]) -> GrothElement:
+    """The signed sum of the a2-labels of the cuts: the value of a cell."""
     acc = GrothElement.zero()
     for cut in cuts:
-        if cut.center != center:
-            continue
         acc = acc + GrothElement.of(
             label_of_multisegment(cut.a2, KIND_FORMAL), Fraction(0), integer(cut.sign)
         )
     return acc
+
+
+def _cell(pi: CuspidalLabel, s: int, t: int, r: int, kind: str, i: int) -> GrothElement:
+    for degree, _, cuts in marked_cells(pi, s, t, r, kind):
+        if degree == i:
+            return cut_sum(cuts)
+    return GrothElement.zero()
 
 
 def R_cell(s: int, t: int, r: int, i: int, pi: CuspidalLabel) -> GrothElement:
@@ -321,20 +352,7 @@ def R_cell(s: int, t: int, r: int, i: int, pi: CuspidalLabel) -> GrothElement:
     Returns the bare sum of signed a2-labels; the caller supplies the
     external twist (the block twist times Xi^{i/2}).
     """
-    if m_coeff(s, t, r, i) == 0:
-        return GrothElement.zero()
-    cuts = rectangle_cuts(pi, s, t, r)
-    return _cut_element(cuts, Fraction(-i, 2))
-
-
-def shriek_degree(s: int, t: int, r: int, i_m: int) -> Fraction:
-    """Shear from the intermediate degree i_m to the shriek degree."""
-    return Fraction(i_m + (s + t - 1) - r, 2)
-
-
-def intermediate_degree(s: int, t: int, r: int, i_n: int) -> int:
-    """Inverse shear: the intermediate degree behind the shriek cell (r, i_n)."""
-    return 2 * i_n + r - (s + t - 1)
+    return _cell(pi, s, t, r, "M", i)
 
 
 def S_cell(s: int, t: int, r: int, i: int, pi: CuspidalLabel) -> GrothElement:
@@ -346,12 +364,7 @@ def S_cell(s: int, t: int, r: int, i: int, pi: CuspidalLabel) -> GrothElement:
     the intermediate twist Xi^{i_m/2} on matching cells, and the shared
     vertex (s + t - 1, 0) carries identical cells on both sides.
     """
-    if n_coeff(s, t, r, i) == 0:
-        return GrothElement.zero()
-    i_m = intermediate_degree(s, t, r, i)
-    cuts = rectangle_cuts(pi, s, t, r)
-    return _cut_element(cuts, Fraction(-i_m, 2))
-
+    return _cell(pi, s, t, r, "N", i)
 
 
 # ---------------------------------------------------------------------------

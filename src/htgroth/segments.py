@@ -18,8 +18,6 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .symbolic import SymExpr, integer
 
-Half = Fraction
-
 
 def half(numerator: int) -> Fraction:
     """The half-integer numerator/2."""
@@ -339,16 +337,6 @@ class GrothElement:
 
     # -- misc -------------------------------------------------------------
 
-    def map_labels(self, fn) -> "GrothElement":
-        out: dict = {}
-        for (label, tw), c in self.terms.items():
-            key = (fn(label), tw)
-            out[key] = out.get(key, integer(0)) + c
-        return GrothElement(out)
-
-    def coefficient(self, label: IrreducibleLabel, twist=Fraction(0)) -> SymExpr:
-        return self.terms.get((label, ensure_half(twist)), integer(0))
-
     def sorted_terms(self):
         return sorted(
             self.terms.items(),
@@ -482,6 +470,8 @@ def ladder_cuts(lad: Multisegment, left_rank: int) -> list[tuple[Multisegment, M
         raise ValueError("ladder_cuts needs a ladder")
     lines = lad.cuspidal_lines()
     g = lines[0].g if lines else 1
+    if left_rank < 0:
+        raise ValueError("left_rank must be >= 0")
     if left_rank % g:
         raise ValueError(f"left_rank {left_rank} is not a multiple of g={g}")
     k_total = left_rank // g

@@ -142,10 +142,6 @@ class SymExpr:
         return out
 
 
-ZERO = SymExpr()
-ONE = SymExpr.integer(1)
-
-
 def atom(name: str) -> SymExpr:
     return SymExpr.atom(name)
 

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import htgroth
 from htgroth.cli import main
 from htgroth import jsonio
 from htgroth.segments import CuspidalLabel, GrothElement, make_speh_st
@@ -104,6 +106,23 @@ class TestReduceCommand:
         assert len(json.loads(out)) == 3
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["reduce", "--u", "-2"],
+        ["reduce", "--division", "--m-tau", "0"],
+        ["reduce", "--s", "0"],
+        [
+            "balance", "--sc", SC, "--u", "-2", "--u-prime", "0",
+            "--r", "1", "--r-prime", "1", "--profile-u", "[]", "--profile-u-prime", "[]",
+        ],
+        ["jacquet", "--s", "2", "--t", "2", "--left-rank", "-1"],
+    ],
+)
+def test_precondition_errors_exit_3(args, capsys):
+    assert_precondition_error(args, capsys)
+
+
 class TestCohomologyCommand:
     def test_table_output(self, capsys):
         code, out = run_cli(
@@ -176,10 +195,13 @@ class TestFiguresCommand:
 
 
 def test_console_entry_point():
+    # the child imports the same htgroth as this process
+    src = os.path.dirname(os.path.dirname(htgroth.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-m", "htgroth.cli", "diagram", "--kind", "n",
          "--s", "1", "--t", "3", "--format", "json"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert out.returncode == 0
     assert {tuple(p) for p in json.loads(out.stdout)} == {(1, 0), (2, 0), (3, 0)}

@@ -1,8 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from htgroth import jsonio
 from htgroth.cohomology import (
     CohomologyTable,
     ProfileEntry,
@@ -29,7 +31,7 @@ from htgroth.modl import (
     cuspidal_lifts,
     tower_rank,
 )
-from htgroth.segments import CuspidalLabel, GrothElement
+from htgroth.segments import CuspidalLabel, GrothElement, IrreducibleLabel, OpaqueFactor
 from htgroth.symbolic import atom, integer
 
 PI = CuspidalLabel("pi", g=1)
@@ -91,6 +93,59 @@ class TestTables:
         assert coh_intermediate(profile, PI, 3).degrees() == [0]
         deeper = coh_intermediate(profile, PI, 2)
         assert set(deeper.degrees()) == {-1, 1}
+
+
+# SHA-256 over the JSON rows of both tables at every stratum r in 1..max s*t,
+# recorded from the per-table loops that jl_red.marked_cells replaced
+PINNED_TABLE_DIGESTS = {
+    "1x1": "0acf7c7db3c1d0db4bccaf0c45c3d0400fa5b0cff7483a717615424d059d8ba0",
+    "1x2": "ed179b0ad3357e0926004b7ec185fb1bc5f80997fb220b8a8641cd53c62a4e21",
+    "1x3": "0e51a6493bc8cc6f44e591d7d771012f5449a1134c9fb9ce6b471e10cbad5de7",
+    "1x4": "2847ba0a75b8234ddba1ddac4b4b9db8d59899d4c3c22943a46dce2002b28e1d",
+    "2x1": "95d72ccffc4b91e00a7aab3c362d5f160071fa814ee588ddec6f2ae875f9d13d",
+    "2x2": "3de2084621b1fe4e14a472b765167f43eaa27f3036341bc3bcba75b5b59e4a18",
+    "2x3": "d5740847dac969ee109b51831d43eb6fa97d378b289611cd635fbc442458f8f7",
+    "2x4": "108ed93af944c780916b2da7e1944e4947c62a5ea949174f7dc42f337a7e270c",
+    "3x1": "287a10c0b927c991cffe15d6726721afdaf516da3c7abd384aef4f0c6ab582e3",
+    "3x2": "3c94adab25b5e46f4a200827ed846c0cdb56bde208a1a98e90dc8f3e977e82b7",
+    "3x3": "f1bb32462a35906f324c234cd08849f6684a6be954cd5d7532dadc3591e92a11",
+    "3x4": "4315edffd4b60fc764b39af5d5cd57bad84825b241813713aa418151501885c5",
+    "4x1": "1cfe469ce6d1277abc18d54b617a15b0dbb2e029a85afed46e6d0b4258c07759",
+    "4x2": "bd627819c4d3d24522481826770a8638178316496868ef3ea6dfe7698ead0232",
+    "4x3": "c5799e28a74caa15c15327ef0d12305b1efa532d5c43df0dbd02098e177c7bcd",
+    "4x4": "c37f87063822dfac410b65074f79c4d61797d4e8e6ce25583ea253b75bdff382",
+    "mixed": "2b4e7e06c09a194b3c7b859173160e1a67888aadbcd241c6682bee401f2d757f",
+}
+
+
+def pinned_profiles():
+    out = {
+        f"{s}x{t}": (ProfileEntry(s=s, t=t, cuspidal=PI, mult=atom("m")),)
+        for s in range(1, 5)
+        for t in range(1, 5)
+    }
+    # a twisted block with an opaque tail, a second block, an off-line entry
+    out["mixed"] = (
+        ProfileEntry(
+            s=2, t=3, cuspidal=PI, mult=atom("m"), xi=Fraction(1, 2),
+            tail=IrreducibleLabel((OpaqueFactor("tau", 2),)),
+        ),
+        ProfileEntry(s=3, t=2, cuspidal=PI, mult=atom("n") * 2, xi=Fraction(-1)),
+        ProfileEntry(s=2, t=2, cuspidal=CuspidalLabel("other"), mult=atom("k")),
+    )
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TABLE_DIGESTS))
+def test_table_bytes_pinned(name):
+    entries = pinned_profiles()[name]
+    profile = SpectrumProfile(entries)
+    digest = hashlib.sha256()
+    for r in range(1, max(e.s * e.t for e in entries) + 1):
+        for table in (coh_intermediate(profile, PI, r), coh_shriek(profile, PI, r)):
+            payload = {str(i): jsonio.groth_to_json(table.degree(i)) for i in table.degrees()}
+            digest.update(jsonio.dumps(payload).encode())
+    assert digest.hexdigest() == PINNED_TABLE_DIGESTS[name]
 
 
 class TestRoundTrip:

@@ -4,10 +4,12 @@ import pytest
 
 from htgroth.diagrams import (
     LocalComponent,
+    hull_contains,
     m_coeff,
     m_coeff_hull,
     m_support,
     n_coeff,
+    n_polygon_vertices,
     n_support,
     render,
     superpose,
@@ -94,6 +96,19 @@ class TestNCoeff:
         }
         assert set(n_support(3, 3).points) == expected
         assert len(n_support(3, 3)) == 9
+
+    def test_hull_oracle_agreement_full(self):
+        for s in range(1, 13):
+            for t in range(1, 13):
+                verts = n_polygon_vertices(s, t)
+                for r in range(-1, s + t + 2):
+                    for i in range(-(s + t), s + t + 1):
+                        assert n_coeff(s, t, r, i) == int(hull_contains(verts, (r, i))), (
+                            s,
+                            t,
+                            r,
+                            i,
+                        )
 
     def test_vanishes_below_axis(self):
         for s in range(1, 6):
