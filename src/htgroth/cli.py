@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import jsonio
 from .cohomology import (
@@ -135,7 +136,7 @@ def _load_supercuspidal(args) -> SupercuspidalData:
         _fail(PARSE_ERROR, "parse", f"cannot read supercuspidal data: {exc}")
     try:
         return jsonio.supercuspidal_from_json(data)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         _fail(PRECONDITION_ERROR, "precondition", str(exc))
 
 
@@ -247,13 +248,13 @@ def cmd_verify(args) -> int:
     checks: list[tuple[str, bool]] = []
     n = args.max
 
-    from .diagrams import m_coeff, m_coeff_hull
+    from .diagrams import m_coeff, m_column_hull
 
     def grid_agrees(s: int, t: int) -> bool:
+        degrees = range(-(s + t), s + t + 1)
         return all(
-            m_coeff(s, t, r, i) == m_coeff_hull(s, t, r, i)
+            [i for i in degrees if m_coeff(s, t, r, i)] == m_column_hull(s, t, r, degrees)
             for r in range(1, s + t)
-            for i in range(-(s + t), s + t + 1)
         )
 
     agree = all(grid_agrees(s, t) for s in range(1, n + 1) for t in range(1, n + 1))
@@ -306,7 +307,6 @@ def cmd_verify(args) -> int:
 def cmd_figures(args) -> int:
     from .diagrams import render_svg_panels
 
-    os.makedirs(args.out, exist_ok=True)
     pi = CuspidalLabel("pi")
     blocks = LocalComponent(
         4, ((pi, 1, Fraction(0)), (pi, 3, Fraction(0)), (pi, 5, Fraction(0)))
@@ -320,12 +320,16 @@ def cmd_figures(args) -> int:
         "fig6-shriek-superposed": [superpose(blocks, pi, "N")],
     }
     written = []
-    for name, objs in figures.items():
-        path = os.path.join(args.out, f"{name}.svg")
-        svg = render(objs[0], "svg") if len(objs) == 1 else render_svg_panels(objs)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-        written.append(path)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        for name, objs in figures.items():
+            path = os.path.join(args.out, f"{name}.svg")
+            svg = render(objs[0], "svg") if len(objs) == 1 else render_svg_panels(objs)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(svg)
+            written.append(path)
+    except OSError as exc:
+        _fail(PRECONDITION_ERROR, "precondition", f"cannot write figures: {exc}")
     print(jsonio.dumps(written))
     return 0
 
@@ -333,8 +337,15 @@ def cmd_figures(args) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports parse errors as the JSON error record (exit 2); subparsers inherit it."""
+
+    def error(self, message):
+        _fail(PARSE_ERROR, "parse", f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="htgroth",
         description="exact bookkeeping for Harris-Taylor local system combinatorics",
     )
@@ -369,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sc", default='{"id":"rho","g":1,"q":2,"l":3,"epsilon":1}')
     p.add_argument("--u", type=int, default=-1)
     p.add_argument("--s", type=int, default=1)
-    p.add_argument("--t", type=int, default=1)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("cohomology", help="degree-resolved tables over a profile")
@@ -407,8 +417,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

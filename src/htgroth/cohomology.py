@@ -197,6 +197,11 @@ def coh_shriek(profile: SpectrumProfile, pi: CuspidalLabel, r: int) -> Cohomolog
 # ---------------------------------------------------------------------------
 
 
+def _twice(p: Fraction) -> int:
+    """The integer 2p of a half-integer p."""
+    return 2 * p.numerator // p.denominator
+
+
 def _attachment_expansion(cut: Cut, m: int, pi: CuspidalLabel) -> GrothElement | None:
     """Speh_m coefficient block on the bottom m run positions, against a2.
 
@@ -206,59 +211,57 @@ def _attachment_expansion(cut: Cut, m: int, pi: CuspidalLabel) -> GrothElement |
     sign -1 for the breaking choice.  A cross-row adjacency or an overlap of
     supports makes the whole term vanish (returns None).  a2's own
     segmentation is kept untouched.
+
+    Positions are doubled to integers, so adjacent positions differ by 2,
+    and an edge (a, a + 2) is keyed by its lower end a; they become
+    half-integers again only in the segments of the terms.
     """
-    positions = cut.positions()
-    peeled = positions[:m]
-    rows_w = {p: cut.row_of(p) for p in peeled}
-    support: dict[Fraction, tuple[str, int]] = {p: ("w", rows_w[p]) for p in peeled}
+    peeled = [(_twice(p), row) for p, row in cut.a1_rows[:m]]
+    support: dict[int, int] = dict(peeled)  # doubled position -> ladder row
+    fixed: dict[int, bool] = {}  # edge -> joined
+    for (a, _), (b, _) in zip(peeled, peeled[1:]):
+        if b == a + 2:
+            fixed[a] = False  # Speh block: internal breaks
+    runs = []
     for seg, row in zip(cut.a2.segments, cut.a2_rows):
-        for p in seg.positions():
+        start = _twice(seg.start)
+        end = start + 2 * (seg.length - 1)
+        for p in range(start, end + 2, 2):
             if p in support:
                 return None  # overlapping support
-            support[p] = ("a2", row)
+            support[p] = row
+        for a in range(start, end, 2):
+            fixed[a] = True
+        runs.append((start, end))
+    runs.sort()
+    for (_, end_a), (start_b, _) in zip(runs, runs[1:]):
+        if start_b == end_a + 2:
+            fixed[end_a] = False
     allpts = sorted(support)
-    fixed: dict[tuple[Fraction, Fraction], bool] = {}
-    for a, b in zip(peeled, peeled[1:]):
-        if b == a + 1:
-            fixed[(a, b)] = False  # Speh block: internal breaks
-    for seg in cut.a2.segments:
-        ppos = seg.positions()
-        for a, b in zip(ppos, ppos[1:]):
-            fixed[(a, b)] = True
-    a2_sorted = sorted(cut.a2.segments, key=lambda sg: sg.start)
-    for sa, sb in zip(a2_sorted, a2_sorted[1:]):
-        if sb.start == sa.end + 1:
-            fixed[(sa.end, sb.start)] = False
-    free: list[tuple[Fraction, Fraction]] = []
+    free: list[int] = []
     for a, b in zip(allpts, allpts[1:]):
-        if b != a + 1 or (a, b) in fixed:
+        if b != a + 2 or a in fixed:
             continue
-        if support[a][1] != support[b][1]:
+        if support[a] != support[b]:
             return None  # junction across rows
-        free.append((a, b))
-    acc = GrothElement.zero()
+        free.append(a)
+    terms: dict = {}
     for choice in itertools.product((True, False), repeat=len(free)):
-        sign = 1
         edges = dict(fixed)
-        for e, joined in zip(free, choice):
-            edges[e] = joined
-            if not joined:
-                sign = -sign  # breaking a same-row junction
+        edges.update(zip(free, choice))
         segs = []
         run_start = prev = allpts[0]
         for p in allpts[1:]:
-            if p == prev + 1 and edges.get((prev, p), False):
+            if p == prev + 2 and edges.get(prev, False):
                 prev = p
                 continue
-            segs.append(Segment(pi, run_start, int(prev - run_start) + 1))
+            segs.append(Segment(pi, Fraction(run_start, 2), (prev - run_start) // 2 + 1))
             run_start = prev = p
-        segs.append(Segment(pi, run_start, int(prev - run_start) + 1))
-        acc = acc + GrothElement.of(
-            label_of_multisegment(Multisegment(segs), KIND_FORMAL),
-            Fraction(0),
-            integer(sign),
-        )
-    return acc
+        segs.append(Segment(pi, Fraction(run_start, 2), (prev - run_start) // 2 + 1))
+        key = (label_of_multisegment(Multisegment(segs), KIND_FORMAL), Fraction(0))
+        sign = -1 if choice.count(False) % 2 else 1  # breaking same-row junctions
+        terms[key] = terms.get(key, 0) + sign
+    return GrothElement({key: integer(c) for key, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import lru_cache
+from typing import Iterable, Sequence
 
 from .segments import CuspidalLabel
 
@@ -110,7 +111,10 @@ def _on_segment(a: Point, b: Point, p: Point) -> bool:
 
 def hull_contains(vertices: Sequence[Point], p: Point) -> bool:
     """Closed-hull membership of the integer point p, decided exactly."""
-    hull = convex_hull(vertices)
+    return _in_hull(convex_hull(vertices), p)
+
+
+def _in_hull(hull: Sequence[Point], p: Point) -> bool:
     if len(hull) == 1:
         return p == hull[0]
     if len(hull) == 2:
@@ -119,9 +123,7 @@ def hull_contains(vertices: Sequence[Point], p: Point) -> bool:
     for a, b in zip(hull, hull[1:] + hull[:1]):
         c = _cross(a, b, p)
         if c == 0:
-            if _on_segment(a, b, p):
-                return True
-            return False
+            return _on_segment(a, b, p)
         if sign == 0:
             sign = 1 if c > 0 else -1
         elif (c > 0) != (sign > 0):
@@ -131,7 +133,10 @@ def hull_contains(vertices: Sequence[Point], p: Point) -> bool:
 
 def hull_column_max_i(vertices: Sequence[Point], r: int) -> int | None:
     """Largest integer i with (r, i) in the hull, or None when the column is empty."""
-    hull = convex_hull(vertices)
+    return _column_max_i(convex_hull(vertices), r)
+
+
+def _column_max_i(hull: Sequence[Point], r: int) -> int | None:
     if len(hull) >= 3:
         edges = list(zip(hull, hull[1:] + hull[:1]))
     elif len(hull) == 2:
@@ -146,21 +151,38 @@ def hull_column_max_i(vertices: Sequence[Point], r: int) -> int | None:
         return None
     top, bottom = max(ys), min(ys)
     candidate = top.numerator // top.denominator  # floor
-    while candidate >= bottom and not hull_contains(vertices, (r, candidate)):
+    while candidate >= bottom and not _in_hull(hull, (r, candidate)):
         candidate -= 1
-    return candidate if candidate >= bottom - 1 and hull_contains(vertices, (r, candidate)) else None
+    return candidate if candidate >= bottom - 1 and _in_hull(hull, (r, candidate)) else None
+
+
+@lru_cache(maxsize=1024)
+def _m_hull(s: int, t: int) -> tuple[Point, ...]:
+    return tuple(convex_hull(m_polygon_vertices(s, t)))
+
+
+@lru_cache(maxsize=16384)
+def _m_column_top(s: int, t: int, r: int) -> int | None:
+    return _column_max_i(_m_hull(s, t), r)
+
+
+def m_column_hull(s: int, t: int, r: int, degrees: Iterable[int]) -> list[int]:
+    """The degrees i among ``degrees`` that hull-plus-parity marks in column r.
+
+    The hull of the (s, t) polygon is built once and the top of each column
+    found once; every (r, i) is then decided by exact cross products.
+    """
+    _check_st(s, t)
+    top = _m_column_top(s, t, r)
+    if top is None:
+        return []
+    hull = _m_hull(s, t)
+    return [i for i in degrees if (top - i) % 2 == 0 and _in_hull(hull, (r, i))]
 
 
 def m_coeff_hull(s: int, t: int, r: int, i: int) -> int:
     """Hull-plus-parity evaluation of the intermediate diagram (oracle)."""
-    _check_st(s, t)
-    verts = m_polygon_vertices(s, t)
-    if not hull_contains(verts, (r, i)):
-        return 0
-    top = hull_column_max_i(verts, r)
-    if top is None:
-        return 0
-    return int((top - i) % 2 == 0)
+    return int(bool(m_column_hull(s, t, r, (i,))))
 
 
 # ---------------------------------------------------------------------------

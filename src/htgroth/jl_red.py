@@ -179,12 +179,6 @@ class Cut:
     def positions(self) -> list[Fraction]:
         return [p for p, _ in self.a1_rows]
 
-    def row_of(self, p: Fraction) -> int:
-        for q, row in self.a1_rows:
-            if q == p:
-                return row
-        raise KeyError(p)
-
 
 def _suffix_pieces(lad: Multisegment, ks: Sequence[int]):
     a1, a2, a2_rows = [], [], []

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 from .symbolic import SymExpr, integer
@@ -25,7 +26,7 @@ def half(numerator: int) -> Fraction:
 
 
 def is_half_integral(x: Fraction) -> bool:
-    return (2 * x).denominator == 1
+    return x.denominator <= 2
 
 
 def ensure_half(x: Union[int, Fraction]) -> Fraction:
@@ -108,13 +109,18 @@ class Segment:
 
 
 class Multisegment:
-    """A multiset of segments, stored in canonical sorted order."""
+    """A multiset of segments, stored in canonical sorted order.
 
-    __slots__ = ("segments",)
+    The hash is computed once, at construction: multisegments key the
+    Grothendieck sums, which look them up many times.
+    """
+
+    __slots__ = ("segments", "_hash")
 
     def __init__(self, segments: Iterable[Segment] = ()):
-        segs = tuple(sorted(segments, key=Segment.sort_key))
-        object.__setattr__(self, "segments", segs)
+        keyed = sorted(((s.sort_key(), s) for s in segments), key=itemgetter(0))
+        object.__setattr__(self, "segments", tuple(s for _, s in keyed))
+        object.__setattr__(self, "_hash", hash(tuple(k for k, _ in keyed)))
 
     @property
     def rank(self) -> int:
@@ -164,7 +170,7 @@ class Multisegment:
         return isinstance(other, Multisegment) and self.segments == other.segments
 
     def __hash__(self):
-        return hash(tuple(s.sort_key() for s in self.segments))
+        return self._hash
 
     def __len__(self):
         return len(self.segments)
@@ -209,18 +215,22 @@ _KINDS = (KIND_GENERIC, KIND_SPEH_ST, KIND_FORMAL)
 
 
 class IrreducibleLabel:
-    """Label of an irreducible: a multiset of factors plus a kind tag."""
+    """Label of an irreducible: a multiset of factors plus a kind tag.
 
-    __slots__ = ("factors", "kind")
+    Like a multisegment, a label computes its hash once, at construction.
+    """
+
+    __slots__ = ("factors", "kind", "_hash")
 
     def __init__(self, factors: Iterable[Factor] = (), kind: str = KIND_FORMAL):
         if kind not in _KINDS:
             raise ValueError(f"unknown kind {kind!r}")
-        facs = tuple(sorted(factors, key=_factor_key))
-        if not facs:
+        keyed = sorted(((_factor_key(f), f) for f in factors), key=itemgetter(0))
+        if not keyed:
             kind = KIND_GENERIC  # the empty product is the unit
-        object.__setattr__(self, "factors", facs)
+        object.__setattr__(self, "factors", tuple(f for _, f in keyed))
         object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "_hash", hash((tuple(k for k, _ in keyed), kind)))
 
     @staticmethod
     def unit() -> "IrreducibleLabel":
@@ -247,7 +257,7 @@ class IrreducibleLabel:
         )
 
     def __hash__(self):
-        return hash((tuple(map(_factor_key, self.factors)), self.kind))
+        return self._hash
 
     def __repr__(self):
         if not self.factors:
@@ -304,21 +314,35 @@ class GrothElement:
 
     # -- module structure ----------------------------------------------
 
+    @classmethod
+    def _checked(cls, terms: dict) -> "GrothElement":
+        """Wrap ``terms``, whose keys are already (label, half-integer) pairs.
+
+        Only drops the zero coefficients, in place: unlike the public
+        constructor it neither re-validates nor re-hashes the keys.
+        """
+        for key in [key for key, c in terms.items() if c.is_zero()]:
+            del terms[key]
+        element = object.__new__(cls)
+        object.__setattr__(element, "terms", terms)
+        return element
+
     def __add__(self, other: "GrothElement") -> "GrothElement":
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            terms[key] = terms.get(key, integer(0)) + c
-        return GrothElement(terms)
+            old = terms.get(key)
+            terms[key] = c if old is None else old + c
+        return GrothElement._checked(terms)
 
     def __neg__(self) -> "GrothElement":
-        return GrothElement({k: -c for k, c in self.terms.items()})
+        return GrothElement._checked({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "GrothElement") -> "GrothElement":
         return self + (-other)
 
     def scale(self, c: SymExpr | int) -> "GrothElement":
         c = c if isinstance(c, SymExpr) else integer(c)
-        return GrothElement({k: coeff * c for k, coeff in self.terms.items()})
+        return GrothElement._checked({k: coeff * c for k, coeff in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -328,12 +352,14 @@ class GrothElement:
     def twist(self, n) -> "GrothElement":
         """Shift every segment start in every label by n (internal twist)."""
         n = ensure_half(n)
-        return GrothElement({(label.twist(n), tw): c for (label, tw), c in self.terms.items()})
+        return GrothElement._checked(
+            {(label.twist(n), tw): c for (label, tw), c in self.terms.items()}
+        )
 
     def xi_twist(self, n) -> "GrothElement":
         """Shift the external Xi-exponent of every term by n."""
         n = ensure_half(n)
-        return GrothElement({(label, tw + n): c for (label, tw), c in self.terms.items()})
+        return GrothElement._checked({(label, tw + n): c for (label, tw), c in self.terms.items()})
 
     # -- misc -------------------------------------------------------------
 

@@ -1,12 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import htgroth
-from htgroth.cli import main
+from htgroth.cli import _parser, main
 from htgroth import jsonio
 from htgroth.segments import CuspidalLabel, GrothElement, make_speh_st
 from htgroth.symbolic import atom
@@ -176,6 +179,20 @@ class TestVerifyCommand:
         assert "FAIL" not in out
 
 
+VERIFY_MAX_8 = """\
+PASS diagram-bullets-vs-hull
+PASS se2-hij-round-trip
+PASS endpoint-identity
+PASS euler-master-established-shapes
+PASS inclusion-exclusion
+FLAG euler-oracle-open-configurations [[2, 3], [2, 4], [3, 2], [4, 2]]
+"""
+
+
+def test_verify_max_8_stdout_pinned(capsys):
+    assert run_cli(["verify", "--max", "8"], capsys) == (0, VERIFY_MAX_8)
+
+
 class TestFiguresCommand:
     def test_six_figures(self, tmp_path, capsys):
         code, out = run_cli(["figures", "--out", str(tmp_path)], capsys)
@@ -205,3 +222,134 @@ def test_console_entry_point():
     )
     assert out.returncode == 0
     assert {tuple(p) for p in json.loads(out.stdout)} == {(1, 0), (2, 0), (3, 0)}
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of one in-process call of ``main``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_main_reuses_its_parser_without_leaking_state():
+    reduce_argv = ["reduce", "--division", "--m-tau", "2", "--iota", "j"]
+    first = run_main(reduce_argv)
+    other = run_main(["red", "--s", "2", "--t", "1", "--r", "1"])
+    assert first[0] == 0 and other[0] == 0 and other[1] != first[1]
+    # flags given to the first call do not become defaults of the second
+    assert run_main(["reduce"]) == run_main(["reduce", "--u", "-1", "--s", "1"])
+    assert run_main(reduce_argv) == first
+    assert _parser() is _parser()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "--r", "x"],
+        ["verify", "--bogus"],
+        ["reduce", "--t", "2"],
+        ["diagram", "--kind", "q", "--s", "1"],
+        ["nosuchcommand"],
+        [],
+    ],
+)
+def test_parse_errors_exit_2_with_the_error_record(argv):
+    code, out, err = run_main(argv)
+    assert code == 2 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "parse" and record["message"]
+
+
+# -- fuzzing every subcommand ---------------------------------------------
+
+INTS = st.one_of(st.integers(-2, 4).map(str), st.sampled_from(["x", "", "1.5", "-"]))
+SCS = st.sampled_from([
+    SC,
+    '{"id":"rho","g":1,"q":2,"l":3,"epsilon":1}',
+    '{"id":"rho","g":2,"q":2,"l":5,"epsilon":2}',
+    "{}",
+    '{"id":"rho"',
+    '{"id":"rho","g":"x","q":2,"l":3,"epsilon":1}',
+    '{"id":"rho","g":1,"q":3,"l":3,"epsilon":1}',
+    "no-such-file.json",
+])
+PROFILES = st.sampled_from([
+    PROFILE,
+    '[{"s":2,"t":2,"cuspidal":"rho[u=0]","mult":"m","xi_numerator":1}]',
+    '[{"s":2,"t":1,"cuspidal":"pi","markers":["nondegenerate-at-auxiliary-place"]}]',
+    "[]",
+    "[1]",
+    "[not json",
+    '[{"s":"x","t":1,"cuspidal":"pi"}]',
+    '[{"s":0,"t":1,"cuspidal":"pi"}]',
+    '[{"s":1,"t":1,"cuspidal":"pi","mult":7}]',
+])
+FLAGS = {
+    "diagram": {
+        "--kind": st.sampled_from(["m", "n", "N", "q"]),
+        "--s": INTS,
+        "--t": INTS,
+        "--blocks": st.sampled_from(["1,3", "2", "x", ",", "0,1"]),
+        "--format": st.sampled_from(["ascii", "svg", "json", "png"]),
+    },
+    "jacquet": {"--s": INTS, "--t": INTS, "--g": INTS, "--left-rank": INTS},
+    "red": {"--s": INTS, "--t": INTS, "--g": INTS, "--r": INTS},
+    "reduce": {
+        "--division": None,
+        "--m-tau": INTS,
+        "--iota": st.sampled_from(["iota", "j", ""]),
+        "--sc": SCS,
+        "--u": INTS,
+        "--s": INTS,
+    },
+    "cohomology": {
+        "--profile": PROFILES,
+        "--pi": st.sampled_from(["pi", "rho[u=0]"]),
+        "--r": INTS,
+        "--extension": st.sampled_from(["shriek", "intermediate", "star"]),
+    },
+    "balance": {
+        "--sc": SCS,
+        "--u": INTS,
+        "--u-prime": INTS,
+        "--r": INTS,
+        "--r-prime": INTS,
+        "--profile-u": PROFILES,
+        "--profile-u-prime": PROFILES,
+    },
+    "torsion": {"--d": INTS, "--sc": SCS, "--u-prime": INTS, "--r-prime": INTS},
+    "verify": {"--max": st.sampled_from(["-1", "0", "2", "3", "x"])},
+    "figures": {"--out": st.sampled_from(["OUT", "OUT/sub", "FILE/sub"])},
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    for flag, values in FLAGS[command].items():
+        if draw(st.integers(0, 9)) == 0:
+            continue  # leave the flag out, required or not
+        argv.append(flag)
+        if values is not None:
+            argv.append(draw(values))
+    if draw(st.integers(0, 14)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "--t", "extra"])))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=argvs())
+def test_fuzz_every_subcommand(argv, tmp_path_factory):
+    base = tmp_path_factory.getbasetemp()
+    (base / "FILE").touch()
+    argv = [str(base / a) if a.startswith(("OUT", "FILE")) else a for a in argv]
+    code, _, err = run_main(argv)
+    assert code in (0, 2, 3), (argv, code, err)
+    if code:
+        record = json.loads(err)
+        assert record["error"] in ("parse", "precondition") and record["message"], argv

@@ -4,9 +4,15 @@ import pytest
 
 from htgroth.diagrams import (
     LocalComponent,
+    _in_hull,
+    _m_column_top,
+    _m_hull,
+    hull_column_max_i,
     hull_contains,
     m_coeff,
     m_coeff_hull,
+    m_column_hull,
+    m_polygon_vertices,
     m_support,
     n_coeff,
     n_polygon_vertices,
@@ -70,6 +76,30 @@ class TestMCoeff:
                             r,
                             i,
                         )
+
+    def test_prebuilt_hull_matches_hull_contains(self):
+        # the cached hull and column tops behind m_coeff_hull against the
+        # public functions, which rebuild the hull on every call
+        for s in range(1, 13):
+            for t in range(1, 13):
+                verts, hull = m_polygon_vertices(s, t), _m_hull(s, t)
+                for r in range(1, s + t):
+                    assert _m_column_top(s, t, r) == hull_column_max_i(verts, r)
+                    for i in range(-(s + t), s + t + 1):
+                        assert _in_hull(hull, (r, i)) == hull_contains(verts, (r, i)), (
+                            s,
+                            t,
+                            r,
+                            i,
+                        )
+
+    def test_column_oracle_matches_points(self):
+        for s, t in [(1, 1), (2, 5), (5, 2), (4, 4), (7, 3)]:
+            for r in range(-1, s + t + 2):
+                degrees = range(-(s + t) - 1, s + t + 2)
+                column = m_column_hull(s, t, r, degrees)
+                assert column == [i for i in degrees if m_coeff_hull(s, t, r, i)]
+                assert column == [i for i in degrees if m_coeff(s, t, r, i)]
 
     def test_rejects_bad_block(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,9 @@ from htgroth.segments import (
     CuspidalLabel,
     GrothElement,
     IrreducibleLabel,
+    KIND_FORMAL,
     Multisegment,
+    OpaqueFactor,
     Partition,
     Segment,
     box_partitions,
@@ -16,12 +18,13 @@ from htgroth.segments import (
     half,
     ladder_cuts,
     make_speh_st,
+    _factor_key,
     make_steinberg,
     speh_st_multisegment,
     steinberg_multisegment,
     twist,
 )
-from htgroth.symbolic import atom
+from htgroth.symbolic import atom, integer
 
 PI = CuspidalLabel("pi", g=1)
 PI2 = CuspidalLabel("pi2", g=2)
@@ -234,3 +237,36 @@ def test_segments_on_different_lines_differ():
     assert GrothElement.of(make_steinberg(PI, 2)) != GrothElement.of(
         make_steinberg(PI2, 2)
     )
+
+
+SEGMENTS = st.builds(
+    Segment,
+    st.sampled_from([PI, PI2]),
+    st.integers(-4, 4).map(half),
+    st.integers(1, 3),
+)
+
+
+@given(st.lists(SEGMENTS, max_size=4), st.randoms())
+def test_cached_hashes_agree_with_equality_and_the_key(segs, rnd):
+    shuffled = list(segs)
+    rnd.shuffle(shuffled)
+    a, b = Multisegment(segs), Multisegment(shuffled)
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) == hash(tuple(seg.sort_key() for seg in a.segments))
+    factors = [a, OpaqueFactor("tail", 2), Multisegment(segs[:1])]
+    la = IrreducibleLabel(factors, KIND_FORMAL)
+    lb = IrreducibleLabel(reversed(factors), KIND_FORMAL)
+    assert la == lb and hash(la) == hash(lb)
+    assert hash(la) == hash((tuple(map(_factor_key, la.factors)), la.kind))
+
+
+def test_cancelling_sums_equal_zero():
+    st2, st3 = make_steinberg(PI, 2), make_steinberg(PI, 3)
+    x = GrothElement.of(st2, half(1), atom("a")) + GrothElement.of(st3, coeff=2)
+    y = GrothElement.of(st2, half(1), -atom("a")) + GrothElement.of(st3, coeff=-2)
+    assert x + y == GrothElement.zero() and (x + y).terms == {}
+    assert x - x == GrothElement.zero()
+    assert x.scale(integer(0)) == GrothElement.zero()
+    assert x.twist(1).xi_twist(half(-1)) + (-x).twist(1).xi_twist(half(-1)) == GrothElement.zero()
+    assert hash(x + y) == hash(GrothElement.zero())
