@@ -244,9 +244,11 @@ def cmd_torsion(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    n = args.max
+    if n < 2:
+        _fail(PRECONDITION_ERROR, "precondition", f"--max must be >= 2, got {n}")
     pi = CuspidalLabel("pi", g=1)
     checks: list[tuple[str, bool]] = []
-    n = args.max
 
     from .diagrams import m_coeff, m_column_hull
 

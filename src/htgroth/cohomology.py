@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .jl_red import Cut, cut_sum, marked_cells
+from .jl_red import Cut, marked_cells
 from .modl import (
     LiftMap,
     SupercuspidalData,
@@ -86,6 +86,10 @@ class ProfileEntry:
     markers: frozenset[str] = frozenset()
 
     def __post_init__(self):
+        for name in ("s", "t"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.s < 1 or self.t < 1:
             raise ValueError("s and t must be >= 1")
 
@@ -168,11 +172,10 @@ def _table(profile: SpectrumProfile, pi: CuspidalLabel, r: int, kind: str) -> Co
     for entry in profile:
         if entry.cuspidal != pi:
             continue
-        for degree, i_m, cuts in marked_cells(pi, entry.s, entry.t, r, kind):
-            cell = cut_sum(cuts)
-            if cell.is_zero():
+        for degree, i_m, group in marked_cells(pi, entry.s, entry.t, r, kind):
+            if group.value.is_zero():
                 continue
-            term = _entry_term(entry, cell, Fraction(i_m, 2)).scale(scal)
+            term = _entry_term(entry, group.value, Fraction(i_m, 2)).scale(scal)
             rows[degree] = rows.get(degree, GrothElement.zero()) + term
     return CohomologyTable(rows)
 
@@ -197,11 +200,6 @@ def coh_shriek(profile: SpectrumProfile, pi: CuspidalLabel, r: int) -> Cohomolog
 # ---------------------------------------------------------------------------
 
 
-def _twice(p: Fraction) -> int:
-    """The integer 2p of a half-integer p."""
-    return 2 * p.numerator // p.denominator
-
-
 def _attachment_expansion(cut: Cut, m: int, pi: CuspidalLabel) -> GrothElement | None:
     """Speh_m coefficient block on the bottom m run positions, against a2.
 
@@ -212,20 +210,23 @@ def _attachment_expansion(cut: Cut, m: int, pi: CuspidalLabel) -> GrothElement |
     supports makes the whole term vanish (returns None).  a2's own
     segmentation is kept untouched.
 
-    Positions are doubled to integers, so adjacent positions differ by 2,
-    and an edge (a, a + 2) is keyed by its lower end a; they become
-    half-integers again only in the segments of the terms.
+    Positions are doubled integers, as in the cut's pieces, so adjacent
+    positions differ by 2, and an edge (a, a + 2) is keyed by its lower end
+    a; they become half-integers again only in the segments of the terms.
     """
-    peeled = [(_twice(p), row) for p, row in cut.a1_rows[:m]]
+    peeled = [
+        (p, row)
+        for start2, length, row in cut.a1_pieces
+        for p in range(start2, start2 + 2 * length, 2)
+    ][:m]
     support: dict[int, int] = dict(peeled)  # doubled position -> ladder row
     fixed: dict[int, bool] = {}  # edge -> joined
     for (a, _), (b, _) in zip(peeled, peeled[1:]):
         if b == a + 2:
             fixed[a] = False  # Speh block: internal breaks
     runs = []
-    for seg, row in zip(cut.a2.segments, cut.a2_rows):
-        start = _twice(seg.start)
-        end = start + 2 * (seg.length - 1)
+    for start, length, row in cut.a2_pieces:
+        end = start + 2 * (length - 1)
         for p in range(start, end + 2, 2):
             if p in support:
                 return None  # overlapping support
@@ -347,13 +348,20 @@ def check_hij(pi: CuspidalLabel, t: int, s_max: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _kept_part_sign(cut: Cut, m: int) -> int:
-    """Sign from the segmentation the cut induces on its unpeeled positions."""
-    kept = set(cut.positions()[m:])
-    pieces = sum(
-        1 for seg in cut.a1.segments if any(p in kept for p in seg.positions())
-    )
-    return (-1) ** (pieces - 1) if pieces else 1
+def _peel_sign(cut: Cut, m: int) -> int:
+    """Sign of peeling the bottom m run positions of a cut.
+
+    The sign of the segmentation the cut induces on its unpeeled positions,
+    flipped when the peel boundary cuts through an a1 segment.
+    """
+    kept, below, sign = 0, 0, 1
+    for _, length, _ in cut.a1_pieces:
+        if below < m < below + length:
+            sign = -1  # positions m - 1 and m share this piece
+        below += length
+        if below > m:
+            kept += 1
+    return sign * (-1) ** (kept - 1) if kept else sign
 
 
 def _attached_euler(
@@ -365,22 +373,21 @@ def _attached_euler(
     run positions of each as the coefficient block, expands it against the
     remainder by the attachment calculus, and weighs by the column parity
     (-1)^{i_m}, the kept-part sign, and a flip when the peel boundary cuts
-    through an a1 segment; the Tate twist is compensated by Xi^{-m/2}.
+    through an a1 segment; the Tate twist is compensated by Xi^{-m/2}.  With
+    nothing peeled the kept-part sign is the cut's own sign, so the m = 0
+    term is the cell value itself.
     """
     acc = GrothElement.zero()
-    for _, i_m, cuts in marked_cells(pi, entry.s, entry.t, r + m, "N"):
+    for _, i_m, group in marked_cells(pi, entry.s, entry.t, r + m, "N"):
         parity = -1 if i_m % 2 else 1
-        for cut in cuts:
-            if m == 0:
-                expanded = GrothElement.of(label_of_multisegment(cut.a2, KIND_FORMAL))
-            else:
-                expanded = _attachment_expansion(cut, m, pi)
-                if expanded is None:
-                    continue
-            sign = parity * _kept_part_sign(cut, m)
-            positions = cut.positions()
-            if 0 < m < len(positions) and (positions[m - 1], positions[m]) in cut.inside:
-                sign = -sign  # peel boundary cuts through an a1 segment
+        if m == 0:
+            acc = acc + group.value.scale(integer(parity)).xi_twist(Fraction(i_m, 2))
+            continue
+        for cut in group.cuts:
+            expanded = _attachment_expansion(cut, m, pi)
+            if expanded is None:
+                continue
+            sign = parity * _peel_sign(cut, m)
             term = expanded.scale(integer(sign)).xi_twist(
                 Fraction(i_m, 2) - Fraction(m, 2)
             )
@@ -391,9 +398,9 @@ def _attached_euler(
 def euler_intermediate(entry: ProfileEntry, pi: CuspidalLabel, r: int) -> GrothElement:
     """Alternating sum of the intermediate table of one block at stratum r."""
     acc = GrothElement.zero()
-    for i, _, cuts in marked_cells(pi, entry.s, entry.t, r, "M"):
+    for i, _, group in marked_cells(pi, entry.s, entry.t, r, "M"):
         sign = -1 if i % 2 else 1
-        acc = acc + cut_sum(cuts).scale(integer(sign)).xi_twist(Fraction(i, 2))
+        acc = acc + group.value.scale(integer(sign)).xi_twist(Fraction(i, 2))
     return acc
 
 
@@ -577,21 +584,22 @@ class CongruenceConstraint:
         return self.holds()
 
 
-def _alternating_shriek(profile: SpectrumProfile, pi: CuspidalLabel, r: int) -> GrothElement:
-    return coh_shriek(profile, pi, r).euler()
+def _balance_side(profile: SpectrumProfile, pi: CuspidalLabel, r: int, lifts: LiftMap):
+    """The alternating shriek sum of a profile, and the collapsed classes each entry feeds.
 
-
-def _class_provenance(profile: SpectrumProfile, pi: CuspidalLabel, r: int, lifts: LiftMap):
-    """Which entries feed which collapsed classes (for constraint provenance)."""
-    out: dict[object, list[tuple[int, int, frozenset]]] = {}
+    Each entry's shriek table is built once: the table is linear in the
+    entries, so the profile's sum is the sum of the entries' sums.
+    """
+    total = GrothElement.zero()
+    provenance: dict[object, list[tuple[int, int, frozenset]]] = {}
     for entry in profile:
         if entry.cuspidal != pi:
             continue
-        single = SpectrumProfile((entry,))
-        reduced = rl_reduce(_alternating_shriek(single, pi, r), lifts)
-        for key in reduced:
-            out.setdefault(key, []).append((entry.s, entry.t, entry.markers))
-    return out
+        euler = coh_shriek(SpectrumProfile((entry,)), pi, r).euler()
+        total = total + euler
+        for key in rl_reduce(euler, lifts):
+            provenance.setdefault(key, []).append((entry.s, entry.t, entry.markers))
+    return total, provenance
 
 
 def rl_hi_balance(
@@ -617,10 +625,10 @@ def rl_hi_balance(
     if r * g_u != r_prime * g_up:
         raise ValueError("strata do not match: r g_u != r' g_{u'}")
     factor = chgt_cuspi_factor(u, u_prime, sc)
-    lhs = rl_reduce(_alternating_shriek(profile_u, pi_u, r).scale(factor), lifts)
-    rhs = rl_reduce(_alternating_shriek(profile_up, pi_up, r_prime), lifts)
-    prov_l = _class_provenance(profile_u, pi_u, r, lifts)
-    prov_r = _class_provenance(profile_up, pi_up, r_prime, lifts)
+    total_l, prov_l = _balance_side(profile_u, pi_u, r, lifts)
+    total_r, prov_r = _balance_side(profile_up, pi_up, r_prime, lifts)
+    lhs = rl_reduce(total_l.scale(factor), lifts)
+    rhs = rl_reduce(total_r, lifts)
     constraints = []
     for key in sorted(set(lhs) | set(rhs), key=repr):
         constraints.append(

@@ -10,7 +10,12 @@ character cut out by the run's center.
 
 A cell (stratum r, degree i) of the intermediate or shriek table is the
 signed sum of the cuts of a rectangle ladder at left rank r whose center is
--i_m/2, masked by the M or N diagram of :mod:`htgroth.diagrams`.
+-i_m/2, masked by the M or N diagram of :mod:`htgroth.diagrams`.  The cuts
+come in two layers.  The shape layer, ``rectangle_shape_cuts`` keyed on
+(s, t, r), enumerates a rectangle's cuts once, label-free, in doubled
+integers: they depend only on the shape.  The bound layer,
+``rectangle_cuts`` keyed on (pi, s, t, r), binds the cuspidal pi to the a2
+pieces and groups the cuts by center, each group with its signed a2 sum.
 ``marked_cells`` is the one iterator over these cells; the tables, the
 Euler oracle and ``R_cell``/``S_cell`` all read them through it.  The two
 tables read off the same underlying cut data: the shriek cell of degree i
@@ -38,7 +43,6 @@ from .segments import (
     Segment,
     cut_tuples,
     label_of_multisegment,
-    speh_st_multisegment,
 )
 from .symbolic import integer
 
@@ -153,105 +157,86 @@ def r_tau_sign(a1: Multisegment) -> SignedCharacter:
 
 
 # ---------------------------------------------------------------------------
-# the cut engine
+# the cut engine: label-free shapes, then bound cells
 # ---------------------------------------------------------------------------
+
+Piece = tuple[int, int, int]  # (2 * start, length, ladder row)
 
 
 @dataclass(frozen=True)
 class Cut:
-    """One surviving Jacquet cut of a ladder: the transfer data of a1 plus a2.
+    """One surviving Jacquet cut of a ladder, label-free, in doubled integers.
 
-    Besides the halves and the transfer sign/character, a cut remembers which
-    ladder row each a1 position and each a2 piece came from, and which a1
-    position pairs sit inside one a1 segment; the coefficient-block calculus
-    of the cohomology tables is driven by this row structure.
+    The cut takes the top ``ks[j]`` positions of ladder row j into a1, which
+    then tiles one run once, and leaves the rest of the row in a2.  Positions
+    are doubled so they stay integers: a piece ``(start2, length, row)``
+    covers the doubled positions start2, start2 + 2, ..., start2 + 2(length - 1)
+    of ladder row ``row``.  ``a1_pieces`` run bottom to top, so their
+    positions in order are the run; ``a2_pieces`` follow the ladder rows.
+    ``sign`` = (-1)^(#a1 pieces - 1) and ``center2`` (twice the run's center;
+    the attached character is |.|^(center2/2)) are the transfer data.
+
+    A cut carries no cuspidal label.  In the shape layer
+    (``rectangle_shape_cuts``, keyed on (s, t, r)) a rectangle's cuts are
+    enumerated once per shape; the bound layer (``rectangle_cuts``, keyed on
+    (pi, s, t, r)) binds pi to their a2 pieces and groups them by center
+    into ``CutGroup``s.  The coefficient-block calculus of the cohomology
+    tables reads the pieces and their rows directly.
     """
 
     ks: tuple[int, ...]
-    a1: Multisegment
-    a2: Multisegment
     sign: int
-    center: Fraction  # center offset of a1; the attached character is |.|^center
-    a1_rows: tuple[tuple[Fraction, int], ...] = ()  # position -> source row
-    a2_rows: tuple[int, ...] = ()  # row of each a2 segment, in sorted order
-    inside: frozenset = frozenset()  # a1 position pairs inside one segment
-
-    def positions(self) -> list[Fraction]:
-        return [p for p, _ in self.a1_rows]
+    center2: int
+    a1_pieces: tuple[Piece, ...]
+    a2_pieces: tuple[Piece, ...]
 
 
-def _suffix_pieces(lad: Multisegment, ks: Sequence[int]):
-    a1, a2, a2_rows = [], [], []
-    rows: dict[Fraction, int] = {}
-    for j, (seg, k) in enumerate(zip(lad.segments, ks)):
-        if k:
-            piece = Segment(seg.cuspidal, seg.end - k + 1, k)
-            a1.append(piece)
-            for p in piece.positions():
-                rows[p] = j
-        if seg.length - k:
-            piece = Segment(seg.cuspidal, seg.start, seg.length - k)
-            a2.append(piece)
-            a2_rows.append(j)
-    order = sorted(range(len(a2)), key=lambda idx: a2[idx].sort_key())
-    return Multisegment(a1), Multisegment(a2), rows, tuple(a2_rows[idx] for idx in order)
+def _run_cuts(
+    starts2: Sequence[int], lengths: Sequence[int], lines: Sequence, left_units: int
+) -> list[Cut]:
+    """The cuts whose a1 tiles one run once, of rows given as doubled starts, lengths, lines.
 
-
-def _make_cut(lad: Multisegment, ks: Sequence[int], center: Fraction) -> Cut:
-    a1, a2, rows, a2_rows = _suffix_pieces(lad, ks)
-    inside = set()
-    for seg in a1.segments:
-        ppos = seg.positions()
-        inside.update(zip(ppos, ppos[1:]))
-    return Cut(
-        ks=tuple(ks),
-        a1=a1,
-        a2=a2,
-        sign=(-1) ** (len(a1.segments) - 1),
-        center=center,
-        a1_rows=tuple(sorted(rows.items())),
-        a2_rows=a2_rows,
-        inside=frozenset(inside),
-    )
-
-
-def _run_tuples(lad: Multisegment, left_units: int) -> list[tuple[tuple[int, ...], Fraction]]:
-    """(ks, center) of every suffix tuple whose a1 tiles one run once, ks ascending.
-
-    Sorted by end, the nonzero pieces of such a tuple are a chain of rows
+    Sorted by end, the nonzero pieces of such a cut are a chain of rows
     j_1, ..., j_n with strictly increasing ends on one cuspidal line.  The
     bottom piece k(j_1) is free in 1..len(j_1); every later piece starts just
     above the previous top, so k(j_(m+1)) = end(j_(m+1)) - end(j_m) is forced
     and must be an integer in 1..len(j_(m+1)); the ks sum to left_units.
-    Ends are kept doubled so the walk stays in integers.
+    The cuts come in the lexicographic order of their ks.
     """
-    segs = lad.segments
-    ends2 = [int(2 * seg.end) for seg in segs]
-    order = sorted(range(len(segs)), key=ends2.__getitem__)
-    ks = [0] * len(segs)
+    n = len(lengths)
+    ends2 = [a + 2 * (k - 1) for a, k in zip(starts2, lengths)]
+    order = sorted(range(n), key=ends2.__getitem__)
+    ks = [0] * n
+    chain: list[int] = []  # the rows of the a1 pieces, bottom to top
     out = []
 
-    def extend(nxt: int, top2: int, remaining: int, bottom2: int, cuspidal: CuspidalLabel):
+    def extend(nxt: int, top2: int, remaining: int, bottom2: int, line):
         if remaining == 0:
-            out.append((tuple(ks), Fraction(bottom2 + top2, 4)))
+            a1 = tuple((ends2[j] - 2 * ks[j] + 2, ks[j], j) for j in chain)
+            a2 = tuple((starts2[j], lengths[j] - ks[j], j) for j in range(n) if ks[j] < lengths[j])
+            out.append(Cut(tuple(ks), (-1) ** (len(chain) - 1), (bottom2 + top2) // 2, a1, a2))
             return
-        for idx in range(nxt, len(order)):
+        for idx in range(nxt, n):
             j = order[idx]
             gap2 = ends2[j] - top2
             if gap2 > 2 * remaining:
                 break  # ends only grow along the order
-            if gap2 < 2 or gap2 % 2 or gap2 > 2 * segs[j].length or segs[j].cuspidal != cuspidal:
+            if gap2 < 2 or gap2 % 2 or gap2 > 2 * lengths[j] or lines[j] != line:
                 continue
             ks[j] = gap2 // 2
-            extend(idx + 1, ends2[j], remaining - ks[j], bottom2, cuspidal)
+            chain.append(j)
+            extend(idx + 1, ends2[j], remaining - ks[j], bottom2, line)
+            chain.pop()
             ks[j] = 0
 
     for idx, j in enumerate(order):
-        for k in range(1, min(segs[j].length, left_units) + 1):
+        chain.append(j)
+        for k in range(1, min(lengths[j], left_units) + 1):
             ks[j] = k
-            extend(idx + 1, ends2[j], left_units - k, ends2[j] - 2 * k + 2, segs[j].cuspidal)
+            extend(idx + 1, ends2[j], left_units - k, ends2[j] - 2 * k + 2, lines[j])
         ks[j] = 0
-    out.sort()  # ks are distinct, so this is their lexicographic order
+        chain.pop()
+    out.sort(key=lambda cut: cut.ks)  # ks are distinct
     return out
 
 
@@ -262,30 +247,105 @@ def run_cuts(lad: Multisegment, left_units: int) -> list[Cut]:
     this lists exactly the suffix tuples whose a1 is a multiplicity-one
     consecutive run, i.e. the terms with a nonzero pseudo-coefficient trace
     that the cohomology cells aggregate.  The tuples are generated directly
-    as chains of rows tiling the run (see ``_run_tuples``, after Kret-Lapid's
+    as chains of rows tiling the run (see ``_run_cuts``, after Kret-Lapid's
     description of the Jacquet modules of ladders) instead of being filtered
     out of all suffix tuples; the cuts come in the lexicographic order of
-    their ks, the order of ``run_cuts_scan``.
+    their ks, the order of ``run_cuts_scan``.  The rows of a piece index
+    ``lad.segments``.
     """
-    return [_make_cut(lad, ks, center) for ks, center in _run_tuples(lad, left_units)]
+    segs = lad.segments
+    return _run_cuts(
+        [int(2 * seg.start) for seg in segs],
+        [seg.length for seg in segs],
+        [seg.cuspidal for seg in segs],
+        left_units,
+    )
+
+
+def _suffix_pieces(lad: Multisegment, ks: Sequence[int]):
+    """The a1 and a2 pieces of a suffix tuple, as (Segment, row) pairs."""
+    a1, a2 = [], []
+    for j, (seg, k) in enumerate(zip(lad.segments, ks)):
+        if k:
+            a1.append((Segment(seg.cuspidal, seg.end - k + 1, k), j))
+        if seg.length - k:
+            a2.append((Segment(seg.cuspidal, seg.start, seg.length - k), j))
+    return a1, a2
 
 
 def run_cuts_scan(lad: Multisegment, left_units: int) -> list[Cut]:
-    """Reference for ``run_cuts``: scan every suffix tuple, keep the runs."""
+    """Reference for ``run_cuts``: scan every suffix tuple in Fractions, keep the runs."""
     lengths = [seg.length for seg in lad.segments]
     if left_units > sum(lengths) or left_units < 0:
         return []
     out = []
     for ks in cut_tuples(lengths, left_units):
-        run = _run_data(_suffix_pieces(lad, ks)[0])
-        if run is not None:
-            out.append(_make_cut(lad, ks, run[3]))
+        a1, a2 = _suffix_pieces(lad, ks)
+        run = _run_data(Multisegment(seg for seg, _ in a1))
+        if run is None:
+            continue
+        a1.sort(key=lambda piece: piece[0].start)
+        doubled = [tuple((int(2 * sg.start), sg.length, j) for sg, j in half) for half in (a1, a2)]
+        out.append(Cut(tuple(ks), (-1) ** (len(a1) - 1), int(2 * run[3]), *doubled))
     return out
 
 
+@lru_cache(maxsize=1024)
+def rectangle_shape_cuts(s: int, t: int, left_units: int) -> tuple[Cut, ...]:
+    """The cuts of the s-by-t rectangle ladder at left rank ``left_units``, label-free.
+
+    Row j of ``speh_st_multisegment`` starts at the doubled position
+    2 - s - t + 2 j; the rows index that ladder's segments.
+    """
+    return tuple(
+        _run_cuts([2 - s - t + 2 * j for j in range(s)], [t] * s, [None] * s, left_units)
+    )
+
+
 @lru_cache(maxsize=4096)
-def rectangle_cuts(pi: CuspidalLabel, s: int, t: int, left_units: int) -> tuple[Cut, ...]:
-    return tuple(run_cuts(speh_st_multisegment(pi, s, t), left_units))
+def _segment(cuspidal: CuspidalLabel, start2: int, length: int) -> Segment:
+    """The segment of a piece, built once: a row's remainders recur across its cuts."""
+    return Segment(cuspidal, Fraction(start2, 2), length)
+
+
+def _pieces_multisegment(lines: Sequence[CuspidalLabel], pieces: Iterable[Piece]) -> Multisegment:
+    """The segments of integer pieces, on the line of the row each came from."""
+    return Multisegment(_segment(lines[row], start2, length) for start2, length, row in pieces)
+
+
+@dataclass(frozen=True)
+class CutGroup:
+    """The cuts of one rectangle column with one center, bound to a cuspidal.
+
+    ``value``, the signed sum of the cuts' a2 labels, is the value of every
+    table cell that reads this center.
+    """
+
+    center2: int
+    cuts: tuple[Cut, ...]
+    value: GrothElement
+
+
+@lru_cache(maxsize=4096)
+def rectangle_cuts(pi: CuspidalLabel, s: int, t: int, left_units: int) -> tuple[CutGroup, ...]:
+    """The cuts of the s-by-t rectangle on the line of pi, grouped by center.
+
+    Reads the shapes of ``rectangle_shape_cuts`` and only binds the label:
+    each cut's a2 label is built once, into the value of its group.
+    """
+    lines = (pi,) * s
+    by_center: dict[int, list[Cut]] = {}
+    for cut in rectangle_shape_cuts(s, t, left_units):
+        by_center.setdefault(cut.center2, []).append(cut)
+    groups = []
+    for center2, cuts in sorted(by_center.items()):
+        terms: dict = {}
+        for cut in cuts:
+            a2 = _pieces_multisegment(lines, cut.a2_pieces)
+            key = (label_of_multisegment(a2, KIND_FORMAL), Fraction(0))
+            terms[key] = terms.get(key, 0) + cut.sign
+        groups.append(CutGroup(center2, tuple(cuts), GrothElement(terms)))
+    return tuple(groups)
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +355,15 @@ def rectangle_cuts(pi: CuspidalLabel, s: int, t: int, left_units: int) -> tuple[
 
 def marked_cells(
     pi: CuspidalLabel, s: int, t: int, r: int, kind: str
-) -> Iterator[tuple[int, int, tuple[Cut, ...]]]:
-    """(degree, i_m, cuts) for every cell of column r marked by the M or N diagram.
+) -> Iterator[tuple[int, int, CutGroup]]:
+    """(degree, i_m, group) for every cell of column r marked by the M or N diagram.
 
     ``degree`` indexes the cell in its own diagram and ``i_m`` is the
     intermediate degree behind it: i_m = degree on the M side, and the shear
-    i_m = 2 degree + r - (s + t - 1) on the N side.  ``cuts`` are the cuts of
-    the s-by-t rectangle at left rank r whose center is -i_m/2, grouped once
-    per column.  The only walk over the cells of a column.
+    i_m = 2 degree + r - (s + t - 1) on the N side.  ``group`` holds the cuts
+    of the s-by-t rectangle at left rank r whose center is -i_m/2, and their
+    signed a2 sum, the value of the cell.  The only walk over the cells of a
+    column.
     """
     if s < 1 or t < 1:
         raise ValueError("s and t must be >= 1")
@@ -316,27 +377,16 @@ def marked_cells(
         raise ValueError("kind must be 'M' or 'N'")
     if not cells:
         return
-    by_center: dict[Fraction, list[Cut]] = {}
-    for cut in rectangle_cuts(pi, s, t, r):
-        by_center.setdefault(cut.center, []).append(cut)
+    groups = {group.center2: group for group in rectangle_cuts(pi, s, t, r)}
     for degree, i_m in cells:
-        yield degree, i_m, tuple(by_center.get(Fraction(-i_m, 2), ()))
-
-
-def cut_sum(cuts: Iterable[Cut]) -> GrothElement:
-    """The signed sum of the a2-labels of the cuts: the value of a cell."""
-    acc = GrothElement.zero()
-    for cut in cuts:
-        acc = acc + GrothElement.of(
-            label_of_multisegment(cut.a2, KIND_FORMAL), Fraction(0), integer(cut.sign)
-        )
-    return acc
+        group = groups.get(-i_m)
+        yield degree, i_m, group if group is not None else CutGroup(-i_m, (), GrothElement.zero())
 
 
 def _cell(pi: CuspidalLabel, s: int, t: int, r: int, kind: str, i: int) -> GrothElement:
-    for degree, _, cuts in marked_cells(pi, s, t, r, kind):
+    for degree, _, group in marked_cells(pi, s, t, r, kind):
         if degree == i:
-            return cut_sum(cuts)
+            return group.value
     return GrothElement.zero()
 
 
@@ -376,10 +426,11 @@ def _red_factor(pi: CuspidalLabel, r_units: int, factor) -> GrothElement | None:
         return None
     if r_units * pi.g > factor.rank:
         return None
+    rows = [seg.cuspidal for seg in factor.segments]
     acc: dict = {}
     for cut in run_cuts(factor, r_units):
-        label = label_of_multisegment(cut.a2, KIND_FORMAL)
-        key = (label, cut.center)
+        label = label_of_multisegment(_pieces_multisegment(rows, cut.a2_pieces), KIND_FORMAL)
+        key = (label, Fraction(cut.center2, 2))
         acc[key] = acc.get(key, integer(0)) + integer(cut.sign)
     return GrothElement(acc)
 

@@ -120,6 +120,12 @@ class TestReduceCommand:
             "--r", "1", "--r-prime", "1", "--profile-u", "[]", "--profile-u-prime", "[]",
         ],
         ["jacquet", "--s", "2", "--t", "2", "--left-rank", "-1"],
+        ["cohomology", "--profile", '[{"s":2.5,"t":1,"cuspidal":"pi"}]', "--pi", "pi", "--r", "1"],
+        [
+            "balance", "--sc", SC, "--u", "0", "--u-prime", "0", "--r", "1", "--r-prime", "1",
+            "--profile-u", '[{"s":1,"t":true,"cuspidal":"rho[u=0]"}]', "--profile-u-prime", "[]",
+        ],
+        ["verify", "--max", "1"],
     ],
 )
 def test_precondition_errors_exit_3(args, capsys):
@@ -286,6 +292,7 @@ PROFILES = st.sampled_from([
     "[not json",
     '[{"s":"x","t":1,"cuspidal":"pi"}]',
     '[{"s":0,"t":1,"cuspidal":"pi"}]',
+    '[{"s":2.5,"t":1,"cuspidal":"pi"}]',
     '[{"s":1,"t":1,"cuspidal":"pi","mult":7}]',
 ])
 FLAGS = {

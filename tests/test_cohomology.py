@@ -184,6 +184,17 @@ class TestEulerOracle:
                 if s + t <= 7 and s != t:
                     assert (s, t) in shapes
 
+    def test_violation_catalogue_pinned_at_8(self):
+        expected = [
+            (s, t, r)
+            for s in range(2, 7)
+            for t in range(2, 9 - s)
+            if s != t
+            for r in range(1, max(s, t))
+        ]
+        assert len(expected) == 42
+        assert euler_oracle_violations(8, PI) == expected
+
 
 class TestDxiSupport:
     def test_examples(self):

@@ -11,8 +11,10 @@ from htgroth.jl_red import (
     multisegment_of_orientation,
     orientation_of_run,
     orientations,
+    _pieces_multisegment,
     r_tau_sign,
     rectangle_cuts,
+    rectangle_shape_cuts,
     red_tau,
     run_cuts,
     run_cuts_scan,
@@ -24,6 +26,7 @@ from htgroth.segments import (
     KIND_FORMAL,
     Multisegment,
     Segment,
+    _suffix_cut,
     groth_product,
     half,
     label_of_multisegment,
@@ -238,20 +241,52 @@ class TestRedTau:
 
 
 def test_rectangle_cut_rows_partition():
+    # the pieces of a cut split every row of the rectangle between a1 and a2
     for s, t in [(2, 2), (3, 2), (2, 3)]:
+        rows = sorted((j, 2 - s - t + 2 * j + 2 * k) for j in range(s) for k in range(t))
         for rank in range(0, s * t + 1):
-            for cut in rectangle_cuts(PI, s, t, rank):
-                assert len(cut.positions()) == rank
-                assert cut.a1.rank + cut.a2.rank == s * t
+            for group in rectangle_cuts(PI, s, t, rank):
+                for cut in group.cuts:
+                    assert cut.center2 == group.center2
+                    assert sum(length for _, length, _ in cut.a1_pieces) == rank
+                    covered = sorted(
+                        (row, p)
+                        for start2, length, row in cut.a1_pieces + cut.a2_pieces
+                        for p in range(start2, start2 + 2 * length, 2)
+                    )
+                    assert covered == rows
 
 
 def test_rectangle_cuts_key_on_the_whole_label():
     rectangle_cuts(PI, 2, 2, 2)
-    cuts = rectangle_cuts(CuspidalLabel("pi", g=3), 2, 2, 2)
-    assert isinstance(cuts, tuple) and cuts
+    groups = rectangle_cuts(CuspidalLabel("pi", g=3), 2, 2, 2)
+    assert isinstance(groups, tuple) and groups
+    for group in groups:
+        assert not group.value.is_zero()
+        for label, _ in group.value.terms:
+            (ms,) = label.multisegments()
+            for seg in ms.segments:
+                assert seg.cuspidal.g == 3
+
+
+def assert_matches_scan(lad, r, cuts):
+    """``cuts`` equal the Fraction scan, and their pieces are its segments."""
+    assert list(cuts) == run_cuts_scan(lad, r), r
+    rows = [seg.cuspidal for seg in lad.segments]
     for cut in cuts:
-        for seg in cut.a1.segments + cut.a2.segments:
-            assert seg.cuspidal.g == 3
+        a1, a2 = _suffix_cut(lad, cut.ks)
+        assert _pieces_multisegment(rows, cut.a1_pieces) == a1
+        assert _pieces_multisegment(rows, cut.a2_pieces) == a2
+        transfer = r_tau_sign(a1)
+        assert (cut.sign, cut.center2) == (transfer.sign, transfer.k)
+        run = [p for start2, n, _ in cut.a1_pieces for p in range(start2, start2 + 2 * n, 2)]
+        assert run == list(range(run[0], run[0] + 2 * len(run), 2))  # bottom to top
+        for start2, length, row in cut.a1_pieces:
+            assert length == cut.ks[row]
+            assert start2 + 2 * (length - 1) == 2 * lad.segments[row].end
+        for start2, length, row in cut.a2_pieces:
+            assert length == lad.segments[row].length - cut.ks[row]
+            assert start2 == 2 * lad.segments[row].start
 
 
 def test_run_cuts_matches_scan_on_rectangles():
@@ -263,7 +298,9 @@ def test_run_cuts_matches_scan_on_rectangles():
                 continue
             lad = speh_st_multisegment(PI, s, t)
             for r in range(0, s * t + 2):
-                assert run_cuts(lad, r) == run_cuts_scan(lad, r), (s, t, r)
+                cuts = run_cuts(lad, r)
+                assert rectangle_shape_cuts(s, t, r) == tuple(cuts), (s, t, r)
+                assert_matches_scan(lad, r, cuts)
 
 
 @settings(max_examples=200, deadline=None)
@@ -280,4 +317,17 @@ def test_run_cuts_matches_scan_on_multisegments(data):
     ]
     ms = Multisegment(segs)
     r = data.draw(st.integers(min_value=0, max_value=sum(seg.length for seg in segs) + 1))
-    assert run_cuts(ms, r) == run_cuts_scan(ms, r)
+    assert_matches_scan(ms, r, run_cuts(ms, r))
+
+
+def _shape_data(pi, s, t, r):
+    return [(group.center2, group.cuts) for group in rectangle_cuts(pi, s, t, r)]
+
+
+def test_rectangle_shape_data_is_label_free():
+    for s in range(1, 7):
+        for t in range(1, 7):
+            for r in range(0, s * t + 1):
+                ref = _shape_data(PI, s, t, r)
+                assert _shape_data(CuspidalLabel("pi", g=3), s, t, r) == ref, (s, t, r)
+                assert _shape_data(RHO, s, t, r) == ref, (s, t, r)
