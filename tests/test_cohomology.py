@@ -6,6 +6,7 @@ import pytest
 
 from htgroth import jsonio
 from htgroth.cohomology import (
+    KER1_ATOM,
     CohomologyTable,
     ProfileEntry,
     SpectrumProfile,
@@ -15,9 +16,11 @@ from htgroth.cohomology import (
     coh_shriek,
     conj2_predicate,
     dxi_support,
+    euler_intermediate,
     euler_master_identity,
     euler_oracle_violations,
     euler_shape_established,
+    euler_shriek_expansion,
     inclusion_exclusion_ramified,
     rl_hi_balance,
     strong_congruence_filter,
@@ -194,6 +197,67 @@ class TestEulerOracle:
         ]
         assert len(expected) == 42
         assert euler_oracle_violations(8, PI) == expected
+
+
+# the two labels of the pinned Euler values: same id, told apart by g and e_pi
+EULER_LABELS = {"g1": PI, "g3e2": CuspidalLabel("pi", g=3, e_pi=2)}
+EULER_SIDES = {"intermediate": euler_intermediate, "shriek": euler_shriek_expansion}
+
+
+def euler_grid():
+    """Every block with s + t <= 8 (open shapes included), every r in 0..s*t+1."""
+    for s in range(1, 8):
+        for t in range(1, 9 - s):
+            for r in range(0, s * t + 2):
+                yield s, t, r
+
+
+def _euler_bytes(x: GrothElement) -> bytes:
+    """The sorted terms of an Euler value, with every segment's full label."""
+    rows = []
+    for (label, tw), c in x.sorted_terms():
+        factors = [
+            [(seg.cuspidal.id, seg.cuspidal.g, seg.cuspidal.e_pi, str(seg.start), seg.length)
+             for seg in ms.segments]
+            for ms in label.multisegments()
+        ]
+        rows.append((label.kind, factors, str(tw), repr(c)))
+    return repr(rows).encode()
+
+
+# SHA-256 over the Euler values on euler_grid(), recorded before the Euler
+# calculus moved to label-free integer shapes
+PINNED_EULER_DIGESTS = {
+    ("g1", "intermediate"): "d7f6926130057e99138bcf62e84a1b8c72a887982b4bf45401c9fec681bdeba9",
+    ("g1", "shriek"): "3af858832bbe9a5863353c5284fbbcb80cfd1e320a595479adbe0de716b33820",
+    ("g3e2", "intermediate"): "7aa98b5ace0b6b41765122e1cdd54ebc0be2d64d5b4259360243f30ee37c6db4",
+    ("g3e2", "shriek"): "fa3fa928cc0e02760b1d680cacb9fbb2912545c2812cdd5534769b703ab3b48f",
+}
+
+
+@pytest.mark.parametrize("label,side", sorted(PINNED_EULER_DIGESTS))
+def test_euler_values_pinned(label, side):
+    pi, fn = EULER_LABELS[label], EULER_SIDES[side]
+    digest = hashlib.sha256()
+    for s, t, r in euler_grid():
+        entry = ProfileEntry(s=s, t=t, cuspidal=pi, mult=atom("m"))
+        digest.update(f"{s},{t},{r}:".encode() + _euler_bytes(fn(entry, pi, r)))
+    assert digest.hexdigest() == PINNED_EULER_DIGESTS[label, side]
+
+
+@pytest.mark.parametrize("label", sorted(EULER_LABELS))
+def test_euler_intermediate_matches_table_path(label):
+    # the block's Euler value, dressed with the global scalar, is the
+    # alternating sum of its intermediate table
+    pi = EULER_LABELS[label]
+    scal = integer(pi.e_pi) * atom(KER1_ATOM)
+    cases = 0
+    for s, t, r in euler_grid():
+        entry = ProfileEntry(s=s, t=t, cuspidal=pi, mult=integer(1))
+        table = coh_intermediate(SpectrumProfile((entry,)), pi, r)
+        assert euler_intermediate(entry, pi, r).scale(scal) == table.euler(), (s, t, r)
+        cases += 1
+    assert cases == 266
 
 
 class TestDxiSupport:
