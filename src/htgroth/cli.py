@@ -250,13 +250,12 @@ def cmd_verify(args) -> int:
     pi = CuspidalLabel("pi", g=1)
     checks: list[tuple[str, bool]] = []
 
-    from .diagrams import m_coeff, m_column_hull
+    from .diagrams import m_column, m_column_hull
 
     def grid_agrees(s: int, t: int) -> bool:
         degrees = range(-(s + t), s + t + 1)
         return all(
-            [i for i in degrees if m_coeff(s, t, r, i)] == m_column_hull(s, t, r, degrees)
-            for r in range(1, s + t)
+            m_column(s, t, r, degrees) == m_column_hull(s, t, r, degrees) for r in range(1, s + t)
         )
 
     agree = all(grid_agrees(s, t) for s in range(1, n + 1) for t in range(1, n + 1))

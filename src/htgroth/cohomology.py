@@ -30,6 +30,15 @@ unpeeled part, and compensates the Tate twist by Xi^{-m/2}.  These
 conventions are frozen here; the acceptance suite validates them on every
 one-row, one-column and square block, and the open non-square mixed shapes
 are catalogued by euler_oracle_violations.
+
+Both sides are integer sums that know no cuspidal label.  A term is keyed
+by (shape, xi2): ``shape`` is the sorted tuple of (start2, length) of its
+segments, positions doubled as in the cuts (the empty shape is the unit
+label), and ``xi2`` is twice its Xi exponent; coefficients are plain ints.
+Each side is computed once per (s, t, r) and cached, for every label alike.
+``euler_intermediate`` and ``euler_shriek_expansion`` bind each surviving
+term to the line of pi once; ``euler_master_identity`` compares the integer
+sums themselves, since binding to one line is injective.
 """
 
 from __future__ import annotations
@@ -37,9 +46,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
-from .jl_red import Cut, marked_cells
+from .jl_red import Cut, Shape, TermKey, a2_shape, bind_shapes, cell_values, marked_cells
 from .modl import (
     LiftMap,
     SupercuspidalData,
@@ -52,11 +62,7 @@ from .segments import (
     CuspidalLabel,
     GrothElement,
     IrreducibleLabel,
-    KIND_FORMAL,
-    Multisegment,
-    Segment,
     groth_product,
-    label_of_multisegment,
 )
 from .symbolic import SymExpr, atom, integer
 
@@ -172,10 +178,8 @@ def _table(profile: SpectrumProfile, pi: CuspidalLabel, r: int, kind: str) -> Co
     for entry in profile:
         if entry.cuspidal != pi:
             continue
-        for degree, i_m, group in marked_cells(pi, entry.s, entry.t, r, kind):
-            if group.value.is_zero():
-                continue
-            term = _entry_term(entry, group.value, Fraction(i_m, 2)).scale(scal)
+        for degree, i_m, value in cell_values(pi, entry.s, entry.t, r, kind):
+            term = _entry_term(entry, value, Fraction(i_m, 2)).scale(scal)
             rows[degree] = rows.get(degree, GrothElement.zero()) + term
     return CohomologyTable(rows)
 
@@ -200,7 +204,7 @@ def coh_shriek(profile: SpectrumProfile, pi: CuspidalLabel, r: int) -> Cohomolog
 # ---------------------------------------------------------------------------
 
 
-def _attachment_expansion(cut: Cut, m: int, pi: CuspidalLabel) -> GrothElement | None:
+def _attachment_expansion(cut: Cut, m: int) -> dict[Shape, int] | None:
     """Speh_m coefficient block on the bottom m run positions, against a2.
 
     The peeled positions form the coefficient block (internal edges broken,
@@ -212,8 +216,14 @@ def _attachment_expansion(cut: Cut, m: int, pi: CuspidalLabel) -> GrothElement |
 
     Positions are doubled integers, as in the cut's pieces, so adjacent
     positions differ by 2, and an edge (a, a + 2) is keyed by its lower end
-    a; they become half-integers again only in the segments of the terms.
+    a.  Each term is the shape of its segments, (start2, length) in the
+    order of their disjoint supports, with its integer coefficient.
     """
+    bottom = cut.a1_pieces[0][0]  # the peeled positions are bottom, ..., top
+    top = bottom + 2 * (m - 1)
+    for start, length, _ in cut.a2_pieces:
+        if start <= top and start + 2 * (length - 1) >= bottom and (start - bottom) % 2 == 0:
+            return None  # overlapping support, found before any position is listed
     peeled = [
         (p, row)
         for start2, length, row in cut.a1_pieces
@@ -246,23 +256,22 @@ def _attachment_expansion(cut: Cut, m: int, pi: CuspidalLabel) -> GrothElement |
         if support[a] != support[b]:
             return None  # junction across rows
         free.append(a)
-    terms: dict = {}
+    terms: dict[Shape, int] = {}
     for choice in itertools.product((True, False), repeat=len(free)):
         edges = dict(fixed)
         edges.update(zip(free, choice))
-        segs = []
+        shape = []
         run_start = prev = allpts[0]
         for p in allpts[1:]:
             if p == prev + 2 and edges.get(prev, False):
                 prev = p
                 continue
-            segs.append(Segment(pi, Fraction(run_start, 2), (prev - run_start) // 2 + 1))
+            shape.append((run_start, (prev - run_start) // 2 + 1))
             run_start = prev = p
-        segs.append(Segment(pi, Fraction(run_start, 2), (prev - run_start) // 2 + 1))
-        key = (label_of_multisegment(Multisegment(segs), KIND_FORMAL), Fraction(0))
+        shape.append((run_start, (prev - run_start) // 2 + 1))
         sign = -1 if choice.count(False) % 2 else 1  # breaking same-row junctions
-        terms[key] = terms.get(key, 0) + sign
-    return GrothElement({key: integer(c) for key, c in terms.items()})
+        terms[tuple(shape)] = sign  # distinct choices give distinct segmentations
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -364,59 +373,79 @@ def _peel_sign(cut: Cut, m: int) -> int:
     return sign * (-1) ** (kept - 1) if kept else sign
 
 
-def _attached_euler(
-    entry: ProfileEntry, pi: CuspidalLabel, r: int, m: int
-) -> GrothElement:
-    """Euler term of the shriek table at stratum r+m with a Speh_m coefficient.
+Terms = tuple[tuple[TermKey, int], ...]  # (key, c), sorted by key, c != 0
 
-    Reads the cuts the shriek cells at stratum r+m keep, peels the bottom m
-    run positions of each as the coefficient block, expands it against the
-    remainder by the attachment calculus, and weighs by the column parity
-    (-1)^{i_m}, the kept-part sign, and a flip when the peel boundary cuts
-    through an a1 segment; the Tate twist is compensated by Xi^{-m/2}.  With
-    nothing peeled the kept-part sign is the cut's own sign, so the m = 0
-    term is the cell value itself.
+
+def _frozen(terms: dict[TermKey, int]) -> Terms:
+    return tuple(sorted((key, c) for key, c in terms.items() if c))
+
+
+@lru_cache(maxsize=1024)
+def _intermediate_core(s: int, t: int, r: int) -> Terms:
+    """The alternating sum of the intermediate table of the s-by-t block, label-free.
+
+    The cell of degree i adds the signed a2 shapes of its cuts, with the
+    sign (-1)^i and the twist Xi^{i/2} (xi2 = i).
     """
-    acc = GrothElement.zero()
-    for _, i_m, group in marked_cells(pi, entry.s, entry.t, r + m, "N"):
-        parity = -1 if i_m % 2 else 1
-        if m == 0:
-            acc = acc + group.value.scale(integer(parity)).xi_twist(Fraction(i_m, 2))
-            continue
-        for cut in group.cuts:
-            expanded = _attachment_expansion(cut, m, pi)
-            if expanded is None:
-                continue
-            sign = parity * _peel_sign(cut, m)
-            term = expanded.scale(integer(sign)).xi_twist(
-                Fraction(i_m, 2) - Fraction(m, 2)
-            )
-            acc = acc + term
-    return acc
+    terms: dict[TermKey, int] = {}
+    for i, _, cuts in marked_cells(s, t, r, "M"):
+        parity = -1 if i % 2 else 1
+        for cut in cuts:
+            key = (a2_shape(cut), i)
+            terms[key] = terms.get(key, 0) + parity * cut.sign
+    return _frozen(terms)
+
+
+@lru_cache(maxsize=1024)
+def _shriek_core(s: int, t: int, r: int) -> Terms:
+    """The se2 expansion of the s-by-t block from shriek-side data, label-free.
+
+    The m-th term, with the sign (-1)^m, reads the cuts the shriek cells at
+    stratum r+m keep, peels the bottom m run positions of each as the
+    coefficient block, expands it against the remainder by the attachment
+    calculus, and weighs by the column parity (-1)^{i_m} and the peel sign;
+    the Tate twist is compensated by Xi^{-m/2} (xi2 = i_m - m).  With
+    nothing peeled the peel sign is the cut's own sign, so the m = 0 term
+    is the signed a2 shapes of the cells.
+    """
+    terms: dict[TermKey, int] = {}
+    for m in range(0, s * t - r + 1):
+        for _, i_m, cuts in marked_cells(s, t, r + m, "N"):
+            parity = -1 if (m + i_m) % 2 else 1
+            for cut in cuts:
+                if m == 0:
+                    key = (a2_shape(cut), i_m)
+                    terms[key] = terms.get(key, 0) + parity * cut.sign
+                    continue
+                expanded = _attachment_expansion(cut, m)
+                if expanded is None:
+                    continue
+                sign = parity * _peel_sign(cut, m)
+                for shape, c in expanded.items():
+                    key = (shape, i_m - m)
+                    terms[key] = terms.get(key, 0) + sign * c
+    return _frozen(terms)
 
 
 def euler_intermediate(entry: ProfileEntry, pi: CuspidalLabel, r: int) -> GrothElement:
     """Alternating sum of the intermediate table of one block at stratum r."""
-    acc = GrothElement.zero()
-    for i, _, group in marked_cells(pi, entry.s, entry.t, r, "M"):
-        sign = -1 if i % 2 else 1
-        acc = acc + group.value.scale(integer(sign)).xi_twist(Fraction(i, 2))
-    return acc
+    return bind_shapes(pi, _intermediate_core(entry.s, entry.t, r))
 
 
 def euler_shriek_expansion(entry: ProfileEntry, pi: CuspidalLabel, r: int) -> GrothElement:
     """The se2-expanded Euler characteristic built from shriek-side data."""
-    s, t = entry.s, entry.t
-    acc = GrothElement.zero()
-    for m in range(0, s * t - r + 1):
-        term = _attached_euler(entry, pi, r, m)
-        acc = acc + (term if m % 2 == 0 else -term)
-    return acc
+    return bind_shapes(pi, _shriek_core(entry.s, entry.t, r))
 
 
 def euler_master_identity(entry: ProfileEntry, pi: CuspidalLabel, r: int) -> bool:
-    """The master sign oracle for one block and one stratum."""
-    return euler_intermediate(entry, pi, r) == euler_shriek_expansion(entry, pi, r)
+    """The master sign oracle for one block and one stratum.
+
+    Compares the two label-free integer sums: binding to the line of pi is
+    injective (a multisegment on one cuspidal sorts by (start, length)), so
+    they agree exactly when ``euler_intermediate`` and
+    ``euler_shriek_expansion`` do.
+    """
+    return _intermediate_core(entry.s, entry.t, r) == _shriek_core(entry.s, entry.t, r)
 
 
 def euler_intermediate_profile(profile: SpectrumProfile, pi: CuspidalLabel, r: int) -> GrothElement:

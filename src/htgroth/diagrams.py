@@ -3,14 +3,15 @@
 Two families of lattice diagrams drive the cohomology bookkeeping:
 
 * ``m_coeff(s, t, r, i)`` marks the cells carrying intermediate-extension
-  cohomology.  The normative definition is a set of explicit inequalities
-  plus a parity rule; a convex-hull description of the same region is kept
-  as an independent oracle (exact integer cross products, no floats).
+  cohomology, one degree of the column ``m_column(s, t, r, degrees)``.  The
+  normative definition is a set of explicit inequalities plus a parity
+  rule; a convex-hull description of the same region is kept as an
+  independent oracle (exact integer arithmetic, no floats).
 
-* ``n_coeff(s, t, r, i)`` marks the shriek-extension cells: the lattice
-  points of the parallelogram 0 <= i <= s-1, s <= r+i <= s+t-1.  Its
-  oracle is the closed convex hull of the vertices (s+t-1,0), (s,0),
-  (1,s-1), (t,s-1).
+* ``n_coeff(s, t, r, i)`` marks the shriek-extension cells, one degree of
+  the column ``n_column(s, t, r, degrees)``: the lattice points of the
+  parallelogram 0 <= i <= s-1, s <= r+i <= s+t-1.  Its oracle is the
+  closed convex hull of the vertices (s+t-1,0), (s,0), (1,s-1), (t,s-1).
 
 Superposition glues the per-block diagrams of a product local component,
 remembering for every cell which blocks contribute and from which source
@@ -34,12 +35,12 @@ Point = tuple[int, int]
 # ---------------------------------------------------------------------------
 
 
-def m_coeff(s: int, t: int, r: int, i: int) -> int:
-    """1 when (r, i) is a marked intermediate-extension cell, else 0."""
+def m_column(s: int, t: int, r: int, degrees: Iterable[int]) -> list[int]:
+    """The degrees i among ``degrees`` that mark intermediate-extension cells (r, i)."""
     _check_st(s, t)
     lo = max(1, s + t - 1 - 2 * (s - 1))
     if not (lo <= r <= s + t - 1):
-        return 0
+        return []
     if t <= r:
         bound = s + t - 1 - r
         parity = (s + t - 1 - r) % 2
@@ -47,13 +48,23 @@ def m_coeff(s: int, t: int, r: int, i: int) -> int:
         # here lo <= r <= t
         bound = s - 1 - (t - r)
         parity = (s - t - 1 + r) % 2
-    return int(abs(i) <= bound and i % 2 == parity % 2)
+    return [i for i in degrees if abs(i) <= bound and i % 2 == parity]
+
+
+def m_coeff(s: int, t: int, r: int, i: int) -> int:
+    """1 when (r, i) is a marked intermediate-extension cell, else 0."""
+    return int(bool(m_column(s, t, r, (i,))))
+
+
+def n_column(s: int, t: int, r: int, degrees: Iterable[int]) -> list[int]:
+    """The degrees i among ``degrees`` that mark shriek-extension cells (r, i)."""
+    _check_st(s, t)
+    return [i for i in degrees if 0 <= i <= s - 1 and s <= r + i <= s + t - 1]
 
 
 def n_coeff(s: int, t: int, r: int, i: int) -> int:
     """1 when (r, i) is a marked shriek-extension cell, else 0."""
-    _check_st(s, t)
-    return int(0 <= i <= s - 1 and s <= r + i <= s + t - 1)
+    return int(bool(n_column(s, t, r, (i,))))
 
 
 def _check_st(s: int, t: int):
@@ -133,27 +144,29 @@ def _in_hull(hull: Sequence[Point], p: Point) -> bool:
 
 def hull_column_max_i(vertices: Sequence[Point], r: int) -> int | None:
     """Largest integer i with (r, i) in the hull, or None when the column is empty."""
-    return _column_max_i(convex_hull(vertices), r)
+    interval = _column_interval(convex_hull(vertices), r)
+    return None if interval is None else interval[1]
 
 
-def _column_max_i(hull: Sequence[Point], r: int) -> int | None:
-    if len(hull) >= 3:
-        edges = list(zip(hull, hull[1:] + hull[:1]))
-    elif len(hull) == 2:
-        edges = [(hull[0], hull[1])]
-    else:
-        edges = []
-    ys: list[Fraction] = [Fraction(v[1]) for v in hull if v[0] == r]
-    for a, b in edges:
-        if a[0] != b[0] and min(a[0], b[0]) <= r <= max(a[0], b[0]):
-            ys.append(Fraction(a[1]) + Fraction(b[1] - a[1], b[0] - a[0]) * (r - a[0]))
-    if not ys:
+def _column_interval(hull: Sequence[Point], r: int) -> tuple[int, int] | None:
+    """(bottom, top): the integers i with (r, i) in the closed hull, or None.
+
+    The hull meets the vertical line at r in one closed interval, whose ends
+    lie on the hull's vertices and edges; each edge crossing is the exact
+    quotient num / den, rounded by integer floor and ceiling division.
+    """
+    tops = [y for x, y in hull if x == r]
+    bottoms = list(tops)
+    for (ax, ay), (bx, by) in zip(hull, list(hull[1:]) + list(hull[:1])):
+        if ax != bx and min(ax, bx) <= r <= max(ax, bx):
+            num, den = ay * (bx - ax) + (by - ay) * (r - ax), bx - ax
+            if den < 0:
+                num, den = -num, -den
+            tops.append(num // den)
+            bottoms.append(-(-num // den))
+    if not tops or max(tops) < min(bottoms):
         return None
-    top, bottom = max(ys), min(ys)
-    candidate = top.numerator // top.denominator  # floor
-    while candidate >= bottom and not _in_hull(hull, (r, candidate)):
-        candidate -= 1
-    return candidate if candidate >= bottom - 1 and _in_hull(hull, (r, candidate)) else None
+    return min(bottoms), max(tops)
 
 
 @lru_cache(maxsize=1024)
@@ -162,22 +175,23 @@ def _m_hull(s: int, t: int) -> tuple[Point, ...]:
 
 
 @lru_cache(maxsize=16384)
-def _m_column_top(s: int, t: int, r: int) -> int | None:
-    return _column_max_i(_m_hull(s, t), r)
+def _m_column_interval(s: int, t: int, r: int) -> tuple[int, int] | None:
+    return _column_interval(_m_hull(s, t), r)
 
 
 def m_column_hull(s: int, t: int, r: int, degrees: Iterable[int]) -> list[int]:
     """The degrees i among ``degrees`` that hull-plus-parity marks in column r.
 
-    The hull of the (s, t) polygon is built once and the top of each column
-    found once; every (r, i) is then decided by exact cross products.
+    The hull of the (s, t) polygon is built once and each column's interval
+    found once; a degree is marked when it lies in the interval at even
+    distance from its top.
     """
     _check_st(s, t)
-    top = _m_column_top(s, t, r)
-    if top is None:
+    interval = _m_column_interval(s, t, r)
+    if interval is None:
         return []
-    hull = _m_hull(s, t)
-    return [i for i in degrees if (top - i) % 2 == 0 and _in_hull(hull, (r, i))]
+    bottom, top = interval
+    return [i for i in degrees if bottom <= i <= top and (top - i) % 2 == 0]
 
 
 def m_coeff_hull(s: int, t: int, r: int, i: int) -> int:

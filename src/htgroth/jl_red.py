@@ -11,13 +11,14 @@ character cut out by the run's center.
 A cell (stratum r, degree i) of the intermediate or shriek table is the
 signed sum of the cuts of a rectangle ladder at left rank r whose center is
 -i_m/2, masked by the M or N diagram of :mod:`htgroth.diagrams`.  The cuts
-come in two layers.  The shape layer, ``rectangle_shape_cuts`` keyed on
+come in two layers.  The shape layer, ``rectangle_shape_groups`` keyed on
 (s, t, r), enumerates a rectangle's cuts once, label-free, in doubled
-integers: they depend only on the shape.  The bound layer,
-``rectangle_cuts`` keyed on (pi, s, t, r), binds the cuspidal pi to the a2
-pieces and groups the cuts by center, each group with its signed a2 sum.
-``marked_cells`` is the one iterator over these cells; the tables, the
-Euler oracle and ``R_cell``/``S_cell`` all read them through it.  The two
+integers, and groups them by center: they depend only on the shape.  The
+bound layer, ``rectangle_cuts`` keyed on (pi, s, t, r), sums each center's
+signed a2 shapes and binds the cuspidal pi to them once (``bind_shapes``).
+``marked_cells`` is the one iterator over these cells, and label-free; the
+Euler oracle reads its cuts directly, while the tables and
+``R_cell``/``S_cell`` read the bound values through ``cell_values``.  The two
 tables read off the same underlying cut data: the shriek cell of degree i
 reads the sheared intermediate degree i_m = 2 i + r - (s + t - 1), which also
 makes the two twist conventions agree on the nose, and the endpoint identity
@@ -30,9 +31,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .diagrams import m_coeff, n_coeff
+from .diagrams import m_column, n_column
 from .segments import (
     CuspidalLabel,
     GrothElement,
@@ -161,6 +163,8 @@ def r_tau_sign(a1: Multisegment) -> SignedCharacter:
 # ---------------------------------------------------------------------------
 
 Piece = tuple[int, int, int]  # (2 * start, length, ladder row)
+Shape = tuple[tuple[int, int], ...]  # sorted (2 * start, length) of the segments of one line
+TermKey = tuple[Shape, int]  # (shape, 2 * Xi exponent) of a label-free term
 
 
 @dataclass(frozen=True)
@@ -177,11 +181,11 @@ class Cut:
     the attached character is |.|^(center2/2)) are the transfer data.
 
     A cut carries no cuspidal label.  In the shape layer
-    (``rectangle_shape_cuts``, keyed on (s, t, r)) a rectangle's cuts are
+    (``rectangle_shape_groups``, keyed on (s, t, r)) a rectangle's cuts are
     enumerated once per shape; the bound layer (``rectangle_cuts``, keyed on
-    (pi, s, t, r)) binds pi to their a2 pieces and groups them by center
-    into ``CutGroup``s.  The coefficient-block calculus of the cohomology
-    tables reads the pieces and their rows directly.
+    (pi, s, t, r)) binds pi to their summed a2 shapes, one ``CutGroup`` per
+    center.  The Euler calculus of the cohomology tables reads the pieces
+    and their rows directly.
     """
 
     ks: tuple[int, ...]
@@ -290,7 +294,6 @@ def run_cuts_scan(lad: Multisegment, left_units: int) -> list[Cut]:
     return out
 
 
-@lru_cache(maxsize=1024)
 def rectangle_shape_cuts(s: int, t: int, left_units: int) -> tuple[Cut, ...]:
     """The cuts of the s-by-t rectangle ladder at left rank ``left_units``, label-free.
 
@@ -300,6 +303,27 @@ def rectangle_shape_cuts(s: int, t: int, left_units: int) -> tuple[Cut, ...]:
     return tuple(
         _run_cuts([2 - s - t + 2 * j for j in range(s)], [t] * s, [None] * s, left_units)
     )
+
+
+@lru_cache(maxsize=1024)
+def rectangle_shape_groups(s: int, t: int, left_units: int) -> Mapping[int, tuple[Cut, ...]]:
+    """``rectangle_shape_cuts`` grouped by ``center2``, enumerated once per shape.
+
+    Every caller shares the cached mapping, so it is read-only.
+    """
+    groups: dict[int, list[Cut]] = {}
+    for cut in rectangle_shape_cuts(s, t, left_units):
+        groups.setdefault(cut.center2, []).append(cut)
+    return MappingProxyType({center2: tuple(cuts) for center2, cuts in sorted(groups.items())})
+
+
+def a2_shape(cut: Cut) -> Shape:
+    """The (start2, length) of the cut's a2 pieces, as a shape key.
+
+    The rows of a rectangle start at increasing positions, so the pieces in
+    row order are already sorted.
+    """
+    return tuple((start2, length) for start2, length, _ in cut.a2_pieces)
 
 
 @lru_cache(maxsize=4096)
@@ -313,16 +337,31 @@ def _pieces_multisegment(lines: Sequence[CuspidalLabel], pieces: Iterable[Piece]
     return Multisegment(_segment(lines[row], start2, length) for start2, length, row in pieces)
 
 
+def bind_shapes(pi: CuspidalLabel, terms: Iterable[tuple[TermKey, int]]) -> GrothElement:
+    """Bind label-free terms ``((shape, xi2), c)`` to the line of pi.
+
+    A shape becomes the formal label of its segments on pi (the empty shape
+    the unit label), ``xi2`` the Xi exponent xi2/2, and ``c`` an integer
+    coefficient.  On one line a multisegment sorts its segments by
+    (start, length), so distinct sorted shapes bind to distinct labels: the
+    binding is injective, and the keys must be distinct with nonzero ``c``.
+    """
+    out = {}
+    for (shape, xi2), c in terms:
+        ms = Multisegment(_segment(pi, start2, length) for start2, length in shape)
+        out[(label_of_multisegment(ms, KIND_FORMAL), Fraction(xi2, 2))] = integer(c)
+    return GrothElement._checked(out)
+
+
 @dataclass(frozen=True)
 class CutGroup:
-    """The cuts of one rectangle column with one center, bound to a cuspidal.
+    """One center of a rectangle column, bound to a cuspidal.
 
-    ``value``, the signed sum of the cuts' a2 labels, is the value of every
-    table cell that reads this center.
+    ``value``, the signed sum of the a2 labels of the cuts with this center,
+    is the value of every table cell that reads it.
     """
 
     center2: int
-    cuts: tuple[Cut, ...]
     value: GrothElement
 
 
@@ -330,21 +369,16 @@ class CutGroup:
 def rectangle_cuts(pi: CuspidalLabel, s: int, t: int, left_units: int) -> tuple[CutGroup, ...]:
     """The cuts of the s-by-t rectangle on the line of pi, grouped by center.
 
-    Reads the shapes of ``rectangle_shape_cuts`` and only binds the label:
-    each cut's a2 label is built once, into the value of its group.
+    Reads the groups of ``rectangle_shape_groups`` and only binds the label:
+    each group's signed a2 shapes are summed as integers, then bound once.
     """
-    lines = (pi,) * s
-    by_center: dict[int, list[Cut]] = {}
-    for cut in rectangle_shape_cuts(s, t, left_units):
-        by_center.setdefault(cut.center2, []).append(cut)
     groups = []
-    for center2, cuts in sorted(by_center.items()):
-        terms: dict = {}
+    for center2, cuts in rectangle_shape_groups(s, t, left_units).items():
+        terms: dict[TermKey, int] = {}
         for cut in cuts:
-            a2 = _pieces_multisegment(lines, cut.a2_pieces)
-            key = (label_of_multisegment(a2, KIND_FORMAL), Fraction(0))
+            key = (a2_shape(cut), 0)
             terms[key] = terms.get(key, 0) + cut.sign
-        groups.append(CutGroup(center2, tuple(cuts), GrothElement(terms)))
+        groups.append(CutGroup(center2, bind_shapes(pi, ((k, c) for k, c in terms.items() if c))))
     return tuple(groups)
 
 
@@ -353,40 +387,52 @@ def rectangle_cuts(pi: CuspidalLabel, s: int, t: int, left_units: int) -> tuple[
 # ---------------------------------------------------------------------------
 
 
-def marked_cells(
-    pi: CuspidalLabel, s: int, t: int, r: int, kind: str
-) -> Iterator[tuple[int, int, CutGroup]]:
-    """(degree, i_m, group) for every cell of column r marked by the M or N diagram.
+def marked_cells(s: int, t: int, r: int, kind: str) -> Iterator[tuple[int, int, tuple[Cut, ...]]]:
+    """(degree, i_m, cuts) for every cell of column r marked by the M or N diagram.
 
     ``degree`` indexes the cell in its own diagram and ``i_m`` is the
     intermediate degree behind it: i_m = degree on the M side, and the shear
-    i_m = 2 degree + r - (s + t - 1) on the N side.  ``group`` holds the cuts
-    of the s-by-t rectangle at left rank r whose center is -i_m/2, and their
-    signed a2 sum, the value of the cell.  The only walk over the cells of a
-    column.
+    i_m = 2 degree + r - (s + t - 1) on the N side.  ``cuts`` are the
+    label-free cuts of the s-by-t rectangle at left rank r whose center is
+    -i_m/2; the signed sum of their a2 labels is the value of the cell.  The
+    only walk over the cells of a column.
     """
     if s < 1 or t < 1:
         raise ValueError("s and t must be >= 1")
     if kind == "M":
-        cells = [(i, i) for i in range(-(s + t), s + t + 1) if m_coeff(s, t, r, i)]
+        cells = [(i, i) for i in m_column(s, t, r, range(-(s + t), s + t + 1))]
     elif kind == "N":
-        cells = [
-            (i, 2 * i + r - (s + t - 1)) for i in range(0, s + t + 1) if n_coeff(s, t, r, i)
-        ]
+        cells = [(i, 2 * i + r - (s + t - 1)) for i in n_column(s, t, r, range(0, s + t + 1))]
     else:
         raise ValueError("kind must be 'M' or 'N'")
     if not cells:
         return
-    groups = {group.center2: group for group in rectangle_cuts(pi, s, t, r)}
+    groups = rectangle_shape_groups(s, t, r)
     for degree, i_m in cells:
-        group = groups.get(-i_m)
-        yield degree, i_m, group if group is not None else CutGroup(-i_m, (), GrothElement.zero())
+        yield degree, i_m, groups.get(-i_m, ())
+
+
+def cell_values(
+    pi: CuspidalLabel, s: int, t: int, r: int, kind: str
+) -> Iterator[tuple[int, int, GrothElement]]:
+    """(degree, i_m, value) for the cells of ``marked_cells`` with a nonzero value on pi.
+
+    The values are the bound ``CutGroup.value`` of each cell's center.
+    """
+    values = None
+    for degree, i_m, cuts in marked_cells(s, t, r, kind):
+        if not cuts:
+            continue
+        if values is None:
+            values = {group.center2: group.value for group in rectangle_cuts(pi, s, t, r)}
+        if not values[-i_m].is_zero():
+            yield degree, i_m, values[-i_m]
 
 
 def _cell(pi: CuspidalLabel, s: int, t: int, r: int, kind: str, i: int) -> GrothElement:
-    for degree, _, group in marked_cells(pi, s, t, r, kind):
+    for degree, _, value in cell_values(pi, s, t, r, kind):
         if degree == i:
-            return group.value
+            return value
     return GrothElement.zero()
 
 

@@ -240,9 +240,6 @@ class IrreducibleLabel:
     def rank(self) -> int:
         return sum(f.rank for f in self.factors)
 
-    def is_unit(self) -> bool:
-        return not self.factors
-
     def twist(self, n) -> "IrreducibleLabel":
         return IrreducibleLabel((f.twist(n) for f in self.factors), self.kind)
 

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from htgroth import jsonio
+from htgroth import jl_red, jsonio
 from htgroth.cohomology import (
     KER1_ATOM,
+    _intermediate_core,
+    _shriek_core,
     CohomologyTable,
     ProfileEntry,
     SpectrumProfile,
@@ -258,6 +260,38 @@ def test_euler_intermediate_matches_table_path(label):
         assert euler_intermediate(entry, pi, r).scale(scal) == table.euler(), (s, t, r)
         cases += 1
     assert cases == 266
+
+
+def _clear_euler_caches():
+    for cache in (
+        _intermediate_core,
+        _shriek_core,
+        jl_red.rectangle_shape_groups,
+        jl_red.rectangle_cuts,
+        jl_red._segment,
+    ):
+        cache.cache_clear()
+
+
+def test_euler_cache_leaks_no_label():
+    # the Euler sums are cached on (s, t, r) alone: a label asked for after
+    # another must get its own segments, and the value a cold run computes
+    grid = [(s, t, r) for s in range(1, 5) for t in range(1, 6 - s) for r in range(0, s * t + 2)]
+    warm = {}
+    for pi in (PI, CuspidalLabel("pi", g=3), CuspidalLabel("rho")):
+        for s, t, r in grid:
+            entry = ProfileEntry(s=s, t=t, cuspidal=pi, mult=atom("m"))
+            for side, fn in EULER_SIDES.items():
+                value = fn(entry, pi, r)
+                for label, _ in value.terms:
+                    for ms in label.multisegments():
+                        assert all(seg.cuspidal == pi for seg in ms.segments), (pi, s, t, r)
+                warm[pi, s, t, r, side] = value
+    assert any(not value.is_zero() for value in warm.values())
+    for (pi, s, t, r, side), value in warm.items():
+        _clear_euler_caches()
+        entry = ProfileEntry(s=s, t=t, cuspidal=pi, mult=atom("m"))
+        assert EULER_SIDES[side](entry, pi, r) == value, (pi, s, t, r, side)
 
 
 class TestDxiSupport:

@@ -1,20 +1,25 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from htgroth.diagrams import (
     LocalComponent,
+    _column_interval,
     _in_hull,
-    _m_column_top,
+    _m_column_interval,
     _m_hull,
+    convex_hull,
     hull_column_max_i,
     hull_contains,
     m_coeff,
     m_coeff_hull,
+    m_column,
     m_column_hull,
     m_polygon_vertices,
     m_support,
     n_coeff,
+    n_column,
     n_polygon_vertices,
     n_support,
     render,
@@ -78,20 +83,24 @@ class TestMCoeff:
                         )
 
     def test_prebuilt_hull_matches_hull_contains(self):
-        # the cached hull and column tops behind m_coeff_hull against the
-        # public functions, which rebuild the hull on every call
+        # the cached hull and column intervals behind m_column_hull, and the
+        # closed form m_column, against the per-point public oracle, which
+        # rebuilds the hull on every call, on strata and degrees beyond the
+        # polygon
         for s in range(1, 13):
             for t in range(1, 13):
                 verts, hull = m_polygon_vertices(s, t), _m_hull(s, t)
-                for r in range(1, s + t):
-                    assert _m_column_top(s, t, r) == hull_column_max_i(verts, r)
-                    for i in range(-(s + t), s + t + 1):
-                        assert _in_hull(hull, (r, i)) == hull_contains(verts, (r, i)), (
-                            s,
-                            t,
-                            r,
-                            i,
-                        )
+                degrees = range(-(s + t) - 2, s + t + 3)
+                for r in range(-1, s + t + 2):
+                    inside = [i for i in degrees if hull_contains(verts, (r, i))]
+                    assert [i for i in degrees if _in_hull(hull, (r, i))] == inside
+                    top = inside[-1] if inside else None
+                    assert hull_column_max_i(verts, r) == top, (s, t, r)
+                    interval = (inside[0], top) if inside else None
+                    assert _m_column_interval(s, t, r) == interval, (s, t, r)
+                    marked = [i for i in inside if (top - i) % 2 == 0]
+                    assert m_column_hull(s, t, r, degrees) == marked, (s, t, r)
+                    assert m_column(s, t, r, degrees) == marked, (s, t, r)
 
     def test_column_oracle_matches_points(self):
         for s, t in [(1, 1), (2, 5), (5, 2), (4, 4), (7, 3)]:
@@ -100,6 +109,20 @@ class TestMCoeff:
                 column = m_column_hull(s, t, r, degrees)
                 assert column == [i for i in degrees if m_coeff_hull(s, t, r, i)]
                 assert column == [i for i in degrees if m_coeff(s, t, r, i)]
+
+    def test_column_interval_on_random_polygons(self):
+        # the diagram polygons have edge slopes 0 and +-1, so their column
+        # ends are always integers; these polygons also cross columns
+        # between lattice points, where the floor and ceiling matter
+        rng = random.Random(20261018)
+        for _ in range(100):
+            verts = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(1, 6))]
+            for r in range(-7, 8):
+                inside = [i for i in range(-8, 9) if hull_contains(verts, (r, i))]
+                top = inside[-1] if inside else None
+                assert hull_column_max_i(verts, r) == top, (verts, r)
+                interval = (inside[0], top) if inside else None
+                assert _column_interval(convex_hull(verts), r) == interval, (verts, r)
 
     def test_rejects_bad_block(self):
         with pytest.raises(ValueError):
@@ -132,13 +155,11 @@ class TestNCoeff:
             for t in range(1, 13):
                 verts = n_polygon_vertices(s, t)
                 for r in range(-1, s + t + 2):
-                    for i in range(-(s + t), s + t + 1):
-                        assert n_coeff(s, t, r, i) == int(hull_contains(verts, (r, i))), (
-                            s,
-                            t,
-                            r,
-                            i,
-                        )
+                    degrees = range(-(s + t), s + t + 1)
+                    inside = [i for i in degrees if hull_contains(verts, (r, i))]
+                    assert n_column(s, t, r, degrees) == inside, (s, t, r)
+                    for i in degrees:
+                        assert n_coeff(s, t, r, i) == int(i in inside), (s, t, r, i)
 
     def test_vanishes_below_axis(self):
         for s in range(1, 6):

@@ -15,6 +15,7 @@ from htgroth.jl_red import (
     r_tau_sign,
     rectangle_cuts,
     rectangle_shape_cuts,
+    rectangle_shape_groups,
     red_tau,
     run_cuts,
     run_cuts_scan,
@@ -245,9 +246,11 @@ def test_rectangle_cut_rows_partition():
     for s, t in [(2, 2), (3, 2), (2, 3)]:
         rows = sorted((j, 2 - s - t + 2 * j + 2 * k) for j in range(s) for k in range(t))
         for rank in range(0, s * t + 1):
-            for group in rectangle_cuts(PI, s, t, rank):
-                for cut in group.cuts:
-                    assert cut.center2 == group.center2
+            groups = rectangle_shape_groups(s, t, rank)
+            assert [group.center2 for group in rectangle_cuts(PI, s, t, rank)] == list(groups)
+            for center2, cuts in groups.items():
+                for cut in cuts:
+                    assert cut.center2 == center2
                     assert sum(length for _, length, _ in cut.a1_pieces) == rank
                     covered = sorted(
                         (row, p)
@@ -321,7 +324,16 @@ def test_run_cuts_matches_scan_on_multisegments(data):
 
 
 def _shape_data(pi, s, t, r):
-    return [(group.center2, group.cuts) for group in rectangle_cuts(pi, s, t, r)]
+    """The bound groups with the label stripped off: centers, a2 shapes, twists, coefficients."""
+    out = []
+    for group in rectangle_cuts(pi, s, t, r):
+        terms = []
+        for (label, tw), c in group.value.terms.items():
+            segs = [seg for ms in label.multisegments() for seg in ms.segments]
+            assert all(seg.cuspidal == pi for seg in segs)
+            terms.append((tuple((int(2 * seg.start), seg.length) for seg in segs), tw, c))
+        out.append((group.center2, sorted(terms, key=repr)))
+    return out
 
 
 def test_rectangle_shape_data_is_label_free():
