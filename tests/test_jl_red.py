@@ -26,17 +26,21 @@ from htgroth.segments import (
     IrreducibleLabel,
     KIND_FORMAL,
     Multisegment,
+    OpaqueFactor,
     Segment,
     _suffix_cut,
+    cut_tuples,
     groth_product,
     half,
     label_of_multisegment,
     make_steinberg,
     speh_st_multisegment,
 )
+from htgroth.symbolic import atom, integer
 
 PI = CuspidalLabel("pi", g=1)
 RHO = CuspidalLabel("rho", g=1)
+PI_G2 = CuspidalLabel("pi", g=2)
 
 
 class TestOrientations:
@@ -239,6 +243,54 @@ class TestRedTau:
                 term = groth_product(term, e)
             rhs = rhs + term
         assert lhs == rhs
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_fraction_reference(self, data):
+        # random formal products of multisegments on pi, a second line and a
+        # g = 2 line, with opaque factors, twists and symbolic coefficients
+        lines = (PI, PI, RHO, PI_G2, PI_G2)
+        terms = {}
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            factors = [OpaqueFactor("tail", 2)] if data.draw(st.booleans()) else []
+            for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+                segs = [
+                    Segment(
+                        data.draw(st.sampled_from(lines)),
+                        half(data.draw(st.integers(min_value=-4, max_value=4))),
+                        data.draw(st.integers(min_value=1, max_value=3)),
+                    )
+                    for _ in range(data.draw(st.integers(min_value=1, max_value=3)))
+                ]
+                factors.append(Multisegment(segs))
+            tw = half(data.draw(st.integers(min_value=-3, max_value=3)))
+            coeff = data.draw(st.sampled_from([integer(1), integer(-2), atom("m")]))
+            terms[(IrreducibleLabel(factors, KIND_FORMAL), tw)] = coeff
+        x = GrothElement(terms)
+        pi = data.draw(st.sampled_from((PI, PI_G2)))
+        depth = data.draw(st.integers(min_value=1, max_value=4))
+        assert red_tau(pi, depth, x) == _red_tau_reference(pi, depth, x)
+
+
+
+def _red_tau_reference(pi, depth, x):
+    """``red_tau`` in Fractions: every suffix tuple of every factor on pi, kept when a1 is a run."""
+    out = GrothElement.zero()
+    for (label, tw), coeff in x.terms.items():
+        for idx, factor in enumerate(label.factors):
+            if not isinstance(factor, Multisegment) or factor.cuspidal_lines() != [pi]:
+                continue
+            rest = label.factors[:idx] + label.factors[idx + 1 :]
+            lengths = [seg.length for seg in factor.segments]
+            for ks in cut_tuples(lengths, depth):
+                a1, a2 = _suffix_cut(factor, ks)
+                try:
+                    transfer = r_tau_sign(a1)
+                except ValueError:
+                    continue  # the transfer vanishes on a1
+                merged = IrreducibleLabel(rest + ((a2,) if a2.segments else ()), KIND_FORMAL)
+                out = out + GrothElement.of(merged, tw + transfer.exponent, coeff * transfer.sign)
+    return out
 
 
 def test_rectangle_cut_rows_partition():
