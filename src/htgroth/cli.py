@@ -140,6 +140,17 @@ def _load_supercuspidal(args) -> SupercuspidalData:
         _fail(PRECONDITION_ERROR, "precondition", str(exc))
 
 
+def _json_field(item: dict, key: str, kinds, default=None):
+    """``item[key]``, or ``default`` when given and the key is absent, of the JSON types ``kinds``.
+
+    JSON ``true``/``false`` are rejected as numbers: Python reads them as 1 and 0.
+    """
+    value = item[key] if default is None else item.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"{key} has the wrong JSON type: {value!r}")
+    return value
+
+
 def _load_profile(source: str, cuspidals: dict[str, CuspidalLabel]) -> SpectrumProfile:
     try:
         data = json.loads(source) if source.strip().startswith("[") else json.load(open(source))
@@ -148,16 +159,20 @@ def _load_profile(source: str, cuspidals: dict[str, CuspidalLabel]) -> SpectrumP
     entries = []
     try:
         for item in data:
-            cusp = cuspidals.get(item["cuspidal"]) or CuspidalLabel(item["cuspidal"])
-            cuspidals[item["cuspidal"]] = cusp
+            name = _json_field(item, "cuspidal", str)
+            markers = _json_field(item, "markers", list, [])
+            if not all(isinstance(marker, str) for marker in markers):
+                raise TypeError(f"markers must be strings, not {markers!r}")
+            cusp = cuspidals.get(name) or CuspidalLabel(name)
+            cuspidals[name] = cusp
             entries.append(
                 ProfileEntry(
                     s=item["s"],
                     t=item["t"],
                     cuspidal=cusp,
-                    mult=jsonio.sym_from_json(item.get("mult", f"m[{item['cuspidal']}]")),
-                    xi=jsonio.twist_val(item.get("xi_numerator", 0)),
-                    markers=frozenset(item.get("markers", ())),
+                    mult=jsonio.sym_from_json(_json_field(item, "mult", (int, str), f"m[{name}]")),
+                    xi=jsonio.twist_val(_json_field(item, "xi_numerator", int, 0)),
+                    markers=frozenset(markers),
                 )
             )
     except (KeyError, TypeError, ValueError) as exc:

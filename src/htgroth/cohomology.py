@@ -38,7 +38,10 @@ label), and ``xi2`` is twice its Xi exponent; coefficients are plain ints.
 Each side is computed once per (s, t, r) and cached, for every label alike.
 ``euler_intermediate`` and ``euler_shriek_expansion`` bind each surviving
 term to the line of pi once; ``euler_master_identity`` compares the integer
-sums themselves, since binding to one line is injective.
+sums themselves, since binding to one line is injective.  The tables and
+``euler_shriek_profile_expansion`` bind through the same
+:func:`htgroth.jl_red.bind_shapes` call, which applies an entry's block
+twist and tail in the same pass.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .jl_red import Cut, Shape, TermKey, a2_shape, bind_shapes, cell_values, marked_cells
+from .jl_red import Cut, Shape, TermKey, Terms, bind_shapes, frozen_terms, marked_cells
 from .modl import (
     LiftMap,
     SupercuspidalData,
@@ -62,7 +65,7 @@ from .segments import (
     CuspidalLabel,
     GrothElement,
     IrreducibleLabel,
-    groth_product,
+    ensure_half,
 )
 from .symbolic import SymExpr, atom, integer
 
@@ -98,6 +101,7 @@ class ProfileEntry:
                 raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.s < 1 or self.t < 1:
             raise ValueError("s and t must be >= 1")
+        object.__setattr__(self, "xi", ensure_half(self.xi))
 
     @property
     def r(self) -> int:
@@ -159,28 +163,23 @@ def _global_scalar(pi: CuspidalLabel) -> SymExpr:
     return integer(pi.e_pi) * atom(KER1_ATOM)
 
 
-def _entry_term(entry: ProfileEntry, cell: GrothElement, xi_exp: Fraction) -> GrothElement:
-    """mult * (tail x cell) twisted by the block tag and the Xi exponent."""
-    cell = cell.twist(entry.xi)  # block twist moves the segment coordinates
-    term = groth_product(GrothElement.of(entry.tail), cell)
-    return term.xi_twist(entry.xi + xi_exp).scale(entry.mult)
-
-
 def _table(profile: SpectrumProfile, pi: CuspidalLabel, r: int, kind: str) -> CohomologyTable:
     """The intermediate ("M") or shriek ("N") table at stratum r.
 
     Sums, over the entries on the line of ``pi`` and the cells their diagram
-    marks in column r, the cell values times the symbolic weights, the tails,
-    the twists and the global scalar.
+    marks in column r, the cell values bound once with the entry's block
+    twist and tail, times the symbolic weight and the global scalar.
     """
     rows: dict[int, GrothElement] = {}
     scal = _global_scalar(pi)
     for entry in profile:
         if entry.cuspidal != pi:
             continue
-        for degree, i_m, value in cell_values(pi, entry.s, entry.t, r, kind):
-            term = _entry_term(entry, value, Fraction(i_m, 2)).scale(scal)
-            rows[degree] = rows.get(degree, GrothElement.zero()) + term
+        shift2, weight = int(2 * entry.xi), entry.mult * scal
+        for degree, _, _, sums in marked_cells(entry.s, entry.t, r, kind):
+            if sums:
+                term = bind_shapes(pi, sums, shift2, entry.tail).scale(weight)
+                rows[degree] = rows.get(degree, GrothElement.zero()) + term
     return CohomologyTable(rows)
 
 
@@ -373,27 +372,19 @@ def _peel_sign(cut: Cut, m: int) -> int:
     return sign * (-1) ** (kept - 1) if kept else sign
 
 
-Terms = tuple[tuple[TermKey, int], ...]  # (key, c), sorted by key, c != 0
-
-
-def _frozen(terms: dict[TermKey, int]) -> Terms:
-    return tuple(sorted((key, c) for key, c in terms.items() if c))
-
-
 @lru_cache(maxsize=1024)
 def _intermediate_core(s: int, t: int, r: int) -> Terms:
     """The alternating sum of the intermediate table of the s-by-t block, label-free.
 
-    The cell of degree i adds the signed a2 shapes of its cuts, with the
-    sign (-1)^i and the twist Xi^{i/2} (xi2 = i).
+    The cell of degree i adds its summed a2 shapes, keyed with the twist
+    Xi^{i/2} (xi2 = i), with the sign (-1)^i.
     """
     terms: dict[TermKey, int] = {}
-    for i, _, cuts in marked_cells(s, t, r, "M"):
+    for i, _, _, sums in marked_cells(s, t, r, "M"):
         parity = -1 if i % 2 else 1
-        for cut in cuts:
-            key = (a2_shape(cut), i)
-            terms[key] = terms.get(key, 0) + parity * cut.sign
-    return _frozen(terms)
+        for key, c in sums:
+            terms[key] = terms.get(key, 0) + parity * c
+    return frozen_terms(terms)
 
 
 @lru_cache(maxsize=1024)
@@ -406,17 +397,17 @@ def _shriek_core(s: int, t: int, r: int) -> Terms:
     calculus, and weighs by the column parity (-1)^{i_m} and the peel sign;
     the Tate twist is compensated by Xi^{-m/2} (xi2 = i_m - m).  With
     nothing peeled the peel sign is the cut's own sign, so the m = 0 term
-    is the signed a2 shapes of the cells.
+    is the summed a2 shapes of the cells.
     """
     terms: dict[TermKey, int] = {}
     for m in range(0, s * t - r + 1):
-        for _, i_m, cuts in marked_cells(s, t, r + m, "N"):
+        for _, i_m, cuts, sums in marked_cells(s, t, r + m, "N"):
             parity = -1 if (m + i_m) % 2 else 1
+            if m == 0:
+                for key, c in sums:
+                    terms[key] = terms.get(key, 0) + parity * c
+                continue
             for cut in cuts:
-                if m == 0:
-                    key = (a2_shape(cut), i_m)
-                    terms[key] = terms.get(key, 0) + parity * cut.sign
-                    continue
                 expanded = _attachment_expansion(cut, m)
                 if expanded is None:
                     continue
@@ -424,7 +415,7 @@ def _shriek_core(s: int, t: int, r: int) -> Terms:
                 for shape, c in expanded.items():
                     key = (shape, i_m - m)
                     terms[key] = terms.get(key, 0) + sign * c
-    return _frozen(terms)
+    return frozen_terms(terms)
 
 
 def euler_intermediate(entry: ProfileEntry, pi: CuspidalLabel, r: int) -> GrothElement:
@@ -467,10 +458,8 @@ def euler_shriek_profile_expansion(
     for entry in profile:
         if entry.cuspidal != pi:
             continue
-        per = euler_shriek_expansion(entry, pi, r)
-        per = per.twist(entry.xi).xi_twist(entry.xi)
-        per = groth_product(GrothElement.of(entry.tail), per)
-        acc = acc + per.scale(entry.mult).scale(scal)
+        per = bind_shapes(pi, _shriek_core(entry.s, entry.t, r), int(2 * entry.xi), entry.tail)
+        acc = acc + per.scale(entry.mult * scal)
     return acc
 
 

@@ -10,19 +10,20 @@ character cut out by the run's center.
 
 A cell (stratum r, degree i) of the intermediate or shriek table is the
 signed sum of the cuts of a rectangle ladder at left rank r whose center is
--i_m/2, masked by the M or N diagram of :mod:`htgroth.diagrams`.  The cuts
-come in two layers.  The shape layer, ``rectangle_shape_groups`` keyed on
-(s, t, r), enumerates a rectangle's cuts once, label-free, in doubled
-integers, and groups them by center: they depend only on the shape.  The
-bound layer, ``rectangle_cuts`` keyed on (pi, s, t, r), sums each center's
-signed a2 shapes and binds the cuspidal pi to them once (``bind_shapes``).
-``marked_cells`` is the one iterator over these cells, and label-free; the
-Euler oracle reads its cuts directly, while the tables and
-``R_cell``/``S_cell`` read the bound values through ``cell_values``.  The two
-tables read off the same underlying cut data: the shriek cell of degree i
-reads the sheared intermediate degree i_m = 2 i + r - (s + t - 1), which also
-makes the two twist conventions agree on the nose, and the endpoint identity
-at (s + t - 1, 0) exact.
+-i_m/2, masked by the M or N diagram of :mod:`htgroth.diagrams`.  The shape
+layer, ``rectangle_shape_groups`` keyed on (s, t, r), enumerates a
+rectangle's cuts once, label-free, in doubled integers, groups them by
+center and sums each center's signed a2 shapes: they depend only on the
+shape.  ``marked_cells`` is the one iterator over these cells, and
+label-free; the tables and the Euler calculus read its cuts and sums
+directly.  ``bind_shapes`` is the one place that turns shapes into labels:
+it binds a cell, an Euler sum or a transfer term to the line of pi once,
+with the block twist and the tail.  ``rectangle_cuts``, keyed on
+(pi, s, t, r), keeps the bare bound values that ``R_cell``/``S_cell`` read.
+The two tables read off the same underlying cut data: the shriek cell of
+degree i reads the sheared intermediate degree i_m = 2 i + r - (s + t - 1),
+which also makes the two twist conventions agree on the nose, and the
+endpoint identity at (s + t - 1, 0) exact.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .segments import (
     Segment,
     cut_tuples,
     label_of_multisegment,
+    label_product,
 )
 from .symbolic import integer
 
@@ -165,6 +167,7 @@ def r_tau_sign(a1: Multisegment) -> SignedCharacter:
 Piece = tuple[int, int, int]  # (2 * start, length, ladder row)
 Shape = tuple[tuple[int, int], ...]  # sorted (2 * start, length) of the segments of one line
 TermKey = tuple[Shape, int]  # (shape, 2 * Xi exponent) of a label-free term
+Terms = tuple[tuple[TermKey, int], ...]  # (key, c), sorted by key, c != 0
 
 
 @dataclass(frozen=True)
@@ -182,10 +185,9 @@ class Cut:
 
     A cut carries no cuspidal label.  In the shape layer
     (``rectangle_shape_groups``, keyed on (s, t, r)) a rectangle's cuts are
-    enumerated once per shape; the bound layer (``rectangle_cuts``, keyed on
-    (pi, s, t, r)) binds pi to their summed a2 shapes, one ``CutGroup`` per
-    center.  The Euler calculus of the cohomology tables reads the pieces
-    and their rows directly.
+    enumerated once per shape and their a2 shapes summed per center;
+    ``bind_shapes`` binds the sums, never the cuts.  The Euler calculus of
+    the cohomology tables reads the pieces and their rows directly.
     """
 
     ks: tuple[int, ...]
@@ -305,25 +307,46 @@ def rectangle_shape_cuts(s: int, t: int, left_units: int) -> tuple[Cut, ...]:
     )
 
 
-@lru_cache(maxsize=1024)
-def rectangle_shape_groups(s: int, t: int, left_units: int) -> Mapping[int, tuple[Cut, ...]]:
-    """``rectangle_shape_cuts`` grouped by ``center2``, enumerated once per shape.
+def frozen_terms(terms: dict[TermKey, int]) -> Terms:
+    """The nonzero terms of an integer sum, sorted by key."""
+    return tuple(sorted((key, c) for key, c in terms.items() if c))
 
-    Every caller shares the cached mapping, so it is read-only.
+
+def signed_shapes(cuts: Iterable[Cut], xi_sign: int) -> Terms:
+    """The signed a2 shapes of ``cuts``, summed as integers.
+
+    A cut adds its sign to the key (shape, xi_sign * center2), where the
+    shape is the sorted (start2, length) of its a2 pieces (a general
+    ladder's pieces need not come sorted).  The transfer takes ``xi_sign``
+    1: the Xi slot carries the run's character |.|^(center2/2).  A table
+    cell takes -1: the cuts of center -i_m/2 sit in intermediate degree i_m
+    and carry the twist Xi^(i_m/2).
+    """
+    terms: dict[TermKey, int] = {}
+    for cut in cuts:
+        shape = tuple(sorted((start2, length) for start2, length, _ in cut.a2_pieces))
+        key = (shape, xi_sign * cut.center2)
+        terms[key] = terms.get(key, 0) + cut.sign
+    return frozen_terms(terms)
+
+
+@lru_cache(maxsize=1024)
+def rectangle_shape_groups(
+    s: int, t: int, left_units: int
+) -> Mapping[int, tuple[tuple[Cut, ...], Terms]]:
+    """``rectangle_shape_cuts`` grouped by ``center2``, with each center's summed a2 shapes.
+
+    A center maps to its cuts and to their ``signed_shapes`` keyed on
+    (shape, i_m), the value of every table cell that reads it, twist
+    included.  Enumerated and summed once per shape; every caller shares the
+    cached mapping, so it is read-only.
     """
     groups: dict[int, list[Cut]] = {}
     for cut in rectangle_shape_cuts(s, t, left_units):
         groups.setdefault(cut.center2, []).append(cut)
-    return MappingProxyType({center2: tuple(cuts) for center2, cuts in sorted(groups.items())})
-
-
-def a2_shape(cut: Cut) -> Shape:
-    """The (start2, length) of the cut's a2 pieces, as a shape key.
-
-    The rows of a rectangle start at increasing positions, so the pieces in
-    row order are already sorted.
-    """
-    return tuple((start2, length) for start2, length, _ in cut.a2_pieces)
+    return MappingProxyType(
+        {c2: (tuple(cuts), signed_shapes(cuts, -1)) for c2, cuts in sorted(groups.items())}
+    )
 
 
 @lru_cache(maxsize=4096)
@@ -332,54 +355,48 @@ def _segment(cuspidal: CuspidalLabel, start2: int, length: int) -> Segment:
     return Segment(cuspidal, Fraction(start2, 2), length)
 
 
-def _pieces_multisegment(lines: Sequence[CuspidalLabel], pieces: Iterable[Piece]) -> Multisegment:
-    """The segments of integer pieces, on the line of the row each came from."""
-    return Multisegment(_segment(lines[row], start2, length) for start2, length, row in pieces)
+def bind_shapes(
+    pi: CuspidalLabel,
+    terms: Iterable[tuple[TermKey, int]],
+    shift2: int = 0,
+    tail: IrreducibleLabel = IrreducibleLabel.unit(),
+) -> GrothElement:
+    """Bind label-free terms ``((shape, xi2), c)`` to the line of pi, twisted and times a tail.
 
-
-def bind_shapes(pi: CuspidalLabel, terms: Iterable[tuple[TermKey, int]]) -> GrothElement:
-    """Bind label-free terms ``((shape, xi2), c)`` to the line of pi.
-
-    A shape becomes the formal label of its segments on pi (the empty shape
-    the unit label), ``xi2`` the Xi exponent xi2/2, and ``c`` an integer
-    coefficient.  On one line a multisegment sorts its segments by
-    (start, length), so distinct sorted shapes bind to distinct labels: the
-    binding is injective, and the keys must be distinct with nonzero ``c``.
+    The one place where shapes become labels.  A shape becomes the formal
+    label of its segments on pi (the empty shape the unit label), every
+    start moved by the block twist shift2/2, times ``tail``
+    (``label_product``); ``xi2`` becomes the Xi exponent (xi2 + shift2)/2,
+    and ``c`` an integer coefficient.  On one line a multisegment sorts its
+    segments by (start, length), so distinct sorted shapes bind to distinct
+    labels: the binding is injective, and the keys must be distinct with
+    nonzero ``c``.
     """
     out = {}
     for (shape, xi2), c in terms:
-        ms = Multisegment(_segment(pi, start2, length) for start2, length in shape)
-        out[(label_of_multisegment(ms, KIND_FORMAL), Fraction(xi2, 2))] = integer(c)
+        ms = Multisegment(_segment(pi, start2 + shift2, length) for start2, length in shape)
+        label = label_of_multisegment(ms, KIND_FORMAL)
+        if tail.factors:  # the product with the unit is the label itself
+            label = label_product(tail, label)
+        out[(label, Fraction(xi2 + shift2, 2))] = integer(c)
     return GrothElement._checked(out)
 
 
-@dataclass(frozen=True)
-class CutGroup:
-    """One center of a rectangle column, bound to a cuspidal.
-
-    ``value``, the signed sum of the a2 labels of the cuts with this center,
-    is the value of every table cell that reads it.
-    """
-
-    center2: int
-    value: GrothElement
-
-
 @lru_cache(maxsize=4096)
-def rectangle_cuts(pi: CuspidalLabel, s: int, t: int, left_units: int) -> tuple[CutGroup, ...]:
-    """The cuts of the s-by-t rectangle on the line of pi, grouped by center.
+def rectangle_cuts(
+    pi: CuspidalLabel, s: int, t: int, left_units: int
+) -> Mapping[int, GrothElement]:
+    """The bare cell values of the s-by-t rectangle on the line of pi, by ``center2``.
 
-    Reads the groups of ``rectangle_shape_groups`` and only binds the label:
-    each group's signed a2 shapes are summed as integers, then bound once.
+    Binds each center's summed a2 shapes from ``rectangle_shape_groups``
+    with the Xi exponent 0, as ``R_cell`` and ``S_cell`` return them.
     """
-    groups = []
-    for center2, cuts in rectangle_shape_groups(s, t, left_units).items():
-        terms: dict[TermKey, int] = {}
-        for cut in cuts:
-            key = (a2_shape(cut), 0)
-            terms[key] = terms.get(key, 0) + cut.sign
-        groups.append(CutGroup(center2, bind_shapes(pi, ((k, c) for k, c in terms.items() if c))))
-    return tuple(groups)
+    return MappingProxyType(
+        {
+            c2: bind_shapes(pi, (((shape, 0), c) for (shape, _), c in sums))
+            for c2, (_, sums) in rectangle_shape_groups(s, t, left_units).items()
+        }
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -387,15 +404,17 @@ def rectangle_cuts(pi: CuspidalLabel, s: int, t: int, left_units: int) -> tuple[
 # ---------------------------------------------------------------------------
 
 
-def marked_cells(s: int, t: int, r: int, kind: str) -> Iterator[tuple[int, int, tuple[Cut, ...]]]:
-    """(degree, i_m, cuts) for every cell of column r marked by the M or N diagram.
+def marked_cells(
+    s: int, t: int, r: int, kind: str
+) -> Iterator[tuple[int, int, tuple[Cut, ...], Terms]]:
+    """(degree, i_m, cuts, sums) for every cell of column r marked by the M or N diagram.
 
     ``degree`` indexes the cell in its own diagram and ``i_m`` is the
     intermediate degree behind it: i_m = degree on the M side, and the shear
     i_m = 2 degree + r - (s + t - 1) on the N side.  ``cuts`` are the
     label-free cuts of the s-by-t rectangle at left rank r whose center is
-    -i_m/2; the signed sum of their a2 labels is the value of the cell.  The
-    only walk over the cells of a column.
+    -i_m/2, and ``sums`` their signed a2 shapes keyed on (shape, i_m): the
+    value of the cell.  The only walk over the cells of a column.
     """
     if s < 1 or t < 1:
         raise ValueError("s and t must be >= 1")
@@ -409,30 +428,13 @@ def marked_cells(s: int, t: int, r: int, kind: str) -> Iterator[tuple[int, int, 
         return
     groups = rectangle_shape_groups(s, t, r)
     for degree, i_m in cells:
-        yield degree, i_m, groups.get(-i_m, ())
-
-
-def cell_values(
-    pi: CuspidalLabel, s: int, t: int, r: int, kind: str
-) -> Iterator[tuple[int, int, GrothElement]]:
-    """(degree, i_m, value) for the cells of ``marked_cells`` with a nonzero value on pi.
-
-    The values are the bound ``CutGroup.value`` of each cell's center.
-    """
-    values = None
-    for degree, i_m, cuts in marked_cells(s, t, r, kind):
-        if not cuts:
-            continue
-        if values is None:
-            values = {group.center2: group.value for group in rectangle_cuts(pi, s, t, r)}
-        if not values[-i_m].is_zero():
-            yield degree, i_m, values[-i_m]
+        yield (degree, i_m) + groups.get(-i_m, ((), ()))
 
 
 def _cell(pi: CuspidalLabel, s: int, t: int, r: int, kind: str, i: int) -> GrothElement:
-    for degree, _, value in cell_values(pi, s, t, r, kind):
-        if degree == i:
-            return value
+    for degree, i_m, cuts, _ in marked_cells(s, t, r, kind):
+        if degree == i and cuts:
+            return rectangle_cuts(pi, s, t, r)[-i_m]
     return GrothElement.zero()
 
 
@@ -462,25 +464,6 @@ def S_cell(s: int, t: int, r: int, i: int, pi: CuspidalLabel) -> GrothElement:
 # ---------------------------------------------------------------------------
 
 
-def _red_factor(pi: CuspidalLabel, r_units: int, factor) -> GrothElement | None:
-    """Transfer of a single factor, or None when it vanishes identically."""
-    if isinstance(factor, OpaqueFactor):
-        return None
-    assert isinstance(factor, Multisegment)
-    lines = factor.cuspidal_lines()
-    if len(lines) != 1 or lines[0] != pi:
-        return None
-    if r_units * pi.g > factor.rank:
-        return None
-    rows = [seg.cuspidal for seg in factor.segments]
-    acc: dict = {}
-    for cut in run_cuts(factor, r_units):
-        label = label_of_multisegment(_pieces_multisegment(rows, cut.a2_pieces), KIND_FORMAL)
-        key = (label, Fraction(cut.center2, 2))
-        acc[key] = acc.get(key, integer(0)) + integer(cut.sign)
-    return GrothElement(acc)
-
-
 def red_tau(pi: CuspidalLabel, r_units: int, x: GrothElement) -> GrothElement:
     """The transfer against the depth-r pseudo-coefficient, extended by Leibniz.
 
@@ -488,22 +471,24 @@ def red_tau(pi: CuspidalLabel, r_units: int, x: GrothElement) -> GrothElement:
     character exponent of F_v^x rides in the Xi slot of each term, and the
     label collects the untouched factors times the cut remainder.  Factors
     on other cuspidal lines transfer to zero, so a product label expands as
-    the usual one-factor-at-a-time sum.
+    the usual one-factor-at-a-time sum.  A factor's transfer is summed
+    label-free (``signed_shapes``; all its rows lie on pi) and each of its
+    terms bound once, with the untouched factors as the tail.
     """
     if r_units < 1:
         raise ValueError("r_units must be >= 1")
     out = GrothElement.zero()
     for (label, tw), coeff in x.terms.items():
+        tw2 = int(2 * tw)
         for idx, factor in enumerate(label.factors):
-            red = _red_factor(pi, r_units, factor)
-            if red is None:
-                continue
-            rest = IrreducibleLabel(
-                label.factors[:idx] + label.factors[idx + 1 :], KIND_FORMAL
-            )
-            for (cut_label, char), c in red.terms.items():
-                merged = IrreducibleLabel(
-                    rest.factors + cut_label.factors, KIND_FORMAL
-                )
-                out = out + GrothElement.of(merged, tw + char, coeff * c)
+            if (
+                isinstance(factor, OpaqueFactor)
+                or factor.cuspidal_lines() != [pi]
+                or r_units * pi.g > factor.rank
+            ):
+                continue  # the transfer vanishes identically
+            red = signed_shapes(run_cuts(factor, r_units), 1)
+            rest = IrreducibleLabel(label.factors[:idx] + label.factors[idx + 1 :], KIND_FORMAL)
+            terms = (((shape, xi2 + tw2), c) for (shape, xi2), c in red)
+            out = out + bind_shapes(pi, terms, tail=rest).scale(coeff)
     return out

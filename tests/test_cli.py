@@ -126,6 +126,15 @@ class TestReduceCommand:
             "--profile-u", '[{"s":1,"t":true,"cuspidal":"rho[u=0]"}]', "--profile-u-prime", "[]",
         ],
         ["verify", "--max", "1"],
+        *(
+            ["cohomology", "--profile", profile, "--pi", "pi", "--r", "1"]
+            for profile in (
+                '[{"s":1,"t":1,"cuspidal":"pi","xi_numerator":true}]',
+                '[{"s":1,"t":1,"cuspidal":"pi","mult":true}]',
+                '[{"s":1,"t":1,"cuspidal":"pi","markers":"nondegenerate-at-auxiliary-place"}]',
+                '[{"s":1,"t":1,"cuspidal":5}]',
+            )
+        ),
     ],
 )
 def test_precondition_errors_exit_3(args, capsys):
@@ -294,6 +303,10 @@ PROFILES = st.sampled_from([
     '[{"s":0,"t":1,"cuspidal":"pi"}]',
     '[{"s":2.5,"t":1,"cuspidal":"pi"}]',
     '[{"s":1,"t":1,"cuspidal":"pi","mult":7}]',
+    '[{"s":1,"t":1,"cuspidal":"pi","xi_numerator":true}]',
+    '[{"s":1,"t":1,"cuspidal":"pi","mult":true}]',
+    '[{"s":2,"t":1,"cuspidal":"pi","markers":"nondegenerate-at-auxiliary-place"}]',
+    '[{"s":1,"t":1,"cuspidal":5}]',
 ])
 FLAGS = {
     "diagram": {

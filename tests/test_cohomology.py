@@ -36,7 +36,13 @@ from htgroth.modl import (
     cuspidal_lifts,
     tower_rank,
 )
-from htgroth.segments import CuspidalLabel, GrothElement, IrreducibleLabel, OpaqueFactor
+from htgroth.segments import (
+    CuspidalLabel,
+    GrothElement,
+    IrreducibleLabel,
+    OpaqueFactor,
+    make_steinberg,
+)
 from htgroth.symbolic import atom, integer
 
 PI = CuspidalLabel("pi", g=1)
@@ -89,6 +95,11 @@ class TestTables:
         t1 = coh_intermediate(p1, PI, 2)
         t2 = coh_intermediate(p2, PI, 2)
         assert t1 + t1 == t2
+
+    def test_xi_must_be_half_integral(self):
+        with pytest.raises(ValueError):
+            ProfileEntry(s=2, t=1, cuspidal=PI, mult=atom("m"), xi=Fraction(1, 3))
+        assert ProfileEntry(s=2, t=1, cuspidal=PI, mult=atom("m"), xi=1).xi == Fraction(1)
 
     def test_nonzero_degree_needs_deeper_source(self):
         # single entry with s + t - 1 == r: only degree 0 at its own stratum
@@ -292,6 +303,36 @@ def test_euler_cache_leaks_no_label():
         _clear_euler_caches()
         entry = ProfileEntry(s=s, t=t, cuspidal=pi, mult=atom("m"))
         assert EULER_SIDES[side](entry, pi, r) == value, (pi, s, t, r, side)
+
+
+def test_table_cache_leaks_no_label():
+    # the tables bind the shape layer's sums, cached on (s, t, r) alone, on
+    # every call: labels asked for in turn, with a twisted and tailed entry,
+    # must each get the table a cold run computes
+    tail = IrreducibleLabel(
+        (OpaqueFactor("tail", 2), make_steinberg(CuspidalLabel("sigma"), 2).factors[0])
+    )
+    warm = {}
+    for s, t in [(1, 3), (2, 2), (3, 1), (2, 3)]:
+        for r in range(0, s * t + 2):
+            for pi in (PI, CuspidalLabel("pi", g=3), CuspidalLabel("rho")):
+                twisted = ProfileEntry(
+                    s=s, t=t, cuspidal=pi, mult=atom("n"), xi=Fraction(3, 2), tail=tail
+                )
+                profile = SpectrumProfile(
+                    (ProfileEntry(s=s, t=t, cuspidal=pi, mult=atom("m")), twisted)
+                )
+                for fn in (coh_intermediate, coh_shriek):
+                    table = fn(profile, pi, r)
+                    for value in table.rows.values():
+                        for label, _ in value.terms:
+                            cells = [ms for ms in label.multisegments() if ms not in tail.factors]
+                            assert all(seg.cuspidal == pi for ms in cells for seg in ms), (s, t, r)
+                    warm[fn, profile, pi, r] = table
+    assert any(not table.is_zero() for table in warm.values())
+    for (fn, profile, pi, r), table in warm.items():
+        _clear_euler_caches()
+        assert fn(profile, pi, r) == table, (fn.__name__, profile, r)
 
 
 class TestDxiSupport:

@@ -11,7 +11,6 @@ from htgroth.jl_red import (
     multisegment_of_orientation,
     orientation_of_run,
     orientations,
-    _pieces_multisegment,
     r_tau_sign,
     rectangle_cuts,
     rectangle_shape_cuts,
@@ -299,8 +298,8 @@ def test_rectangle_cut_rows_partition():
         rows = sorted((j, 2 - s - t + 2 * j + 2 * k) for j in range(s) for k in range(t))
         for rank in range(0, s * t + 1):
             groups = rectangle_shape_groups(s, t, rank)
-            assert [group.center2 for group in rectangle_cuts(PI, s, t, rank)] == list(groups)
-            for center2, cuts in groups.items():
+            assert list(rectangle_cuts(PI, s, t, rank)) == list(groups)
+            for center2, (cuts, _) in groups.items():
                 for cut in cuts:
                     assert cut.center2 == center2
                     assert sum(length for _, length, _ in cut.a1_pieces) == rank
@@ -314,11 +313,11 @@ def test_rectangle_cut_rows_partition():
 
 def test_rectangle_cuts_key_on_the_whole_label():
     rectangle_cuts(PI, 2, 2, 2)
-    groups = rectangle_cuts(CuspidalLabel("pi", g=3), 2, 2, 2)
-    assert isinstance(groups, tuple) and groups
-    for group in groups:
-        assert not group.value.is_zero()
-        for label, _ in group.value.terms:
+    values = rectangle_cuts(CuspidalLabel("pi", g=3), 2, 2, 2)
+    assert values
+    for value in values.values():
+        assert not value.is_zero()
+        for label, _ in value.terms:
             (ms,) = label.multisegments()
             for seg in ms.segments:
                 assert seg.cuspidal.g == 3
@@ -330,8 +329,9 @@ def assert_matches_scan(lad, r, cuts):
     rows = [seg.cuspidal for seg in lad.segments]
     for cut in cuts:
         a1, a2 = _suffix_cut(lad, cut.ks)
-        assert _pieces_multisegment(rows, cut.a1_pieces) == a1
-        assert _pieces_multisegment(rows, cut.a2_pieces) == a2
+        for pieces, segs in ((cut.a1_pieces, a1), (cut.a2_pieces, a2)):
+            ms = Multisegment(Segment(rows[row], half(start2), n) for start2, n, row in pieces)
+            assert ms == segs
         transfer = r_tau_sign(a1)
         assert (cut.sign, cut.center2) == (transfer.sign, transfer.k)
         run = [p for start2, n, _ in cut.a1_pieces for p in range(start2, start2 + 2 * n, 2)]
@@ -376,15 +376,15 @@ def test_run_cuts_matches_scan_on_multisegments(data):
 
 
 def _shape_data(pi, s, t, r):
-    """The bound groups with the label stripped off: centers, a2 shapes, twists, coefficients."""
+    """The bound values with the label stripped off: centers, a2 shapes, twists, coefficients."""
     out = []
-    for group in rectangle_cuts(pi, s, t, r):
+    for center2, value in rectangle_cuts(pi, s, t, r).items():
         terms = []
-        for (label, tw), c in group.value.terms.items():
+        for (label, tw), c in value.terms.items():
             segs = [seg for ms in label.multisegments() for seg in ms.segments]
             assert all(seg.cuspidal == pi for seg in segs)
             terms.append((tuple((int(2 * seg.start), seg.length) for seg in segs), tw, c))
-        out.append((group.center2, sorted(terms, key=repr)))
+        out.append((center2, sorted(terms, key=repr)))
     return out
 
 
