@@ -324,8 +324,9 @@ def signed_shapes(cuts: Iterable[Cut], xi_sign: int) -> Terms:
     """
     terms: dict[TermKey, int] = {}
     for cut in cuts:
-        shape = tuple(sorted((start2, length) for start2, length, _ in cut.a2_pieces))
-        key = (shape, xi_sign * cut.center2)
+        shape = [piece[:2] for piece in cut.a2_pieces]
+        shape.sort()
+        key = (tuple(shape), xi_sign * cut.center2)
         terms[key] = terms.get(key, 0) + cut.sign
     return frozen_terms(terms)
 
