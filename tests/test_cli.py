@@ -135,6 +135,11 @@ class TestReduceCommand:
                 '[{"s":1,"t":1,"cuspidal":5}]',
             )
         ),
+        [
+            "balance", "--sc", SC, "--u", "0", "--u-prime", "0", "--r", "1", "--r-prime", "1",
+            "--profile-u", '[{"s":2,"t":1,"cuspidal":"rho[u=0]","markers":[1,"a"]}]',
+            "--profile-u-prime", '[{"s":2,"t":1,"cuspidal":"rho[u=0]"}]',
+        ],
     ],
 )
 def test_precondition_errors_exit_3(args, capsys):
@@ -307,6 +312,7 @@ PROFILES = st.sampled_from([
     '[{"s":1,"t":1,"cuspidal":"pi","mult":true}]',
     '[{"s":2,"t":1,"cuspidal":"pi","markers":"nondegenerate-at-auxiliary-place"}]',
     '[{"s":1,"t":1,"cuspidal":5}]',
+    '[{"s":2,"t":1,"cuspidal":"rho[u=0]","markers":[1,"a"]}]',
 ])
 FLAGS = {
     "diagram": {
