@@ -1,7 +1,9 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -179,6 +181,90 @@ class TestBalanceCommand:
         assert code == 0
         data = json.loads(out)
         assert data and all(c["holds"] for c in data)
+
+
+# supercuspidal lines whose tower ranks keep some matched strata small:
+# g_u for u = -1, 0, 1 is 1, 2, 6; 1, 3, 9; 1, 2, 10
+BALANCE_SCS = (
+    '{"id":"rho","g":1,"q":2,"l":3,"epsilon":2}',
+    '{"id":"rho","g":1,"q":2,"l":3,"epsilon":1}',
+    '{"id":"rho","g":1,"q":2,"l":5,"epsilon":2}',
+)
+BALANCE_MULTS = ("m{j}", "2*m{j}", "-1*m{j}", "m{j}*dxi", "3*m{j}*n{j}", "m{j}^2", 2, None)
+
+
+def balance_argvs(seed: int, count: int) -> list[list[str]]:
+    """Seeded ``balance`` invocations at matched strata, with multi-entry profiles.
+
+    Each side has 1-4 entries of shape s + t <= 6, mostly on its own lift,
+    sometimes on the other level's lift or an unrelated line; twist
+    numerators in [-4, 4], multiplicities that may cancel across entries
+    (names repeat, signs differ, or the ``m[<id>]`` default), and markers.
+    """
+    from htgroth.jsonio import supercuspidal_from_json
+    from htgroth.modl import TowerLevel, matched_strata, tower_cuspidal, tower_rank
+
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        sc_json = rng.choice(BALANCE_SCS)
+        sc = supercuspidal_from_json(json.loads(sc_json))
+        u = rng.randint(-1, 1)
+        u_prime = rng.randint(u, 1)
+        ids = [tower_cuspidal(TowerLevel(sc, level)).id for level in (u, u_prime)]
+        d = 9 * max(tower_rank(TowerLevel(sc, level)) for level in (u, u_prime))
+        strata = [(r, rp) for r, rp in matched_strata(u, u_prime, d, sc) if max(r, rp) <= 9]
+        if not strata:
+            continue
+        r, r_prime = rng.choice(strata)
+        sides = []
+        for own in range(2):
+            profile = []
+            for _ in range(rng.randint(1, 4)):
+                s = rng.randint(1, 5)
+                line = rng.random()
+                item = {
+                    "s": s,
+                    "t": rng.randint(1, 6 - s),
+                    "cuspidal": ids[own] if line < 0.8 else ids[1 - own] if line < 0.9 else "pi",
+                    "xi_numerator": rng.randint(-4, 4),
+                }
+                mult = rng.choice(BALANCE_MULTS)
+                if mult is not None:
+                    item["mult"] = mult.format(j=rng.randint(0, 2)) if isinstance(mult, str) else mult
+                if rng.random() < 0.3:
+                    item["markers"] = rng.choice(
+                        [["nondegenerate-at-auxiliary-place"], ["a", "nondegenerate-at-auxiliary-place"], ["a"]]
+                    )
+                profile.append(item)
+            sides.append(json.dumps(profile))
+        out.append([
+            "balance", "--sc", sc_json, "--u", str(u), "--u-prime", str(u_prime),
+            "--r", str(r), "--r-prime", str(r_prime),
+            "--profile-u", sides[0], "--profile-u-prime", sides[1],
+        ])
+    return out
+
+
+def balance_digest(argvs) -> tuple[str, int]:
+    """SHA-256 over the stdout of each call, and the number of constraints printed."""
+    digest, constraints = hashlib.sha256(), 0
+    for argv in argvs:
+        code, out, err = run_main(argv)
+        assert code == 0, (argv, err)
+        digest.update(out.encode())
+        constraints += len(json.loads(out))
+    return digest.hexdigest(), constraints
+
+
+# recorded before the balance stopped building a shriek table per entry
+BALANCE_DIGEST = "b432500ad9090da3498f61bb71ce540d1d33faf01487e04d77c3f5ec3790d18c"
+BALANCE_CONSTRAINTS = 988
+
+
+def test_balance_bytes_pinned():
+    digest, constraints = balance_digest(balance_argvs(20261018, 300))
+    assert (digest, constraints) == (BALANCE_DIGEST, BALANCE_CONSTRAINTS)
 
 
 class TestTorsionCommand:

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from htgroth import jl_red, jsonio
 from htgroth.cohomology import (
@@ -10,6 +11,7 @@ from htgroth.cohomology import (
     _intermediate_core,
     _shriek_core,
     CohomologyTable,
+    CongruenceConstraint,
     ProfileEntry,
     SpectrumProfile,
     check_hij,
@@ -33,7 +35,10 @@ from htgroth.modl import (
     FieldData,
     SupercuspidalData,
     TowerLevel,
+    chgt_cuspi_factor,
     cuspidal_lifts,
+    matched_strata,
+    rl_reduce,
     tower_rank,
 )
 from htgroth.segments import (
@@ -462,6 +467,97 @@ class TestBalance:
                 atoms |= coeff.atoms()
         assert "m[4,1]" in atoms and "m[1,4]" in atoms
         assert "m[2,2]" not in atoms
+
+
+def reference_balance(profile_u, profile_up, sc, u, u_prime, r, r_prime, pi_u, pi_up, lifts):
+    """The balance through whole tables: per entry on the line, the Euler
+    characteristic of its one-entry shriek table, collapsed for provenance;
+    the entries summed as a GrothElement, and the scaled total collapsed."""
+
+    def side(profile, pi, stratum):
+        total, provenance = GrothElement.zero(), {}
+        for entry in profile:
+            if entry.cuspidal != pi:
+                continue
+            euler = coh_shriek(SpectrumProfile((entry,)), pi, stratum).euler()
+            total = total + euler
+            for key in rl_reduce(euler, lifts):
+                provenance.setdefault(key, []).append((entry.s, entry.t, entry.markers))
+        return total, provenance
+
+    total_l, prov_l = side(profile_u, pi_u, r)
+    total_r, prov_r = side(profile_up, pi_up, r_prime)
+    lhs = rl_reduce(total_l.scale(chgt_cuspi_factor(u, u_prime, sc)), lifts)
+    rhs = rl_reduce(total_r, lifts)
+    return [
+        CongruenceConstraint(
+            class_key=key,
+            lhs=lhs.get(key, integer(0)),
+            rhs=rhs.get(key, integer(0)),
+            lhs_entries=tuple(prov_l.get(key, ())),
+            rhs_entries=tuple(prov_r.get(key, ())),
+        )
+        for key in sorted(set(lhs) | set(rhs), key=repr)
+    ]
+
+
+BALANCE_SC = sc_with(2, 3, epsilon=2)  # g_u = 1, 2, 6 for u = -1, 0, 1
+# names repeat and signs differ, so entries can cancel class by class
+BALANCE_MULTS = (
+    atom("m"), -atom("m"), integer(2) * atom("n"), atom("m") * atom("n"), integer(3),
+    atom("m") + atom("n"),
+)
+BALANCE_TAILS = (
+    IrreducibleLabel.unit(),
+    IrreducibleLabel((OpaqueFactor("tau", 2),)),
+    IrreducibleLabel((OpaqueFactor("tau", 0), OpaqueFactor("sigma", 1))),
+)
+
+
+@st.composite
+def balance_problems(draw):
+    """Two lift lines at levels u <= u' in -1..1 and a profile of 1-4 entries on each."""
+    u = draw(st.integers(-1, 1))
+    u_prime = draw(st.integers(u, 1))
+    level_u, level_up = TowerLevel(BALANCE_SC, u), TowerLevel(BALANCE_SC, u_prime)
+    pi_u = cuspidal_lifts(level_u, 1)[0]
+    pi_up = cuspidal_lifts(level_up, 2)[1]  # another id than pi_u, also when u == u'
+
+    def profile(own, other):
+        entries = []
+        for _ in range(draw(st.integers(1, 4))):
+            s = draw(st.integers(1, 4))
+            entries.append(
+                ProfileEntry(
+                    s=s,
+                    t=draw(st.integers(1, 5 - s)),
+                    cuspidal=other if draw(st.integers(0, 5)) == 0 else own,
+                    mult=draw(st.sampled_from(BALANCE_MULTS)),
+                    xi=Fraction(draw(st.integers(-4, 4)), 2),
+                    tail=draw(st.sampled_from(BALANCE_TAILS)),
+                    markers=draw(st.sampled_from(
+                        [frozenset(), frozenset({MARKER_NONDEG_AUX}), frozenset({"x", MARKER_NONDEG_AUX})]
+                    )),
+                )
+            )
+        return SpectrumProfile(tuple(entries))
+
+    profile_u, profile_up = profile(pi_u, pi_up), profile(pi_up, pi_u)
+    units = max(e.s * e.t for e in profile_u.entries + profile_up.entries)
+    d = units * max(tower_rank(level_u), tower_rank(level_up))
+    lifts = {pi_u.id: level_u, pi_up.id: level_up}
+    return profile_u, profile_up, u, u_prime, pi_u, pi_up, lifts, matched_strata(u, u_prime, d, BALANCE_SC)
+
+
+@settings(max_examples=80, deadline=None)
+@given(problem=balance_problems())
+def test_balance_matches_table_reference(problem):
+    # the whole constraint list, provenance included, at every matched stratum
+    profile_u, profile_up, u, u_prime, pi_u, pi_up, lifts, strata = problem
+    assert strata
+    for r, r_prime in strata:
+        args = (profile_u, profile_up, BALANCE_SC, u, u_prime, r, r_prime, pi_u, pi_up, lifts)
+        assert rl_hi_balance(*args) == reference_balance(*args), (r, r_prime)
 
 
 class TestStrongFilter:
