@@ -165,12 +165,15 @@ def _load_profile(source: str, cuspidals: dict[str, CuspidalLabel]) -> SpectrumP
                 raise TypeError(f"markers must be strings, not {markers!r}")
             cusp = cuspidals.get(name) or CuspidalLabel(name)
             cuspidals[name] = cusp
+            mult = atom(f"m[{name}]")  # the default weight: one atom, whatever the id holds
+            if "mult" in item:
+                mult = jsonio.sym_from_json(_json_field(item, "mult", (int, str)))
             entries.append(
                 ProfileEntry(
                     s=item["s"],
                     t=item["t"],
                     cuspidal=cusp,
-                    mult=jsonio.sym_from_json(_json_field(item, "mult", (int, str), f"m[{name}]")),
+                    mult=mult,
                     xi=jsonio.twist_val(_json_field(item, "xi_numerator", int, 0)),
                     markers=frozenset(markers),
                 )

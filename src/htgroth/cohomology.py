@@ -38,10 +38,11 @@ label), and ``xi2`` is twice its Xi exponent; coefficients are plain ints.
 Each side is computed once per (s, t, r) and cached, for every label alike.
 ``euler_intermediate`` and ``euler_shriek_expansion`` bind each surviving
 term to the line of pi once; ``euler_master_identity`` compares the integer
-sums themselves, since binding to one line is injective.  The tables and
-``euler_shriek_profile_expansion`` bind through the same
-:func:`htgroth.jl_red.bind_shapes` call, which applies an entry's block
-twist and tail in the same pass.
+sums themselves, since binding to one line is injective.  Everything else
+binds through :func:`htgroth.jl_red.bind_shapes`, with an entry's block
+twist and tail in the same pass: the tables bind each marked cell into its
+row; the profile Euler sums and the mod-l balance bind one cached column per
+entry (``_euler_core``, or ``_shriek_core``), and the balance collapses it once.
 """
 
 from __future__ import annotations
@@ -373,14 +374,14 @@ def _peel_sign(cut: Cut, m: int) -> int:
 
 
 @lru_cache(maxsize=1024)
-def _intermediate_core(s: int, t: int, r: int) -> Terms:
-    """The alternating sum of the intermediate table of the s-by-t block, label-free.
+def _euler_core(s: int, t: int, r: int, kind: str) -> Terms:
+    """The alternating sum of the M (intermediate) or N (shriek) table of the block, label-free.
 
     The cell of degree i adds its summed a2 shapes, keyed with the twist
-    Xi^{i/2} (xi2 = i), with the sign (-1)^i.
+    xi2 = i_m of the cuts behind it (i_m = i on the M side), with the sign (-1)^i.
     """
     terms: dict[TermKey, int] = {}
-    for i, _, _, sums in marked_cells(s, t, r, "M"):
+    for i, _, _, sums in marked_cells(s, t, r, kind):
         parity = -1 if i % 2 else 1
         for key, c in sums:
             terms[key] = terms.get(key, 0) + parity * c
@@ -420,7 +421,7 @@ def _shriek_core(s: int, t: int, r: int) -> Terms:
 
 def euler_intermediate(entry: ProfileEntry, pi: CuspidalLabel, r: int) -> GrothElement:
     """Alternating sum of the intermediate table of one block at stratum r."""
-    return bind_shapes(pi, _intermediate_core(entry.s, entry.t, r))
+    return bind_shapes(pi, _euler_core(entry.s, entry.t, r, "M"))
 
 
 def euler_shriek_expansion(entry: ProfileEntry, pi: CuspidalLabel, r: int) -> GrothElement:
@@ -436,12 +437,21 @@ def euler_master_identity(entry: ProfileEntry, pi: CuspidalLabel, r: int) -> boo
     they agree exactly when ``euler_intermediate`` and
     ``euler_shriek_expansion`` do.
     """
-    return _intermediate_core(entry.s, entry.t, r) == _shriek_core(entry.s, entry.t, r)
+    return _euler_core(entry.s, entry.t, r, "M") == _shriek_core(entry.s, entry.t, r)
+
+
+def _dressed(entry: ProfileEntry, pi: CuspidalLabel, terms: Terms) -> GrothElement:
+    """An entry's label-free terms bound with its block twist and tail, times its weight."""
+    return bind_shapes(pi, terms, int(2 * entry.xi), entry.tail).scale(entry.mult * _global_scalar(pi))
 
 
 def euler_intermediate_profile(profile: SpectrumProfile, pi: CuspidalLabel, r: int) -> GrothElement:
-    """Euler characteristic of the full intermediate table of a profile."""
-    return coh_intermediate(profile, pi, r).euler()
+    """Euler characteristic of the full intermediate table of a profile, built entry by entry."""
+    acc = GrothElement.zero()
+    for entry in profile:
+        if entry.cuspidal == pi:
+            acc = acc + _dressed(entry, pi, _euler_core(entry.s, entry.t, r, "M"))
+    return acc
 
 
 def euler_shriek_profile_expansion(
@@ -449,17 +459,14 @@ def euler_shriek_profile_expansion(
 ) -> GrothElement:
     """Profile-level se2 expansion assembled from shriek-side data.
 
-    Dresses the per-block expansion with the entry twist, tail and weight,
-    exactly as the table assembly does, so equality with the intermediate
-    Euler characteristic exercises linearity, twists and products too.
+    Dresses the per-block expansion with the entry twist, tail and weight, so
+    equality with the intermediate Euler characteristic exercises linearity,
+    twists and products too.
     """
-    scal = _global_scalar(pi)
     acc = GrothElement.zero()
     for entry in profile:
-        if entry.cuspidal != pi:
-            continue
-        per = bind_shapes(pi, _shriek_core(entry.s, entry.t, r), int(2 * entry.xi), entry.tail)
-        acc = acc + per.scale(entry.mult * scal)
+        if entry.cuspidal == pi:
+            acc = acc + _dressed(entry, pi, _shriek_core(entry.s, entry.t, r))
     return acc
 
 
@@ -603,21 +610,21 @@ class CongruenceConstraint:
 
 
 def _balance_side(profile: SpectrumProfile, pi: CuspidalLabel, r: int, lifts: LiftMap):
-    """The alternating shriek sum of a profile, and the collapsed classes each entry feeds.
+    """The mod-l classes of a profile's alternating shriek sum, and the entries feeding each.
 
-    Each entry's shriek table is built once: the table is linear in the
-    entries, so the profile's sum is the sum of the entries' sums.
+    The sum and ``rl_reduce`` are linear in the entries: each entry's Euler
+    column is dressed and collapsed once, and the classes that cancel are dropped.
     """
-    total = GrothElement.zero()
+    classes: dict = {}
     provenance: dict[object, list[tuple[int, int, frozenset]]] = {}
     for entry in profile:
         if entry.cuspidal != pi:
             continue
-        euler = coh_shriek(SpectrumProfile((entry,)), pi, r).euler()
-        total = total + euler
-        for key in rl_reduce(euler, lifts):
+        euler = _dressed(entry, pi, _euler_core(entry.s, entry.t, r, "N"))
+        for key, c in rl_reduce(euler, lifts).items():
+            classes[key] = classes.get(key, integer(0)) + c
             provenance.setdefault(key, []).append((entry.s, entry.t, entry.markers))
-    return total, provenance
+    return {key: c for key, c in classes.items() if c}, provenance
 
 
 def rl_hi_balance(
@@ -637,28 +644,26 @@ def rl_hi_balance(
     Forms the alternating shriek sums on both sides, collapses every label to
     its mod-l class under the configured lift relation, scales the lower
     level by the tower change factor, and emits one constraint per class.
+    The factor is a nonzero integer, so scaling the classes drops none.
     """
     g_u = tower_rank(TowerLevel(sc, u))
     g_up = tower_rank(TowerLevel(sc, u_prime))
     if r * g_u != r_prime * g_up:
         raise ValueError("strata do not match: r g_u != r' g_{u'}")
     factor = chgt_cuspi_factor(u, u_prime, sc)
-    total_l, prov_l = _balance_side(profile_u, pi_u, r, lifts)
-    total_r, prov_r = _balance_side(profile_up, pi_up, r_prime, lifts)
-    lhs = rl_reduce(total_l.scale(factor), lifts)
-    rhs = rl_reduce(total_r, lifts)
-    constraints = []
-    for key in sorted(set(lhs) | set(rhs), key=repr):
-        constraints.append(
-            CongruenceConstraint(
-                class_key=key,
-                lhs=lhs.get(key, integer(0)),
-                rhs=rhs.get(key, integer(0)),
-                lhs_entries=tuple(prov_l.get(key, ())),
-                rhs_entries=tuple(prov_r.get(key, ())),
-            )
+    classes_l, prov_l = _balance_side(profile_u, pi_u, r, lifts)
+    rhs, prov_r = _balance_side(profile_up, pi_up, r_prime, lifts)
+    lhs = {key: c * factor for key, c in classes_l.items()}
+    return [
+        CongruenceConstraint(
+            class_key=key,
+            lhs=lhs.get(key, integer(0)),
+            rhs=rhs.get(key, integer(0)),
+            lhs_entries=tuple(prov_l.get(key, ())),
+            rhs_entries=tuple(prov_r.get(key, ())),
         )
-    return constraints
+        for key in sorted(set(lhs) | set(rhs), key=repr)
+    ]
 
 
 MARKER_NONDEG_AUX = "nondegenerate-at-auxiliary-place"

@@ -9,6 +9,7 @@ joined with " + ".
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .segments import (
@@ -64,21 +65,22 @@ def sym_to_json(c: SymExpr):
     return " + ".join(parts)
 
 
+_FACTOR = re.compile(r"(-?\d+)|([^\W\d][^\s^]*)(?:\^(\d+))?")  # an integer, or a name^power
+
+
 def sym_from_json(data) -> SymExpr:
+    """Read what ``sym_to_json`` writes; any other string, empty parts too, raises ValueError."""
     if isinstance(data, int):
         return integer(data)
     total = integer(0)
     for part in str(data).split("+"):
         acc = integer(1)
-        for factor in part.strip().split("*"):
-            factor = factor.strip()
-            if not factor:
-                continue
-            name, _, power = factor.partition("^")
-            try:
-                acc = acc * integer(int(name))
-            except ValueError:
-                acc = acc * SymExpr.atom(name, int(power) if power else 1)
+        for factor in part.split("*"):
+            match = _FACTOR.fullmatch(factor.strip())
+            if match is None:
+                raise ValueError(f"cannot read {factor.strip()!r} in the coefficient {data!r}")
+            number, name, power = match.groups()
+            acc = acc * (integer(int(number)) if number else SymExpr.atom(name, int(power or 1)))
         total = total + acc
     return total
 

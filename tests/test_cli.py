@@ -142,10 +142,29 @@ class TestReduceCommand:
             "--profile-u", '[{"s":2,"t":1,"cuspidal":"rho[u=0]","markers":[1,"a"]}]',
             "--profile-u-prime", '[{"s":2,"t":1,"cuspidal":"rho[u=0]"}]',
         ],
+        # multiplicities that once read as 1, as extra terms or as odd atoms
+        *(
+            ["cohomology", "--profile", profile, "--pi", "pi", "--r", "1"]
+            for profile in (
+                '[{"s":1,"t":1,"cuspidal":"pi","mult":""}]',
+                '[{"s":1,"t":1,"cuspidal":"pi","mult":"m+"}]',
+                '[{"s":1,"t":1,"cuspidal":"pi","mult":"m*"}]',
+                '[{"s":1,"t":1,"cuspidal":"pi","mult":"m^"}]',
+                '[{"s":1,"t":1,"cuspidal":"pi","mult":"2.5"}]',
+                '[{"s":1,"t":1,"cuspidal":"pi","mult":"m - n"}]',
+            )
+        ),
     ],
 )
 def test_precondition_errors_exit_3(args, capsys):
     assert_precondition_error(args, capsys)
+
+
+def test_default_weight_is_one_atom_for_any_id(capsys):
+    profile = '[{"s":1,"t":1,"cuspidal":"my pi+1"}]'
+    code, out = run_cli(["cohomology", "--profile", profile, "--pi", "my pi+1", "--r", "1"], capsys)
+    assert code == 0
+    assert [term["coeff"] for term in json.loads(out)["0"]] == ["ker1(Q,G)/d*m[my pi+1]"]
 
 
 class TestCohomologyCommand:
@@ -399,6 +418,12 @@ PROFILES = st.sampled_from([
     '[{"s":2,"t":1,"cuspidal":"pi","markers":"nondegenerate-at-auxiliary-place"}]',
     '[{"s":1,"t":1,"cuspidal":5}]',
     '[{"s":2,"t":1,"cuspidal":"rho[u=0]","markers":[1,"a"]}]',
+    '[{"s":1,"t":1,"cuspidal":"pi","mult":""}]',
+    '[{"s":1,"t":1,"cuspidal":"pi","mult":"m+"}]',
+    '[{"s":1,"t":1,"cuspidal":"pi","mult":"m*"}]',
+    '[{"s":1,"t":1,"cuspidal":"pi","mult":"m^"}]',
+    '[{"s":1,"t":1,"cuspidal":"pi","mult":"2.5"}]',
+    '[{"s":1,"t":1,"cuspidal":"pi","mult":"m - n"}]',
 ])
 FLAGS = {
     "diagram": {

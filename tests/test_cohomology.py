@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from htgroth import jl_red, jsonio
 from htgroth.cohomology import (
     KER1_ATOM,
-    _intermediate_core,
+    _euler_core,
     _shriek_core,
     CohomologyTable,
     CongruenceConstraint,
@@ -278,9 +278,24 @@ def test_euler_intermediate_matches_table_path(label):
     assert cases == 266
 
 
+@pytest.mark.parametrize("label", sorted(EULER_LABELS))
+def test_euler_shriek_core_matches_table_path(label):
+    # the label-free shriek Euler column, bound and dressed with the global
+    # scalar, is the alternating sum of the block's shriek table
+    pi = EULER_LABELS[label]
+    scal = integer(pi.e_pi) * atom(KER1_ATOM)
+    cases = 0
+    for s, t, r in euler_grid():
+        entry = ProfileEntry(s=s, t=t, cuspidal=pi, mult=integer(1))
+        table = coh_shriek(SpectrumProfile((entry,)), pi, r)
+        assert jl_red.bind_shapes(pi, _euler_core(s, t, r, "N")).scale(scal) == table.euler(), (s, t, r)
+        cases += 1
+    assert cases == 266
+
+
 def _clear_euler_caches():
     for cache in (
-        _intermediate_core,
+        _euler_core,
         _shriek_core,
         jl_red.rectangle_shape_groups,
         jl_red.rectangle_cuts,

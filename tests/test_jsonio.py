@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from htgroth import jsonio
 from htgroth.jl_red import red_tau
 from htgroth.modl import FieldData, SupercuspidalData
@@ -52,3 +54,35 @@ def test_supercuspidal_round_trip():
 def test_sym_power_round_trip():
     c = atom("x") * atom("x") * atom("y")
     assert jsonio.sym_from_json(jsonio.sym_to_json(c)) == c
+
+
+def test_sym_round_trip_signs_constants_and_bracketed_names():
+    for c in (
+        integer(0),
+        integer(-4),
+        atom("m[rho[u=0]]") * atom("ker1(Q,G)/d") * -2 + integer(3) - atom("n") * atom("n"),
+        atom("m'[1]") - atom("m[1,3]"),
+    ):
+        assert jsonio.sym_from_json(jsonio.sym_to_json(c)) == c
+
+
+def test_sym_reads_the_multiplicity_forms():
+    m, n = atom("m0"), atom("n0")
+    forms = {
+        "m0": m,
+        "2*m0": 2 * m,
+        "m0*dxi": m * atom("dxi"),
+        "m0^2": m * m,
+        "3*m0*n0": 3 * m * n,
+        "2 * m0 + -1": 2 * m - 1,
+        "m[pi]": atom("m[pi]"),
+        7: integer(7),
+    }
+    for data, value in forms.items():
+        assert jsonio.sym_from_json(data) == value, data
+
+
+@pytest.mark.parametrize("data", ["", " ", "m+", "m*", "m^", "2.5", "m - n", "2^3", "m^-1", "-m"])
+def test_sym_rejects_malformed_strings(data):
+    with pytest.raises(ValueError):
+        jsonio.sym_from_json(data)
