@@ -160,8 +160,9 @@ class CohomologyTable:
         return "CohomologyTable(\n" + "\n".join(lines) + "\n)"
 
 
-def _global_scalar(pi: CuspidalLabel) -> SymExpr:
-    return integer(pi.e_pi) * atom(KER1_ATOM)
+@lru_cache(maxsize=64)
+def _global_scalar(e_pi: int) -> SymExpr:
+    return integer(e_pi) * atom(KER1_ATOM)
 
 
 def _table(profile: SpectrumProfile, pi: CuspidalLabel, r: int, kind: str) -> CohomologyTable:
@@ -172,7 +173,7 @@ def _table(profile: SpectrumProfile, pi: CuspidalLabel, r: int, kind: str) -> Co
     twist and tail, times the symbolic weight and the global scalar.
     """
     rows: dict[int, GrothElement] = {}
-    scal = _global_scalar(pi)
+    scal = _global_scalar(pi.e_pi)
     for entry in profile:
         if entry.cuspidal != pi:
             continue
@@ -442,7 +443,8 @@ def euler_master_identity(entry: ProfileEntry, pi: CuspidalLabel, r: int) -> boo
 
 def _dressed(entry: ProfileEntry, pi: CuspidalLabel, terms: Terms) -> GrothElement:
     """An entry's label-free terms bound with its block twist and tail, times its weight."""
-    return bind_shapes(pi, terms, int(2 * entry.xi), entry.tail).scale(entry.mult * _global_scalar(pi))
+    weight = entry.mult * _global_scalar(pi.e_pi)
+    return bind_shapes(pi, terms, int(2 * entry.xi), entry.tail).scale(weight)
 
 
 def euler_intermediate_profile(profile: SpectrumProfile, pi: CuspidalLabel, r: int) -> GrothElement:

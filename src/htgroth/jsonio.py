@@ -65,9 +65,6 @@ def sym_to_json(c: SymExpr):
     return " + ".join(parts)
 
 
-_FACTOR = re.compile(r"(-?\d+)|([^\W\d][^\s^]*)(?:\^(\d+))?")  # an integer, or a name^power
-
-
 def sym_from_json(data) -> SymExpr:
     """Read what ``sym_to_json`` writes; any other string, empty parts too, raises ValueError."""
     if isinstance(data, int):
@@ -76,7 +73,8 @@ def sym_from_json(data) -> SymExpr:
     for part in str(data).split("+"):
         acc = integer(1)
         for factor in part.split("*"):
-            match = _FACTOR.fullmatch(factor.strip())
+            # an integer, or an atom name (a letter first, no blank) with an optional power
+            match = re.fullmatch(r"(-?\d+)|([^\W\d][^\s^]*)(?:\^(\d+))?", factor.strip())
             if match is None:
                 raise ValueError(f"cannot read {factor.strip()!r} in the coefficient {data!r}")
             number, name, power = match.groups()
