@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import htgroth
 from htgroth.cli import _parser, main
 from htgroth import jsonio
+from htgroth.modl import TowerLevel, matched_strata, tower_cuspidal, tower_rank
 from htgroth.segments import CuspidalLabel, GrothElement, make_speh_st
 from htgroth.symbolic import atom
 
@@ -220,14 +221,11 @@ def balance_argvs(seed: int, count: int) -> list[list[str]]:
     numerators in [-4, 4], multiplicities that may cancel across entries
     (names repeat, signs differ, or the ``m[<id>]`` default), and markers.
     """
-    from htgroth.jsonio import supercuspidal_from_json
-    from htgroth.modl import TowerLevel, matched_strata, tower_cuspidal, tower_rank
-
     rng = random.Random(seed)
     out = []
     while len(out) < count:
         sc_json = rng.choice(BALANCE_SCS)
-        sc = supercuspidal_from_json(json.loads(sc_json))
+        sc = jsonio.supercuspidal_from_json(json.loads(sc_json))
         u = rng.randint(-1, 1)
         u_prime = rng.randint(u, 1)
         ids = [tower_cuspidal(TowerLevel(sc, level)).id for level in (u, u_prime)]
