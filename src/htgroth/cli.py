@@ -5,6 +5,11 @@ verify, figures.  All output is UTF-8 JSON, ASCII art or SVG 1.1; outputs
 are deterministic for a fixed invocation.  Invalid input exits
 with code 2 (parse errors) or 3 (precondition violations), printing a
 machine-readable error record on stderr.
+
+``main`` is the single input boundary: the subcommands and the value types
+they build raise ``ValueError`` (or ``OSError``) on input they refuse, and
+``main`` alone turns that into exit 3.  Exit 2 comes only from the argument
+parser and from ``_read_json``, the one reader of JSON inputs.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .modl import (
     rl_speh,
     tower_cuspidal,
 )
-from .segments import CuspidalLabel, GrothElement, ladder_cuts, make_speh_st
+from .segments import CuspidalLabel, GrothElement, ladder_cuts, make_speh_st, require_int
 from .symbolic import atom
 
 PARSE_ERROR = 2
@@ -59,42 +64,23 @@ def _fail(code: int, kind: str, message: str):
 def cmd_diagram(args) -> int:
     kind = args.kind.upper()
     if args.blocks:
-        try:
-            ts = [int(x) for x in args.blocks.split(",")]
-        except ValueError:
-            _fail(PARSE_ERROR, "parse", f"bad --blocks {args.blocks!r}")
         pi = CuspidalLabel("pi")
-        try:
-            comp = LocalComponent(args.s, tuple((pi, t, Fraction(0)) for t in ts))
-        except ValueError as exc:
-            _fail(PRECONDITION_ERROR, "precondition", str(exc))
+        comp = LocalComponent(args.s, tuple((pi, t, Fraction(0)) for t in args.blocks))
         obj = superpose(comp, pi, kind)
-        if args.format == "json":
-            payload = {
-                f"{r},{i}": [c.block for c in contribs]
-                for (r, i), contribs in obj.items()
-            }
-            print(jsonio.dumps(payload))
-            return 0
+    else:
+        obj = m_support(args.s, args.t) if kind == "M" else n_support(args.s, args.t)
+    if args.format != "json":
         print(render(obj, args.format), end="")
-        return 0
-    try:
-        support = m_support(args.s, args.t) if kind == "M" else n_support(args.s, args.t)
-    except ValueError as exc:
-        _fail(PRECONDITION_ERROR, "precondition", str(exc))
-    if args.format == "json":
-        print(jsonio.dumps(sorted(support.points)))
-        return 0
-    print(render(support, args.format), end="")
+    elif args.blocks:
+        print(jsonio.dumps({f"{r},{i}": [c.block for c in cs] for (r, i), cs in obj.items()}))
+    else:
+        print(jsonio.dumps(sorted(obj.points)))
     return 0
 
 
 def cmd_jacquet(args) -> int:
-    try:
-        lad = make_speh_st(CuspidalLabel("pi", g=args.g), args.s, args.t).multisegments()[0]
-        cuts = ladder_cuts(lad, args.left_rank)
-    except ValueError as exc:
-        _fail(PRECONDITION_ERROR, "precondition", str(exc))
+    lad = make_speh_st(CuspidalLabel("pi", g=args.g), args.s, args.t).multisegments()[0]
+    cuts = ladder_cuts(lad, args.left_rank)
     payload = [
         {
             "a1": jsonio.multisegment_to_json(a1),
@@ -107,55 +93,57 @@ def cmd_jacquet(args) -> int:
 
 
 def cmd_red(args) -> int:
-    try:
-        pi = CuspidalLabel("pi", g=args.g)
-        out = red_tau(pi, args.r, GrothElement.of(make_speh_st(pi, args.s, args.t)))
-    except ValueError as exc:
-        _fail(PRECONDITION_ERROR, "precondition", str(exc))
+    pi = CuspidalLabel("pi", g=args.g)
+    out = red_tau(pi, args.r, GrothElement.of(make_speh_st(pi, args.s, args.t)))
     print(jsonio.dumps(jsonio.groth_to_json(out)))
     return 0
 
 
 def cmd_reduce(args) -> int:
-    try:
-        if args.division:
-            out = rl_division_rep(args.m_tau, args.iota)
-        else:
-            pi = tower_cuspidal(TowerLevel(_load_supercuspidal(args), args.u))
-            out = rl_speh(make_speh_st(pi, args.s, 1), modl_label(pi))
-    except ValueError as exc:
-        _fail(PRECONDITION_ERROR, "precondition", str(exc))
+    if args.division:
+        out = rl_division_rep(args.m_tau, args.iota)
+    else:
+        pi = tower_cuspidal(TowerLevel(_load_supercuspidal(args.sc), args.u))
+        out = rl_speh(make_speh_st(pi, args.s, 1), modl_label(pi))
     print(jsonio.dumps(jsonio.groth_to_json(out)))
     return 0
 
 
-def _load_supercuspidal(args) -> SupercuspidalData:
+def _read_json(source: str, what: str, inline: str):
+    """The JSON value of ``source``: inline when it starts with ``inline``, else a UTF-8 file.
+
+    The one reader of JSON inputs; a file or text it cannot read or decode exits 2.
+    """
     try:
-        data = json.loads(args.sc) if args.sc.strip().startswith("{") else json.load(open(args.sc))
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail(PARSE_ERROR, "parse", f"cannot read supercuspidal data: {exc}")
+        if source.strip().startswith(inline):
+            return json.loads(source)
+        with open(source, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        _fail(PARSE_ERROR, "parse", f"cannot read {what}: {exc}")
+
+
+def _load_supercuspidal(source: str) -> SupercuspidalData:
+    data = _read_json(source, "supercuspidal data", "{")
     try:
         return jsonio.supercuspidal_from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        _fail(PRECONDITION_ERROR, "precondition", str(exc))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(str(exc)) from exc
 
 
 def _json_field(item: dict, key: str, kinds, default=None):
     """``item[key]``, or ``default`` when given and the key is absent, of the JSON types ``kinds``.
 
-    JSON ``true``/``false`` are rejected as numbers: Python reads them as 1 and 0.
+    An int must not be a bool: JSON ``true``/``false`` read as 1 and 0.
     """
     value = item[key] if default is None else item.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, kinds):
+    if not isinstance(value, kinds):
         raise TypeError(f"{key} has the wrong JSON type: {value!r}")
-    return value
+    return require_int(key, value) if isinstance(value, int) else value
 
 
 def _load_profile(source: str, cuspidals: dict[str, CuspidalLabel]) -> SpectrumProfile:
-    try:
-        data = json.loads(source) if source.strip().startswith("[") else json.load(open(source))
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail(PARSE_ERROR, "parse", f"cannot read profile: {exc}")
+    data = _read_json(source, "profile", "[")
     entries = []
     try:
         for item in data:
@@ -179,7 +167,7 @@ def _load_profile(source: str, cuspidals: dict[str, CuspidalLabel]) -> SpectrumP
                 )
             )
     except (KeyError, TypeError, ValueError) as exc:
-        _fail(PRECONDITION_ERROR, "precondition", f"bad profile entry: {exc}")
+        raise ValueError(f"bad profile entry: {exc}") from exc
     return SpectrumProfile(tuple(entries))
 
 
@@ -200,20 +188,16 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_balance(args) -> int:
-    sc = _load_supercuspidal(args)
-    try:
-        level_u, level_up = TowerLevel(sc, args.u), TowerLevel(sc, args.u_prime)
-        pi_u, pi_up = tower_cuspidal(level_u), tower_cuspidal(level_up)
-        cuspidals = {pi_u.id: pi_u, pi_up.id: pi_up}
-        lifts = {pi_u.id: level_u, pi_up.id: level_up}
-        profile_u = _load_profile(args.profile_u, cuspidals)
-        profile_up = _load_profile(args.profile_u_prime, cuspidals)
-        constraints = rl_hi_balance(
-            profile_u, profile_up, sc, args.u, args.u_prime, args.r, args.r_prime,
-            pi_u, pi_up, lifts,
-        )
-    except ValueError as exc:
-        _fail(PRECONDITION_ERROR, "precondition", str(exc))
+    sc = _load_supercuspidal(args.sc)
+    level_u, level_up = TowerLevel(sc, args.u), TowerLevel(sc, args.u_prime)
+    pi_u, pi_up = tower_cuspidal(level_u), tower_cuspidal(level_up)
+    cuspidals = {pi_u.id: pi_u, pi_up.id: pi_up}
+    lifts = {pi_u.id: level_u, pi_up.id: level_up}
+    profile_u = _load_profile(args.profile_u, cuspidals)
+    profile_up = _load_profile(args.profile_u_prime, cuspidals)
+    constraints = rl_hi_balance(
+        profile_u, profile_up, sc, args.u, args.u_prime, args.r, args.r_prime, pi_u, pi_up, lifts
+    )
     payload = [
         {
             "class": repr(c.class_key),
@@ -234,11 +218,7 @@ def cmd_balance(args) -> int:
 
 
 def cmd_torsion(args) -> int:
-    sc = _load_supercuspidal(args)
-    try:
-        cert = torsion_detect(args.d, sc, args.u_prime, args.r_prime)
-    except ValueError as exc:
-        _fail(PRECONDITION_ERROR, "precondition", str(exc))
+    cert = torsion_detect(args.d, _load_supercuspidal(args.sc), args.u_prime, args.r_prime)
     payload = {
         "emitted": cert.emitted,
         "d": cert.d,
@@ -264,7 +244,7 @@ def cmd_torsion(args) -> int:
 def cmd_verify(args) -> int:
     n = args.max
     if n < 2:
-        _fail(PRECONDITION_ERROR, "precondition", f"--max must be >= 2, got {n}")
+        raise ValueError(f"--max must be >= 2, got {n}")
     pi = CuspidalLabel("pi", g=1)
     checks: list[tuple[str, bool]] = []
 
@@ -282,7 +262,7 @@ def cmd_verify(args) -> int:
         (
             "se2-hij-round-trip",
             all(
-                check_se2(pi, t, s) and check_hij(pi, t, s)
+                check_se2(t, s) and check_hij(t, s)
                 for s in range(1, n + 1)
                 for t in range(1, s + 1)
             ),
@@ -305,14 +285,14 @@ def cmd_verify(args) -> int:
         if euler_shape_established(s, t)
     ]
     master = all(
-        euler_master_identity(ProfileEntry(s=s, t=t, cuspidal=pi, mult=atom("m")), pi, r)
+        euler_master_identity(s, t, r)
         for (s, t) in established
         for r in range(1, s * t + 1)
     )
     checks.append(("euler-master-established-shapes", master))
     checks.append(("inclusion-exclusion", inclusion_exclusion_ramified(6)))
 
-    violations = euler_oracle_violations(min(n, 6), pi)
+    violations = euler_oracle_violations(min(n, 6))
     for name, ok in checks:
         print(("PASS " if ok else "FAIL ") + name)
     if violations:
@@ -339,21 +319,23 @@ def cmd_figures(args) -> int:
         "fig6-shriek-superposed": [superpose(blocks, pi, "N")],
     }
     written = []
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        for name, objs in figures.items():
-            path = os.path.join(args.out, f"{name}.svg")
-            svg = render(objs[0], "svg") if len(objs) == 1 else render_svg_panels(objs)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(svg)
-            written.append(path)
-    except OSError as exc:
-        _fail(PRECONDITION_ERROR, "precondition", f"cannot write figures: {exc}")
+    os.makedirs(args.out, exist_ok=True)
+    for name, objs in figures.items():
+        path = os.path.join(args.out, f"{name}.svg")
+        svg = render(objs[0], "svg") if len(objs) == 1 else render_svg_panels(objs)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+        written.append(path)
     print(jsonio.dumps(written))
     return 0
 
 
 # -- argument parsing ---------------------------------------------------------
+
+
+def _int_list(text: str) -> list[int]:
+    """Comma-separated integers; the empty string is the empty list."""
+    return [int(x) for x in text.split(",")] if text else []
 
 
 class _Parser(argparse.ArgumentParser):
@@ -374,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["m", "n", "M", "N"], required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--t", type=int, default=1)
-    p.add_argument("--blocks", help="comma-separated t_k for a superposition")
+    p.add_argument("--blocks", type=_int_list, help="comma-separated t_k for a superposition")
     p.add_argument("--format", choices=["ascii", "svg", "json"], default="ascii")
     p.set_defaults(func=cmd_diagram)
 
@@ -443,8 +425,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the input it refuses exits 3 with the error record."""
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        _fail(PRECONDITION_ERROR, "precondition", str(exc))
 
 
 if __name__ == "__main__":

@@ -67,6 +67,7 @@ from .segments import (
     GrothElement,
     IrreducibleLabel,
     ensure_half,
+    require_int,
 )
 from .symbolic import SymExpr, atom, integer
 
@@ -96,11 +97,7 @@ class ProfileEntry:
     markers: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        for name in ("s", "t"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-        if self.s < 1 or self.t < 1:
+        if require_int("s", self.s) < 1 or require_int("t", self.t) < 1:
             raise ValueError("s and t must be >= 1")
         object.__setattr__(self, "xi", ensure_half(self.xi))
 
@@ -143,9 +140,6 @@ class CohomologyTable:
         for i, g in other.rows.items():
             rows[i] = rows.get(i, GrothElement.zero()) + g
         return CohomologyTable(rows)
-
-    def scale(self, c) -> "CohomologyTable":
-        return CohomologyTable({i: g.scale(c) for i, g in self.rows.items()})
 
     def is_zero(self) -> bool:
         return not self.rows
@@ -337,7 +331,7 @@ def _compose(expand_outer, expand_inner, start: StratState, base: int, s_max: in
     return {k: v for k, v in acc.items() if v}
 
 
-def check_se2(pi: CuspidalLabel, t: int, s_max: int) -> bool:
+def check_se2(t: int, s_max: int) -> bool:
     """Round trip se2 then hij is the identity on every base class."""
     if not (1 <= t <= s_max):
         raise ValueError("need 1 <= t <= s_max")
@@ -345,7 +339,7 @@ def check_se2(pi: CuspidalLabel, t: int, s_max: int) -> bool:
     return _compose(hij_expand, se2_expand, start, t, s_max) == {start: 1}
 
 
-def check_hij(pi: CuspidalLabel, t: int, s_max: int) -> bool:
+def check_hij(t: int, s_max: int) -> bool:
     """Round trip hij then se2 is the identity on every base class."""
     if not (1 <= t <= s_max):
         raise ValueError("need 1 <= t <= s_max")
@@ -430,15 +424,15 @@ def euler_shriek_expansion(entry: ProfileEntry, pi: CuspidalLabel, r: int) -> Gr
     return bind_shapes(pi, _shriek_core(entry.s, entry.t, r))
 
 
-def euler_master_identity(entry: ProfileEntry, pi: CuspidalLabel, r: int) -> bool:
-    """The master sign oracle for one block and one stratum.
+def euler_master_identity(s: int, t: int, r: int) -> bool:
+    """The master sign oracle for the block of shape (s, t) and one stratum.
 
-    Compares the two label-free integer sums: binding to the line of pi is
-    injective (a multisegment on one cuspidal sorts by (start, length)), so
+    Compares the two label-free integer sums: binding to the line of any
+    cuspidal pi is injective (a multisegment on one cuspidal sorts by (start, length)), so
     they agree exactly when ``euler_intermediate`` and
     ``euler_shriek_expansion`` do.
     """
-    return _euler_core(entry.s, entry.t, r, "M") == _shriek_core(entry.s, entry.t, r)
+    return _euler_core(s, t, r, "M") == _shriek_core(s, t, r)
 
 
 def _dressed(entry: ProfileEntry, pi: CuspidalLabel, terms: Terms) -> GrothElement:
@@ -483,19 +477,15 @@ def euler_shape_established(s: int, t: int) -> bool:
     return s == 1 or t == 1 or s == t
 
 
-def euler_oracle_violations(
-    max_sum: int, pi: CuspidalLabel | None = None
-) -> list[tuple[int, int, int]]:
+def euler_oracle_violations(max_sum: int) -> list[tuple[int, int, int]]:
     """Catalogue every (s, t, r) with s + t <= max_sum failing the oracle."""
-    pi = pi or CuspidalLabel("pi", g=1)
-    out = []
-    for s in range(1, max_sum):
-        for t in range(1, max_sum + 1 - s):
-            entry = ProfileEntry(s=s, t=t, cuspidal=pi, mult=atom("m"))
-            for r in range(1, s * t + 1):
-                if not euler_master_identity(entry, pi, r):
-                    out.append((s, t, r))
-    return out
+    return [
+        (s, t, r)
+        for s in range(1, max_sum)
+        for t in range(1, max_sum + 1 - s)
+        for r in range(1, s * t + 1)
+        if not euler_master_identity(s, t, r)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -529,29 +519,23 @@ class TorsionCertificate:
     s: int | None = None
     s_prime: int | None = None
     i0_lower_bound: int | None = None
-    i0_upper_bound: int | None = None  # None means "lower bound only"
     shriek_degree: int | None = None  # torsion degree for the !-extension
     star_degree: int | None = None  # torsion degree for the *-extension
 
     @property
     def lower_bound_only(self) -> bool:
-        return self.emitted and self.i0_upper_bound is None
+        """Only a lower bound on i0 is ever certified."""
+        return self.emitted
 
 
-def torsion_detect(
-    d: int,
-    sc: SupercuspidalData,
-    u_prime: int,
-    r_prime: int,
-    profile_max_degree: int | None = None,
-) -> TorsionCertificate:
+def torsion_detect(d: int, sc: SupercuspidalData, u_prime: int, r_prime: int) -> TorsionCertificate:
     """Certify torsion for the depth-r' extensions of the level-u' tower sheaf.
 
     A certificate is emitted exactly when r' g_{u'} <= d - g_{-1}; it then
     carries r = r' g_{u'} / g_{-1}, s = floor(d / g_{-1}), s' = floor(d / g_{u'}),
     checks the pivot inequality s - r > s' - r', and reports torsion in degree
     i0 >= s - r for the shriek extension and -i0 + 1 for the star extension.
-    When no profile bound is supplied only the lower bound is reported.
+    Only that lower bound is certified.
     """
     if r_prime < 1:
         raise ValueError("r' must be >= 1")
@@ -571,7 +555,6 @@ def torsion_detect(
     if not (s - r > s_prime - r_prime):
         raise AssertionError("pivot inequality s - r > s' - r' failed")
     i0 = s - r
-    upper = profile_max_degree if profile_max_degree is not None else None
     return TorsionCertificate(
         d=d,
         u_prime=u_prime,
@@ -583,7 +566,6 @@ def torsion_detect(
         s=s,
         s_prime=s_prime,
         i0_lower_bound=i0,
-        i0_upper_bound=upper,
         shriek_degree=i0,
         star_degree=-i0 + 1,
     )

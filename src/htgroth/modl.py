@@ -28,7 +28,7 @@ from .segments import (
     IrreducibleLabel,
     Multisegment,
     OpaqueFactor,
-    ensure_half,
+    require_int,
 )
 from .symbolic import integer
 
@@ -66,9 +66,9 @@ class FieldData:
     l: int
 
     def __post_init__(self):
-        if not _is_prime_power(self.q):
+        if not _is_prime_power(require_int("q", self.q)):
             raise ValueError(f"q={self.q} is not a prime power")
-        if not _is_prime(self.l):
+        if not _is_prime(require_int("l", self.l)):
             raise ValueError(f"l={self.l} is not prime")
         if self.q % self.l == 0:
             raise ValueError("l must not divide q")
@@ -99,7 +99,7 @@ class SupercuspidalData:
     epsilon: int
 
     def __post_init__(self):
-        if self.epsilon < 1:
+        if require_int("epsilon", self.epsilon) < 1:
             raise ValueError("epsilon must be positive")
         if e_l(self.field) % self.epsilon != 0:
             raise ValueError(
@@ -282,14 +282,7 @@ def collapse_segment_key(seg, level: TowerLevel):
     """
     stretch = tower_rank(level) // level.base.g
     eps = level.base.epsilon
-    start = ensure_half(seg.start) * stretch
-    folded = start - eps * (start / eps).__floor__()
-    return (
-        level.base.label.id,
-        level.u,
-        seg.length * stretch,
-        folded,
-    )
+    return (level.base.label.id, level.u, seg.length * stretch, seg.start * stretch % eps)
 
 
 def collapse_label_key(label: IrreducibleLabel, lifts: LiftMap):

@@ -36,6 +36,13 @@ def ensure_half(x: Union[int, Fraction]) -> Fraction:
     return x
 
 
+def require_int(name: str, value) -> int:
+    """``value`` when it is an int; bools are refused, since JSON true/false read as 1 and 0."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 class CuspidalLabel:
     """Opaque label of an irreducible cuspidal of GL_g.
 
@@ -48,7 +55,9 @@ class CuspidalLabel:
     __slots__ = ("id", "g", "e_pi")
 
     def __init__(self, id: str, g: int = 1, e_pi: int = 1):
-        if g < 1 or e_pi < 1:
+        if not isinstance(id, str):
+            raise ValueError(f"a cuspidal id must be a string, not {id!r}")
+        if require_int("g", g) < 1 or require_int("e_pi", e_pi) < 1:
             raise ValueError("g and e_pi must be positive")
         self.id = id
         self.g = g

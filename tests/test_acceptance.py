@@ -153,7 +153,7 @@ def test_03_endpoint_identity():
 def test_04_triangular_round_trip():
     """The two stratified base changes are mutually inverse, t <= s <= 8."""
     ok = all(
-        check_se2(PI, t, s) and check_hij(PI, t, s)
+        check_se2(t, s) and check_hij(t, s)
         for s in range(1, 9)
         for t in range(1, s + 1)
     )
@@ -209,7 +209,7 @@ def test_05_euler_master_oracle():
             failures += 1
     report("5 Euler master oracle, 200 random profiles", failures == 0)
 
-    violations = euler_oracle_violations(7, PI)
+    violations = euler_oracle_violations(7)
     flagged = {(s, t) for s, t, _ in violations}
     ok = all(not euler_shape_established(s, t) for (s, t) in flagged)
     report(

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -6,6 +7,8 @@ import os
 import random
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +37,16 @@ def assert_precondition_error(args, capsys):
 
 SC = '{"id":"rho","g":1,"q":2,"l":3,"epsilon":2}'
 PROFILE = '[{"s":3,"t":1,"cuspidal":"pi","mult":"m"}]'
+# --sc records with one field of the wrong JSON type; each once exited 0,
+# printing floats or booleans (or reading true as 1)
+WRONG_TYPE_SCS = [
+    '{"id":"rho","g":1,"q":2,"l":3.0,"epsilon":2}',
+    '{"id":"rho","g":1,"q":2,"l":3,"epsilon":2.0}',
+    '{"id":"rho","g":true,"q":2,"l":3,"epsilon":2}',
+    '{"id":"rho","g":1.0,"q":2,"l":3,"epsilon":2}',
+    '{"id":"rho","g":1,"q":2,"l":3,"epsilon":true}',
+    '{"id":5,"g":1,"q":2,"l":3,"epsilon":2}',
+]
 
 
 class TestDiagramCommand:
@@ -154,6 +167,18 @@ class TestReduceCommand:
                 '[{"s":1,"t":1,"cuspidal":"pi","mult":"2.5"}]',
                 '[{"s":1,"t":1,"cuspidal":"pi","mult":"m - n"}]',
             )
+        ),
+        *(
+            ["torsion", "--d", "4", "--sc", sc, "--u-prime", "0", "--r-prime", "1"]
+            for sc in WRONG_TYPE_SCS
+        ),
+        *(
+            [
+                "balance", "--sc", sc, "--u", "0", "--u-prime", "0", "--r", "1", "--r-prime", "1",
+                "--profile-u", '[{"s":2,"t":1,"cuspidal":"rho[u=0]","mult":"m"}]',
+                "--profile-u-prime", '[{"s":2,"t":1,"cuspidal":"rho[u=0]","mult":"m"}]',
+            ]
+            for sc in WRONG_TYPE_SCS
         ),
     ],
 )
@@ -325,11 +350,11 @@ class TestFiguresCommand:
         from htgroth.diagrams import svg_point_set, n_support, m_support
 
         fig5 = [p for p in written if "fig5" in p]
-        svg = open(fig5[0]).read()
+        svg = Path(fig5[0]).read_text(encoding="utf-8")
         assert svg_point_set(svg) == set(n_support(3, 3).points)
         # panel figure: both supports present in one file
         fig1 = [p for p in written if "fig1" in p]
-        panel = open(fig1[0]).read()
+        panel = Path(fig1[0]).read_text(encoding="utf-8")
         pts = svg_point_set(panel)
         assert set(m_support(4, 1).points) <= pts and set(m_support(1, 4).points) <= pts
 
@@ -378,6 +403,9 @@ def test_main_reuses_its_parser_without_leaking_state():
         ["diagram", "--kind", "q", "--s", "1"],
         ["nosuchcommand"],
         [],
+        ["diagram", "--kind", "m", "--s", "4", "--blocks", "1,x"],
+        ["diagram", "--kind", "m", "--s", "4", "--blocks", ","],
+        ["torsion", "--d", "4", "--sc", "no-such-file.json", "--u-prime", "0", "--r-prime", "1"],
     ],
 )
 def test_parse_errors_exit_2_with_the_error_record(argv):
@@ -385,6 +413,39 @@ def test_parse_errors_exit_2_with_the_error_record(argv):
     assert code == 2 and out == ""
     record = json.loads(err)
     assert record["error"] == "parse" and record["message"]
+
+
+def test_empty_blocks_means_no_superposition():
+    plain = ["diagram", "--kind", "m", "--s", "4", "--t", "2"]
+    assert run_main(plain + ["--blocks", ""]) == run_main(plain)
+    assert run_main(plain)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "flag, inline, argv",
+    [
+        ("--profile", PROFILE, ["cohomology", "--pi", "pi", "--r", "2"]),
+        (
+            "--profile-u",
+            '[{"s":2,"t":1,"cuspidal":"rho[u=0]","mult":"m"}]',
+            [
+                "balance", "--sc", SC, "--u", "0", "--u-prime", "0", "--r", "1", "--r-prime", "1",
+                "--profile-u-prime", '[{"s":2,"t":1,"cuspidal":"rho[u=0]","mult":"n"}]',
+            ],
+        ),
+        ("--sc", SC, ["torsion", "--d", "4", "--u-prime", "0", "--r-prime", "1"]),
+    ],
+)
+def test_file_inputs_read_as_their_inline_forms(flag, inline, argv, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(inline, encoding="utf-8")
+    expected = run_main(argv + [flag, inline])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        from_file = run_main(argv + [flag, str(path)])
+        gc.collect()
+    assert from_file == expected and expected[0] == 0 and expected[1]
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 # -- fuzzing every subcommand ---------------------------------------------
@@ -466,7 +527,7 @@ def flag_pools(scs: list[str]) -> dict:
     }
 
 
-FLAGS = flag_pools(SCS)
+FLAGS = flag_pools(SCS + WRONG_TYPE_SCS)
 
 
 def draw_argv(rng: random.Random, flags: dict) -> list[str]:
@@ -512,7 +573,7 @@ OUTCOME_DIGEST = "d52cb554ef03999b520be0d4a7c12630f24c1836a2c7085ed38696068931a3
 
 
 def test_cli_outcomes_pinned():
-    # figures writes files, so the pin leaves it out
-    flags = {command: pools for command, pools in FLAGS.items() if command != "figures"}
+    # the pools as they stood when the digest was recorded; figures writes files, so it stays out
+    flags = {command: pools for command, pools in flag_pools(SCS).items() if command != "figures"}
     rng = random.Random(20261018)
     assert outcome_digest([draw_argv(rng, flags) for _ in range(1000)]) == OUTCOME_DIGEST

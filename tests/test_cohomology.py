@@ -173,16 +173,16 @@ class TestRoundTrip:
     def test_se2_hij_identity(self):
         for s in range(1, 9):
             for t in range(1, s + 1):
-                assert check_se2(PI, t, s)
-                assert check_hij(PI, t, s)
+                assert check_se2(t, s)
+                assert check_hij(t, s)
 
     def test_trivial_case(self):
-        assert check_se2(PI, 5, 5)
-        assert check_hij(PI, 5, 5)
+        assert check_se2(5, 5)
+        assert check_hij(5, 5)
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
-            check_se2(PI, 3, 2)
+            check_se2(3, 2)
 
 
 class TestEulerOracle:
@@ -191,12 +191,11 @@ class TestEulerOracle:
             for t in range(1, 8 - s):
                 if not euler_shape_established(s, t):
                     continue
-                entry = ProfileEntry(s=s, t=t, cuspidal=PI, mult=atom("m"))
                 for r in range(1, s * t + 1):
-                    assert euler_master_identity(entry, PI, r), (s, t, r)
+                    assert euler_master_identity(s, t, r), (s, t, r)
 
     def test_violation_catalogue_is_exactly_nonsquare_mixed(self):
-        violations = euler_oracle_violations(7, PI)
+        violations = euler_oracle_violations(7)
         shapes = {(s, t) for s, t, _ in violations}
         for s, t in shapes:
             assert not euler_shape_established(s, t)
@@ -214,7 +213,7 @@ class TestEulerOracle:
             for r in range(1, max(s, t))
         ]
         assert len(expected) == 42
-        assert euler_oracle_violations(8, PI) == expected
+        assert euler_oracle_violations(8) == expected
 
 
 # the two labels of the pinned Euler values: same id, told apart by g and e_pi

@@ -51,6 +51,13 @@ def test_supercuspidal_round_trip():
     assert back.field == sc.field and back.epsilon == 1
 
 
+@pytest.mark.parametrize("field, value", [("id", 5), ("g", True), ("l", 3.0), ("epsilon", 2.0)])
+def test_supercuspidal_from_json_refuses_wrong_types(field, value):
+    data = {"id": "rho", "g": 1, "q": 2, "l": 3, "epsilon": 2, field: value}
+    with pytest.raises(ValueError):
+        jsonio.supercuspidal_from_json(data)
+
+
 def test_sym_power_round_trip():
     c = atom("x") * atom("x") * atom("y")
     assert jsonio.sym_from_json(jsonio.sym_to_json(c)) == c

@@ -40,6 +40,26 @@ def sc_with(q, l, g=1, epsilon=None, id="rho"):
     return SupercuspidalData(CuspidalLabel(id, g=g), field, eps)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CuspidalLabel(5),
+        lambda: CuspidalLabel("rho", g=True),
+        lambda: CuspidalLabel("rho", g=1.0),
+        lambda: CuspidalLabel("rho", e_pi=True),
+        lambda: FieldData(q=2, l=3.0),
+        lambda: FieldData(q=2.0, l=3),
+        lambda: FieldData(q=True, l=3),
+        lambda: SupercuspidalData(CuspidalLabel("rho"), FieldData(2, 3), 2.0),
+        lambda: SupercuspidalData(CuspidalLabel("rho"), FieldData(2, 3), True),
+    ],
+)
+def test_value_types_refuse_floats_bools_and_non_string_ids(build):
+    # JSON gives floats and booleans where integers belong; Python would compute with them
+    with pytest.raises(ValueError):
+        build()
+
+
 class TestFieldData:
     def test_e_l_examples(self):
         assert e_l(FieldData(2, 7)) == 3
