@@ -128,7 +128,7 @@ def _load_supercuspidal(source: str) -> SupercuspidalData:
     try:
         return jsonio.supercuspidal_from_json(data)
     except (KeyError, TypeError) as exc:
-        raise ValueError(str(exc)) from exc
+        raise ValueError(f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)) from exc
 
 
 def _json_field(item: dict, key: str, kinds, default=None):
@@ -167,7 +167,8 @@ def _load_profile(source: str, cuspidals: dict[str, CuspidalLabel]) -> SpectrumP
                 )
             )
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad profile entry: {exc}") from exc
+        missing = "missing field " if isinstance(exc, KeyError) else ""
+        raise ValueError(f"bad profile entry: {missing}{exc}") from exc
     return SpectrumProfile(tuple(entries))
 
 

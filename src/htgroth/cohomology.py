@@ -38,11 +38,11 @@ label), and ``xi2`` is twice its Xi exponent; coefficients are plain ints.
 Each side is computed once per (s, t, r) and cached, for every label alike.
 ``euler_intermediate`` and ``euler_shriek_expansion`` bind each surviving
 term to the line of pi once; ``euler_master_identity`` compares the integer
-sums themselves, since binding to one line is injective.  Everything else
-binds through :func:`htgroth.jl_red.bind_shapes`, with an entry's block
-twist and tail in the same pass: the tables bind each marked cell into its
-row; the profile Euler sums and the mod-l balance bind one cached column per
-entry (``_euler_core``, or ``_shriek_core``), and the balance collapses it once.
+sums themselves, since binding to one line is injective.  The tables bind
+each marked cell into its row through :func:`htgroth.jl_red.bind_shapes`,
+with an entry's block twist and tail in the same pass, and the profile Euler
+sums one cached column per entry (``_euler_core``, or ``_shriek_core``).
+The mod-l balance collapses that column label-free (``_balance_core``).
 """
 
 from __future__ import annotations
@@ -59,6 +59,9 @@ from .modl import (
     SupercuspidalData,
     TowerLevel,
     chgt_cuspi_factor,
+    collapse_label_key,
+    collapse_segment_key,
+    lift_key,
     rl_reduce,
     tower_rank,
 )
@@ -593,19 +596,41 @@ class CongruenceConstraint:
         return self.holds()
 
 
+@lru_cache(maxsize=4096)
+def _balance_core(s: int, t: int, r: int, shift2: int, lift: tuple, tail_key: tuple):
+    """The integer mod-l classes of ``_euler_core(s, t, r, "N")`` on a lifted line, label-free.
+
+    ``rl_reduce`` of the column bound with the twist shift2/2 and a tail of
+    collapse key ``tail_key``, read off each piece's ``collapse_segment_key``.
+    """
+    classes: dict = {}
+    for (shape, xi2), c in _euler_core(s, t, r, "N"):
+        pieces = tuple(collapse_segment_key(Fraction(a + shift2, 2), k, lift) for a, k in shape)
+        key = (tuple(sorted(tail_key + pieces)), Fraction(xi2 + shift2, 2))
+        classes[key] = classes.get(key, 0) + c
+    return tuple((key, c) for key, c in classes.items() if c)
+
+
 def _balance_side(profile: SpectrumProfile, pi: CuspidalLabel, r: int, lifts: LiftMap):
     """The mod-l classes of a profile's alternating shriek sum, and the entries feeding each.
 
-    The sum and ``rl_reduce`` are linear in the entries: each entry's Euler
-    column is dressed and collapsed once, and the classes that cancel are dropped.
+    Linear in the entries: each entry's column collapses label-free and takes its
+    weight once (only entries off the lift map bind), and cancelled classes are dropped.
     """
     classes: dict = {}
     provenance: dict[object, list[tuple[int, int, frozenset]]] = {}
+    scal, lift = _global_scalar(pi.e_pi), lift_key(lifts[pi.id]) if pi.id in lifts else None
     for entry in profile:
         if entry.cuspidal != pi:
             continue
-        euler = _dressed(entry, pi, _euler_core(entry.s, entry.t, r, "N"))
-        for key, c in rl_reduce(euler, lifts).items():
+        if lift is None:  # a line off the lift map: bind, then collapse
+            euler = _dressed(entry, pi, _euler_core(entry.s, entry.t, r, "N"))
+            collapsed = rl_reduce(euler, lifts).items()
+        else:
+            tail, weight = collapse_label_key(entry.tail, lifts), entry.mult * scal
+            core = _balance_core(entry.s, entry.t, r, int(2 * entry.xi), lift, tail)
+            collapsed = () if weight.is_zero() else ((key, weight * c) for key, c in core)
+        for key, c in collapsed:
             classes[key] = classes.get(key, integer(0)) + c
             provenance.setdefault(key, []).append((entry.s, entry.t, entry.markers))
     return {key: c for key, c in classes.items() if c}, provenance

@@ -273,16 +273,20 @@ def rl_steinberg_constituents(sc: SupercuspidalData, s: int) -> GrothElement:
 LiftMap = dict[str, TowerLevel]  # cuspidal id -> tower level it lifts
 
 
-def collapse_segment_key(seg, level: TowerLevel):
-    """Fingerprint of a segment over a tower cuspidal on the base line.
+def lift_key(level: TowerLevel) -> tuple[str, int, int, int]:
+    """All a collapse reads of a tower level: base id, u, stretch g_u/g_{-1}, period epsilon."""
+    return (level.base.label.id, level.u, tower_rank(level) // level.base.g, level.base.epsilon)
+
+
+def collapse_segment_key(start: Fraction, length: int, lift: tuple[str, int, int, int]):
+    """Fingerprint on the base line of the segment of ``length`` from ``start`` over a lift.
 
     Footprint: the segment of length k at twist a over the level-u cuspidal
     covers k * (g_u / g_{-1}) base units starting at base offset a scaled by
     the same stretch; twists fold modulo the base line period epsilon.
     """
-    stretch = tower_rank(level) // level.base.g
-    eps = level.base.epsilon
-    return (level.base.label.id, level.u, seg.length * stretch, seg.start * stretch % eps)
+    base_id, u, stretch, eps = lift
+    return ("base", base_id, u, length * stretch, start * stretch % eps)
 
 
 def collapse_label_key(label: IrreducibleLabel, lifts: LiftMap):
@@ -297,7 +301,7 @@ def collapse_label_key(label: IrreducibleLabel, lifts: LiftMap):
             if level is None:
                 parts.append(("raw", seg.cuspidal.id, seg.length, seg.start))
             else:
-                parts.append(("base",) + collapse_segment_key(seg, level))
+                parts.append(collapse_segment_key(seg.start, seg.length, lift_key(level)))
     return tuple(sorted(parts))
 
 
@@ -305,8 +309,8 @@ def rl_reduce(x: GrothElement, lifts: LiftMap) -> dict:
     """Coefficient table of the mod-l collapse of a Grothendieck element.
 
     Keys are (collapsed label key, Xi twist); values are symbolic
-    coefficients.  Two elements have the same reduction exactly when the
-    tables agree.
+    coefficients, and two elements reduce alike exactly when the tables
+    agree.  The balance collapses label-free and calls it only off the lift map.
     """
     out: dict = {}
     for (label, tw), coeff in x.terms.items():

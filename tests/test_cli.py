@@ -186,6 +186,29 @@ def test_precondition_errors_exit_3(args, capsys):
     assert_precondition_error(args, capsys)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["torsion", "--d", "4", "--u-prime", "0", "--r-prime", "1", "--sc", "{}"], "missing field 'id'"),
+        (
+            [
+                "torsion", "--d", "4", "--u-prime", "0", "--r-prime", "1",
+                "--sc", '{"id":"rho","g":1,"q":2,"l":3}',
+            ],
+            "missing field 'epsilon'",
+        ),
+        (
+            ["cohomology", "--profile", '[{"t":1,"cuspidal":"pi"}]', "--pi", "pi", "--r", "1"],
+            "bad profile entry: missing field 's'",
+        ),
+    ],
+)
+def test_missing_fields_are_named(args, message):
+    code, out, err = run_main(args)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "precondition", "message": message}
+
+
 def test_default_weight_is_one_atom_for_any_id(capsys):
     profile = '[{"s":1,"t":1,"cuspidal":"my pi+1"}]'
     code, out = run_cli(["cohomology", "--profile", profile, "--pi", "my pi+1", "--r", "1"], capsys)
@@ -530,12 +553,12 @@ def flag_pools(scs: list[str]) -> dict:
 FLAGS = flag_pools(SCS + WRONG_TYPE_SCS)
 
 
-def draw_argv(rng: random.Random, flags: dict) -> list[str]:
-    """One invocation: each flag of a random command, left out one time in ten."""
+def draw_argv(rng: random.Random, flags: dict, skip: int = 10) -> list[str]:
+    """One invocation: each flag of a random command, left out one time in ``skip``."""
     command = rng.choice(sorted(flags))
     argv = [command]
     for flag, values in flags[command].items():
-        if rng.randint(0, 9) == 0:
+        if rng.randint(0, skip - 1) == 0:
             continue  # leave the flag out, required or not
         argv.append(flag)
         if values is not None:
@@ -577,3 +600,54 @@ def test_cli_outcomes_pinned():
     flags = {command: pools for command, pools in flag_pools(SCS).items() if command != "figures"}
     rng = random.Random(20261018)
     assert outcome_digest([draw_argv(rng, flags) for _ in range(1000)]) == OUTCOME_DIGEST
+
+
+# mostly well-formed values, so that most draws get past the parser to the
+# preconditions of balance and torsion (and some to a result)
+FAIR_INTS = ["0", "1", "1", "2"] * 3 + ["-1", "3", "-2", "x"]
+FAIR_PROFILES = [
+    '[{"s":2,"t":1,"cuspidal":"rho[u=0]","mult":"m"}]',
+    '[{"s":1,"t":2,"cuspidal":"rho[u=0]","xi_numerator":1},{"s":2,"t":1,"cuspidal":"rho[u=-1]"}]',
+    '[{"s":2,"t":1,"cuspidal":"pi","mult":"2*m"}]',
+    "[]",
+    '[{"t":1,"cuspidal":"rho[u=0]"}]',
+    '[{"s":0,"t":1,"cuspidal":"rho[u=0]"}]',
+]
+FAIR_FLAGS = {
+    "balance": {
+        "--sc": SCS[:3] + ['{"id":"rho","g":1,"q":2,"l":3}'],
+        "--u": FAIR_INTS,
+        "--u-prime": FAIR_INTS,
+        "--r": FAIR_INTS,
+        "--r-prime": FAIR_INTS,
+        "--profile-u": FAIR_PROFILES,
+        "--profile-u-prime": FAIR_PROFILES,
+    },
+    "torsion": {
+        "--d": FAIR_INTS + ["8", "12"],
+        "--sc": SCS[:3] + ["{}"],
+        "--u-prime": FAIR_INTS,
+        "--r-prime": FAIR_INTS,
+    },
+}
+
+
+def test_fuzz_past_the_parser():
+    # unlike the fuzz above, which mostly tests the parser, the draws here
+    # leave a flag out one time in fifty and rarely hold a bad integer
+    rng = random.Random(20261019)
+    codes: dict = {}
+    for _ in range(600):
+        argv = draw_argv(rng, FAIR_FLAGS, skip=50)
+        code, out, err = run_main(argv)
+        assert code in (0, 2, 3), (argv, code, err)
+        if code:
+            record = json.loads(err)
+            assert record["error"] == ("parse" if code == 2 else "precondition") and record["message"], argv
+            assert out == "", argv
+        codes.setdefault(argv[0], []).append(code)
+    # each command is drawn about 300 times: more of its draws reach a
+    # precondition than stop at the parser, and some print a result
+    for command, found in codes.items():
+        counts = {c: found.count(c) for c in (0, 2, 3)}
+        assert counts[0] and counts[3] > counts[2], (command, counts)

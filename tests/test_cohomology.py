@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 from htgroth import jl_red, jsonio
 from htgroth.cohomology import (
     KER1_ATOM,
+    _balance_core,
+    _balance_side,
+    _dressed,
     _euler_core,
     _shriek_core,
     CohomologyTable,
@@ -47,6 +51,8 @@ from htgroth.segments import (
     IrreducibleLabel,
     OpaqueFactor,
     make_steinberg,
+    speh_st_multisegment,
+    steinberg_multisegment,
 )
 from htgroth.symbolic import atom, integer
 
@@ -294,6 +300,7 @@ def test_euler_shriek_core_matches_table_path(label):
 
 def _clear_euler_caches():
     for cache in (
+        _balance_core,
         _euler_core,
         _shriek_core,
         jl_red.rectangle_shape_groups,
@@ -525,6 +532,14 @@ BALANCE_TAILS = (
     IrreducibleLabel.unit(),
     IrreducibleLabel((OpaqueFactor("tau", 2),)),
     IrreducibleLabel((OpaqueFactor("tau", 0), OpaqueFactor("sigma", 1))),
+    # segments on the level-0 lift line of the problems (lifted when u or u' is 0)
+    # and on a line no problem lifts; their keys merge with the column's
+    IrreducibleLabel(
+        (
+            steinberg_multisegment(cuspidal_lifts(TowerLevel(BALANCE_SC, 0), 1)[0], 2),
+            speh_st_multisegment(CuspidalLabel("sigma"), 2, 1),
+        )
+    ),
 )
 
 
@@ -572,6 +587,77 @@ def test_balance_matches_table_reference(problem):
     for r, r_prime in strata:
         args = (profile_u, profile_up, BALANCE_SC, u, u_prime, r, r_prime, pi_u, pi_up, lifts)
         assert rl_hi_balance(*args) == reference_balance(*args), (r, r_prime)
+
+
+def test_balance_classes_match_rl_reduce_per_entry():
+    # per entry, the label-free classes times the weight, with provenance,
+    # are the collapse of the column bound with labels, keys of the same types
+    level, other_level = TowerLevel(BALANCE_SC, 0), TowerLevel(BALANCE_SC, 1)
+    pi, other = cuspidal_lifts(level, 1)[0], cuspidal_lifts(other_level, 1)[0]
+    off = CuspidalLabel("sigma")
+    lifts = {pi.id: level, other.id: other_level}
+    tails = (
+        IrreducibleLabel.unit(),
+        IrreducibleLabel((OpaqueFactor("tau", 2), OpaqueFactor("sigma", 0))),
+        IrreducibleLabel((steinberg_multisegment(pi, 2),)),  # the entry's own line
+        IrreducibleLabel((speh_st_multisegment(other, 2, 1), OpaqueFactor("tau", 1))),
+        IrreducibleLabel((steinberg_multisegment(off, 3),)),  # "raw" parts
+        IrreducibleLabel((steinberg_multisegment(pi, 1), steinberg_multisegment(off, 2))),
+    )
+    cases = nonempty = 0
+    for line in (pi, off):  # off is not in lifts: the bound path
+        for s, t in [(1, 1), (1, 3), (2, 1), (2, 2), (3, 1), (2, 3)]:
+            for r in range(0, s * t + 2):
+                for shift2, tail, mult in itertools.product(
+                    (-3, 0, 2), tails, (atom("m") - atom("n"), integer(0))
+                ):
+                    entry = ProfileEntry(
+                        s=s, t=t, cuspidal=line, mult=mult, xi=Fraction(shift2, 2), tail=tail,
+                        markers=frozenset({"x"}),
+                    )
+                    classes, provenance = _balance_side(SpectrumProfile((entry,)), line, r, lifts)
+                    expected = rl_reduce(_dressed(entry, line, _euler_core(s, t, r, "N")), lifts)
+                    assert classes == expected, (line, s, t, r, shift2, tail)
+                    assert sorted(map(repr, classes)) == sorted(map(repr, expected))
+                    assert provenance == {key: [(s, t, entry.markers)] for key in expected}
+                    cases += 1
+                    nonempty += bool(classes)
+    # half the weights are zero, and some columns vanish
+    assert (cases, nonempty) == (2 * 31 * 36, 576)
+
+
+def test_balance_cache_leaks_no_line():
+    # the label-free classes are cached on what a class key reads of a line;
+    # lines of other base ids, levels, stretches and periods, asked for in
+    # turn with the same (s, t, r, shift2), must each get what a cold run computes
+    lines = []
+    for sc, u in [
+        (sc_with(2, 3, epsilon=2, id="rho"), 0),  # stretch 2
+        (sc_with(2, 7, epsilon=3, id="sigma"), 0),  # stretch 3
+        (sc_with(2, 7, epsilon=3, id="rho"), 0),  # stretch 3, the base id and level of the first
+        (sc_with(2, 7, epsilon=1, id="rho"), 1),  # stretch 49
+    ]:
+        level = TowerLevel(sc, u)
+        lines.append((cuspidal_lifts(level, 1)[0], level))
+    grid = [(s, t, r) for s in range(1, 4) for t in range(1, 5 - s) for r in range(0, s * t + 2)]
+    tail = IrreducibleLabel((OpaqueFactor("tau", 1),))
+    warm = {}
+    for pi, level in lines:
+        for s, t, r in grid:
+            for shift2 in (-1, 2):
+                entry = ProfileEntry(
+                    s=s, t=t, cuspidal=pi, mult=atom("m"), xi=Fraction(shift2, 2), tail=tail
+                )
+                classes, _ = _balance_side(SpectrumProfile((entry,)), pi, r, {pi.id: level})
+                for parts, _ in classes:
+                    bases = [part for part in parts if part[0] == "base"]
+                    assert all(part[1:3] == (level.base.label.id, level.u) for part in bases)
+                warm[pi, level, entry, r] = classes
+    assert len({level for _, level, _, _ in warm}) == 4 and any(warm.values())
+    for (pi, level, entry, r), classes in warm.items():
+        _clear_euler_caches()
+        cold, _ = _balance_side(SpectrumProfile((entry,)), pi, r, {pi.id: level})
+        assert cold == classes and list(map(repr, cold)) == list(map(repr, classes)), (pi, entry, r)
 
 
 class TestStrongFilter:
