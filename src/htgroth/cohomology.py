@@ -42,7 +42,11 @@ sums themselves, since binding to one line is injective.  The tables bind
 each marked cell into its row through :func:`htgroth.jl_red.bind_shapes`,
 with an entry's block twist and tail in the same pass, and the profile Euler
 sums one cached column per entry (``_euler_core``, or ``_shriek_core``).
-The mod-l balance collapses that column label-free (``_balance_core``).
+The mod-l balance collapses that column label-free (``_balance_core``) and
+feeds both sides into one accumulator: each class holds, per side, an
+integer vector over the weight monomials (the tower factor folded in) and
+the entries feeding it, and becomes a constraint with its coefficients
+built once, unless it cancels on both sides.
 """
 
 from __future__ import annotations
@@ -70,7 +74,9 @@ from .segments import (
     GrothElement,
     IrreducibleLabel,
     ensure_half,
+    half,
     require_int,
+    twice,
 )
 from .symbolic import SymExpr, atom, integer
 
@@ -174,10 +180,10 @@ def _table(profile: SpectrumProfile, pi: CuspidalLabel, r: int, kind: str) -> Co
     for entry in profile:
         if entry.cuspidal != pi:
             continue
-        shift2, weight = int(2 * entry.xi), entry.mult * scal
+        shift2, weight = twice(entry.xi), entry.mult * scal
         for degree, _, _, sums in marked_cells(entry.s, entry.t, r, kind):
             if sums:
-                term = bind_shapes(pi, sums, shift2, entry.tail).scale(weight)
+                term = bind_shapes(pi, sums, shift2, entry.tail, weight)
                 rows[degree] = rows.get(degree, GrothElement.zero()) + term
     return CohomologyTable(rows)
 
@@ -441,7 +447,7 @@ def euler_master_identity(s: int, t: int, r: int) -> bool:
 def _dressed(entry: ProfileEntry, pi: CuspidalLabel, terms: Terms) -> GrothElement:
     """An entry's label-free terms bound with its block twist and tail, times its weight."""
     weight = entry.mult * _global_scalar(pi.e_pi)
-    return bind_shapes(pi, terms, int(2 * entry.xi), entry.tail).scale(weight)
+    return bind_shapes(pi, terms, twice(entry.xi), entry.tail, weight)
 
 
 def euler_intermediate_profile(profile: SpectrumProfile, pi: CuspidalLabel, r: int) -> GrothElement:
@@ -531,6 +537,7 @@ class TorsionCertificate:
         return self.emitted
 
 
+@lru_cache(maxsize=1024)
 def torsion_detect(d: int, sc: SupercuspidalData, u_prime: int, r_prime: int) -> TorsionCertificate:
     """Certify torsion for the depth-r' extensions of the level-u' tower sheaf.
 
@@ -538,7 +545,8 @@ def torsion_detect(d: int, sc: SupercuspidalData, u_prime: int, r_prime: int) ->
     carries r = r' g_{u'} / g_{-1}, s = floor(d / g_{-1}), s' = floor(d / g_{u'}),
     checks the pivot inequality s - r > s' - r', and reports torsion in degree
     i0 >= s - r for the shriek extension and -i0 + 1 for the star extension.
-    Only that lower bound is certified.
+    Only that lower bound is certified.  A pure function of its hashable
+    arguments, so calls are cached; a call that raises is not.
     """
     if r_prime < 1:
         raise ValueError("r' must be >= 1")
@@ -605,35 +613,55 @@ def _balance_core(s: int, t: int, r: int, shift2: int, lift: tuple, tail_key: tu
     """
     classes: dict = {}
     for (shape, xi2), c in _euler_core(s, t, r, "N"):
-        pieces = tuple(collapse_segment_key(Fraction(a + shift2, 2), k, lift) for a, k in shape)
-        key = (tuple(sorted(tail_key + pieces)), Fraction(xi2 + shift2, 2))
+        pieces = tuple(collapse_segment_key(half(a + shift2), k, lift) for a, k in shape)
+        key = (tuple(sorted(tail_key + pieces)), half(xi2 + shift2))
         classes[key] = classes.get(key, 0) + c
     return tuple((key, c) for key, c in classes.items() if c)
 
 
-def _balance_side(profile: SpectrumProfile, pi: CuspidalLabel, r: int, lifts: LiftMap):
-    """The mod-l classes of a profile's alternating shriek sum, and the entries feeding each.
+# class key -> its lhs and rhs sides, each (coefficient vector over the weight
+# monomials, the (s, t, markers) of the entries feeding it)
+BalanceAccumulator = dict[object, tuple[tuple[dict, list], tuple[dict, list]]]
 
-    Linear in the entries: each entry's column collapses label-free and takes its
-    weight once (only entries off the lift map bind), and cancelled classes are dropped.
+
+def _balance_side(
+    acc: BalanceAccumulator,
+    side: int,
+    profile: SpectrumProfile,
+    pi: CuspidalLabel,
+    r: int,
+    lifts: LiftMap,
+    factor: int,
+) -> None:
+    """Add ``factor`` times the mod-l classes of a profile's alternating shriek sum to ``acc``.
+
+    ``side`` is 0 for the lhs, 1 for the rhs.  Linear in the entries: each
+    entry's column collapses label-free into integer classes (only entries
+    off the lift map bind and go through ``rl_reduce``), each class key is
+    hashed once per entry, and its integer times the entry's weight is added
+    monomial by monomial.  A zero weight adds no class and no provenance.
     """
-    classes: dict = {}
-    provenance: dict[object, list[tuple[int, int, frozenset]]] = {}
     scal, lift = _global_scalar(pi.e_pi), lift_key(lifts[pi.id]) if pi.id in lifts else None
     for entry in profile:
         if entry.cuspidal != pi:
             continue
         if lift is None:  # a line off the lift map: bind, then collapse
             euler = _dressed(entry, pi, _euler_core(entry.s, entry.t, r, "N"))
-            collapsed = rl_reduce(euler, lifts).items()
+            classes = [(key, factor, c.items()) for key, c in rl_reduce(euler, lifts).items()]
         else:
-            tail, weight = collapse_label_key(entry.tail, lifts), entry.mult * scal
-            core = _balance_core(entry.s, entry.t, r, int(2 * entry.xi), lift, tail)
-            collapsed = () if weight.is_zero() else ((key, weight * c) for key, c in core)
-        for key, c in collapsed:
-            classes[key] = classes.get(key, integer(0)) + c
-            provenance.setdefault(key, []).append((entry.s, entry.t, entry.markers))
-    return {key: c for key, c in classes.items() if c}, provenance
+            weight = [(mono, w * factor) for mono, w in (entry.mult * scal).items()]
+            if not weight:
+                continue
+            core = _balance_core(
+                entry.s, entry.t, r, twice(entry.xi), lift, collapse_label_key(entry.tail, lifts)
+            )
+            classes = [(key, c, weight) for key, c in core]
+        source = (entry.s, entry.t, entry.markers)
+        for key, c, weight in classes:
+            vector, provenance = acc.setdefault(key, (({}, []), ({}, [])))[side]
+            for mono, w in weight:
+                vector[mono] = vector.get(mono, 0) + c * w
+            provenance.append(source)
 
 
 def rl_hi_balance(
@@ -652,27 +680,26 @@ def rl_hi_balance(
 
     Forms the alternating shriek sums on both sides, collapses every label to
     its mod-l class under the configured lift relation, scales the lower
-    level by the tower change factor, and emits one constraint per class.
-    The factor is a nonzero integer, so scaling the classes drops none.
+    level by the tower change factor, and emits one constraint per class
+    that is nonzero on some side, with the entries feeding each side.  Both
+    sides accumulate into one table; each coefficient is built once.
     """
     g_u = tower_rank(TowerLevel(sc, u))
     g_up = tower_rank(TowerLevel(sc, u_prime))
     if r * g_u != r_prime * g_up:
         raise ValueError("strata do not match: r g_u != r' g_{u'}")
-    factor = chgt_cuspi_factor(u, u_prime, sc)
-    classes_l, prov_l = _balance_side(profile_u, pi_u, r, lifts)
-    rhs, prov_r = _balance_side(profile_up, pi_up, r_prime, lifts)
-    lhs = {key: c * factor for key, c in classes_l.items()}
-    return [
-        CongruenceConstraint(
-            class_key=key,
-            lhs=lhs.get(key, integer(0)),
-            rhs=rhs.get(key, integer(0)),
-            lhs_entries=tuple(prov_l.get(key, ())),
-            rhs_entries=tuple(prov_r.get(key, ())),
-        )
-        for key in sorted(set(lhs) | set(rhs), key=repr)
-    ]
+    acc: BalanceAccumulator = {}
+    _balance_side(acc, 0, profile_u, pi_u, r, lifts, chgt_cuspi_factor(u, u_prime, sc))
+    _balance_side(acc, 1, profile_up, pi_up, r_prime, lifts, 1)
+    constraints = []
+    for key, ((vector_l, prov_l), (vector_r, prov_r)) in acc.items():
+        lhs, rhs = SymExpr(vector_l), SymExpr(vector_r)
+        if lhs or rhs:  # a class cancelled on both sides is no constraint
+            constraints.append(
+                CongruenceConstraint(key, lhs, rhs, tuple(prov_l), tuple(prov_r))
+            )
+    constraints.sort(key=lambda c: repr(c.class_key))
+    return constraints
 
 
 MARKER_NONDEG_AUX = "nondegenerate-at-auxiliary-place"

@@ -45,10 +45,12 @@ from .segments import (
     OpaqueFactor,
     Segment,
     cut_tuples,
+    half,
     label_of_multisegment,
     label_product,
+    twice,
 )
-from .symbolic import integer
+from .symbolic import SymExpr, integer
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +263,7 @@ def run_cuts(lad: Multisegment, left_units: int) -> list[Cut]:
     """
     segs = lad.segments
     return _run_cuts(
-        [int(2 * seg.start) for seg in segs],
+        [twice(seg.start) for seg in segs],
         [seg.length for seg in segs],
         [seg.cuspidal for seg in segs],
         left_units,
@@ -291,8 +293,8 @@ def run_cuts_scan(lad: Multisegment, left_units: int) -> list[Cut]:
         if run is None:
             continue
         a1.sort(key=lambda piece: piece[0].start)
-        doubled = [tuple((int(2 * sg.start), sg.length, j) for sg, j in half) for half in (a1, a2)]
-        out.append(Cut(tuple(ks), (-1) ** (len(a1) - 1), int(2 * run[3]), *doubled))
+        doubled = [tuple((twice(sg.start), sg.length, j) for sg, j in side) for side in (a1, a2)]
+        out.append(Cut(tuple(ks), (-1) ** (len(a1) - 1), twice(run[3]), *doubled))
     return out
 
 
@@ -353,7 +355,7 @@ def rectangle_shape_groups(
 @lru_cache(maxsize=4096)
 def _segment(cuspidal: CuspidalLabel, start2: int, length: int) -> Segment:
     """The segment of a piece, built once: a row's remainders recur across its cuts."""
-    return Segment(cuspidal, Fraction(start2, 2), length)
+    return Segment(cuspidal, half(start2), length)
 
 
 def bind_shapes(
@@ -361,17 +363,18 @@ def bind_shapes(
     terms: Iterable[tuple[TermKey, int]],
     shift2: int = 0,
     tail: IrreducibleLabel = IrreducibleLabel.unit(),
+    weight: SymExpr = integer(1),
 ) -> GrothElement:
-    """Bind label-free terms ``((shape, xi2), c)`` to the line of pi, twisted and times a tail.
+    """Bind label-free terms ``((shape, xi2), c)`` to the line of pi, twisted, times a tail and a weight.
 
     The one place where shapes become labels.  A shape becomes the formal
     label of its segments on pi (the empty shape the unit label), every
     start moved by the block twist shift2/2, times ``tail``
     (``label_product``); ``xi2`` becomes the Xi exponent (xi2 + shift2)/2,
-    and ``c`` an integer coefficient.  On one line a multisegment sorts its
-    segments by (start, length), so distinct sorted shapes bind to distinct
-    labels: the binding is injective, and the keys must be distinct with
-    nonzero ``c``.
+    and ``c`` the coefficient ``weight * c``.  On one line a multisegment
+    sorts its segments by (start, length), so distinct sorted shapes bind to
+    distinct labels: the binding is injective, and the keys must be distinct
+    with nonzero ``c``.
     """
     out = {}
     for (shape, xi2), c in terms:
@@ -379,7 +382,7 @@ def bind_shapes(
         label = label_of_multisegment(ms, KIND_FORMAL)
         if tail.factors:  # the product with the unit is the label itself
             label = label_product(tail, label)
-        out[(label, Fraction(xi2 + shift2, 2))] = integer(c)
+        out[(label, half(xi2 + shift2))] = weight * c
     return GrothElement._checked(out)
 
 
@@ -480,7 +483,7 @@ def red_tau(pi: CuspidalLabel, r_units: int, x: GrothElement) -> GrothElement:
         raise ValueError("r_units must be >= 1")
     out = GrothElement.zero()
     for (label, tw), coeff in x.terms.items():
-        tw2 = int(2 * tw)
+        tw2 = twice(tw)
         for idx, factor in enumerate(label.factors):
             if (
                 isinstance(factor, OpaqueFactor)
@@ -491,5 +494,5 @@ def red_tau(pi: CuspidalLabel, r_units: int, x: GrothElement) -> GrothElement:
             red = signed_shapes(run_cuts(factor, r_units), 1)
             rest = IrreducibleLabel(label.factors[:idx] + label.factors[idx + 1 :], KIND_FORMAL)
             terms = (((shape, xi2 + tw2), c) for (shape, xi2), c in red)
-            out = out + bind_shapes(pi, terms, tail=rest).scale(coeff)
+            out = out + bind_shapes(pi, terms, tail=rest, weight=coeff)
     return out

@@ -20,20 +20,20 @@ from .segments import (
     Multisegment,
     OpaqueFactor,
     Segment,
+    half,
+    twice,
 )
 from .modl import SupercuspidalData, FieldData
 from .symbolic import SymExpr, integer
 
 
 def twist_num(x: Fraction) -> int:
-    n = 2 * Fraction(x)
-    if n.denominator != 1:
-        raise ValueError(f"{x} is not a half-integer")
-    return int(n)
+    """The numerator of a half-integer; anything else raises ValueError."""
+    return twice(x)
 
 
 def twist_val(numerator: int) -> Fraction:
-    return Fraction(numerator, 2)
+    return half(numerator)
 
 
 # -- multisegments ----------------------------------------------------------

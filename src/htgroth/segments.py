@@ -1,7 +1,9 @@
 """Zelevinsky segments, multisegments, ladders and formal Grothendieck elements.
 
 All twist arithmetic happens in (1/2)Z via ``fractions.Fraction``; nothing in
-the package ever touches floating point.  A segment ``[a, a+len-1]`` on the
+the package ever touches floating point.  ``twice`` and ``half`` convert
+between a half-integer and its doubled int, refusing anything else; segments,
+multisegments and labels key and hash on doubled ints.  A segment ``[a, a+len-1]`` on the
 line of a cuspidal ``pi`` stands for the set {pi{a}, pi{a+1}, ...}; an
 irreducible representation is labelled by a multiset of multisegments
 (its factors) plus a coarse kind tag.  Grothendieck elements are finite
@@ -14,26 +16,38 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 from .symbolic import SymExpr, integer
 
 
+@lru_cache(maxsize=1024)
 def half(numerator: int) -> Fraction:
-    """The half-integer numerator/2."""
-    return Fraction(numerator, 2)
+    """The half-integer numerator/2, built once per int numerator; anything else raises ValueError."""
+    return Fraction(require_int("numerator", numerator), 2)
 
 
-def is_half_integral(x: Fraction) -> bool:
-    return x.denominator <= 2
+def twice(x: Union[int, Fraction]) -> int:
+    """2x as an int, for an int or a Fraction x of denominator 1 or 2.
+
+    Anything else (floats, strings, bools, thirds) raises ValueError: a
+    doubled start or twist is never a silent rounding.
+    """
+    if isinstance(x, Fraction):
+        if x.denominator > 2:
+            raise ValueError(f"{x} is not a half-integer")
+        return x.numerator * (2 // x.denominator)
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{x!r} is not a half-integer")
+    return 2 * x
 
 
 def ensure_half(x: Union[int, Fraction]) -> Fraction:
-    x = Fraction(x)
-    if not is_half_integral(x):
-        raise ValueError(f"{x} is not a half-integer")
-    return x
+    """``x`` as a half-integer Fraction; a Fraction given is returned as it is."""
+    n = twice(x)
+    return x if type(x) is Fraction else half(n)
 
 
 def require_int(name: str, value) -> int:
@@ -79,18 +93,32 @@ class CuspidalLabel:
         return f"CuspidalLabel({self.id!r}, g={self.g})"
 
 
-@dataclass(frozen=True)
 class Segment:
-    """The consecutive run pi{start}, ..., pi{start+length-1}."""
+    """The consecutive run pi{start}, ..., pi{start+length-1}.
 
-    cuspidal: CuspidalLabel
-    start: Fraction
-    length: int
+    Immutable.  Its key (cuspidal id, doubled start, length) orders the
+    segments of a multisegment and, with its hash, is computed once, at
+    construction, in ints; equality also compares the whole cuspidal label.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "start", ensure_half(self.start))
-        if self.length < 1:
+    __slots__ = ("cuspidal", "start", "length", "_key", "_hash")
+
+    def __init__(self, cuspidal: CuspidalLabel, start: Union[int, Fraction], length: int):
+        start = ensure_half(start)
+        if length < 1:
             raise ValueError("segment length must be >= 1")
+        key = (cuspidal.id, twice(start), length)
+        object.__setattr__(self, "cuspidal", cuspidal)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a segment is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a segment is immutable")
 
     @property
     def end(self) -> Fraction:
@@ -110,8 +138,18 @@ class Segment:
     def twist(self, n) -> "Segment":
         return Segment(self.cuspidal, self.start + ensure_half(n), self.length)
 
-    def sort_key(self):
-        return (self.cuspidal.id, self.start, self.length)
+    def sort_key(self) -> tuple[str, int, int]:
+        return self._key
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Segment)
+            and self._key == other._key
+            and self.cuspidal == other.cuspidal
+        )
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"[{self.start},{self.end}]_{self.cuspidal.id}"
@@ -120,16 +158,19 @@ class Segment:
 class Multisegment:
     """A multiset of segments, stored in canonical sorted order.
 
-    The hash is computed once, at construction: multisegments key the
-    Grothendieck sums, which look them up many times.
+    The sort key and the hash are computed once, at construction, from the
+    segments' integer keys: multisegments key the Grothendieck sums, which
+    look them up many times.
     """
 
-    __slots__ = ("segments", "_hash")
+    __slots__ = ("segments", "_key", "_hash")
 
     def __init__(self, segments: Iterable[Segment] = ()):
-        keyed = sorted(((s.sort_key(), s) for s in segments), key=itemgetter(0))
+        keyed = sorted(((s._key, s) for s in segments), key=itemgetter(0))
+        keys = tuple(k for k, _ in keyed)
         object.__setattr__(self, "segments", tuple(s for _, s in keyed))
-        object.__setattr__(self, "_hash", hash(tuple(k for k, _ in keyed)))
+        object.__setattr__(self, "_key", ("segment",) + keys)
+        object.__setattr__(self, "_hash", hash(keys))
 
     @property
     def rank(self) -> int:
@@ -211,9 +252,7 @@ Factor = Union[Multisegment, OpaqueFactor]
 
 
 def _factor_key(f: Factor):
-    if isinstance(f, OpaqueFactor):
-        return f.sort_key()
-    return ("segment",) + tuple(s.sort_key() for s in f.segments)
+    return f.sort_key() if isinstance(f, OpaqueFactor) else f._key
 
 
 KIND_GENERIC = "generic-product"

@@ -36,8 +36,7 @@ class SymExpr:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        pruned = {m: c for m, c in (terms or {}).items() if c != 0}
-        object.__setattr__(self, "_terms", dict(pruned))
+        object.__setattr__(self, "_terms", {m: c for m, c in (terms or {}).items() if c != 0})
 
     # -- constructors -------------------------------------------------
 
@@ -78,6 +77,8 @@ class SymExpr:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
+        if type(other) is int:  # a scalar: no coercion, no monomial products
+            return SymExpr({m: c * other for m, c in self._terms.items()} if other else None)
         other = self._coerce(other)
         terms: dict[Monomial, int] = {}
         for m1, c1 in self._terms.items():

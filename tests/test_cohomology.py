@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from htgroth import jl_red, jsonio
+from htgroth.jl_red import R_cell
 from htgroth.cohomology import (
     KER1_ATOM,
     _balance_core,
@@ -50,11 +51,12 @@ from htgroth.segments import (
     GrothElement,
     IrreducibleLabel,
     OpaqueFactor,
+    half,
     make_steinberg,
     speh_st_multisegment,
     steinberg_multisegment,
 )
-from htgroth.symbolic import atom, integer
+from htgroth.symbolic import SymExpr, atom, integer
 
 PI = CuspidalLabel("pi", g=1)
 
@@ -298,16 +300,32 @@ def test_euler_shriek_core_matches_table_path(label):
     assert cases == 266
 
 
+EULER_CACHES = (
+    _balance_core,
+    _euler_core,
+    _shriek_core,
+    jl_red.rectangle_shape_groups,
+    jl_red.rectangle_cuts,
+    jl_red._segment,
+    half,
+    torsion_detect,
+)
+
+
 def _clear_euler_caches():
-    for cache in (
-        _balance_core,
-        _euler_core,
-        _shriek_core,
-        jl_red.rectangle_shape_groups,
-        jl_red.rectangle_cuts,
-        jl_red._segment,
-    ):
+    for cache in EULER_CACHES:
         cache.cache_clear()
+
+
+def test_clear_euler_caches_clears_every_cache():
+    sc, pi_u, pi_up, lifts, pu, pup = make_balanced_setup()
+    rl_hi_balance(pu, pup, sc, 0, 0, 2, 2, pi_u, pi_up, lifts)
+    R_cell(2, 2, 2, 1, pi_u)
+    euler_shriek_expansion(pu.entries[0], pi_u, 1)
+    torsion_detect(4, sc, 0, 1)
+    assert all(cache.cache_info().currsize for cache in EULER_CACHES)
+    _clear_euler_caches()
+    assert not any(cache.cache_info().currsize for cache in EULER_CACHES)
 
 
 def test_euler_cache_leaks_no_label():
@@ -394,6 +412,23 @@ class TestTorsion:
         sc = sc_with(2, 7, g=1, epsilon=3)  # g_1 = 21
         cert = torsion_detect(21, sc, 1, 1)
         assert not cert.emitted
+
+    def test_cache_matches_the_uncached_function(self):
+        # every outcome, raising ones included, is what the bare function gives
+        outcomes = set()
+        for sc in (sc_with(2, 3, g=1, epsilon=2), sc_with(2, 7, g=2, epsilon=3)):
+            for u, d, rp in itertools.product((-1, 0, 1), range(0, 13), (-1, 0, 1, 2, 3)):
+                try:
+                    expected = torsion_detect.__wrapped__(d, sc, u, rp)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=str(exc)):
+                        torsion_detect(d, sc, u, rp)
+                    outcomes.add("raises")
+                    continue
+                for _ in range(2):  # cold, then cached
+                    assert torsion_detect(d, sc, u, rp) == expected, (sc, u, d, rp)
+                outcomes.add(expected.emitted)
+        assert outcomes == {"raises", True, False}
 
     def test_exhaustive_sweep_condition(self):
         count = 0
@@ -589,9 +624,20 @@ def test_balance_matches_table_reference(problem):
         assert rl_hi_balance(*args) == reference_balance(*args), (r, r_prime)
 
 
+def balance_side(profile, pi, r, lifts, side=0, factor=1):
+    """One side of a fresh balance accumulator, read back as (nonzero classes, provenance)."""
+    acc = {}
+    _balance_side(acc, side, profile, pi, r, lifts, factor)
+    assert all(not vector and not prov for vector, prov in (v[1 - side] for v in acc.values()))
+    classes = {key: SymExpr(sides[side][0]) for key, sides in acc.items()}
+    provenance = {key: sides[side][1] for key, sides in acc.items()}
+    return {key: c for key, c in classes.items() if c}, provenance
+
+
 def test_balance_classes_match_rl_reduce_per_entry():
     # per entry, the label-free classes times the weight, with provenance,
-    # are the collapse of the column bound with labels, keys of the same types
+    # are the collapse of the column bound with labels, keys of the same types;
+    # the cases alternate between the lhs with a tower factor and the rhs
     level, other_level = TowerLevel(BALANCE_SC, 0), TowerLevel(BALANCE_SC, 1)
     pi, other = cuspidal_lifts(level, 1)[0], cuspidal_lifts(other_level, 1)[0]
     off = CuspidalLabel("sigma")
@@ -615,8 +661,12 @@ def test_balance_classes_match_rl_reduce_per_entry():
                         s=s, t=t, cuspidal=line, mult=mult, xi=Fraction(shift2, 2), tail=tail,
                         markers=frozenset({"x"}),
                     )
-                    classes, provenance = _balance_side(SpectrumProfile((entry,)), line, r, lifts)
-                    expected = rl_reduce(_dressed(entry, line, _euler_core(s, t, r, "N")), lifts)
+                    side, factor = cases % 2, (3, 1)[cases % 2]
+                    classes, provenance = balance_side(
+                        SpectrumProfile((entry,)), line, r, lifts, side, factor
+                    )
+                    bound = _dressed(entry, line, _euler_core(s, t, r, "N")).scale(factor)
+                    expected = rl_reduce(bound, lifts)
                     assert classes == expected, (line, s, t, r, shift2, tail)
                     assert sorted(map(repr, classes)) == sorted(map(repr, expected))
                     assert provenance == {key: [(s, t, entry.markers)] for key in expected}
@@ -648,7 +698,7 @@ def test_balance_cache_leaks_no_line():
                 entry = ProfileEntry(
                     s=s, t=t, cuspidal=pi, mult=atom("m"), xi=Fraction(shift2, 2), tail=tail
                 )
-                classes, _ = _balance_side(SpectrumProfile((entry,)), pi, r, {pi.id: level})
+                classes, _ = balance_side(SpectrumProfile((entry,)), pi, r, {pi.id: level})
                 for parts, _ in classes:
                     bases = [part for part in parts if part[0] == "base"]
                     assert all(part[1:3] == (level.base.label.id, level.u) for part in bases)
@@ -656,8 +706,78 @@ def test_balance_cache_leaks_no_line():
     assert len({level for _, level, _, _ in warm}) == 4 and any(warm.values())
     for (pi, level, entry, r), classes in warm.items():
         _clear_euler_caches()
-        cold, _ = _balance_side(SpectrumProfile((entry,)), pi, r, {pi.id: level})
+        cold, _ = balance_side(SpectrumProfile((entry,)), pi, r, {pi.id: level})
         assert cold == classes and list(map(repr, cold)) == list(map(repr, classes)), (pi, entry, r)
+
+
+def balance_lines(lift_both=True):
+    level = TowerLevel(BALANCE_SC, 0)
+    pi_u, pi_up = cuspidal_lifts(level, 1)[0], cuspidal_lifts(level, 2)[1]
+    lifts = {pi_u.id: level, pi_up.id: level} if lift_both else {pi_u.id: level}
+    return pi_u, pi_up, lifts
+
+
+def balance_entries(pi, *specs):
+    """Profile entries (s, t, mult, marker) on pi, with one opaque tail."""
+    tail = IrreducibleLabel((OpaqueFactor("tau", 1),))
+    return SpectrumProfile(
+        tuple(
+            ProfileEntry(s=s, t=t, cuspidal=pi, mult=mult, tail=tail, markers=frozenset({mk}))
+            for s, t, mult, mk in specs
+        )
+    )
+
+
+def test_balance_class_cancelled_on_one_side_keeps_its_provenance():
+    pi_u, pi_up, lifts = balance_lines()
+    m = atom("m")
+    lhs_side = balance_entries(pi_u, (1, 2, m, "a"), (1, 2, -m, "b"))  # every class cancels
+    rhs_side = balance_entries(pi_up, (1, 2, m, "c"))
+    for r in (1, 2):
+        args = (lhs_side, rhs_side, BALANCE_SC, 0, 0, r, r, pi_u, pi_up, lifts)
+        constraints = rl_hi_balance(*args)
+        assert constraints and constraints == reference_balance(*args)
+        for c in constraints:
+            assert c.lhs == integer(0) and not c.rhs.is_zero() and not c.holds()
+            assert c.lhs_entries == ((1, 2, frozenset({"a"})), (1, 2, frozenset({"b"})))
+            assert c.rhs_entries == ((1, 2, frozenset({"c"})),)
+
+
+def test_balance_class_cancelled_on_both_sides_is_dropped():
+    pi_u, pi_up, lifts = balance_lines()
+    m, n = atom("m"), atom("n")
+    kept = ((1, 3, m, "a"),)
+    cancelled = ((2, 1, n, "b"), (2, 1, -n, "c"))
+    for r in (1, 2):
+
+        def balance(specs):
+            lhs_side, rhs_side = balance_entries(pi_u, *specs), balance_entries(pi_up, *specs)
+            args = (lhs_side, rhs_side, BALANCE_SC, 0, 0, r, r, pi_u, pi_up, lifts)
+            constraints = rl_hi_balance(*args)
+            assert constraints == reference_balance(*args)
+            return {c.class_key for c in constraints}
+
+        both, only_kept = balance(kept + cancelled), balance(kept)
+        assert both == only_kept and only_kept
+        assert balance(cancelled[:1]) - only_kept  # the classes the cancellation drops
+
+
+def test_balance_with_a_side_off_the_lift_map():
+    # the rhs line is not lifted: its entries bind and collapse through rl_reduce,
+    # with "raw" parts, into the same table as the label-free lhs classes
+    pi_u, pi_up, lifts = balance_lines(lift_both=False)
+    m, n = atom("m"), atom("n")
+    specs = ((1, 2, m, "a"), (2, 1, n, "b"), (1, 1, m + n, "c"))
+    lhs_side, rhs_side = balance_entries(pi_u, *specs), balance_entries(pi_up, *specs)
+    raw = merged = 0
+    for r in (1, 2):
+        args = (lhs_side, rhs_side, BALANCE_SC, 0, 0, r, r, pi_u, pi_up, lifts)
+        constraints = rl_hi_balance(*args)
+        assert constraints == reference_balance(*args)
+        for c in constraints:
+            raw += any(part[0] == "raw" for part in c.class_key[0])
+            merged += c.lhs_entries != () and c.rhs_entries != ()
+    assert raw and merged  # a tail-only class of the full cut meets on both sides
 
 
 class TestStrongFilter:

@@ -93,3 +93,15 @@ def test_sym_reads_the_multiplicity_forms():
 def test_sym_rejects_malformed_strings(data):
     with pytest.raises(ValueError):
         jsonio.sym_from_json(data)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, "1/2", Fraction(1, 3)])
+def test_twist_num_refuses_what_is_no_half_integer(bad):
+    with pytest.raises(ValueError):
+        jsonio.twist_num(bad)
+
+
+def test_twist_num_and_twist_val_are_inverse():
+    for n in range(-9, 10):
+        assert jsonio.twist_num(jsonio.twist_val(n)) == n
+    assert jsonio.twist_num(3) == 6

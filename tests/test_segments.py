@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from htgroth.segments import (
     Segment,
     box_partitions,
     dominance_leq,
+    ensure_half,
     groth_product,
     half,
     ladder_cuts,
@@ -22,6 +24,7 @@ from htgroth.segments import (
     make_steinberg,
     speh_st_multisegment,
     steinberg_multisegment,
+    twice,
     twist,
 )
 from htgroth.symbolic import atom, integer
@@ -270,3 +273,60 @@ def test_cancelling_sums_equal_zero():
     assert x.scale(integer(0)) == GrothElement.zero()
     assert x.twist(1).xi_twist(half(-1)) + (-x).twist(1).xi_twist(half(-1)) == GrothElement.zero()
     assert hash(x + y) == hash(GrothElement.zero())
+
+
+def test_twice_and_half_match_the_fraction_arithmetic():
+    for n in range(-50, 51):
+        x = Fraction(n, 2)
+        assert twice(x) == int(2 * x) == n and type(twice(x)) is int
+        assert half(n) == x and type(half(n)) is Fraction
+        assert half(n) is half(n)  # built once
+        assert twice(half(n)) == n and ensure_half(half(n)) is half(n)
+        assert twice(n) == 2 * n and ensure_half(n) == Fraction(n)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, "3/2", "1", True, False, None, Fraction(1, 3), Fraction(2, 3)])
+def test_no_float_string_bool_or_third_passes_as_a_half_integer(bad):
+    # 2 // 3 == 0: a third must not silently double to 0
+    for fn in (twice, ensure_half):
+        with pytest.raises(ValueError):
+            fn(bad)
+    with pytest.raises(ValueError):
+        Segment(PI, bad, 2)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, "2"])
+def test_half_refuses_non_int_numerators(bad):
+    half(1)  # the entry of the int 1 is never served to 1.0 or True
+    with pytest.raises(ValueError):
+        half(bad)
+
+
+def test_segment_is_immutable_and_tells_ranks_apart():
+    seg = Segment(PI, half(1), 2)
+    for name, value in [("start", 0), ("length", 3), ("cuspidal", PI2), ("other", 1)]:
+        with pytest.raises(AttributeError):
+            setattr(seg, name, value)
+    with pytest.raises(AttributeError):
+        del seg.start
+    assert (seg.start, seg.length, seg.cuspidal) == (half(1), 2, PI)
+    assert repr(seg) == "[1/2,3/2]_pi" and seg.sort_key() == ("pi", 1, 2)
+    same = Segment(CuspidalLabel("pi"), Fraction(1, 2), 2)
+    assert seg == same and hash(seg) == hash(same)
+    for other in (CuspidalLabel("pi", g=2), CuspidalLabel("pi", e_pi=3)):
+        assert Segment(other, half(1), 2) != seg
+        assert Multisegment([Segment(other, half(1), 2)]) != Multisegment([seg])
+    assert seg != Segment(PI, half(3), 2) and seg != Segment(PI, half(1), 3)
+
+
+def test_multisegment_order_is_the_fraction_order():
+    # the integer key (id, doubled start, length) sorts as (id, start, length) did
+    rng = random.Random(20261018)
+    lines = [CuspidalLabel(i, g=g, e_pi=e) for i in ("pi", "rho", "pi2") for g in (1, 2) for e in (1, 2)]
+    for _ in range(300):
+        segs = [
+            Segment(rng.choice(lines), half(rng.randint(-6, 6)), rng.randint(1, 3))
+            for _ in range(rng.randint(0, 7))
+        ]
+        expected = sorted(segs, key=lambda seg: (seg.cuspidal.id, seg.start, seg.length))
+        assert list(Multisegment(segs).segments) == expected  # ties in order, ranks compared
