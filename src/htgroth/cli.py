@@ -46,7 +46,7 @@ from .modl import (
     rl_speh,
     tower_cuspidal,
 )
-from .segments import CuspidalLabel, GrothElement, ladder_cuts, make_speh_st, require_int
+from .segments import CuspidalLabel, GrothElement, half, ladder_cuts, make_speh_st, require_int
 from .symbolic import atom
 
 PARSE_ERROR = 2
@@ -162,7 +162,7 @@ def _load_profile(source: str, cuspidals: dict[str, CuspidalLabel]) -> SpectrumP
                     t=item["t"],
                     cuspidal=cusp,
                     mult=mult,
-                    xi=jsonio.twist_val(_json_field(item, "xi_numerator", int, 0)),
+                    xi=half(_json_field(item, "xi_numerator", int, 0)),
                     markers=frozenset(markers),
                 )
             )

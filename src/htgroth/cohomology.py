@@ -65,7 +65,7 @@ from .modl import (
     chgt_cuspi_factor,
     collapse_label_key,
     collapse_segment_key,
-    lift_key,
+    line_key,
     rl_reduce,
     tower_rank,
 )
@@ -605,15 +605,16 @@ class CongruenceConstraint:
 
 
 @lru_cache(maxsize=4096)
-def _balance_core(s: int, t: int, r: int, shift2: int, lift: tuple, tail_key: tuple):
-    """The integer mod-l classes of ``_euler_core(s, t, r, "N")`` on a lifted line, label-free.
+def _balance_core(s: int, t: int, r: int, shift2: int, line: tuple, tail_key: tuple):
+    """The integer mod-l classes of ``_euler_core(s, t, r, "N")`` on a line, label-free.
 
-    ``rl_reduce`` of the column bound with the twist shift2/2 and a tail of
-    collapse key ``tail_key``, read off each piece's ``collapse_segment_key``.
+    ``rl_reduce`` of the column bound with the twist shift2/2 to the line of
+    ``line_key`` ``line``, lifted or not, with a tail of collapse key
+    ``tail_key``: each piece is read off its ``collapse_segment_key``.
     """
     classes: dict = {}
     for (shape, xi2), c in _euler_core(s, t, r, "N"):
-        pieces = tuple(collapse_segment_key(half(a + shift2), k, lift) for a, k in shape)
+        pieces = tuple(collapse_segment_key(half(a + shift2), k, line) for a, k in shape)
         key = (tuple(sorted(tail_key + pieces)), half(xi2 + shift2))
         classes[key] = classes.get(key, 0) + c
     return tuple((key, c) for key, c in classes.items() if c)
@@ -636,28 +637,23 @@ def _balance_side(
     """Add ``factor`` times the mod-l classes of a profile's alternating shriek sum to ``acc``.
 
     ``side`` is 0 for the lhs, 1 for the rhs.  Linear in the entries: each
-    entry's column collapses label-free into integer classes (only entries
-    off the lift map bind and go through ``rl_reduce``), each class key is
+    entry's column collapses label-free into integer classes
+    (``_balance_core``, on or off the lift map alike), each class key is
     hashed once per entry, and its integer times the entry's weight is added
     monomial by monomial.  A zero weight adds no class and no provenance.
     """
-    scal, lift = _global_scalar(pi.e_pi), lift_key(lifts[pi.id]) if pi.id in lifts else None
+    scal, line = _global_scalar(pi.e_pi), line_key(pi.id, lifts)
     for entry in profile:
         if entry.cuspidal != pi:
             continue
-        if lift is None:  # a line off the lift map: bind, then collapse
-            euler = _dressed(entry, pi, _euler_core(entry.s, entry.t, r, "N"))
-            classes = [(key, factor, c.items()) for key, c in rl_reduce(euler, lifts).items()]
-        else:
-            weight = [(mono, w * factor) for mono, w in (entry.mult * scal).items()]
-            if not weight:
-                continue
-            core = _balance_core(
-                entry.s, entry.t, r, twice(entry.xi), lift, collapse_label_key(entry.tail, lifts)
-            )
-            classes = [(key, c, weight) for key, c in core]
+        weight = [(mono, w * factor) for mono, w in (entry.mult * scal).items()]
+        if not weight:
+            continue
+        core = _balance_core(
+            entry.s, entry.t, r, twice(entry.xi), line, collapse_label_key(entry.tail, lifts)
+        )
         source = (entry.s, entry.t, entry.markers)
-        for key, c, weight in classes:
+        for key, c in core:
             vector, provenance = acc.setdefault(key, (({}, []), ({}, [])))[side]
             for mono, w in weight:
                 vector[mono] = vector.get(mono, 0) + c * w

@@ -44,6 +44,7 @@ from .segments import (
     Multisegment,
     OpaqueFactor,
     Segment,
+    _suffix_pieces,
     cut_tuples,
     half,
     label_of_multisegment,
@@ -251,14 +252,15 @@ def _run_cuts(
 def run_cuts(lad: Multisegment, left_units: int) -> list[Cut]:
     """All suffix cuts of the ladder whose first half survives the transfer.
 
-    Unlike the public ``ladder_cuts`` (which lists the Jacquet-module terms),
-    this lists exactly the suffix tuples whose a1 is a multiplicity-one
-    consecutive run, i.e. the terms with a nonzero pseudo-coefficient trace
-    that the cohomology cells aggregate.  The tuples are generated directly
-    as chains of rows tiling the run (see ``_run_cuts``, after Kret-Lapid's
-    description of the Jacquet modules of ladders) instead of being filtered
-    out of all suffix tuples; the cuts come in the lexicographic order of
-    their ks, the order of ``run_cuts_scan``.  The rows of a piece index
+    Unlike the public ``ladder_cuts`` (every Jacquet-module term: on a
+    rectangle the tuples of ``segments.box_partitions``), this lists exactly
+    the suffix tuples whose a1 is a multiplicity-one consecutive run, i.e.
+    the terms with a nonzero pseudo-coefficient trace that the cohomology
+    cells aggregate.  The tuples are generated directly as chains of rows
+    tiling the run (see ``_run_cuts``, after Kret-Lapid's description of the
+    Jacquet modules of ladders), not filtered out of all suffix tuples as
+    ``run_cuts_scan`` does; the cuts come in the lexicographic order of
+    their ks, the order of that scan.  The rows of a piece index
     ``lad.segments``.
     """
     segs = lad.segments
@@ -268,17 +270,6 @@ def run_cuts(lad: Multisegment, left_units: int) -> list[Cut]:
         [seg.cuspidal for seg in segs],
         left_units,
     )
-
-
-def _suffix_pieces(lad: Multisegment, ks: Sequence[int]):
-    """The a1 and a2 pieces of a suffix tuple, as (Segment, row) pairs."""
-    a1, a2 = [], []
-    for j, (seg, k) in enumerate(zip(lad.segments, ks)):
-        if k:
-            a1.append((Segment(seg.cuspidal, seg.end - k + 1, k), j))
-        if seg.length - k:
-            a2.append((Segment(seg.cuspidal, seg.start, seg.length - k), j))
-    return a1, a2
 
 
 def run_cuts_scan(lad: Multisegment, left_units: int) -> list[Cut]:

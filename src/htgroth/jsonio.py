@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 
 from .segments import (
     CuspidalLabel,
@@ -27,27 +26,18 @@ from .modl import SupercuspidalData, FieldData
 from .symbolic import SymExpr, integer
 
 
-def twist_num(x: Fraction) -> int:
-    """The numerator of a half-integer; anything else raises ValueError."""
-    return twice(x)
-
-
-def twist_val(numerator: int) -> Fraction:
-    return half(numerator)
-
-
 # -- multisegments ----------------------------------------------------------
 
 
 def multisegment_to_json(ms: Multisegment) -> list:
-    return [[seg.cuspidal.id, twist_num(seg.start), seg.length] for seg in ms.segments]
+    return [[seg.cuspidal.id, twice(seg.start), seg.length] for seg in ms.segments]
 
 
 def multisegment_from_json(data: list, cuspidals: dict[str, CuspidalLabel]) -> Multisegment:
     segs = []
     for cusp_id, start_num, length in data:
         cusp = cuspidals.get(cusp_id) or CuspidalLabel(cusp_id)
-        segs.append(Segment(cusp, twist_val(start_num), length))
+        segs.append(Segment(cusp, half(start_num), length))
     return Multisegment(segs)
 
 
@@ -112,7 +102,7 @@ def groth_to_json(x: GrothElement) -> list:
         out.append(
             {
                 "label": _label_to_json(label),
-                "xi_twist_numerator": twist_num(tw),
+                "xi_twist_numerator": twice(tw),
                 "coeff": sym_to_json(coeff),
             }
         )
@@ -124,7 +114,7 @@ def groth_from_json(data: list, cuspidals: dict[str, CuspidalLabel] | None = Non
     terms = {}
     for item in data:
         label = _label_from_json(item["label"], cuspidals)
-        tw = twist_val(item["xi_twist_numerator"])
+        tw = half(item["xi_twist_numerator"])
         key = (label, tw)
         coeff = sym_from_json(item["coeff"])
         terms[key] = terms.get(key, integer(0)) + coeff

@@ -273,19 +273,30 @@ def rl_steinberg_constituents(sc: SupercuspidalData, s: int) -> GrothElement:
 LiftMap = dict[str, TowerLevel]  # cuspidal id -> tower level it lifts
 
 
-def lift_key(level: TowerLevel) -> tuple[str, int, int, int]:
-    """All a collapse reads of a tower level: base id, u, stretch g_u/g_{-1}, period epsilon."""
-    return (level.base.label.id, level.u, tower_rank(level) // level.base.g, level.base.epsilon)
+def line_key(id: str, lifts: LiftMap) -> tuple:
+    """All a collapse reads of the line of cuspidal ``id``.
 
-
-def collapse_segment_key(start: Fraction, length: int, lift: tuple[str, int, int, int]):
-    """Fingerprint on the base line of the segment of ``length`` from ``start`` over a lift.
-
-    Footprint: the segment of length k at twist a over the level-u cuspidal
-    covers k * (g_u / g_{-1}) base units starting at base offset a scaled by
-    the same stretch; twists fold modulo the base line period epsilon.
+    ``("raw", id)`` off the lift map, else ``("base", base id, u, stretch
+    g_u/g_{-1}, period epsilon)`` of the tower level it lifts.
     """
-    base_id, u, stretch, eps = lift
+    level = lifts.get(id)
+    if level is None:
+        return ("raw", id)
+    base = level.base
+    return ("base", base.label.id, level.u, tower_rank(level) // base.g, base.epsilon)
+
+
+def collapse_segment_key(start: Fraction, length: int, line: tuple):
+    """Fingerprint of the segment of ``length`` from ``start`` on the line of ``line_key`` ``line``.
+
+    A raw line keeps the segment as it is.  Over a lift, the segment of
+    length k at twist a over the level-u cuspidal covers k * (g_u / g_{-1})
+    base units from base offset a scaled by the same stretch; twists fold
+    modulo the base line period epsilon.
+    """
+    if line[0] == "raw":
+        return ("raw", line[1], length, start)
+    _, base_id, u, stretch, eps = line
     return ("base", base_id, u, length * stretch, start * stretch % eps)
 
 
@@ -297,11 +308,9 @@ def collapse_label_key(label: IrreducibleLabel, lifts: LiftMap):
             parts.append(("opaque", factor.name, factor.rank))
             continue
         for seg in factor.segments:
-            level = lifts.get(seg.cuspidal.id)
-            if level is None:
-                parts.append(("raw", seg.cuspidal.id, seg.length, seg.start))
-            else:
-                parts.append(collapse_segment_key(seg.start, seg.length, lift_key(level)))
+            parts.append(
+                collapse_segment_key(seg.start, seg.length, line_key(seg.cuspidal.id, lifts))
+            )
     return tuple(sorted(parts))
 
 
@@ -310,7 +319,8 @@ def rl_reduce(x: GrothElement, lifts: LiftMap) -> dict:
 
     Keys are (collapsed label key, Xi twist); values are symbolic
     coefficients, and two elements reduce alike exactly when the tables
-    agree.  The balance collapses label-free and calls it only off the lift map.
+    agree.  ``conj2_predicate`` reads it; the balance collapses label-free
+    by the same ``collapse_segment_key`` and keeps this as its test oracle.
     """
     out: dict = {}
     for (label, tw), coeff in x.terms.items():

@@ -497,15 +497,22 @@ def _rectangle_shape(lad: Multisegment) -> tuple[int, int] | None:
     return (len(lad.segments), t)
 
 
-def _suffix_cut(lad: Multisegment, ks: Sequence[int]) -> tuple[Multisegment, Multisegment]:
-    """Split each segment: a1 takes the top k_j twists, a2 keeps the rest."""
+def _suffix_pieces(lad: Multisegment, ks: Sequence[int]):
+    """The (Segment, row) pieces of a suffix tuple: a1 takes the top k_j twists of row j, a2 the rest."""
     a1, a2 = [], []
-    for seg, k in zip(lad.segments, ks):
-        if k:
-            a1.append(Segment(seg.cuspidal, seg.end - k + 1, k))
+    for j, (seg, k) in enumerate(zip(lad.segments, ks)):
+        if k:  # a1 starts at start + length - k; doubled, the cached half skips Fraction sums
+            start2 = twice(seg.start) + 2 * (seg.length - k)
+            a1.append((Segment(seg.cuspidal, half(start2), k), j))
         if seg.length - k:
-            a2.append(Segment(seg.cuspidal, seg.start, seg.length - k))
-    return Multisegment(a1), Multisegment(a2)
+            a2.append((Segment(seg.cuspidal, seg.start, seg.length - k), j))
+    return a1, a2
+
+
+def _suffix_cut(lad: Multisegment, ks: Sequence[int]) -> tuple[Multisegment, Multisegment]:
+    """The halves (a1, a2) of a suffix tuple, as multisegments."""
+    a1, a2 = _suffix_pieces(lad, ks)
+    return Multisegment(seg for seg, _ in a1), Multisegment(seg for seg, _ in a2)
 
 
 def cut_tuples(lengths: Sequence[int], total: int) -> Iterable[tuple[int, ...]]:
@@ -531,11 +538,11 @@ def ladder_cuts(lad: Multisegment, left_rank: int) -> list[tuple[Multisegment, M
     """Enumerate the Jacquet cut pairs (a1, a2) of a ladder at a given rank.
 
     a1 collects a suffix piece (the larger twists) of size k_j from the j-th
-    segment.  For a rectangle ladder the admissible tuples are exactly the
-    weakly increasing ones, i.e. partitions inside the s-by-t box; a general
-    ladder keeps the tuples whose two halves are again ladders.  Absolute
-    segment coordinates are kept on both sides, so no normalization twist
-    appears in the output.
+    segment, in the lexicographic order of the tuples.  For an s-by-t
+    rectangle the admissible tuples are the partitions in the box, read
+    from ``box_partitions``; a general ladder keeps the suffix tuples whose
+    halves are again ladders.  Absolute segment coordinates are kept on
+    both sides, so no normalization twist appears in the output.
     """
     if not lad.is_ladder():
         raise ValueError("ladder_cuts needs a ladder")
@@ -551,18 +558,13 @@ def ladder_cuts(lad: Multisegment, left_rank: int) -> list[tuple[Multisegment, M
         raise ValueError("left_rank exceeds the total rank")
 
     shape = _rectangle_shape(lad)
+    if shape is not None:
+        return [_suffix_cut(lad, ks) for ks in box_partitions(*shape, k_total)]
     out = []
     for ks in cut_tuples(lengths, k_total):
-        if shape is not None:
-            if any(a > b for a, b in zip(ks, ks[1:])):
-                continue
-        else:
-            a1, a2 = _suffix_cut(lad, ks)
-            if not (a1.is_ladder() and a2.is_ladder()):
-                continue
+        a1, a2 = _suffix_cut(lad, ks)
+        if a1.is_ladder() and a2.is_ladder():
             out.append((a1, a2))
-            continue
-        out.append(_suffix_cut(lad, ks))
     return out
 
 
@@ -627,16 +629,21 @@ def dominance_leq(p: Partition, q: Partition) -> bool:
 
 
 def box_partitions(s: int, t: int, k: int) -> list[tuple[int, ...]]:
-    """Weakly increasing tuples (k_1 <= ... <= k_s), 0 <= k_j <= t, sum k."""
-    out = []
+    """Weakly increasing tuples (k_1 <= ... <= k_s), 0 <= k_j <= t, sum k, in lexicographic order.
 
-    def rec(j: int, lo: int, remaining: int, acc: tuple[int, ...]):
-        if j == s:
-            if remaining == 0:
+    Walks the prefixes with a stack, not by recursion, so any number of rows
+    works.  With n rows left and ``rest`` to place, the next row takes
+    rest - t (n - 1) <= k_j <= min(t, rest // n): the rows after it can then
+    always complete, so no prefix is extended in vain.
+    """
+    out, stack = [], [((), 0, k)]
+    while stack:
+        acc, lo, rest = stack.pop()
+        n = s - len(acc)
+        if n == 0:
+            if rest == 0:
                 out.append(acc)
-            return
-        for k_j in range(lo, min(t, remaining) + 1):
-            rec(j + 1, k_j, remaining - k_j, acc + (k_j,))
-
-    rec(0, 0, k, ())
+            continue
+        first, last = max(lo, rest - t * (n - 1)), min(t, rest // n)
+        stack.extend((acc + (k_j,), k_j, rest - k_j) for k_j in range(last, first - 1, -1))
     return out

@@ -93,6 +93,13 @@ class TestJacquetCommand:
             ms = jsonio.multisegment_from_json(cut["a1"], {})
             assert jsonio.multisegment_to_json(ms) == cut["a1"]
 
+    def test_a_tall_rectangle_needs_no_recursion(self, capsys):
+        # 1,200 rows, more than Python's default recursion limit
+        code, out = run_cli(["jacquet", "--s", "1200", "--t", "1", "--left-rank", "1"], capsys)
+        assert code == 0
+        ((cut,),) = [json.loads(out)]
+        assert cut["a1"] == [["pi", 1199, 1]] and len(cut["a2"]) == 1199
+
     def test_bad_rank_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["jacquet", "--s", "2", "--t", "2", "--g", "2", "--left-rank", "3"])

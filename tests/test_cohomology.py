@@ -635,9 +635,10 @@ def balance_side(profile, pi, r, lifts, side=0, factor=1):
 
 
 def test_balance_classes_match_rl_reduce_per_entry():
-    # per entry, the label-free classes times the weight, with provenance,
-    # are the collapse of the column bound with labels, keys of the same types;
-    # the cases alternate between the lhs with a tower factor and the rhs
+    # per entry, on a lifted line and off the lift map alike, the label-free
+    # classes times the weight, with provenance, are the collapse of the column
+    # bound with labels, keys of the same types; the cases alternate between
+    # the lhs with a tower factor and the rhs
     level, other_level = TowerLevel(BALANCE_SC, 0), TowerLevel(BALANCE_SC, 1)
     pi, other = cuspidal_lifts(level, 1)[0], cuspidal_lifts(other_level, 1)[0]
     off = CuspidalLabel("sigma")
@@ -651,7 +652,7 @@ def test_balance_classes_match_rl_reduce_per_entry():
         IrreducibleLabel((steinberg_multisegment(pi, 1), steinberg_multisegment(off, 2))),
     )
     cases = nonempty = 0
-    for line in (pi, off):  # off is not in lifts: the bound path
+    for line in (pi, off):  # off is not in lifts: its pieces collapse to "raw" parts
         for s, t in [(1, 1), (1, 3), (2, 1), (2, 2), (3, 1), (2, 3)]:
             for r in range(0, s * t + 2):
                 for shift2, tail, mult in itertools.product(
@@ -678,8 +679,9 @@ def test_balance_classes_match_rl_reduce_per_entry():
 
 def test_balance_cache_leaks_no_line():
     # the label-free classes are cached on what a class key reads of a line;
-    # lines of other base ids, levels, stretches and periods, asked for in
-    # turn with the same (s, t, r, shift2), must each get what a cold run computes
+    # lines of other base ids, levels, stretches and periods, and two lines
+    # off the lift map, asked for in turn with the same (s, t, r, shift2),
+    # must each get what a cold run computes
     lines = []
     for sc, u in [
         (sc_with(2, 3, epsilon=2, id="rho"), 0),  # stretch 2
@@ -689,24 +691,30 @@ def test_balance_cache_leaks_no_line():
     ]:
         level = TowerLevel(sc, u)
         lines.append((cuspidal_lifts(level, 1)[0], level))
+    # off the lift map: the first line's own label, and another id
+    lines += [(lines[0][0], None), (CuspidalLabel("kappa", g=2), None)]
     grid = [(s, t, r) for s in range(1, 4) for t in range(1, 5 - s) for r in range(0, s * t + 2)]
     tail = IrreducibleLabel((OpaqueFactor("tau", 1),))
     warm = {}
     for pi, level in lines:
+        lifts = {pi.id: level} if level else {}
         for s, t, r in grid:
             for shift2 in (-1, 2):
                 entry = ProfileEntry(
                     s=s, t=t, cuspidal=pi, mult=atom("m"), xi=Fraction(shift2, 2), tail=tail
                 )
-                classes, _ = balance_side(SpectrumProfile((entry,)), pi, r, {pi.id: level})
+                classes, _ = balance_side(SpectrumProfile((entry,)), pi, r, lifts)
                 for parts, _ in classes:
-                    bases = [part for part in parts if part[0] == "base"]
-                    assert all(part[1:3] == (level.base.label.id, level.u) for part in bases)
+                    for part in parts:
+                        if part[0] == "base":
+                            assert part[1:3] == (level.base.label.id, level.u)
+                        else:
+                            assert part == ("opaque", "tau", 1) or part[:2] == ("raw", pi.id)
                 warm[pi, level, entry, r] = classes
-    assert len({level for _, level, _, _ in warm}) == 4 and any(warm.values())
+    assert len({(pi, level) for pi, level, _, _ in warm}) == 6 and any(warm.values())
     for (pi, level, entry, r), classes in warm.items():
         _clear_euler_caches()
-        cold, _ = balance_side(SpectrumProfile((entry,)), pi, r, {pi.id: level})
+        cold, _ = balance_side(SpectrumProfile((entry,)), pi, r, {pi.id: level} if level else {})
         assert cold == classes and list(map(repr, cold)) == list(map(repr, classes)), (pi, entry, r)
 
 
@@ -763,8 +771,8 @@ def test_balance_class_cancelled_on_both_sides_is_dropped():
 
 
 def test_balance_with_a_side_off_the_lift_map():
-    # the rhs line is not lifted: its entries bind and collapse through rl_reduce,
-    # with "raw" parts, into the same table as the label-free lhs classes
+    # the rhs line is not lifted: its entries collapse label-free to classes
+    # with "raw" parts, into the same table as the lifted lhs classes
     pi_u, pi_up, lifts = balance_lines(lift_both=False)
     m, n = atom("m"), atom("n")
     specs = ((1, 2, m, "a"), (2, 1, n, "b"), (1, 1, m + n, "c"))

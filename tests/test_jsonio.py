@@ -8,6 +8,7 @@ from htgroth.modl import FieldData, SupercuspidalData
 from htgroth.segments import (
     CuspidalLabel,
     GrothElement,
+    half,
     make_speh_st,
     make_steinberg,
 )
@@ -97,11 +98,19 @@ def test_sym_rejects_malformed_strings(data):
 
 @pytest.mark.parametrize("bad", [0.5, 1.0, True, "1/2", Fraction(1, 3)])
 def test_twist_num_refuses_what_is_no_half_integer(bad):
+    # a twist numerator read from JSON must be an int: a segment start or an Xi twist
     with pytest.raises(ValueError):
-        jsonio.twist_num(bad)
+        jsonio.multisegment_from_json([["pi", bad, 1]], {"pi": PI})
+    term = jsonio.groth_to_json(GrothElement.of(make_steinberg(PI, 2)))[0]
+    with pytest.raises(ValueError):
+        jsonio.groth_from_json([dict(term, xi_twist_numerator=bad)], {"pi": PI})
 
 
 def test_twist_num_and_twist_val_are_inverse():
+    # every twist numerator, odd or even, survives a JSON round trip
     for n in range(-9, 10):
-        assert jsonio.twist_num(jsonio.twist_val(n)) == n
-    assert jsonio.twist_num(3) == 6
+        x = GrothElement.of(make_steinberg(PI, 2).twist(half(n)), half(n))
+        data = jsonio.groth_to_json(x)
+        assert data[0]["xi_twist_numerator"] == n
+        assert jsonio.groth_from_json(data, {"pi": PI}) == x
+    assert jsonio.multisegment_to_json(make_steinberg(PI, 1).multisegments()[0].twist(3)) == [["pi", 6, 1]]

@@ -14,6 +14,7 @@ from htgroth.modl import (
     e_l,
     is_banal,
     is_cuspidal_st,
+    line_key,
     m_of,
     matched_strata,
     modl_label,
@@ -28,6 +29,9 @@ from htgroth.modl import (
 from htgroth.segments import (
     CuspidalLabel,
     GrothElement,
+    IrreducibleLabel,
+    OpaqueFactor,
+    half,
     make_speh,
     make_speh_st,
     make_steinberg,
@@ -261,6 +265,26 @@ class TestCollapse:
         xa = GrothElement.of(make_speh_st(lift, 2, 1))
         xb = GrothElement.of(make_steinberg(lift, 2))
         assert rl_reduce(xa, lifts) != rl_reduce(xb, lifts)
+
+    def test_label_key_parts_keep_their_forms(self):
+        # a lifted segment keeps its footprint on the base line, a segment off
+        # the lift map its line, length and start, an opaque factor its name and rank
+        sc = sc_with(2, 7, epsilon=3)
+        level = TowerLevel(sc, 0)
+        (lift,) = cuspidal_lifts(level, 1)
+        lifts = {lift.id: level}
+        assert line_key(lift.id, lifts) == ("base", "rho", 0, 3, 3)  # stretch m = 3
+        assert line_key("sigma", lifts) == ("raw", "sigma")
+        label = IrreducibleLabel(
+            make_steinberg(lift, 2).factors
+            + make_steinberg(CuspidalLabel("sigma"), 3).factors
+            + (OpaqueFactor("tau", 2),)
+        )
+        assert collapse_label_key(label, lifts) == (
+            ("base", "rho", 0, 6, half(3)),  # start -1/2, stretched to -3/2, folded mod 3
+            ("opaque", "tau", 2),
+            ("raw", "sigma", 3, -1),
+        )
 
     def test_twist_folding_by_line_period(self):
         sc = sc_with(2, 7, epsilon=3, g=1)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,7 +14,9 @@ from htgroth.segments import (
     OpaqueFactor,
     Partition,
     Segment,
+    _rectangle_shape,
     box_partitions,
+    cut_tuples,
     dominance_leq,
     ensure_half,
     groth_product,
@@ -91,6 +94,35 @@ class TestTwist:
         assert ((make_steinberg(PI, 2), half(3)),) == tuple(x.xi_twist(half(3)).terms)
 
 
+def ladder_cuts_scan(lad, k_total):
+    """Reference for ``ladder_cuts`` at k_total units: scan every suffix tuple and filter.
+
+    A rectangle keeps the weakly increasing tuples, a general ladder those
+    whose halves are again ladders.
+    """
+    rectangle = _rectangle_shape(lad) is not None
+    out = []
+    for ks in cut_tuples([seg.length for seg in lad.segments], k_total):
+        if rectangle and any(a > b for a, b in zip(ks, ks[1:])):
+            continue
+        rows = list(zip(lad.segments, ks))
+        a1 = Multisegment(Segment(sg.cuspidal, sg.end - k + 1, k) for sg, k in rows if k)
+        a2 = Multisegment(Segment(sg.cuspidal, sg.start, sg.length - k) for sg, k in rows if k < sg.length)
+        if rectangle or a1.is_ladder() and a2.is_ladder():
+            out.append((a1, a2))
+    return out
+
+
+def test_box_partitions_match_a_brute_force_filter():
+    for s, t in itertools.product(range(7), range(7)):
+        by_size = {}
+        for ks in itertools.product(range(t + 1), repeat=s):  # lexicographic
+            if all(a <= b for a, b in zip(ks, ks[1:])):
+                by_size.setdefault(sum(ks), []).append(ks)
+        for k in range(-1, s * t + 2):
+            assert box_partitions(s, t, k) == by_size.get(k, []), (s, t, k)
+
+
 class TestLadderCuts:
     def test_speh2_single_cut(self):
         lad = speh_st_multisegment(PI, 2, 1)
@@ -127,16 +159,15 @@ class TestLadderCuts:
                 assert a1.rank == 2 * k
                 assert a1.rank + a2.rank == lad.rank
 
-    @given(
-        s=st.integers(min_value=1, max_value=5),
-        t=st.integers(min_value=1, max_value=5),
-        k=st.integers(min_value=0, max_value=25),
-    )
-    def test_cut_count_is_box_partition_count(self, s, t, k):
-        if k > s * t:
-            return
-        lad = speh_st_multisegment(PI, s, t)
-        assert len(ladder_cuts(lad, k)) == len(box_partitions(s, t, k))
+    def test_cuts_match_the_scan_in_order(self):
+        # every rectangle with s, t <= 6 at every rank; on a line of rank g = 2,
+        # s, t <= 3; and a general ladder
+        ladders = [(speh_st_multisegment(PI, s, t), 1) for s in range(1, 7) for t in range(1, 7)]
+        ladders += [(speh_st_multisegment(PI2, s, t), 2) for s in range(1, 4) for t in range(1, 4)]
+        ladders.append((Multisegment([Segment(PI, 0, 1), Segment(PI, 1, 3)]), 1))
+        for lad, g in ladders:
+            for k in range(lad.rank // g + 1):
+                assert ladder_cuts(lad, k * g) == ladder_cuts_scan(lad, k), (lad, k)
 
     def test_rejects_bad_rank(self):
         lad = speh_st_multisegment(PI2, 2, 2)
