@@ -426,10 +426,20 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; the input it refuses exits 3 with the error record."""
+    """Run one subcommand; the input it refuses exits 3 with the error record.
+
+    A reader that closes stdout early is no input error: the run exits 1 with
+    nothing on stderr.
+    """
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a short output's closed pipe surfaces here too
+        return code
+    except BrokenPipeError:
+        # stdout is flushed again at exit: point it at devnull so that is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         _fail(PRECONDITION_ERROR, "precondition", str(exc))
 

@@ -26,10 +26,13 @@ base changes) reads, per block and stratum r:
 where the m-th term reads the shriek cells at stratum r+m, re-expands the
 bottom m run positions of each cut as a Speh_m coefficient block against the
 cut remainder, weighs by the column parity (-1)^{i_m} and the sign of the
-unpeeled part, and compensates the Tate twist by Xi^{-m/2}.  These
-conventions are frozen here; the acceptance suite validates them on every
-one-row, one-column and square block, and the open non-square mixed shapes
-are catalogued by euler_oracle_violations.
+unpeeled part, and compensates the Tate twist by Xi^{-m/2}.  The block is
+read in closed form (``_attachment_expansion``): its m positions become
+singletons, a2 keeps its segments, an overlap of supports kills the term,
+and only the two junctions at the block's ends can be free, each joining
+(+1) or breaking (-1).  These conventions are frozen here; the acceptance
+suite validates them on every one-row, one-column and square block, and the
+open non-square mixed shapes are catalogued by euler_oracle_violations.
 
 Both sides are integer sums that know no cuspidal label.  A term is keyed
 by (shape, xi2): ``shape`` is the sorted tuple of (start2, length) of its
@@ -51,7 +54,6 @@ built once, unless it cancels on both sides.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -208,73 +210,75 @@ def coh_shriek(profile: SpectrumProfile, pi: CuspidalLabel, r: int) -> Cohomolog
 # ---------------------------------------------------------------------------
 
 
+def _peel(cut: Cut, m: int) -> tuple[int, int]:
+    """The ladder row of run position m - 1, and the sign of peeling the bottom m run positions.
+
+    The sign is that of the segmentation the cut induces on its unpeeled
+    positions, flipped when the peel boundary cuts through an a1 segment.
+    """
+    below = 0
+    for idx, (_, length, row) in enumerate(cut.a1_pieces):
+        below += length
+        if below >= m:  # this piece holds position m - 1
+            kept = len(cut.a1_pieces) - idx - (below == m)
+            sign = (-1) ** (kept - 1) if kept else 1
+            return row, -sign if below > m else sign  # the boundary cuts this piece
+
+
+_JUNCTION = ((True, 1), (False, -1))  # a free junction joins, or breaks with the sign -1
+_NO_JUNCTION = ((False, 1),)
+
+
 def _attachment_expansion(cut: Cut, m: int) -> dict[Shape, int] | None:
     """Speh_m coefficient block on the bottom m run positions, against a2.
 
-    The peeled positions form the coefficient block (internal edges broken,
-    as befits a Speh); edges between a peeled position and an adjacent a2
-    position expand freely when both came from the same ladder row, with a
-    sign -1 for the breaking choice.  A cross-row adjacency or an overlap of
-    supports makes the whole term vanish (returns None).  a2's own
-    segmentation is kept untouched.
+    The peeled positions bottom, ..., top become m singletons (a Speh breaks
+    every internal edge) and a2 keeps its segments.  The term vanishes
+    (returns None) when two supports overlap.  Only the block's two outer
+    edges can then be free: a junction is an a2 segment that ends at
+    bottom - 2 or starts at top + 2.  A junction across ladder rows makes
+    the term vanish too; a same-row junction either joins (+1) or breaks
+    (-1), so a term has at most four shapes.
 
     Positions are doubled integers, as in the cut's pieces, so adjacent
-    positions differ by 2, and an edge (a, a + 2) is keyed by its lower end
-    a.  Each term is the shape of its segments, (start2, length) in the
-    order of their disjoint supports, with its integer coefficient.
+    positions differ by 2; the positions of a cut share one parity, as the
+    rows of a ladder on one line do.  Each term is the shape of its
+    segments, (start2, length) sorted by start, with its integer coefficient.
     """
-    bottom = cut.a1_pieces[0][0]  # the peeled positions are bottom, ..., top
+    bottom = cut.a1_pieces[0][0]
     top = bottom + 2 * (m - 1)
     for start, length, _ in cut.a2_pieces:
         if start <= top and start + 2 * (length - 1) >= bottom and (start - bottom) % 2 == 0:
-            return None  # overlapping support, found before any position is listed
-    peeled = [
-        (p, row)
-        for start2, length, row in cut.a1_pieces
-        for p in range(start2, start2 + 2 * length, 2)
-    ][:m]
-    support: dict[int, int] = dict(peeled)  # doubled position -> ladder row
-    fixed: dict[int, bool] = {}  # edge -> joined
-    for (a, _), (b, _) in zip(peeled, peeled[1:]):
-        if b == a + 2:
-            fixed[a] = False  # Speh block: internal breaks
-    runs = []
-    for start, length, row in cut.a2_pieces:
+            return None  # the block overlaps a2: almost every call ends here
+    kept, below, above, end = [], None, None, None
+    for start, length, row in sorted(cut.a2_pieces):
+        if end is not None and start <= end:
+            return None  # two a2 segments overlap
         end = start + 2 * (length - 1)
-        for p in range(start, end + 2, 2):
-            if p in support:
-                return None  # overlapping support
-            support[p] = row
-        for a in range(start, end, 2):
-            fixed[a] = True
-        runs.append((start, end))
-    runs.sort()
-    for (_, end_a), (start_b, _) in zip(runs, runs[1:]):
-        if start_b == end_a + 2:
-            fixed[end_a] = False
-    allpts = sorted(support)
-    free: list[int] = []
-    for a, b in zip(allpts, allpts[1:]):
-        if b != a + 2 or a in fixed:
-            continue
-        if support[a] != support[b]:
-            return None  # junction across rows
-        free.append(a)
+        if end == bottom - 2:  # the junction below the block
+            if row != cut.a1_pieces[0][2]:
+                return None  # junction across rows
+            below = (start, length)
+        elif start == top + 2:  # the junction above it
+            if row != _peel(cut, m)[0]:
+                return None  # junction across rows
+            above = (start, length)
+        else:
+            kept.append((start, length))
     terms: dict[Shape, int] = {}
-    for choice in itertools.product((True, False), repeat=len(free)):
-        edges = dict(fixed)
-        edges.update(zip(free, choice))
-        shape = []
-        run_start = prev = allpts[0]
-        for p in allpts[1:]:
-            if p == prev + 2 and edges.get(prev, False):
-                prev = p
-                continue
-            shape.append((run_start, (prev - run_start) // 2 + 1))
-            run_start = prev = p
-        shape.append((run_start, (prev - run_start) // 2 + 1))
-        sign = -1 if choice.count(False) % 2 else 1  # breaking same-row junctions
-        terms[tuple(shape)] = sign  # distinct choices give distinct segmentations
+    for join_below, sign_below in _JUNCTION if below else _NO_JUNCTION:
+        for join_above, sign_above in _JUNCTION if above else _NO_JUNCTION:
+            block = [(p, 1) for p in range(bottom, top + 2, 2)]
+            broken = []
+            if join_above:
+                block[-1] = (top, above[1] + 1)
+            elif above:
+                broken.append(above)
+            if join_below:  # after the top: with m = 1 all three join
+                block[0] = (below[0], below[1] + block[0][1])
+            elif below:
+                broken.append(below)
+            terms[tuple(sorted(kept + broken + block))] = sign_below * sign_above
     return terms
 
 
@@ -293,88 +297,59 @@ StratState = tuple[int, tuple[bool, ...]]
 StratVector = dict[StratState, int]
 
 
-def _append_block(state: tuple[bool, ...], size: int, width: int, rightward: bool):
-    """Append a block to an attachment currently holding `size` positions.
+def _expand(state: StratState, base: int, s_max: int, rightward: bool) -> StratVector:
+    """Append a block of every width 0 .. s_max - h to one class.
 
-    New internal edges are fixed (rightward for a Steinberg block, leftward
-    for a Speh block); the junction edge to a nonempty attachment is free.
+    Width 0 is the class itself.  A Steinberg block (``rightward``) fixes its
+    internal edges rightward and enters with +1; a Speh block fixes them
+    leftward and carries (-1)^width.  The junction edge to a nonempty
+    attachment is free, so it gives one class per orientation.
     """
-    if width == 0:
-        return [state]
-    inner = (rightward,) * (width - 1)
-    if size == 0:
-        return [inner]
-    return [state + (j,) + inner for j in (True, False)]
+    h, edges = state
+    out: StratVector = {state: 1}
+    junctions = [()] if h == base else [edges + (True,), edges + (False,)]
+    for width in range(1, s_max - h + 1):
+        sign = 1 if rightward or width % 2 == 0 else -1
+        for junction in junctions:  # the keys are distinct
+            out[(h + width, junction + (rightward,) * (width - 1))] = sign
+    return out
 
 
 def hij_expand(state: StratState, base: int, s_max: int) -> StratVector:
     """One shriek class as intermediate classes: Y_h = X_h + deeper St-terms."""
-    h, edges = state
-    size = h - base
-    out: StratVector = {(h, edges): 1}
-    for i in range(1, s_max - h + 1):
-        for new_edges in _append_block(edges, size, i, rightward=True):
-            key = (h + i, new_edges)
-            out[key] = out.get(key, 0) + 1
-    return out
+    return _expand(state, base, s_max, rightward=True)
 
 
 def se2_expand(state: StratState, base: int, s_max: int) -> StratVector:
     """One intermediate class as shriek classes: alternating Speh-terms."""
-    h, edges = state
-    size = h - base
-    out: StratVector = {}
-    for r in range(0, s_max - h + 1):
-        sign = -1 if r % 2 else 1
-        for new_edges in _append_block(edges, size, r, rightward=False):
-            key = (h + r, new_edges)
-            out[key] = out.get(key, 0) + sign
-    return out
+    return _expand(state, base, s_max, rightward=False)
 
 
-def _compose(expand_outer, expand_inner, start: StratState, base: int, s_max: int) -> StratVector:
+def _round_trip(first, then, t: int, s_max: int) -> bool:
+    """``then`` after ``first`` is the identity on the base class (t, ())."""
+    if not (1 <= t <= s_max):
+        raise ValueError("need 1 <= t <= s_max")
+    start: StratState = (t, ())
     acc: StratVector = {}
-    for mid, c1 in expand_inner(start, base, s_max).items():
-        for end, c2 in expand_outer(mid, base, s_max).items():
+    for mid, c1 in first(start, t, s_max).items():
+        for end, c2 in then(mid, t, s_max).items():
             acc[end] = acc.get(end, 0) + c1 * c2
-    return {k: v for k, v in acc.items() if v}
+    return {key: c for key, c in acc.items() if c} == {start: 1}
 
 
 def check_se2(t: int, s_max: int) -> bool:
     """Round trip se2 then hij is the identity on every base class."""
-    if not (1 <= t <= s_max):
-        raise ValueError("need 1 <= t <= s_max")
-    start: StratState = (t, ())
-    return _compose(hij_expand, se2_expand, start, t, s_max) == {start: 1}
+    return _round_trip(se2_expand, hij_expand, t, s_max)
 
 
 def check_hij(t: int, s_max: int) -> bool:
     """Round trip hij then se2 is the identity on every base class."""
-    if not (1 <= t <= s_max):
-        raise ValueError("need 1 <= t <= s_max")
-    start: StratState = (t, ())
-    return _compose(se2_expand, hij_expand, start, t, s_max) == {start: 1}
+    return _round_trip(hij_expand, se2_expand, t, s_max)
 
 
 # ---------------------------------------------------------------------------
 # the Euler-characteristic master identity
 # ---------------------------------------------------------------------------
-
-
-def _peel_sign(cut: Cut, m: int) -> int:
-    """Sign of peeling the bottom m run positions of a cut.
-
-    The sign of the segmentation the cut induces on its unpeeled positions,
-    flipped when the peel boundary cuts through an a1 segment.
-    """
-    kept, below, sign = 0, 0, 1
-    for _, length, _ in cut.a1_pieces:
-        if below < m < below + length:
-            sign = -1  # positions m - 1 and m share this piece
-        below += length
-        if below > m:
-            kept += 1
-    return sign * (-1) ** (kept - 1) if kept else sign
 
 
 @lru_cache(maxsize=1024)
@@ -416,7 +391,7 @@ def _shriek_core(s: int, t: int, r: int) -> Terms:
                 expanded = _attachment_expansion(cut, m)
                 if expanded is None:
                     continue
-                sign = parity * _peel_sign(cut, m)
+                sign = parity * _peel(cut, m)[1]
                 for shape, c in expanded.items():
                     key = (shape, i_m - m)
                     terms[key] = terms.get(key, 0) + sign * c
@@ -450,13 +425,18 @@ def _dressed(entry: ProfileEntry, pi: CuspidalLabel, terms: Terms) -> GrothEleme
     return bind_shapes(pi, terms, twice(entry.xi), entry.tail, weight)
 
 
-def euler_intermediate_profile(profile: SpectrumProfile, pi: CuspidalLabel, r: int) -> GrothElement:
-    """Euler characteristic of the full intermediate table of a profile, built entry by entry."""
+def _profile_euler(profile: SpectrumProfile, pi: CuspidalLabel, column) -> GrothElement:
+    """The sum over the entries on the line of pi of ``column(s, t)``, each dressed."""
     acc = GrothElement.zero()
     for entry in profile:
         if entry.cuspidal == pi:
-            acc = acc + _dressed(entry, pi, _euler_core(entry.s, entry.t, r, "M"))
+            acc = acc + _dressed(entry, pi, column(entry.s, entry.t))
     return acc
+
+
+def euler_intermediate_profile(profile: SpectrumProfile, pi: CuspidalLabel, r: int) -> GrothElement:
+    """Euler characteristic of the full intermediate table of a profile, built entry by entry."""
+    return _profile_euler(profile, pi, lambda s, t: _euler_core(s, t, r, "M"))
 
 
 def euler_shriek_profile_expansion(
@@ -468,11 +448,7 @@ def euler_shriek_profile_expansion(
     equality with the intermediate Euler characteristic exercises linearity,
     twists and products too.
     """
-    acc = GrothElement.zero()
-    for entry in profile:
-        if entry.cuspidal == pi:
-            acc = acc + _dressed(entry, pi, _shriek_core(entry.s, entry.t, r))
-    return acc
+    return _profile_euler(profile, pi, lambda s, t: _shriek_core(s, t, r))
 
 
 def euler_shape_established(s: int, t: int) -> bool:

@@ -215,36 +215,41 @@ def _run_cuts(
     n = len(lengths)
     ends2 = [a + 2 * (k - 1) for a, k in zip(starts2, lengths)]
     order = sorted(range(n), key=ends2.__getitem__)
-    ks = [0] * n
-    chain: list[int] = []  # the rows of the a1 pieces, bottom to top
+    reach2 = 2 * max(lengths, default=0)  # no piece spans a wider gap
     out = []
-
-    def extend(nxt: int, top2: int, remaining: int, bottom2: int, line):
-        if remaining == 0:
-            a1 = tuple((ends2[j] - 2 * ks[j] + 2, ks[j], j) for j in chain)
-            a2 = tuple((starts2[j], lengths[j] - ks[j], j) for j in range(n) if ks[j] < lengths[j])
-            out.append(Cut(tuple(ks), (-1) ** (len(chain) - 1), (bottom2 + top2) // 2, a1, a2))
-            return
-        for idx in range(nxt, n):
-            j = order[idx]
-            gap2 = ends2[j] - top2
-            if gap2 > 2 * remaining:
-                break  # ends only grow along the order
-            if gap2 < 2 or gap2 % 2 or gap2 > 2 * lengths[j] or lines[j] != line:
-                continue
-            ks[j] = gap2 // 2
-            chain.append(j)
-            extend(idx + 1, ends2[j], remaining - ks[j], bottom2, line)
-            chain.pop()
-            ks[j] = 0
-
-    for idx, j in enumerate(order):
+    chain: list[int] = []  # the rows of the a1 pieces, bottom to top
+    # depth first with an explicit stack, in the order a recursion would take, at
+    # any depth; a frame is (its row's depth in the chain, row, next position in
+    # order, units left, bottom2)
+    stack = []
+    for idx in reversed(range(n)):  # the bottom piece is free in 1 .. its length
+        j = order[idx]
+        for k in range(min(lengths[j], left_units), 0, -1):
+            stack.append((0, j, idx + 1, left_units - k, ends2[j] - 2 * k + 2))
+    while stack:
+        depth, j, nxt, remaining, bottom2 = stack.pop()
+        del chain[depth:]
         chain.append(j)
-        for k in range(1, min(lengths[j], left_units) + 1):
-            ks[j] = k
-            extend(idx + 1, ends2[j], left_units - k, ends2[j] - 2 * k + 2, lines[j])
-        ks[j] = 0
-        chain.pop()
+        top2 = ends2[j]
+        if remaining == 0:
+            ks, below2, a1 = [0] * n, bottom2 - 2, []
+            for row in chain:
+                ks[row] = (ends2[row] - below2) // 2
+                a1.append((below2 + 2, ks[row], row))
+                below2 = ends2[row]
+            a2 = tuple((starts2[i], lengths[i] - ks[i], i) for i in range(n) if ks[i] < lengths[i])
+            out.append(Cut(tuple(ks), (-1) ** depth, (bottom2 + top2) // 2, tuple(a1), a2))
+            continue
+        line, limit2, above = lines[chain[0]], min(2 * remaining, reach2), []
+        for idx in range(nxt, n):
+            i = order[idx]
+            gap2 = ends2[i] - top2
+            if gap2 > limit2:
+                break  # ends only grow along the order
+            if gap2 < 2 or gap2 % 2 or gap2 > 2 * lengths[i] or lines[i] != line:
+                continue
+            above.append((depth + 1, i, idx + 1, remaining - gap2 // 2, bottom2))
+        stack.extend(reversed(above))
     out.sort(key=lambda cut: cut.ks)  # ks are distinct
     return out
 

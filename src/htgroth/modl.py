@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .segments import (
     CuspidalLabel,
@@ -50,14 +50,13 @@ def _is_prime(n: int) -> bool:
 
 
 def _is_prime_power(n: int) -> bool:
+    """Whether n is p^k for a prime p and k >= 1: divide out n's smallest prime factor."""
     if n < 2:
         return False
-    for p in range(2, n + 1):
-        if _is_prime(p) and n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-    return False
+    p = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)  # trial division
+    while n % p == 0:
+        n //= p
+    return n == 1
 
 
 @dataclass(frozen=True)

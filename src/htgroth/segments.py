@@ -516,22 +516,23 @@ def _suffix_cut(lad: Multisegment, ks: Sequence[int]) -> tuple[Multisegment, Mul
 
 
 def cut_tuples(lengths: Sequence[int], total: int) -> Iterable[tuple[int, ...]]:
-    """All tuples (k_j) with 0 <= k_j <= lengths[j] and sum k_j = total."""
-    n = len(lengths)
+    """All tuples (k_j) with 0 <= k_j <= lengths[j] and sum k_j = total, in lexicographic order.
 
-    def rec(j: int, remaining: int):
-        if j == n:
-            if remaining == 0:
-                yield ()
-            return
-        tail_max = sum(lengths[j + 1 :])
-        lo = max(0, remaining - tail_max)
-        hi = min(lengths[j], remaining)
-        for k in range(lo, hi + 1):
-            for rest in rec(j + 1, remaining - k):
-                yield (k,) + rest
-
-    return rec(0, total)
+    Walks the prefixes with a stack, as ``box_partitions`` does, so any number
+    of rows works.  Row j takes k_j >= total left - (the lengths after j), so
+    every prefix completes.
+    """
+    after = list(itertools.accumulate(reversed(lengths), initial=0))[::-1]  # sum(lengths[j:])
+    stack = [((), total)]
+    while stack:
+        acc, rest = stack.pop()
+        j = len(acc)
+        if j == len(lengths):
+            if rest == 0:
+                yield acc
+            continue
+        first, last = max(0, rest - after[j + 1]), min(lengths[j], rest)
+        stack.extend((acc + (k,), rest - k) for k in range(last, first - 1, -1))
 
 
 def ladder_cuts(lad: Multisegment, left_rank: int) -> list[tuple[Multisegment, Multisegment]]:

@@ -122,6 +122,11 @@ class TestRedCommand:
     def test_zero_depth_exit_code(self, capsys):
         assert_precondition_error(["red", "--s", "2", "--t", "1", "--r", "0"], capsys)
 
+    def test_a_chain_of_a_thousand_pieces(self, capsys):
+        # the run of 1050 units is 1050 one-unit rows: the chain walk goes 1050 deep
+        code, out = run_cli(["red", "--s", "1100", "--t", "1", "--r", "1050"], capsys)
+        assert code == 0 and len(json.loads(out)) == 51
+
 
 class TestReduceCommand:
     def test_division(self, capsys):
@@ -400,6 +405,20 @@ def test_console_entry_point():
     )
     assert out.returncode == 0
     assert {tuple(p) for p in json.loads(out.stdout)} == {(1, 0), (2, 0), (3, 0)}
+
+
+def test_closed_stdout_exits_1_without_an_error_record():
+    src = os.path.dirname(os.path.dirname(htgroth.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "htgroth.cli", "jacquet", "--s", "4000", "--t", "1",
+         "--left-rank", "1"],  # ~220 kB of JSON, more than a pipe buffers
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert len(child.stdout.read(100)) == 100
+    child.stdout.close()  # as `| head -c 100` does
+    err = child.stderr.read()
+    assert child.wait(timeout=60) == 1 and err == b""
 
 
 def run_main(argv):

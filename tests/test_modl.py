@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from htgroth.modl import (
+    _is_prime_power,
     FieldData,
     SupercuspidalData,
     TowerLevel,
@@ -79,6 +80,17 @@ class TestFieldData:
             FieldData(6, 5)
         with pytest.raises(ValueError):
             FieldData(4, 6)
+
+    def test_prime_powers_match_their_definition(self):
+        primes = [p for p in range(2, 2000) if all(p % d for d in range(2, p))]
+        powers = {p**k for p in primes for k in range(1, 12) if p**k < 2000}
+        assert [n for n in range(-2, 2000) if _is_prime_power(n)] == sorted(powers)
+
+    def test_large_q_is_checked_by_trial_division_to_its_root(self):
+        FieldData(1000003, 3)  # prime
+        FieldData(3**13, 2)
+        with pytest.raises(ValueError, match="not a prime power"):
+            FieldData(2 * 1000003, 3)
 
     def test_epsilon_must_divide(self):
         field = FieldData(2, 7)  # e = 3

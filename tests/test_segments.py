@@ -123,6 +123,21 @@ def test_box_partitions_match_a_brute_force_filter():
             assert box_partitions(s, t, k) == by_size.get(k, []), (s, t, k)
 
 
+def test_cut_tuples_match_a_brute_force_filter():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        lengths = [rng.randint(0, 3) for _ in range(rng.randint(0, 5))]
+        for total in range(-1, sum(lengths) + 2):
+            brute = [
+                ks
+                for ks in itertools.product(*(range(k + 1) for k in lengths))  # lexicographic
+                if sum(ks) == total
+            ]
+            assert list(cut_tuples(lengths, total)) == brute, (lengths, total)
+    # any number of rows: the first of ~2 * 10^8 tuples comes at once
+    assert next(iter(cut_tuples([1] * 1100, 3))) == (0,) * 1097 + (1, 1, 1)
+
+
 class TestLadderCuts:
     def test_speh2_single_cut(self):
         lad = speh_st_multisegment(PI, 2, 1)
