@@ -1,29 +1,32 @@
 """The 0/1 coefficient diagrams on the (stratum, degree) lattice.
 
-Two families of lattice diagrams drive the cohomology bookkeeping:
+Two families of lattice diagrams drive the cohomology bookkeeping.  Each is
+read one column r at a time, and a column is a closed range of degrees:
 
-* ``m_coeff(s, t, r, i)`` marks the cells carrying intermediate-extension
-  cohomology, one degree of the column ``m_column(s, t, r, degrees)``.  The
-  normative definition is a set of explicit inequalities plus a parity
-  rule; a convex-hull description of the same region is kept as an
-  independent oracle (exact integer arithmetic, no floats).
+* ``m_column(s, t, r)`` marks the cells carrying intermediate-extension
+  cohomology: the degrees -b, -b + 2, ..., b with b = s - 1 - |t - r|, for
+  r >= 1 (empty when b < 0).  Its independent oracle is ``m_column_hull``:
+  the closed convex hull of the (s, t) polygon cut at r, keeping the degrees
+  at even distance from the top (exact integer arithmetic, no floats).
 
-* ``n_coeff(s, t, r, i)`` marks the shriek-extension cells, one degree of
-  the column ``n_column(s, t, r, degrees)``: the lattice points of the
-  parallelogram 0 <= i <= s-1, s <= r+i <= s+t-1.  Its oracle is the
-  closed convex hull of the vertices (s+t-1,0), (s,0), (1,s-1), (t,s-1).
+* ``n_column(s, t, r)`` marks the shriek-extension cells: the lattice
+  points of the parallelogram 0 <= i <= s-1, s <= r+i <= s+t-1.  Its oracle
+  is the closed convex hull of the vertices (s+t-1,0), (s,0), (1,s-1),
+  (t,s-1).
 
-Superposition glues the per-block diagrams of a product local component,
-remembering for every cell which blocks contribute and from which source
-vertex the contribution descends.
+``m_coeff``/``n_coeff`` test one cell against its column.  Superposition
+glues the per-block diagrams of a product local component, remembering for
+every cell which blocks contribute and from which source vertex the
+contribution descends.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .segments import CuspidalLabel
 
@@ -31,40 +34,31 @@ Point = tuple[int, int]
 
 
 # ---------------------------------------------------------------------------
-# normative inequalities
+# the closed forms
 # ---------------------------------------------------------------------------
 
 
-def m_column(s: int, t: int, r: int, degrees: Iterable[int]) -> list[int]:
-    """The degrees i among ``degrees`` that mark intermediate-extension cells (r, i)."""
+def m_column(s: int, t: int, r: int) -> range:
+    """The degrees i, ascending, that mark intermediate-extension cells (r, i)."""
     _check_st(s, t)
-    lo = max(1, s + t - 1 - 2 * (s - 1))
-    if not (lo <= r <= s + t - 1):
-        return []
-    if t <= r:
-        bound = s + t - 1 - r
-        parity = (s + t - 1 - r) % 2
-    else:
-        # here lo <= r <= t
-        bound = s - 1 - (t - r)
-        parity = (s - t - 1 + r) % 2
-    return [i for i in degrees if abs(i) <= bound and i % 2 == parity]
+    b = s - 1 - abs(t - r) if r >= 1 else -1
+    return range(-b, b + 1, 2)
 
 
 def m_coeff(s: int, t: int, r: int, i: int) -> int:
     """1 when (r, i) is a marked intermediate-extension cell, else 0."""
-    return int(bool(m_column(s, t, r, (i,))))
+    return int(i in m_column(s, t, r))
 
 
-def n_column(s: int, t: int, r: int, degrees: Iterable[int]) -> list[int]:
-    """The degrees i among ``degrees`` that mark shriek-extension cells (r, i)."""
+def n_column(s: int, t: int, r: int) -> range:
+    """The degrees i, ascending, that mark shriek-extension cells (r, i)."""
     _check_st(s, t)
-    return [i for i in degrees if 0 <= i <= s - 1 and s <= r + i <= s + t - 1]
+    return range(max(0, s - r), min(s - 1, s + t - 1 - r) + 1)
 
 
 def n_coeff(s: int, t: int, r: int, i: int) -> int:
     """1 when (r, i) is a marked shriek-extension cell, else 0."""
-    return int(bool(n_column(s, t, r, (i,))))
+    return int(i in n_column(s, t, r))
 
 
 def _check_st(s: int, t: int):
@@ -179,8 +173,8 @@ def _m_column_interval(s: int, t: int, r: int) -> tuple[int, int] | None:
     return _column_interval(_m_hull(s, t), r)
 
 
-def m_column_hull(s: int, t: int, r: int, degrees: Iterable[int]) -> list[int]:
-    """The degrees i among ``degrees`` that hull-plus-parity marks in column r.
+def m_column_hull(s: int, t: int, r: int) -> range:
+    """The degrees i, ascending, that hull-plus-parity marks in column r (oracle).
 
     The hull of the (s, t) polygon is built once and each column's interval
     found once; a degree is marked when it lies in the interval at even
@@ -189,14 +183,14 @@ def m_column_hull(s: int, t: int, r: int, degrees: Iterable[int]) -> list[int]:
     _check_st(s, t)
     interval = _m_column_interval(s, t, r)
     if interval is None:
-        return []
+        return range(0)
     bottom, top = interval
-    return [i for i in degrees if bottom <= i <= top and (top - i) % 2 == 0]
+    return range(bottom + (top - bottom) % 2, top + 1, 2)
 
 
 def m_coeff_hull(s: int, t: int, r: int, i: int) -> int:
     """Hull-plus-parity evaluation of the intermediate diagram (oracle)."""
-    return int(bool(m_column_hull(s, t, r, (i,))))
+    return int(i in m_column_hull(s, t, r))
 
 
 # ---------------------------------------------------------------------------
@@ -220,23 +214,13 @@ class DiagramSupport:
 
 def m_support(s: int, t: int) -> DiagramSupport:
     _check_st(s, t)
-    pts = {
-        (r, i)
-        for r in range(1, s + t)
-        for i in range(-(s + t), s + t + 1)
-        if m_coeff(s, t, r, i)
-    }
+    pts = {(r, i) for r in range(1, s + t) for i in m_column(s, t, r)}
     return DiagramSupport("M", s, t, frozenset(pts))
 
 
 def n_support(s: int, t: int) -> DiagramSupport:
     _check_st(s, t)
-    pts = {
-        (r, i)
-        for r in range(1, s + t)
-        for i in range(0, s + t + 1)
-        if n_coeff(s, t, r, i)
-    }
+    pts = {(r, i) for r in range(1, s + t) for i in n_column(s, t, r)}
     return DiagramSupport("N", s, t, frozenset(pts))
 
 
@@ -361,8 +345,6 @@ def render_svg(obj) -> str:
 def render_svg_panels(objs: Sequence) -> str:
     """Several diagrams side by side in one SVG (multi-panel figures)."""
     panels = [render_svg(obj) for obj in objs]
-    import re
-
     sizes = []
     for svg in panels:
         m = re.search(r'width="(\d+)" height="(\d+)"', svg)
@@ -384,8 +366,6 @@ def render_svg_panels(objs: Sequence) -> str:
 
 def svg_point_set(svg_text: str) -> set[Point]:
     """Extract the marked cells back out of a rendered SVG (golden-file keys)."""
-    import re
-
     pts = set()
     for m in re.finditer(r'data-r="(-?\d+)" data-i="(-?\d+)"', svg_text):
         pts.add((int(m.group(1)), int(m.group(2))))

@@ -210,10 +210,13 @@ def _run_cuts(
     bottom piece k(j_1) is free in 1..len(j_1); every later piece starts just
     above the previous top, so k(j_(m+1)) = end(j_(m+1)) - end(j_m) is forced
     and must be an integer in 1..len(j_(m+1)); the ks sum to left_units.
+    The run is contiguous, so it ends 2 * remaining above the chain's top:
+    a chain whose run cannot end on some row's end is dropped unwalked.
     The cuts come in the lexicographic order of their ks.
     """
     n = len(lengths)
     ends2 = [a + 2 * (k - 1) for a, k in zip(starts2, lengths)]
+    row_ends2 = set(ends2)
     order = sorted(range(n), key=ends2.__getitem__)
     reach2 = 2 * max(lengths, default=0)  # no piece spans a wider gap
     out = []
@@ -228,9 +231,11 @@ def _run_cuts(
             stack.append((0, j, idx + 1, left_units - k, ends2[j] - 2 * k + 2))
     while stack:
         depth, j, nxt, remaining, bottom2 = stack.pop()
+        top2 = ends2[j]
+        if top2 + 2 * remaining not in row_ends2:
+            continue
         del chain[depth:]
         chain.append(j)
-        top2 = ends2[j]
         if remaining == 0:
             ks, below2, a1 = [0] * n, bottom2 - 2, []
             for row in chain:
@@ -416,12 +421,10 @@ def marked_cells(
     -i_m/2, and ``sums`` their signed a2 shapes keyed on (shape, i_m): the
     value of the cell.  The only walk over the cells of a column.
     """
-    if s < 1 or t < 1:
-        raise ValueError("s and t must be >= 1")
     if kind == "M":
-        cells = [(i, i) for i in m_column(s, t, r, range(-(s + t), s + t + 1))]
+        cells = [(i, i) for i in m_column(s, t, r)]
     elif kind == "N":
-        cells = [(i, 2 * i + r - (s + t - 1)) for i in n_column(s, t, r, range(0, s + t + 1))]
+        cells = [(i, 2 * i + r - (s + t - 1)) for i in n_column(s, t, r)]
     else:
         raise ValueError("kind must be 'M' or 'N'")
     if not cells:

@@ -32,6 +32,36 @@ PI = CuspidalLabel("pi")
 RHO = CuspidalLabel("rho")
 
 
+def two_case_m_column(s, t, r, degrees):
+    """The bullet conditions of the M diagram on a degree window: two cases plus parity."""
+    lo = max(1, s + t - 1 - 2 * (s - 1))
+    if not (lo <= r <= s + t - 1):
+        return []
+    if t <= r:
+        bound = s + t - 1 - r
+        parity = (s + t - 1 - r) % 2
+    else:
+        # here lo <= r <= t
+        bound = s - 1 - (t - r)
+        parity = (s - t - 1 + r) % 2
+    return [i for i in degrees if abs(i) <= bound and i % 2 == parity]
+
+
+def inequality_n_column(s, t, r, degrees):
+    """The parallelogram inequalities of the N diagram on a degree window."""
+    return [i for i in degrees if 0 <= i <= s - 1 and s <= r + i <= s + t - 1]
+
+
+def scanned_support(column, s, t):
+    """The support of a diagram, scanned point by point over a window wider than it."""
+    return {
+        (r, i)
+        for r in range(1, s + t)
+        for i in range(-(s + t) - 2, s + t + 3)
+        if column(s, t, r, (i,))
+    }
+
+
 class TestMCoeff:
     def test_point_block(self):
         assert m_coeff(1, 1, 1, 0) == 1
@@ -99,14 +129,14 @@ class TestMCoeff:
                     interval = (inside[0], top) if inside else None
                     assert _m_column_interval(s, t, r) == interval, (s, t, r)
                     marked = [i for i in inside if (top - i) % 2 == 0]
-                    assert m_column_hull(s, t, r, degrees) == marked, (s, t, r)
-                    assert m_column(s, t, r, degrees) == marked, (s, t, r)
+                    assert list(m_column_hull(s, t, r)) == marked, (s, t, r)
+                    assert list(m_column(s, t, r)) == marked, (s, t, r)
 
     def test_column_oracle_matches_points(self):
         for s, t in [(1, 1), (2, 5), (5, 2), (4, 4), (7, 3)]:
             for r in range(-1, s + t + 2):
                 degrees = range(-(s + t) - 1, s + t + 2)
-                column = m_column_hull(s, t, r, degrees)
+                column = list(m_column_hull(s, t, r))
                 assert column == [i for i in degrees if m_coeff_hull(s, t, r, i)]
                 assert column == [i for i in degrees if m_coeff(s, t, r, i)]
 
@@ -124,9 +154,29 @@ class TestMCoeff:
                 interval = (inside[0], top) if inside else None
                 assert _column_interval(convex_hull(verts), r) == interval, (verts, r)
 
+    def test_closed_form_matches_two_case_rule(self):
+        # the range -b, -b + 2, ..., b against the two-case inequalities plus
+        # parity, on a degree window reaching two past |i| = s + t
+        for s in range(1, 13):
+            for t in range(1, 13):
+                degrees = range(-(s + t) - 2, s + t + 3)
+                for r in range(-1, s + t + 2):
+                    column = m_column(s, t, r)
+                    assert list(column) == two_case_m_column(s, t, r, degrees), (s, t, r)
+                    assert column == m_column_hull(s, t, r), (s, t, r)
+                assert set(m_support(s, t).points) == scanned_support(two_case_m_column, s, t)
+
+    def test_column_is_empty_left_of_the_first_stratum(self):
+        # b = s - 1 - |t - r| would be 3 here; the diagram starts at r = 1
+        assert list(m_column(5, 1, 0)) == []
+        assert m_coeff(5, 1, 0, 1) == 0
+
     def test_rejects_bad_block(self):
         with pytest.raises(ValueError):
             m_coeff(0, 1, 1, 0)
+        for support in (m_support, n_support):
+            with pytest.raises(ValueError):
+                support(0, 1)
 
 
 class TestNCoeff:
@@ -157,9 +207,17 @@ class TestNCoeff:
                 for r in range(-1, s + t + 2):
                     degrees = range(-(s + t), s + t + 1)
                     inside = [i for i in degrees if hull_contains(verts, (r, i))]
-                    assert n_column(s, t, r, degrees) == inside, (s, t, r)
+                    assert list(n_column(s, t, r)) == inside, (s, t, r)
                     for i in degrees:
                         assert n_coeff(s, t, r, i) == int(i in inside), (s, t, r, i)
+
+    def test_closed_form_matches_inequalities(self):
+        for s in range(1, 13):
+            for t in range(1, 13):
+                degrees = range(-(s + t) - 2, s + t + 3)
+                for r in range(-1, s + t + 2):
+                    assert list(n_column(s, t, r)) == inequality_n_column(s, t, r, degrees)
+                assert set(n_support(s, t).points) == scanned_support(inequality_n_column, s, t)
 
     def test_vanishes_below_axis(self):
         for s in range(1, 6):
