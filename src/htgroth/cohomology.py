@@ -26,13 +26,16 @@ base changes) reads, per block and stratum r:
 where the m-th term reads the shriek cells at stratum r+m, re-expands the
 bottom m run positions of each cut as a Speh_m coefficient block against the
 cut remainder, weighs by the column parity (-1)^{i_m} and the sign of the
-unpeeled part, and compensates the Tate twist by Xi^{-m/2}.  The block is
-read in closed form (``_attachment_expansion``): its m positions become
-singletons, a2 keeps its segments, an overlap of supports kills the term,
-and only the two junctions at the block's ends can be free, each joining
-(+1) or breaking (-1).  These conventions are frozen here; the acceptance
-suite validates them on every one-row, one-column and square block, and the
-open non-square mixed shapes are catalogued by euler_oracle_violations.
+unpeeled part, and compensates the Tate twist by Xi^{-m/2}.  For s, t >= 2
+every m >= 1 term vanishes (the proof is at ``_shriek_core``), and below
+stratum 0 both sides are empty sums.  On one-row and one-column blocks the
+block is read in closed form (``_attachment_expansion``): its m positions
+become singletons, a2 keeps its segments, a junction across rows kills the
+term, and the one junction that can be free, an a2 segment ending just
+below the block on its row, joins (+1) or breaks (-1).  These conventions
+are frozen here; the acceptance suite validates them on every one-row,
+one-column and square block, and the open non-square mixed shapes are
+catalogued by euler_oracle_violations.
 
 Both sides are integer sums that know no cuspidal label.  A term is keyed
 by (shape, xi2): ``shape`` is the sorted tuple of (start2, length) of its
@@ -146,12 +149,6 @@ class CohomologyTable:
             acc = acc + (g if i % 2 == 0 else -g)
         return acc
 
-    def __add__(self, other: "CohomologyTable") -> "CohomologyTable":
-        rows = dict(self.rows)
-        for i, g in other.rows.items():
-            rows[i] = rows.get(i, GrothElement.zero()) + g
-        return CohomologyTable(rows)
-
     def is_zero(self) -> bool:
         return not self.rows
 
@@ -210,76 +207,53 @@ def coh_shriek(profile: SpectrumProfile, pi: CuspidalLabel, r: int) -> Cohomolog
 # ---------------------------------------------------------------------------
 
 
-def _peel(cut: Cut, m: int) -> tuple[int, int]:
-    """The ladder row of run position m - 1, and the sign of peeling the bottom m run positions.
+def _peel(cut: Cut, m: int) -> int:
+    """The sign of peeling the bottom m run positions of a cut of rank >= m.
 
     The sign is that of the segmentation the cut induces on its unpeeled
     positions, flipped when the peel boundary cuts through an a1 segment.
     """
     below = 0
-    for idx, (_, length, row) in enumerate(cut.a1_pieces):
+    for idx, (_, length, _) in enumerate(cut.a1_pieces):
         below += length
         if below >= m:  # this piece holds position m - 1
             kept = len(cut.a1_pieces) - idx - (below == m)
             sign = (-1) ** (kept - 1) if kept else 1
-            return row, -sign if below > m else sign  # the boundary cuts this piece
-
-
-_JUNCTION = ((True, 1), (False, -1))  # a free junction joins, or breaks with the sign -1
-_NO_JUNCTION = ((False, 1),)
+            return -sign if below > m else sign  # the boundary cuts this piece
 
 
 def _attachment_expansion(cut: Cut, m: int) -> dict[Shape, int] | None:
-    """Speh_m coefficient block on the bottom m run positions, against a2.
+    """Speh_m coefficient block on the bottom m run positions of a one-row or one-column cut.
 
     The peeled positions bottom, ..., top become m singletons (a Speh breaks
-    every internal edge) and a2 keeps its segments.  The term vanishes
-    (returns None) when two supports overlap.  Only the block's two outer
-    edges can then be free: a junction is an a2 segment that ends at
-    bottom - 2 or starts at top + 2.  A junction across ladder rows makes
-    the term vanish too; a same-row junction either joins (+1) or breaks
-    (-1), so a term has at most four shapes.
+    every internal edge) and a2 keeps its segments.  On one row or one column
+    no supports overlap, so only the block's outer edges can be free.  An a2
+    segment that starts at top + 2 lies on another row (only a column has
+    one), and the term vanishes (returns None).  An a2 segment that ends at
+    bottom - 2 either joins the block (+1) or breaks from it (-1) when it
+    lies on the block's row; across rows the term vanishes.  Defined for
+    1 <= m <= the cut's rank, on the only cuts ``_shriek_core`` peels.
 
     Positions are doubled integers, as in the cut's pieces, so adjacent
-    positions differ by 2; the positions of a cut share one parity, as the
-    rows of a ladder on one line do.  Each term is the shape of its
-    segments, (start2, length) sorted by start, with its integer coefficient.
+    positions differ by 2.  Each term is the shape of its segments,
+    (start2, length) sorted by start, with its integer coefficient.
     """
-    bottom = cut.a1_pieces[0][0]
+    bottom, _, row = cut.a1_pieces[0]
     top = bottom + 2 * (m - 1)
-    for start, length, _ in cut.a2_pieces:
-        if start <= top and start + 2 * (length - 1) >= bottom and (start - bottom) % 2 == 0:
-            return None  # the block overlaps a2: almost every call ends here
-    kept, below, above, end = [], None, None, None
-    for start, length, row in sorted(cut.a2_pieces):
-        if end is not None and start <= end:
-            return None  # two a2 segments overlap
-        end = start + 2 * (length - 1)
-        if end == bottom - 2:  # the junction below the block
-            if row != cut.a1_pieces[0][2]:
-                return None  # junction across rows
-            below = (start, length)
-        elif start == top + 2:  # the junction above it
-            if row != _peel(cut, m)[0]:
-                return None  # junction across rows
-            above = (start, length)
-        else:
+    kept, below = [(p, 1) for p in range(bottom, top + 2, 2)], None
+    for start, length, a2_row in cut.a2_pieces:
+        if start == top + 2:
+            return None  # a junction above the block crosses rows
+        if start + 2 * (length - 1) != bottom - 2:
             kept.append((start, length))
-    terms: dict[Shape, int] = {}
-    for join_below, sign_below in _JUNCTION if below else _NO_JUNCTION:
-        for join_above, sign_above in _JUNCTION if above else _NO_JUNCTION:
-            block = [(p, 1) for p in range(bottom, top + 2, 2)]
-            broken = []
-            if join_above:
-                block[-1] = (top, above[1] + 1)
-            elif above:
-                broken.append(above)
-            if join_below:  # after the top: with m = 1 all three join
-                block[0] = (below[0], below[1] + block[0][1])
-            elif below:
-                broken.append(below)
-            terms[tuple(sorted(kept + broken + block))] = sign_below * sign_above
-    return terms
+        elif a2_row != row:
+            return None  # a junction below the block across rows
+        else:
+            below = (start, length)
+    if below is None:
+        return {tuple(sorted(kept)): 1}
+    joined = [(below[0], below[1] + 1)] + kept[1:]
+    return {tuple(sorted(joined)): 1, tuple(sorted(kept + [below])): -1}
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +351,36 @@ def _shriek_core(s: int, t: int, r: int) -> Terms:
     calculus, and weighs by the column parity (-1)^{i_m} and the peel sign;
     the Tate twist is compensated by Xi^{-m/2} (xi2 = i_m - m).  With
     nothing peeled the peel sign is the cut's own sign, so the m = 0 term
-    is the summed a2 shapes of the cells.
+    is the summed a2 shapes of the cells.  Below stratum 0 a cut of rank
+    r+m holds fewer than m positions, and both sides are empty sums.
+
+    For s, t >= 2 every m >= 1 term vanishes, so the sum is the m = 0 term.
+    Row j has the doubled start a_j = a_0 + 2j and end e_j = a_j + 2(t-1).
+    A run cut's bottom piece is the top k_1 of row j_1, and its lowest
+    position p = e_(j_1) - 2(k_1 - 1) lies in every peeled block; the block
+    survives only when no a2 segment holds p and no junction at its ends
+    crosses rows.  By the cases of (j_1, k_1):
+
+    - j_1 >= 1 and k_1 >= 2: the chain rises from row j_1, so all of row
+      j_1 - 1, [a_(j_1) - 2, e_(j_1) - 2], is in a2; it holds p.
+    - k_1 = 1 with j_1 < s-1, or j_1 = 0 with k_1 < t: the a2 part of row
+      j_1 + 1 holds [a_(j_1) + 2, e_(j_1)], which holds p.  It is the
+      whole row, or, when row j_1 + 1 is the next chain row (its forced k
+      is 1), that interval.
+    - j_1 = 0 and k_1 = t: p = a_0, and the a2 part of row 1 starts at
+      p + 2.  It lies inside the block when m >= 2, and is a junction
+      across rows when m = 1.
+    - j_1 = s-1 and k_1 = 1: the rank is 1, and the a2 rows s-2 and s-1
+      overlap.
+
+    One-row and one-column blocks keep their m >= 1 terms, read in closed
+    form by ``_attachment_expansion``.
     """
+    if r < 0:
+        return ()
     terms: dict[TermKey, int] = {}
-    for m in range(0, s * t - r + 1):
+    last_m = s * t - r if s == 1 or t == 1 else 0
+    for m in range(0, last_m + 1):
         for _, i_m, cuts, sums in marked_cells(s, t, r + m, "N"):
             parity = -1 if (m + i_m) % 2 else 1
             if m == 0:
@@ -391,7 +391,7 @@ def _shriek_core(s: int, t: int, r: int) -> Terms:
                 expanded = _attachment_expansion(cut, m)
                 if expanded is None:
                     continue
-                sign = parity * _peel(cut, m)[1]
+                sign = parity * _peel(cut, m)
                 for shape, c in expanded.items():
                     key = (shape, i_m - m)
                     terms[key] = terms.get(key, 0) + sign * c

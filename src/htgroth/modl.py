@@ -28,6 +28,7 @@ from .segments import (
     IrreducibleLabel,
     Multisegment,
     OpaqueFactor,
+    make_steinberg,
     require_int,
 )
 from .symbolic import integer
@@ -161,10 +162,10 @@ def tower_rank(t: TowerLevel) -> int:
     return t.base.g * m_of(t.base) * t.base.field.l**t.u
 
 
-def tower_cuspidal(t: TowerLevel, id: str | None = None, e_pi: int = 1) -> CuspidalLabel:
-    """A lift label of the level-u tower cuspidal (opaque id, correct rank)."""
+def tower_cuspidal(t: TowerLevel, id: str | None = None) -> CuspidalLabel:
+    """A lift label of the level-u tower cuspidal (opaque id, correct rank, e_pi = 1)."""
     name = id if id is not None else f"{t.base.label.id}[u={t.u}]"
-    return CuspidalLabel(name, g=tower_rank(t), e_pi=e_pi)
+    return CuspidalLabel(name, g=tower_rank(t))
 
 
 def cuspidal_lifts(t: TowerLevel, count: int) -> list[CuspidalLabel]:
@@ -250,8 +251,6 @@ def rl_steinberg_constituents(sc: SupercuspidalData, s: int) -> GrothElement:
     mod-l generalized Steinberg, multiplicity one) plus one opaque remainder
     term standing for all other constituents.
     """
-    from .segments import make_steinberg
-
     if s < 1:
         raise ValueError("s must be >= 1")
     nondeg = make_steinberg(modl_label(sc), s)

@@ -373,7 +373,10 @@ FLAG euler-oracle-open-configurations [[2, 3], [2, 4], [3, 2], [4, 2]]
 
 
 def test_verify_max_8_stdout_pinned(capsys):
-    assert run_cli(["verify", "--max", "8"], capsys) == (0, VERIFY_MAX_8)
+    # the catalogue is capped at 6, so larger bounds print the same lines;
+    # --max 20 runs the master identity on squares up to 10x10
+    for bound in ("8", "12", "20"):
+        assert run_cli(["verify", "--max", bound], capsys) == (0, VERIFY_MAX_8), bound
 
 
 class TestFiguresCommand:
