@@ -70,8 +70,9 @@ from .modl import (
     chgt_cuspi_factor,
     collapse_label_key,
     collapse_segment_key,
+    fraction_class_key,
     line_key,
-    rl_reduce,
+    rl_collapse,
     tower_rank,
 )
 from .segments import (
@@ -79,7 +80,6 @@ from .segments import (
     GrothElement,
     IrreducibleLabel,
     ensure_half,
-    half,
     require_int,
     twice,
 )
@@ -162,9 +162,11 @@ class CohomologyTable:
         return "CohomologyTable(\n" + "\n".join(lines) + "\n)"
 
 
-@lru_cache(maxsize=64)
-def _global_scalar(e_pi: int) -> SymExpr:
-    return integer(e_pi) * atom(KER1_ATOM)
+@lru_cache(maxsize=1024)
+def _weight(mult: SymExpr, e_pi: int) -> tuple[SymExpr, tuple]:
+    """``mult`` times the global scalar e_pi * ker1, and its sorted (monomial, int) items."""
+    weight = mult * (integer(e_pi) * atom(KER1_ATOM))
+    return weight, tuple(weight.items())
 
 
 def _table(profile: SpectrumProfile, pi: CuspidalLabel, r: int, kind: str) -> CohomologyTable:
@@ -175,11 +177,10 @@ def _table(profile: SpectrumProfile, pi: CuspidalLabel, r: int, kind: str) -> Co
     twist and tail, times the symbolic weight and the global scalar.
     """
     rows: dict[int, GrothElement] = {}
-    scal = _global_scalar(pi.e_pi)
     for entry in profile:
         if entry.cuspidal != pi:
             continue
-        shift2, weight = twice(entry.xi), entry.mult * scal
+        shift2, (weight, _) = twice(entry.xi), _weight(entry.mult, pi.e_pi)
         for degree, _, _, sums in marked_cells(entry.s, entry.t, r, kind):
             if sums:
                 term = bind_shapes(pi, sums, shift2, entry.tail, weight)
@@ -421,8 +422,7 @@ def euler_master_identity(s: int, t: int, r: int) -> bool:
 
 def _dressed(entry: ProfileEntry, pi: CuspidalLabel, terms: Terms) -> GrothElement:
     """An entry's label-free terms bound with its block twist and tail, times its weight."""
-    weight = entry.mult * _global_scalar(pi.e_pi)
-    return bind_shapes(pi, terms, twice(entry.xi), entry.tail, weight)
+    return bind_shapes(pi, terms, twice(entry.xi), entry.tail, _weight(entry.mult, pi.e_pi)[0])
 
 
 def _profile_euler(profile: SpectrumProfile, pi: CuspidalLabel, column) -> GrothElement:
@@ -584,19 +584,19 @@ class CongruenceConstraint:
 def _balance_core(s: int, t: int, r: int, shift2: int, line: tuple, tail_key: tuple):
     """The integer mod-l classes of ``_euler_core(s, t, r, "N")`` on a line, label-free.
 
-    ``rl_reduce`` of the column bound with the twist shift2/2 to the line of
+    ``rl_collapse`` of the column bound with the twist shift2/2 to the line of
     ``line_key`` ``line``, lifted or not, with a tail of collapse key
     ``tail_key``: each piece is read off its ``collapse_segment_key``.
     """
     classes: dict = {}
     for (shape, xi2), c in _euler_core(s, t, r, "N"):
-        pieces = tuple(collapse_segment_key(half(a + shift2), k, line) for a, k in shape)
-        key = (tuple(sorted(tail_key + pieces)), half(xi2 + shift2))
+        pieces = tuple(collapse_segment_key(a + shift2, k, line) for a, k in shape)
+        key = (tuple(sorted(tail_key + pieces)), xi2 + shift2)
         classes[key] = classes.get(key, 0) + c
     return tuple((key, c) for key, c in classes.items() if c)
 
 
-# class key -> its lhs and rhs sides, each (coefficient vector over the weight
+# doubled-int class key -> its lhs and rhs sides, each (coefficient vector over the weight
 # monomials, the (s, t, markers) of the entries feeding it)
 BalanceAccumulator = dict[object, tuple[tuple[dict, list], tuple[dict, list]]]
 
@@ -618,11 +618,11 @@ def _balance_side(
     hashed once per entry, and its integer times the entry's weight is added
     monomial by monomial.  A zero weight adds no class and no provenance.
     """
-    scal, line = _global_scalar(pi.e_pi), line_key(pi.id, lifts)
+    line = line_key(pi.id, lifts)
     for entry in profile:
         if entry.cuspidal != pi:
             continue
-        weight = [(mono, w * factor) for mono, w in (entry.mult * scal).items()]
+        weight = [(mono, w * factor) for mono, w in _weight(entry.mult, pi.e_pi)[1]]
         if not weight:
             continue
         core = _balance_core(
@@ -654,7 +654,8 @@ def rl_hi_balance(
     its mod-l class under the configured lift relation, scales the lower
     level by the tower change factor, and emits one constraint per class
     that is nonzero on some side, with the entries feeding each side.  Both
-    sides accumulate into one table; each coefficient is built once.
+    sides accumulate into one table on doubled-int keys; each coefficient and
+    each public (``Fraction``) class key is built once.
     """
     g_u = tower_rank(TowerLevel(sc, u))
     g_up = tower_rank(TowerLevel(sc, u_prime))
@@ -668,7 +669,7 @@ def rl_hi_balance(
         lhs, rhs = SymExpr(vector_l), SymExpr(vector_r)
         if lhs or rhs:  # a class cancelled on both sides is no constraint
             constraints.append(
-                CongruenceConstraint(key, lhs, rhs, tuple(prov_l), tuple(prov_r))
+                CongruenceConstraint(fraction_class_key(key), lhs, rhs, tuple(prov_l), tuple(prov_r))
             )
     constraints.sort(key=lambda c: repr(c.class_key))
     return constraints
@@ -749,6 +750,6 @@ def conj2_predicate(
         table_b = run_b.get(r, CohomologyTable())
         degrees = set(table_a.rows) | set(table_b.rows)
         for i in degrees:
-            if rl_reduce(table_a.degree(i), lifts_a) != rl_reduce(table_b.degree(i), lifts_b):
+            if rl_collapse(table_a.degree(i), lifts_a) != rl_collapse(table_b.degree(i), lifts_b):
                 return False
     return True

@@ -96,20 +96,6 @@ def multisegment_of_orientation(o: Orientation, pi: CuspidalLabel) -> Multisegme
     return Multisegment(segs)
 
 
-def orientation_of_run(ms: Multisegment) -> Orientation:
-    """Inverse bijection on multiplicity-one consecutive-run multisegments."""
-    run = _run_data(ms)
-    if run is None:
-        raise ValueError(f"{ms!r} is not a multiplicity-one consecutive run")
-    _, start, size, _ = run
-    edges = [True] * (size - 1)
-    for seg in ms.segments:
-        brk = seg.end - start  # edge after the last point of this segment
-        if brk < size - 1:
-            edges[int(brk)] = False
-    return Orientation(size, tuple(edges))
-
-
 # ---------------------------------------------------------------------------
 # pseudo-coefficient traces
 # ---------------------------------------------------------------------------
@@ -371,7 +357,7 @@ def bind_shapes(
     The one place where shapes become labels.  A shape becomes the formal
     label of its segments on pi (the empty shape the unit label), every
     start moved by the block twist shift2/2, times ``tail``
-    (``label_product``); ``xi2`` becomes the Xi exponent (xi2 + shift2)/2,
+    (``label_product``); ``xi2`` becomes the doubled Xi exponent xi2 + shift2,
     and ``c`` the coefficient ``weight * c``.  On one line a multisegment
     sorts its segments by (start, length), so distinct sorted shapes bind to
     distinct labels: the binding is injective, and the keys must be distinct
@@ -383,7 +369,7 @@ def bind_shapes(
         label = label_of_multisegment(ms, KIND_FORMAL)
         if tail.factors:  # the product with the unit is the label itself
             label = label_product(tail, label)
-        out[(label, half(xi2 + shift2))] = weight * c
+        out[(label, xi2 + shift2)] = weight * c
     return GrothElement._checked(out)
 
 
@@ -481,8 +467,7 @@ def red_tau(pi: CuspidalLabel, r_units: int, x: GrothElement) -> GrothElement:
     if r_units < 1:
         raise ValueError("r_units must be >= 1")
     out = GrothElement.zero()
-    for (label, tw), coeff in x.terms.items():
-        tw2 = twice(tw)
+    for (label, tw2), coeff in x.terms.items():
         for idx, factor in enumerate(label.factors):
             if (
                 isinstance(factor, OpaqueFactor)

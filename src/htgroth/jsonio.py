@@ -20,6 +20,7 @@ from .segments import (
     OpaqueFactor,
     Segment,
     half,
+    require_int,
     twice,
 )
 from .modl import SupercuspidalData, FieldData
@@ -102,7 +103,7 @@ def groth_to_json(x: GrothElement) -> list:
         out.append(
             {
                 "label": _label_to_json(label),
-                "xi_twist_numerator": twice(tw),
+                "xi_twist_numerator": tw,
                 "coeff": sym_to_json(coeff),
             }
         )
@@ -114,11 +115,10 @@ def groth_from_json(data: list, cuspidals: dict[str, CuspidalLabel] | None = Non
     terms = {}
     for item in data:
         label = _label_from_json(item["label"], cuspidals)
-        tw = half(item["xi_twist_numerator"])
-        key = (label, tw)
+        key = (label, require_int("xi_twist_numerator", item["xi_twist_numerator"]))
         coeff = sym_from_json(item["coeff"])
         terms[key] = terms.get(key, integer(0)) + coeff
-    return GrothElement(terms)
+    return GrothElement._checked(terms)
 
 
 # -- mod-l data --------------------------------------------------------------

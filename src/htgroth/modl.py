@@ -13,13 +13,13 @@ string, and a generalized Steinberg keeps exactly one nondegenerate
 constituent with an opaque remainder.  For cross-level comparisons each
 label over a tower cuspidal collapses to a fingerprint over the base
 supercuspidal: footprint on the base line, with twists folded by the line
-period.
+period.  Collapses run on doubled-int twists; ``fraction_class_key`` builds
+the public, ``Fraction``-twisted key only where a table or a constraint is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .segments import (
@@ -28,6 +28,7 @@ from .segments import (
     IrreducibleLabel,
     Multisegment,
     OpaqueFactor,
+    half,
     make_steinberg,
     require_int,
 )
@@ -239,8 +240,7 @@ def rl_division_rep(m_tau: int, iota: str) -> GrothElement:
     out: dict = {}
     factor = OpaqueFactor(iota, rank=0)
     for j in range(m_tau):
-        k = Fraction(-(m_tau - 1), 2) + j
-        out[(IrreducibleLabel((factor,)), k)] = integer(1)
+        out[(IrreducibleLabel((factor,)), half(2 * j + 1 - m_tau))] = integer(1)
     return GrothElement(out)
 
 
@@ -284,22 +284,22 @@ def line_key(id: str, lifts: LiftMap) -> tuple:
     return ("base", base.label.id, level.u, tower_rank(level) // base.g, base.epsilon)
 
 
-def collapse_segment_key(start: Fraction, length: int, line: tuple):
-    """Fingerprint of the segment of ``length`` from ``start`` on the line of ``line_key`` ``line``.
+def collapse_segment_key(start2: int, length: int, line: tuple):
+    """Fingerprint of the segment of ``length`` from ``start2``/2 on the line of ``line_key`` ``line``.
 
     A raw line keeps the segment as it is.  Over a lift, the segment of
     length k at twist a over the level-u cuspidal covers k * (g_u / g_{-1})
     base units from base offset a scaled by the same stretch; twists fold
-    modulo the base line period epsilon.
+    modulo the base line period epsilon, exactly: (a s) mod eps = ((2a s) mod 2 eps)/2.
     """
     if line[0] == "raw":
-        return ("raw", line[1], length, start)
+        return ("raw", line[1], length, start2)
     _, base_id, u, stretch, eps = line
-    return ("base", base_id, u, length * stretch, start * stretch % eps)
+    return ("base", base_id, u, length * stretch, start2 * stretch % (2 * eps))
 
 
 def collapse_label_key(label: IrreducibleLabel, lifts: LiftMap):
-    """Canonical mod-l class key of a label under the configured lift relation."""
+    """Canonical mod-l class key of a label under the configured lift relation, twists doubled."""
     parts = []
     for factor in label.factors:
         if isinstance(factor, OpaqueFactor):
@@ -307,21 +307,33 @@ def collapse_label_key(label: IrreducibleLabel, lifts: LiftMap):
             continue
         for seg in factor.segments:
             parts.append(
-                collapse_segment_key(seg.start, seg.length, line_key(seg.cuspidal.id, lifts))
+                collapse_segment_key(seg._key[1], seg.length, line_key(seg.cuspidal.id, lifts))
             )
     return tuple(sorted(parts))
+
+
+def fraction_class_key(key: tuple) -> tuple:
+    """The public key of ``(collapse_label_key, xi2)``, twists halved: sorted still, and injective."""
+    parts, xi2 = key
+    return (tuple(p if p[0] == "opaque" else p[:-1] + (half(p[-1]),) for p in parts), half(xi2))
+
+
+def rl_collapse(x: GrothElement, lifts: LiftMap) -> dict:
+    """The mod-l collapse of a Grothendieck element, keyed on (collapse_label_key, xi2)."""
+    out: dict = {}
+    for (label, xi2), coeff in x.terms.items():
+        key = (collapse_label_key(label, lifts), xi2)
+        old = out.get(key)
+        out[key] = coeff if old is None else old + coeff
+    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 def rl_reduce(x: GrothElement, lifts: LiftMap) -> dict:
     """Coefficient table of the mod-l collapse of a Grothendieck element.
 
-    Keys are (collapsed label key, Xi twist); values are symbolic
-    coefficients, and two elements reduce alike exactly when the tables
-    agree.  ``conj2_predicate`` reads it; the balance collapses label-free
-    by the same ``collapse_segment_key`` and keeps this as its test oracle.
+    Keys are (collapsed label key, Xi twist) in ``Fraction`` twists; values
+    are symbolic coefficients, and two elements reduce alike exactly when the
+    tables agree.  ``conj2_predicate`` compares the ``rl_collapse`` behind it,
+    and the balance, collapsed label-free, keeps this as its test oracle.
     """
-    out: dict = {}
-    for (label, tw), coeff in x.terms.items():
-        key = (collapse_label_key(label, lifts), tw)
-        out[key] = out.get(key, integer(0)) + coeff
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    return {fraction_class_key(k): v for k, v in rl_collapse(x, lifts).items()}

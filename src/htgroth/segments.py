@@ -1,14 +1,14 @@
 """Zelevinsky segments, multisegments, ladders and formal Grothendieck elements.
 
-All twist arithmetic happens in (1/2)Z via ``fractions.Fraction``; nothing in
-the package ever touches floating point.  ``twice`` and ``half`` convert
+Twists live in (1/2)Z, never in floating point.  ``twice`` and ``half`` convert
 between a half-integer and its doubled int, refusing anything else; segments,
-multisegments and labels key and hash on doubled ints.  A segment ``[a, a+len-1]`` on the
-line of a cuspidal ``pi`` stands for the set {pi{a}, pi{a+1}, ...}; an
-irreducible representation is labelled by a multiset of multisegments
-(its factors) plus a coarse kind tag.  Grothendieck elements are finite
-formal sums of (label, Xi-twist) pairs with coefficients in the symbolic
-ring of :mod:`htgroth.symbolic`.
+multisegments, labels and the Xi slot of Grothendieck terms key on doubled ints,
+and a ``fractions.Fraction`` is built only where a twist is printed or returned.
+A segment ``[a, a+len-1]`` on the line of a cuspidal ``pi`` stands for the set
+{pi{a}, pi{a+1}, ...}; an irreducible representation is labelled by a multiset
+of multisegments (its factors) plus a coarse kind tag.  Grothendieck elements
+are finite formal sums of (label, xi2) pairs, xi2 twice the Xi exponent, with
+coefficients in the symbolic ring of :mod:`htgroth.symbolic`.
 """
 
 from __future__ import annotations
@@ -331,6 +331,7 @@ class GrothElement:
     The Xi slot is a half-integer exponent k meaning a factor Xi^k; the
     transfer maps also use it to carry the character |.|^{-k} of F_v^x
     attached to a term, so a term is really "label tensor (twist data)".
+    ``terms`` keys on (label, xi2), the int xi2 = 2k; the constructors take k and double it.
     """
 
     __slots__ = ("terms",)
@@ -340,7 +341,7 @@ class GrothElement:
         for (label, tw), coeff in (terms or {}).items():
             coeff = coeff if isinstance(coeff, SymExpr) else integer(coeff)
             if not coeff.is_zero():
-                pruned[(label, ensure_half(tw))] = coeff
+                pruned[(label, twice(tw))] = coeff
         object.__setattr__(self, "terms", pruned)
 
     # -- constructors --------------------------------------------------
@@ -350,8 +351,8 @@ class GrothElement:
         return GrothElement()
 
     @staticmethod
-    def of(label: IrreducibleLabel, twist=Fraction(0), coeff: SymExpr | int = 1) -> "GrothElement":
-        return GrothElement({(label, ensure_half(twist)): coeff})
+    def of(label: IrreducibleLabel, twist=0, coeff: SymExpr | int = 1) -> "GrothElement":
+        return GrothElement({(label, twist): coeff})
 
     @staticmethod
     def one() -> "GrothElement":
@@ -361,7 +362,7 @@ class GrothElement:
 
     @classmethod
     def _checked(cls, terms: dict) -> "GrothElement":
-        """Wrap ``terms``, whose keys are already (label, half-integer) pairs.
+        """Wrap ``terms``, whose keys are already (label, xi2) pairs.
 
         Only drops the zero coefficients, in place: unlike the public
         constructor it neither re-validates nor re-hashes the keys.
@@ -401,11 +402,6 @@ class GrothElement:
             {(label.twist(n), tw): c for (label, tw), c in self.terms.items()}
         )
 
-    def xi_twist(self, n) -> "GrothElement":
-        """Shift the external Xi-exponent of every term by n."""
-        n = ensure_half(n)
-        return GrothElement._checked({(label, tw + n): c for (label, tw), c in self.terms.items()})
-
     # -- misc -------------------------------------------------------------
 
     def sorted_terms(self):
@@ -425,7 +421,7 @@ class GrothElement:
             return "0"
         bits = []
         for (label, tw), c in self.sorted_terms():
-            xi = f" Xi^{tw}" if tw else ""
+            xi = f" Xi^{half(tw)}" if tw else ""
             bits.append(f"({c})*{label!r}{xi}")
         return " + ".join(bits)
 
@@ -596,9 +592,10 @@ def groth_product(a: GrothElement, b: GrothElement) -> GrothElement:
     out: dict = {}
     for (la, ta), ca in a.terms.items():
         for (lb, tb), cb in b.terms.items():
-            key = (label_product(la, lb), ta + tb)
-            out[key] = out.get(key, integer(0)) + ca * cb
-    return GrothElement(out)
+            key, c = (label_product(la, lb), ta + tb), ca * cb
+            old = out.get(key)
+            out[key] = c if old is None else old + c
+    return GrothElement._checked(out)
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,8 @@ class SymExpr:
         return self._terms == other._terms
 
     def __hash__(self):
+        if self.is_integer():  # equal to its int, so it hashes as that int
+            return hash(self._terms.get(_ONE_MONO, 0))
         return hash(frozenset(self._terms.items()))
 
     def __bool__(self):

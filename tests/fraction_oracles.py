@@ -1,0 +1,122 @@
+"""Reference implementations in ``Fraction`` twists, for the differential tests.
+
+The package keys Grothendieck terms and mod-l classes on doubled ints
+(``xi2`` = twice the Xi exponent, doubled segment starts).  The functions
+here compute the same values the plain way: a Grothendieck element is a dict
+keyed on (label, Xi exponent as a ``Fraction``), and a collapse keeps every
+twist as a ``Fraction``.  ``fraction_terms`` reads a ``GrothElement`` into
+that form.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from htgroth.jl_red import r_tau_sign
+from htgroth.jsonio import _label_from_json, _label_to_json, sym_from_json, sym_to_json
+from htgroth.modl import line_key
+from htgroth.segments import (
+    KIND_FORMAL,
+    GrothElement,
+    IrreducibleLabel,
+    Multisegment,
+    OpaqueFactor,
+    _label_sort_key,
+    _suffix_cut,
+    cut_tuples,
+    half,
+    label_product,
+    twice,
+)
+from htgroth.symbolic import integer
+
+FractionTerms = dict  # (IrreducibleLabel, Fraction) -> SymExpr, no zero coefficient
+
+
+def fraction_terms(x: GrothElement) -> FractionTerms:
+    """The terms of ``x`` keyed on (label, Xi exponent as a Fraction)."""
+    return {(label, half(xi2)): c for (label, xi2), c in x.terms.items()}
+
+
+def _add(out: dict, key, c) -> None:
+    out[key] = out.get(key, integer(0)) + c
+
+
+def _pruned(out: dict) -> dict:
+    return {key: c for key, c in out.items() if not c.is_zero()}
+
+
+def groth_product_fraction(a: FractionTerms, b: FractionTerms) -> FractionTerms:
+    """Bilinear formal product: labels concatenate, Xi exponents add."""
+    out: dict = {}
+    for (la, ta), ca in a.items():
+        for (lb, tb), cb in b.items():
+            _add(out, (label_product(la, lb), ta + tb), ca * cb)
+    return _pruned(out)
+
+
+def red_tau_fraction(pi, depth: int, x: FractionTerms) -> FractionTerms:
+    """``red_tau``: every suffix tuple of every factor on pi, kept when a1 is a run."""
+    out: dict = {}
+    for (label, tw), coeff in x.items():
+        for idx, factor in enumerate(label.factors):
+            if not isinstance(factor, Multisegment) or factor.cuspidal_lines() != [pi]:
+                continue
+            rest = label.factors[:idx] + label.factors[idx + 1 :]
+            lengths = [seg.length for seg in factor.segments]
+            for ks in cut_tuples(lengths, depth):
+                a1, a2 = _suffix_cut(factor, ks)
+                try:
+                    transfer = r_tau_sign(a1)
+                except ValueError:
+                    continue  # the transfer vanishes on a1
+                merged = IrreducibleLabel(rest + ((a2,) if a2.segments else ()), KIND_FORMAL)
+                _add(out, (merged, tw + transfer.exponent), coeff * transfer.sign)
+    return _pruned(out)
+
+
+def collapse_segment_key_fraction(start: Fraction, length: int, line: tuple):
+    """The fingerprint of a segment from a ``Fraction`` start; twists fold mod epsilon."""
+    if line[0] == "raw":
+        return ("raw", line[1], length, start)
+    _, base_id, u, stretch, eps = line
+    return ("base", base_id, u, length * stretch, start * stretch % eps)
+
+
+def collapse_label_key_fraction(label: IrreducibleLabel, lifts) -> tuple:
+    """The mod-l class key of a label, with ``Fraction`` starts."""
+    parts = []
+    for factor in label.factors:
+        if isinstance(factor, OpaqueFactor):
+            parts.append(("opaque", factor.name, factor.rank))
+            continue
+        for seg in factor.segments:
+            line = line_key(seg.cuspidal.id, lifts)
+            parts.append(collapse_segment_key_fraction(seg.start, seg.length, line))
+    return tuple(sorted(parts))
+
+
+def rl_reduce_fraction(x: FractionTerms, lifts) -> dict:
+    """The mod-l collapse table, keyed on (collapsed label key, Xi exponent), in Fractions."""
+    out: dict = {}
+    for (label, tw), coeff in x.items():
+        _add(out, (collapse_label_key_fraction(label, lifts), tw), coeff)
+    return _pruned(out)
+
+
+def groth_to_json_fraction(x: FractionTerms) -> list:
+    """``groth_to_json`` of Fraction-keyed terms: sorted by (twist, label), twists doubled."""
+    ordered = sorted(x.items(), key=lambda kv: (kv[0][1], _label_sort_key(kv[0][0])))
+    return [
+        {"label": _label_to_json(label), "xi_twist_numerator": twice(tw), "coeff": sym_to_json(c)}
+        for (label, tw), c in ordered
+    ]
+
+
+def groth_from_json_fraction(data: list, cuspidals: dict) -> FractionTerms:
+    """``groth_from_json`` into Fraction-keyed terms: each twist numerator halved."""
+    out: dict = {}
+    for item in data:
+        label = _label_from_json(item["label"], cuspidals)
+        _add(out, (label, half(item["xi_twist_numerator"])), sym_from_json(item["coeff"]))
+    return _pruned(out)

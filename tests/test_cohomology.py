@@ -43,6 +43,7 @@ from htgroth.modl import (
     TowerLevel,
     chgt_cuspi_factor,
     cuspidal_lifts,
+    fraction_class_key,
     matched_strata,
     rl_reduce,
     tower_rank,
@@ -256,7 +257,7 @@ def _euler_bytes(x: GrothElement) -> bytes:
              for seg in ms.segments]
             for ms in label.multisegments()
         ]
-        rows.append((label.kind, factors, str(tw), repr(c)))
+        rows.append((label.kind, factors, str(half(tw)), repr(c)))
     return repr(rows).encode()
 
 
@@ -639,8 +640,8 @@ def balance_side(profile, pi, r, lifts, side=0, factor=1):
     acc = {}
     _balance_side(acc, side, profile, pi, r, lifts, factor)
     assert all(not vector and not prov for vector, prov in (v[1 - side] for v in acc.values()))
-    classes = {key: SymExpr(sides[side][0]) for key, sides in acc.items()}
-    provenance = {key: sides[side][1] for key, sides in acc.items()}
+    classes = {fraction_class_key(key): SymExpr(sides[side][0]) for key, sides in acc.items()}
+    provenance = {fraction_class_key(key): sides[side][1] for key, sides in acc.items()}
     return {key: c for key, c in classes.items() if c}, provenance
 
 

@@ -8,8 +8,9 @@ from htgroth.diagrams import m_support
 from htgroth.jl_red import (
     R_cell,
     S_cell,
+    Orientation,
+    _run_data,
     multisegment_of_orientation,
-    orientation_of_run,
     orientations,
     r_tau_sign,
     rectangle_cuts,
@@ -28,7 +29,6 @@ from htgroth.segments import (
     OpaqueFactor,
     Segment,
     _suffix_cut,
-    cut_tuples,
     groth_product,
     half,
     label_of_multisegment,
@@ -37,9 +37,25 @@ from htgroth.segments import (
 )
 from htgroth.symbolic import atom, integer
 
+from fraction_oracles import fraction_terms, red_tau_fraction
+
 PI = CuspidalLabel("pi", g=1)
 RHO = CuspidalLabel("rho", g=1)
 PI_G2 = CuspidalLabel("pi", g=2)
+
+
+def orientation_of_run(ms: Multisegment) -> Orientation:
+    """Inverse of ``multisegment_of_orientation`` on multiplicity-one consecutive-run multisegments."""
+    run = _run_data(ms)
+    if run is None:
+        raise ValueError(f"{ms!r} is not a multiplicity-one consecutive run")
+    _, start, size, _ = run
+    edges = [True] * (size - 1)
+    for seg in ms.segments:
+        brk = seg.end - start  # edge after the last point of this segment
+        if brk < size - 1:
+            edges[int(brk)] = False
+    return Orientation(size, tuple(edges))
 
 
 class TestOrientations:
@@ -268,28 +284,8 @@ class TestRedTau:
         x = GrothElement(terms)
         pi = data.draw(st.sampled_from((PI, PI, PI_G2)))
         depth = data.draw(st.integers(min_value=1, max_value=3))
-        assert red_tau(pi, depth, x) == _red_tau_reference(pi, depth, x)
+        assert fraction_terms(red_tau(pi, depth, x)) == red_tau_fraction(pi, depth, fraction_terms(x))
 
-
-
-def _red_tau_reference(pi, depth, x):
-    """``red_tau`` in Fractions: every suffix tuple of every factor on pi, kept when a1 is a run."""
-    out = GrothElement.zero()
-    for (label, tw), coeff in x.terms.items():
-        for idx, factor in enumerate(label.factors):
-            if not isinstance(factor, Multisegment) or factor.cuspidal_lines() != [pi]:
-                continue
-            rest = label.factors[:idx] + label.factors[idx + 1 :]
-            lengths = [seg.length for seg in factor.segments]
-            for ks in cut_tuples(lengths, depth):
-                a1, a2 = _suffix_cut(factor, ks)
-                try:
-                    transfer = r_tau_sign(a1)
-                except ValueError:
-                    continue  # the transfer vanishes on a1
-                merged = IrreducibleLabel(rest + ((a2,) if a2.segments else ()), KIND_FORMAL)
-                out = out + GrothElement.of(merged, tw + transfer.exponent, coeff * transfer.sign)
-    return out
 
 
 def test_rectangle_cut_rows_partition():

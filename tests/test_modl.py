@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +11,7 @@ from htgroth.modl import (
     collapse_label_key,
     cuspidal_lifts,
     e_l,
+    fraction_class_key,
     is_banal,
     is_cuspidal_st,
     line_key,
@@ -227,9 +226,9 @@ class TestReductionRules:
     def test_rl_division_rep_shapes(self):
         assert len(rl_division_rep(1, "iota").terms) == 1
         two = rl_division_rep(2, "iota")
-        assert {tw for (_, tw) in two.terms} == {Fraction(-1, 2), Fraction(1, 2)}
+        assert {tw for (_, tw) in two.terms} == {-1, 1}  # Xi^(-1/2) and Xi^(1/2), doubled
         three = rl_division_rep(3, "iota")
-        assert {tw for (_, tw) in three.terms} == {-1, 0, 1}
+        assert {tw for (_, tw) in three.terms} == {-2, 0, 2}
 
     @given(m_tau=st.integers(min_value=1, max_value=20))
     def test_rl_division_rep_symmetric(self, m_tau):
@@ -238,7 +237,7 @@ class TestReductionRules:
         assert len(twists) == m_tau
         assert twists == sorted(-tw for tw in twists)
         steps = {b - a for a, b in zip(twists, twists[1:])}
-        assert steps <= {1}
+        assert steps <= {2}  # integer steps, doubled
 
     def test_rl_steinberg_pinned_facts(self):
         sc = sc_with(2, 7, epsilon=3)
@@ -292,10 +291,15 @@ class TestCollapse:
             + make_steinberg(CuspidalLabel("sigma"), 3).factors
             + (OpaqueFactor("tau", 2),)
         )
-        assert collapse_label_key(label, lifts) == (
-            ("base", "rho", 0, 6, half(3)),  # start -1/2, stretched to -3/2, folded mod 3
+        key = collapse_label_key(label, lifts)
+        assert key == (
+            ("base", "rho", 0, 6, 3),  # start -1/2, stretched to -3/2, folded mod 3; doubled
             ("opaque", "tau", 2),
-            ("raw", "sigma", 3, -1),
+            ("raw", "sigma", 3, -2),  # start -1, doubled
+        )
+        assert fraction_class_key((key, -1)) == (
+            (("base", "rho", 0, 6, half(3)), ("opaque", "tau", 2), ("raw", "sigma", 3, -1)),
+            half(-1),
         )
 
     def test_twist_folding_by_line_period(self):

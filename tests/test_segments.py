@@ -86,12 +86,35 @@ class TestTwist:
         x = GrothElement.of(make_steinberg(PI, 2), half(1))
         y = x.twist(half(1))
         ((label, tw),) = y.terms.keys()
-        assert tw == half(1)  # external slot untouched
+        assert tw == 1  # external slot untouched: Xi^(1/2), doubled
         assert label.multisegments()[0].segments[0].start == 0
 
     def test_xi_twist_slot(self):
         x = GrothElement.of(make_steinberg(PI, 2), 0)
-        assert ((make_steinberg(PI, 2), half(3)),) == tuple(x.xi_twist(half(3)).terms)
+        assert ((make_steinberg(PI, 2), 3),) == tuple(xi_twist(x, half(3)).terms)
+
+    def test_terms_key_the_xi_slot_as_a_doubled_int(self):
+        st2 = make_steinberg(PI, 2)
+        for n in range(-5, 6):
+            ((label, xi2),) = GrothElement.of(st2, half(n)).terms
+            assert type(xi2) is int and xi2 == n and label == st2
+        # an int, a whole Fraction and a half-integer Fraction all double once
+        assert GrothElement.of(st2, 1).terms == GrothElement({(st2, Fraction(2, 2)): 1}).terms
+        assert GrothElement.of(st2, 1).terms == {(st2, 2): 1}
+        for bad in (Fraction(1, 3), 0.5, True, "1"):
+            with pytest.raises(ValueError):
+                GrothElement.of(st2, bad)
+        # sums, negation, scaling, twists and products keep int keys
+        x = GrothElement.of(st2, half(1), atom("a")) + GrothElement.of(st2, half(-3))
+        for y in (x, -x, x.scale(3), x.twist(half(1)), groth_product(x, x), x - x.twist(1)):
+            assert all(type(xi2) is int for _, xi2 in y.terms)
+        assert {xi2 for _, xi2 in groth_product(x, x).terms} == {2, -2, -6}
+        assert repr(GrothElement.of(st2, half(3))) == "(1)*{[-1/2,1/2]_pi} Xi^3/2"
+
+
+def xi_twist(x: GrothElement, n) -> GrothElement:
+    """Shift the external Xi exponent of every term of ``x`` by the half-integer n."""
+    return GrothElement({(label, half(xi2 + twice(n))): c for (label, xi2), c in x.terms.items()})
 
 
 def ladder_cuts_scan(lad, k_total):
@@ -317,7 +340,7 @@ def test_cancelling_sums_equal_zero():
     assert x + y == GrothElement.zero() and (x + y).terms == {}
     assert x - x == GrothElement.zero()
     assert x.scale(integer(0)) == GrothElement.zero()
-    assert x.twist(1).xi_twist(half(-1)) + (-x).twist(1).xi_twist(half(-1)) == GrothElement.zero()
+    assert xi_twist(x.twist(1), half(-1)) + xi_twist((-x).twist(1), half(-1)) == GrothElement.zero()
     assert hash(x + y) == hash(GrothElement.zero())
 
 

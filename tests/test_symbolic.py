@@ -37,3 +37,15 @@ def test_atoms_listing():
 
 def test_hash_consistency():
     assert hash(atom("u") + atom("v")) == hash(atom("v") + atom("u"))
+
+
+def test_integer_expressions_hash_as_their_int():
+    # an integer-only expression equals its int, so it must hash as it does:
+    # a set or a dict key then holds one of the two, not both
+    for n in (-7, -1, 0, 1, 3, 2**70):
+        assert integer(n) == n and hash(integer(n)) == hash(n)
+        assert len({n, integer(n)}) == 1
+    assert SymExpr() == 0 and hash(SymExpr()) == hash(0)
+    assert hash(atom("x") - atom("x") + 2) == hash(2)
+    assert {integer(3): "a"}[3] == "a"
+    assert hash(atom("x")) == hash(atom("x") * 1)
