@@ -15,6 +15,7 @@ parser and from ``_read_json``, the one reader of JSON inputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -230,24 +231,9 @@ def cmd_balance(args) -> int:
 
 def cmd_torsion(args) -> int:
     cert = torsion_detect(args.d, _load_supercuspidal(args.sc), args.u_prime, args.r_prime)
-    payload = {
-        "emitted": cert.emitted,
-        "d": cert.d,
-        "u_prime": cert.u_prime,
-        "r_prime": cert.r_prime,
-        "g_base": cert.g_base,
-        "g_up": cert.g_up,
-    }
+    payload = {k: v for k, v in dataclasses.asdict(cert).items() if v is not None}
     if cert.emitted:
-        payload.update(
-            r=cert.r,
-            s=cert.s,
-            s_prime=cert.s_prime,
-            i0_lower_bound=cert.i0_lower_bound,
-            lower_bound_only=cert.lower_bound_only,
-            shriek_degree=cert.shriek_degree,
-            star_degree=cert.star_degree,
-        )
+        payload["lower_bound_only"] = cert.lower_bound_only
     print(jsonio.dumps(payload))
     return 0
 

@@ -530,31 +530,22 @@ def torsion_detect(d: int, sc: SupercuspidalData, u_prime: int, r_prime: int) ->
         raise ValueError("the tower level u' must be >= 0")
     g_base = sc.g
     g_up = tower_rank(TowerLevel(sc, u_prime))
-    if r_prime * g_up > d - g_base:
-        return TorsionCertificate(
-            d=d, u_prime=u_prime, r_prime=r_prime, g_base=g_base, g_up=g_up, emitted=False
+    emitted = r_prime * g_up <= d - g_base
+    degrees = {}
+    if emitted:
+        if (r_prime * g_up) % g_base:
+            raise ValueError("stratum ranks do not match across the tower")
+        r = r_prime * g_up // g_base
+        s = d // g_base
+        s_prime = d // g_up
+        if not (s - r > s_prime - r_prime):
+            raise AssertionError("pivot inequality s - r > s' - r' failed")
+        i0 = s - r
+        degrees = dict(
+            r=r, s=s, s_prime=s_prime, i0_lower_bound=i0, shriek_degree=i0, star_degree=-i0 + 1
         )
-    if (r_prime * g_up) % g_base:
-        raise ValueError("stratum ranks do not match across the tower")
-    r = r_prime * g_up // g_base
-    s = d // g_base
-    s_prime = d // g_up
-    if not (s - r > s_prime - r_prime):
-        raise AssertionError("pivot inequality s - r > s' - r' failed")
-    i0 = s - r
     return TorsionCertificate(
-        d=d,
-        u_prime=u_prime,
-        r_prime=r_prime,
-        g_base=g_base,
-        g_up=g_up,
-        emitted=True,
-        r=r,
-        s=s,
-        s_prime=s_prime,
-        i0_lower_bound=i0,
-        shriek_degree=i0,
-        star_degree=-i0 + 1,
+        d=d, u_prime=u_prime, r_prime=r_prime, g_base=g_base, g_up=g_up, emitted=emitted, **degrees
     )
 
 

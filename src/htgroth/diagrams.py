@@ -168,20 +168,15 @@ def _m_hull(s: int, t: int) -> tuple[Point, ...]:
     return tuple(convex_hull(m_polygon_vertices(s, t)))
 
 
-@lru_cache(maxsize=16384)
-def _m_column_interval(s: int, t: int, r: int) -> tuple[int, int] | None:
-    return _column_interval(_m_hull(s, t), r)
-
-
 def m_column_hull(s: int, t: int, r: int) -> range:
     """The degrees i, ascending, that hull-plus-parity marks in column r (oracle).
 
-    The hull of the (s, t) polygon is built once and each column's interval
-    found once; a degree is marked when it lies in the interval at even
-    distance from its top.
+    The hull of the (s, t) polygon is built once and cached; a degree is
+    marked when it lies in the column's hull interval at even distance from
+    its top.
     """
     _check_st(s, t)
-    interval = _m_column_interval(s, t, r)
+    interval = _column_interval(_m_hull(s, t), r)
     if interval is None:
         return range(0)
     bottom, top = interval
@@ -308,8 +303,13 @@ def render_ascii(obj) -> str:
 SVG_SCALE = 24
 
 
-def render_svg(obj) -> str:
-    """Hand-written SVG 1.1: one circle per marked cell, light axis lines."""
+def _svg(width: int, height: int, elements: Sequence[str]) -> str:
+    head = f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}">'
+    return "\n".join([head, *elements, "</svg>"]) + "\n"
+
+
+def _svg_panel(obj) -> tuple[int, int, list[str]]:
+    """(width, height, elements) of one diagram: one circle per marked cell, light axis lines."""
     pts = _points_of(obj)
     rs = [p[0] for p in pts] or [1]
     is_ = [p[1] for p in pts] or [0]
@@ -326,8 +326,6 @@ def render_svg(obj) -> str:
     width = x(r_max) + pad
     height = y(i_min) + pad
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}">',
         f'<line x1="{x(r_min)}" y1="{y(0)}" x2="{x(r_max)}" y2="{y(0)}" '
         f'stroke="#999" stroke-width="1"/>',
     ]
@@ -338,30 +336,23 @@ def render_svg(obj) -> str:
         )
     for r, i in pts:
         parts.append(f'<circle cx="{x(r)}" cy="{y(i)}" r="5" fill="#c22" data-r="{r}" data-i="{i}"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return width, height, parts
+
+
+def render_svg(obj) -> str:
+    """Hand-written SVG 1.1: one circle per marked cell, light axis lines."""
+    return _svg(*_svg_panel(obj))
 
 
 def render_svg_panels(objs: Sequence) -> str:
     """Several diagrams side by side in one SVG (multi-panel figures)."""
-    panels = [render_svg(obj) for obj in objs]
-    sizes = []
-    for svg in panels:
-        m = re.search(r'width="(\d+)" height="(\d+)"', svg)
-        sizes.append((int(m.group(1)), int(m.group(2))))
-    total_w = sum(w for w, _ in sizes) + SVG_SCALE * (len(panels) - 1)
-    total_h = max(h for _, h in sizes)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{total_w}" height="{total_h}">'
-    ]
-    x = 0
-    for svg, (w, _) in zip(panels, sizes):
-        body = svg.split(">", 1)[1].rsplit("</svg>", 1)[0]
-        parts.append(f'<g transform="translate({x},0)">{body}</g>')
-        x += w + SVG_SCALE
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    panels = [_svg_panel(obj) for obj in objs]
+    groups, x = [], 0
+    for width, _, elements in panels:
+        body = "\n".join(elements)
+        groups.append(f'<g transform="translate({x},0)">\n{body}\n</g>')
+        x += width + SVG_SCALE
+    return _svg(x - SVG_SCALE, max(height for _, height, _ in panels), groups)
 
 
 def svg_point_set(svg_text: str) -> set[Point]:

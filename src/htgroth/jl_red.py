@@ -49,7 +49,6 @@ from .segments import (
     half,
     label_of_multisegment,
     label_product,
-    twice,
 )
 from .symbolic import SymExpr, integer
 
@@ -85,14 +84,13 @@ def multisegment_of_orientation(o: Orientation, pi: CuspidalLabel) -> Multisegme
     rightward orientation maps to the Steinberg segment and the fully
     leftward one to the t singleton segments.
     """
-    base = Fraction(1 - o.t, 2)
     segs = []
     run_start = 0
     for k in range(o.t - 1):
         if not o.edges[k]:  # leftward edge breaks the run
-            segs.append(Segment(pi, base + run_start, k + 1 - run_start))
+            segs.append(Segment(pi, half(1 - o.t + 2 * run_start), k + 1 - run_start))
             run_start = k + 1
-    segs.append(Segment(pi, base + run_start, o.t - run_start))
+    segs.append(Segment(pi, half(1 - o.t + 2 * run_start), o.t - run_start))
     return Multisegment(segs)
 
 
@@ -114,20 +112,17 @@ class SignedCharacter:
 
 
 def _run_data(ms: Multisegment):
-    """(cuspidal, start, size, center) when ms covers a run once, else None."""
-    if ms.is_empty():
+    """(cuspidal, center2) when ms covers a run once, else None; center2 is twice the run's center.
+
+    On one line the segments come sorted by start, so they tile a run once
+    exactly when each starts one step above the end of the one before.
+    """
+    if ms.is_empty() or len(ms.cuspidal_lines()) > 1:
         return None
-    lines = ms.cuspidal_lines()
-    if len(lines) > 1:
+    segs = ms.segments
+    if any(b.start2 != a.end2 + 2 for a, b in zip(segs, segs[1:])):
         return None
-    support = ms.support()
-    if any(mult != 1 for mult in support.values()):
-        return None
-    points = sorted(p for _, p in support.keys())
-    if any(b - a != 1 for a, b in zip(points, points[1:])):
-        return None
-    center = (points[0] + points[-1]) / 2
-    return lines[0], points[0], len(points), center
+    return segs[0].cuspidal, (segs[0].start2 + segs[-1].end2) // 2
 
 
 def r_tau_sign(a1: Multisegment) -> SignedCharacter:
@@ -142,11 +137,7 @@ def r_tau_sign(a1: Multisegment) -> SignedCharacter:
         raise ValueError(
             f"transfer vanishes: {a1!r} is not a multiplicity-one consecutive run"
         )
-    _, _, _, center = run
-    k2 = 2 * center
-    if k2.denominator != 1:
-        raise ValueError("run center is not half-integral")
-    return SignedCharacter(sign=(-1) ** (len(a1.segments) - 1), k=int(k2))
+    return SignedCharacter(sign=(-1) ** (len(a1.segments) - 1), k=run[1])
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +252,7 @@ def run_cuts(lad: Multisegment, left_units: int) -> list[Cut]:
     """
     segs = lad.segments
     return _run_cuts(
-        [twice(seg.start) for seg in segs],
+        [seg.start2 for seg in segs],
         [seg.length for seg in segs],
         [seg.cuspidal for seg in segs],
         left_units,
@@ -269,7 +260,7 @@ def run_cuts(lad: Multisegment, left_units: int) -> list[Cut]:
 
 
 def run_cuts_scan(lad: Multisegment, left_units: int) -> list[Cut]:
-    """Reference for ``run_cuts``: scan every suffix tuple in Fractions, keep the runs."""
+    """Reference for ``run_cuts``: scan every suffix tuple, keep the runs."""
     lengths = [seg.length for seg in lad.segments]
     if left_units > sum(lengths) or left_units < 0:
         return []
@@ -279,9 +270,9 @@ def run_cuts_scan(lad: Multisegment, left_units: int) -> list[Cut]:
         run = _run_data(Multisegment(seg for seg, _ in a1))
         if run is None:
             continue
-        a1.sort(key=lambda piece: piece[0].start)
-        doubled = [tuple((twice(sg.start), sg.length, j) for sg, j in side) for side in (a1, a2)]
-        out.append(Cut(tuple(ks), (-1) ** (len(a1) - 1), twice(run[3]), *doubled))
+        a1.sort(key=lambda piece: piece[0].start2)
+        doubled = [tuple((sg.start2, sg.length, j) for sg, j in side) for side in (a1, a2)]
+        out.append(Cut(tuple(ks), (-1) ** (len(a1) - 1), run[1], *doubled))
     return out
 
 

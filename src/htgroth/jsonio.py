@@ -21,7 +21,6 @@ from .segments import (
     Segment,
     half,
     require_int,
-    twice,
 )
 from .modl import SupercuspidalData, FieldData
 from .symbolic import SymExpr, integer
@@ -31,7 +30,7 @@ from .symbolic import SymExpr, integer
 
 
 def multisegment_to_json(ms: Multisegment) -> list:
-    return [[seg.cuspidal.id, twice(seg.start), seg.length] for seg in ms.segments]
+    return [[seg.cuspidal.id, seg.start2, seg.length] for seg in ms.segments]
 
 
 def multisegment_from_json(data: list, cuspidals: dict[str, CuspidalLabel]) -> Multisegment:

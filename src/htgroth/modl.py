@@ -40,22 +40,20 @@ from .symbolic import integer
 # ---------------------------------------------------------------------------
 
 
+def _smallest_factor(n: int) -> int:
+    """The smallest prime factor of n >= 2, by trial division."""
+    return next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and _smallest_factor(n) == n
 
 
 def _is_prime_power(n: int) -> bool:
     """Whether n is p^k for a prime p and k >= 1: divide out n's smallest prime factor."""
     if n < 2:
         return False
-    p = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)  # trial division
+    p = _smallest_factor(n)
     while n % p == 0:
         n //= p
     return n == 1
@@ -307,7 +305,7 @@ def collapse_label_key(label: IrreducibleLabel, lifts: LiftMap):
             continue
         for seg in factor.segments:
             parts.append(
-                collapse_segment_key(seg._key[1], seg.length, line_key(seg.cuspidal.id, lifts))
+                collapse_segment_key(seg.start2, seg.length, line_key(seg.cuspidal.id, lifts))
             )
     return tuple(sorted(parts))
 

@@ -96,20 +96,22 @@ class CuspidalLabel:
 class Segment:
     """The consecutive run pi{start}, ..., pi{start+length-1}.
 
-    Immutable.  Its key (cuspidal id, doubled start, length) orders the
-    segments of a multisegment and, with its hash, is computed once, at
-    construction, in ints; equality also compares the whole cuspidal label.
+    Immutable.  The start is stored once, doubled, in the int ``start2``;
+    ``start`` and ``end`` are its half-integer views.  Its key (cuspidal id,
+    start2, length) orders the segments of a multisegment and, with its hash,
+    is computed once, at construction; equality also compares the whole
+    cuspidal label.
     """
 
-    __slots__ = ("cuspidal", "start", "length", "_key", "_hash")
+    __slots__ = ("cuspidal", "start2", "length", "_key", "_hash")
 
     def __init__(self, cuspidal: CuspidalLabel, start: Union[int, Fraction], length: int):
-        start = ensure_half(start)
+        start2 = twice(start)
         if length < 1:
             raise ValueError("segment length must be >= 1")
-        key = (cuspidal.id, twice(start), length)
+        key = (cuspidal.id, start2, length)
         object.__setattr__(self, "cuspidal", cuspidal)
-        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "start2", start2)
         object.__setattr__(self, "length", length)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
@@ -121,22 +123,23 @@ class Segment:
         raise AttributeError(f"cannot delete {name!r}: a segment is immutable")
 
     @property
-    def end(self) -> Fraction:
-        return self.start + self.length - 1
+    def end2(self) -> int:
+        return self.start2 + 2 * (self.length - 1)
 
     @property
-    def center(self) -> Fraction:
-        return self.start + Fraction(self.length - 1, 2)
+    def start(self) -> Fraction:
+        return half(self.start2)
+
+    @property
+    def end(self) -> Fraction:
+        return half(self.end2)
 
     @property
     def rank(self) -> int:
         return self.length * self.cuspidal.g
 
-    def positions(self) -> list[Fraction]:
-        return [self.start + k for k in range(self.length)]
-
     def twist(self, n) -> "Segment":
-        return Segment(self.cuspidal, self.start + ensure_half(n), self.length)
+        return Segment(self.cuspidal, half(self.start2 + twice(n)), self.length)
 
     def sort_key(self) -> tuple[str, int, int]:
         return self._key
@@ -186,15 +189,6 @@ class Multisegment:
                 seen.append(s.cuspidal)
         return seen
 
-    def support(self) -> dict[tuple[str, Fraction], int]:
-        """Multiset of (cuspidal id, twist) points covered, with multiplicity."""
-        mult: dict[tuple[str, Fraction], int] = {}
-        for seg in self.segments:
-            for p in seg.positions():
-                key = (seg.cuspidal.id, p)
-                mult[key] = mult.get(key, 0) + 1
-        return mult
-
     def is_ladder(self) -> bool:
         """True when some ordering has strictly increasing starts AND ends.
 
@@ -208,7 +202,7 @@ class Multisegment:
             return False
         segs = self.segments
         for a, b in zip(segs, segs[1:]):
-            if not (a.start < b.start and a.end < b.end):
+            if not (a.start2 < b.start2 and a.end2 < b.end2):
                 return False
         return True
 
@@ -458,11 +452,7 @@ def speh_st_multisegment(pi: CuspidalLabel, s: int, t: int) -> Multisegment:
     """The s-by-t rectangle ladder: s segments of length t, staircase starts."""
     if s < 1 or t < 1:
         raise ValueError("s and t must be >= 1")
-    segs = []
-    base = half(1 - s) - half(t - 1)
-    for j in range(s):
-        segs.append(Segment(pi, base + j, t))
-    return Multisegment(segs)
+    return Multisegment(Segment(pi, half(2 - s - t + 2 * j), t) for j in range(s))
 
 
 def make_speh_st(pi: CuspidalLabel, s: int, t: int) -> IrreducibleLabel:
@@ -487,8 +477,8 @@ def _rectangle_shape(lad: Multisegment) -> tuple[int, int] | None:
     if len(lengths) != 1:
         return None
     t = lengths.pop()
-    starts = [seg.start for seg in lad.segments]
-    if any(b - a != 1 for a, b in zip(starts, starts[1:])):
+    starts2 = [seg.start2 for seg in lad.segments]
+    if any(b - a != 2 for a, b in zip(starts2, starts2[1:])):
         return None
     return (len(lad.segments), t)
 
@@ -497,9 +487,8 @@ def _suffix_pieces(lad: Multisegment, ks: Sequence[int]):
     """The (Segment, row) pieces of a suffix tuple: a1 takes the top k_j twists of row j, a2 the rest."""
     a1, a2 = [], []
     for j, (seg, k) in enumerate(zip(lad.segments, ks)):
-        if k:  # a1 starts at start + length - k; doubled, the cached half skips Fraction sums
-            start2 = twice(seg.start) + 2 * (seg.length - k)
-            a1.append((Segment(seg.cuspidal, half(start2), k), j))
+        if k:  # a1 starts at start + length - k
+            a1.append((Segment(seg.cuspidal, half(seg.start2 + 2 * (seg.length - k)), k), j))
         if seg.length - k:
             a2.append((Segment(seg.cuspidal, seg.start, seg.length - k), j))
     return a1, a2

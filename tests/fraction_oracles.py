@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from htgroth.jl_red import r_tau_sign
+from htgroth.jl_red import SignedCharacter
 from htgroth.jsonio import _label_from_json, _label_to_json, sym_from_json, sym_to_json
 from htgroth.modl import line_key
 from htgroth.segments import (
@@ -55,6 +55,37 @@ def groth_product_fraction(a: FractionTerms, b: FractionTerms) -> FractionTerms:
     return _pruned(out)
 
 
+def run_data_fraction(ms: Multisegment):
+    """(cuspidal, start, size, center) when ms covers a run once, else None: its points, counted."""
+    if ms.is_empty():
+        return None
+    lines = ms.cuspidal_lines()
+    if len(lines) > 1:
+        return None
+    support: dict[Fraction, int] = {}
+    for seg in ms.segments:
+        for k in range(seg.length):
+            support[seg.start + k] = support.get(seg.start + k, 0) + 1
+    if any(mult != 1 for mult in support.values()):
+        return None
+    points = sorted(support)
+    if any(b - a != 1 for a, b in zip(points, points[1:])):
+        return None
+    center = (points[0] + points[-1]) / 2
+    return lines[0], points[0], len(points), center
+
+
+def r_tau_sign_fraction(a1: Multisegment) -> SignedCharacter:
+    """``r_tau_sign`` from ``run_data_fraction``: the sign of the segment count, |.|^center."""
+    run = run_data_fraction(a1)
+    if run is None:
+        raise ValueError(f"transfer vanishes: {a1!r} is not a multiplicity-one consecutive run")
+    k2 = 2 * run[3]
+    if k2.denominator != 1:
+        raise ValueError("run center is not half-integral")
+    return SignedCharacter(sign=(-1) ** (len(a1.segments) - 1), k=int(k2))
+
+
 def red_tau_fraction(pi, depth: int, x: FractionTerms) -> FractionTerms:
     """``red_tau``: every suffix tuple of every factor on pi, kept when a1 is a run."""
     out: dict = {}
@@ -67,7 +98,7 @@ def red_tau_fraction(pi, depth: int, x: FractionTerms) -> FractionTerms:
             for ks in cut_tuples(lengths, depth):
                 a1, a2 = _suffix_cut(factor, ks)
                 try:
-                    transfer = r_tau_sign(a1)
+                    transfer = r_tau_sign_fraction(a1)
                 except ValueError:
                     continue  # the transfer vanishes on a1
                 merged = IrreducibleLabel(rest + ((a2,) if a2.segments else ()), KIND_FORMAL)

@@ -379,6 +379,10 @@ def test_verify_max_8_stdout_pinned(capsys):
         assert run_cli(["verify", "--max", bound], capsys) == (0, VERIFY_MAX_8), bound
 
 
+# sha256 of the six ``figures`` SVGs, concatenated in sorted name order
+FIGURES_SHA256 = "f972777d32f74aa344219af81aa99c7a2043548f0a84233d4463ee558a332b5c"
+
+
 class TestFiguresCommand:
     def test_six_figures(self, tmp_path, capsys):
         code, out = run_cli(["figures", "--out", str(tmp_path)], capsys)
@@ -395,6 +399,12 @@ class TestFiguresCommand:
         panel = Path(fig1[0]).read_text(encoding="utf-8")
         pts = svg_point_set(panel)
         assert set(m_support(4, 1).points) <= pts and set(m_support(1, 4).points) <= pts
+
+    def test_figure_bytes_pinned(self, tmp_path, capsys):
+        # the six files concatenated in sorted name order, single and panel figures alike
+        assert run_cli(["figures", "--out", str(tmp_path)], capsys)[0] == 0
+        data = b"".join(path.read_bytes() for path in sorted(tmp_path.glob("*.svg")))
+        assert hashlib.sha256(data).hexdigest() == FIGURES_SHA256
 
 
 def test_console_entry_point():
@@ -413,15 +423,15 @@ def test_console_entry_point():
 def test_closed_stdout_exits_1_without_an_error_record():
     src = os.path.dirname(os.path.dirname(htgroth.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    child = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "htgroth.cli", "jacquet", "--s", "4000", "--t", "1",
          "--left-rank", "1"],  # ~220 kB of JSON, more than a pipe buffers
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
-    )
-    assert len(child.stdout.read(100)) == 100
-    child.stdout.close()  # as `| head -c 100` does
-    err = child.stderr.read()
-    assert child.wait(timeout=60) == 1 and err == b""
+    ) as child:
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()  # as `| head -c 100` does
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 1 and err == b""
 
 
 def run_main(argv):

@@ -7,7 +7,6 @@ from htgroth.diagrams import (
     LocalComponent,
     _column_interval,
     _in_hull,
-    _m_column_interval,
     _m_hull,
     convex_hull,
     hull_column_max_i,
@@ -113,7 +112,7 @@ class TestMCoeff:
                         )
 
     def test_prebuilt_hull_matches_hull_contains(self):
-        # the cached hull and column intervals behind m_column_hull, and the
+        # the cached hull and the column intervals behind m_column_hull, and the
         # closed form m_column, against the per-point public oracle, which
         # rebuilds the hull on every call, on strata and degrees beyond the
         # polygon
@@ -127,7 +126,7 @@ class TestMCoeff:
                     top = inside[-1] if inside else None
                     assert hull_column_max_i(verts, r) == top, (s, t, r)
                     interval = (inside[0], top) if inside else None
-                    assert _m_column_interval(s, t, r) == interval, (s, t, r)
+                    assert _column_interval(hull, r) == interval, (s, t, r)
                     marked = [i for i in inside if (top - i) % 2 == 0]
                     assert list(m_column_hull(s, t, r)) == marked, (s, t, r)
                     assert list(m_column(s, t, r)) == marked, (s, t, r)

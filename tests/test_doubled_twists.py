@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+import pytest
 from htgroth import cohomology, jl_red
 from htgroth.cohomology import (
     ProfileEntry,
@@ -19,6 +20,7 @@ from htgroth.cohomology import (
     conj2_predicate,
     rl_hi_balance,
 )
+from htgroth.jl_red import _run_data, r_tau_sign
 from htgroth.jsonio import groth_from_json, groth_to_json
 from htgroth.modl import (
     FieldData,
@@ -45,6 +47,7 @@ from htgroth.segments import (
     half,
     speh_st_multisegment,
     steinberg_multisegment,
+    twice,
 )
 from htgroth.symbolic import atom, integer
 
@@ -55,7 +58,9 @@ from fraction_oracles import (
     groth_from_json_fraction,
     groth_product_fraction,
     groth_to_json_fraction,
+    r_tau_sign_fraction,
     rl_reduce_fraction,
+    run_data_fraction,
 )
 
 # (base id, q, l, epsilon, u): the line of each level has the stretch and
@@ -209,6 +214,65 @@ def test_jsonio_round_trip_matches_the_fraction_reference(x):
     back = groth_from_json(data, cuspidals)
     assert back == x
     assert fraction_terms(back) == groth_from_json_fraction(data, cuspidals)
+
+
+# ---------------------------------------------------------------------------
+# segments store their doubled start once; runs are read off it
+# ---------------------------------------------------------------------------
+
+
+@given(line=st.sampled_from(LIFT_LINES + RAW_LINES), start2=STARTS2, length=st.integers(1, 4))
+def test_a_segment_stores_only_its_doubled_start(line, start2, length):
+    assert "start" not in Segment.__slots__
+    for start in [half(start2)] + ([start2 // 2] if start2 % 2 == 0 else []):
+        seg = Segment(line, start, length)
+        assert seg.start2 == twice(seg.start) == start2 and seg.end2 == twice(seg.end)
+        assert seg.end - seg.start == length - 1
+        slots = [getattr(seg, name) for name in Segment.__slots__]
+        assert not any(isinstance(v, Fraction) for v in slots + list(seg._key)), slots
+        assert seg.twist(half(-1)).start2 == start2 - 1
+
+
+PI_RUN = CuspidalLabel("pi")
+
+
+@st.composite
+def run_candidates(draw):
+    """1-4 segments tiling a run, then maybe a duplicate, a gap, an overlap, a half step or a second line."""
+    lengths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    starts2 = [draw(STARTS2)]
+    for length in lengths[:-1]:
+        starts2.append(starts2[-1] + 2 * length)
+    lines = [PI_RUN] * len(lengths)
+    change = draw(st.sampled_from(["none", "duplicate", "gap", "overlap", "half step", "line"]))
+    j = draw(st.integers(0, len(lengths) - 1))
+    if change == "duplicate":
+        starts2, lengths, lines = starts2 + [starts2[j]], lengths + [lengths[j]], lines + [PI_RUN]
+    elif change in ("gap", "overlap", "half step"):
+        step = {"gap": 2 * draw(st.integers(1, 2)), "overlap": -2, "half step": 1}[change]
+        starts2 = starts2[:j] + [a + step for a in starts2[j:]]
+    elif change == "line":
+        lines[j] = draw(st.sampled_from([CuspidalLabel("rho"), CuspidalLabel("pi", g=2)]))
+    segs = [Segment(line, half(a), k) for line, a, k in zip(lines, starts2, lengths)]
+    return change, Multisegment(segs[:4])
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=run_candidates())
+def test_run_data_and_r_tau_sign_match_the_fraction_reference(case):
+    change, ms = case
+    run, expected = _run_data(ms), run_data_fraction(ms)
+    if change == "none":
+        assert run is not None
+    if expected is None:
+        assert run is None
+        for sign in (r_tau_sign, r_tau_sign_fraction):
+            with pytest.raises(ValueError, match="transfer vanishes"):
+                sign(ms)
+        return
+    cuspidal, _, _, center = expected
+    assert run == (cuspidal, twice(center)) and type(run[1]) is int
+    assert r_tau_sign(ms) == r_tau_sign_fraction(ms)
 
 
 # ---------------------------------------------------------------------------

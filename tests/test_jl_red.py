@@ -49,12 +49,13 @@ def orientation_of_run(ms: Multisegment) -> Orientation:
     run = _run_data(ms)
     if run is None:
         raise ValueError(f"{ms!r} is not a multiplicity-one consecutive run")
-    _, start, size, _ = run
+    size = sum(seg.length for seg in ms.segments)
+    start2 = run[1] - (size - 1)  # the run spans size - 1 steps around its center
     edges = [True] * (size - 1)
     for seg in ms.segments:
-        brk = seg.end - start  # edge after the last point of this segment
+        brk = (seg.end2 - start2) // 2  # edge after the last point of this segment
         if brk < size - 1:
-            edges[int(brk)] = False
+            edges[brk] = False
     return Orientation(size, tuple(edges))
 
 

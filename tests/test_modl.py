@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from htgroth.modl import (
+    _is_prime,
     _is_prime_power,
     FieldData,
     SupercuspidalData,
@@ -82,6 +83,7 @@ class TestFieldData:
 
     def test_prime_powers_match_their_definition(self):
         primes = [p for p in range(2, 2000) if all(p % d for d in range(2, p))]
+        assert [n for n in range(-2, 2000) if _is_prime(n)] == primes
         powers = {p**k for p in primes for k in range(1, 12) if p**k < 2000}
         assert [n for n in range(-2, 2000) if _is_prime_power(n)] == sorted(powers)
 
