@@ -164,9 +164,10 @@ def _load_profile(source: str, cuspidals: dict[str, CuspidalLabel]) -> SpectrumP
                 raise TypeError(f"markers must be strings, not {markers!r}")
             cusp = cuspidals.get(name) or CuspidalLabel(name)
             cuspidals[name] = cusp
-            mult = atom(f"m[{name}]")  # the default weight: one atom, whatever the id holds
             if "mult" in item:
                 mult = jsonio.sym_from_json(_json_field(item, "mult", (int, str)))
+            else:  # one atom, so an id with a blank, ^, * or + cannot name it: ValueError
+                mult = atom(f"m[{name}]")
             entries.append(
                 ProfileEntry(
                     s=item["s"],

@@ -22,7 +22,6 @@ contribution descends.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -353,14 +352,6 @@ def render_svg_panels(objs: Sequence) -> str:
         groups.append(f'<g transform="translate({x},0)">\n{body}\n</g>')
         x += width + SVG_SCALE
     return _svg(x - SVG_SCALE, max(height for _, height, _ in panels), groups)
-
-
-def svg_point_set(svg_text: str) -> set[Point]:
-    """Extract the marked cells back out of a rendered SVG (golden-file keys)."""
-    pts = set()
-    for m in re.finditer(r'data-r="(-?\d+)" data-i="(-?\d+)"', svg_text):
-        pts.add((int(m.group(1)), int(m.group(2))))
-    return pts
 
 
 def render(obj, format: str = "ascii") -> str:

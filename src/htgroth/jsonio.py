@@ -3,13 +3,25 @@
 Half-integers travel as numerators (twice the value), so every payload is
 pure-integer JSON.  Symbolic coefficients serialize as an integer when they
 are one, otherwise as a product string like "2*m(Pi)*dxi" per monomial,
-joined with " + ".
+joined with " + ".  Each factor is an integer or an atom name of
+``symbolic.ATOM_NAME`` (no blank, ``^``, ``*`` or ``+``), so every
+coefficient written reads back as itself.
+
+``dumps`` prints exactly the bytes of ``json.dumps(obj, indent=2,
+sort_keys=True)``.  Below Python 3.13 the stdlib encodes indented output in
+pure Python, so there ``dumps`` walks the payload itself, at about half the
+cost; from 3.13 on the stdlib's C encoder handles ``indent`` and ``dumps``
+calls it.  The walker takes str, int, bool, None, lists, tuples and dicts
+with str keys, all that the CLI prints; anything else, floats included,
+raises TypeError.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
+from json.encoder import encode_basestring_ascii
 
 from .segments import (
     CuspidalLabel,
@@ -23,7 +35,7 @@ from .segments import (
     require_int,
 )
 from .modl import SupercuspidalData, FieldData
-from .symbolic import SymExpr, integer
+from .symbolic import ATOM_NAME, SymExpr, integer
 
 
 # -- multisegments ----------------------------------------------------------
@@ -55,6 +67,10 @@ def sym_to_json(c: SymExpr):
     return " + ".join(parts)
 
 
+# an integer, or an atom name with an optional power
+_FACTOR = re.compile(rf"(-?\d+)|({ATOM_NAME.pattern})(?:\^(\d+))?")
+
+
 def sym_from_json(data) -> SymExpr:
     """Read what ``sym_to_json`` writes; any other string, empty parts too, raises ValueError."""
     if isinstance(data, int):
@@ -63,8 +79,7 @@ def sym_from_json(data) -> SymExpr:
     for part in str(data).split("+"):
         acc = integer(1)
         for factor in part.split("*"):
-            # an integer, or an atom name (a letter first, no blank) with an optional power
-            match = re.fullmatch(r"(-?\d+)|([^\W\d][^\s^]*)(?:\^(\d+))?", factor.strip())
+            match = _FACTOR.fullmatch(factor.strip())
             if match is None:
                 raise ValueError(f"cannot read {factor.strip()!r} in the coefficient {data!r}")
             number, name, power = match.groups()
@@ -141,5 +156,61 @@ def supercuspidal_from_json(data: dict) -> SupercuspidalData:
     )
 
 
-def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+# -- indented output ---------------------------------------------------------
+
+_SCALARS = {
+    str: encode_basestring_ascii,  # the escaper json.dumps uses, so the same \u escapes
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _walk(obj, append, newline: str) -> None:
+    """Append the text of ``obj``, whose lines after the first start with ``newline``."""
+    kind = type(obj)
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        append(scalar(obj))
+    elif kind is dict:
+        if not obj:
+            append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            append(sep + encode_basestring_ascii(key) + ": ")
+            _walk(value, append, inner)
+            sep = "," + inner
+        append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            append(sep)
+            _walk(value, append, inner)
+            sep = "," + inner
+        append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _walk_dumps(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, without the stdlib's pure-Python encoder."""
+    parts: list[str] = []
+    _walk(obj, parts.append, "\n")
+    return "".join(parts)
+
+
+if sys.version_info >= (3, 13):
+
+    def dumps(obj) -> str:
+        return json.dumps(obj, indent=2, sort_keys=True)
+
+else:
+    dumps = _walk_dumps

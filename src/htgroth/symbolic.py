@@ -9,7 +9,12 @@ in the package is exact.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Mapping, Union
+
+# an atom name: a letter or "_" first, then no blank and none of "^", "*", "+",
+# the characters a written coefficient uses around its names
+ATOM_NAME = re.compile(r"[^\W\d][^\s^*+]*")
 
 # a monomial is a sorted tuple of (atom_name, power) with power >= 1
 Monomial = tuple[tuple[str, int], ...]
@@ -46,6 +51,8 @@ class SymExpr:
 
     @staticmethod
     def atom(name: str, power: int = 1) -> "SymExpr":
+        if not ATOM_NAME.fullmatch(name):
+            raise ValueError(f"{name!r} is no atom name: a letter or _ first, no blank, ^, * or +")
         if power < 0:
             raise ValueError("atom powers must be nonnegative")
         if power == 0:

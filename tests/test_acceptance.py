@@ -38,7 +38,6 @@ from htgroth.diagrams import (
     m_support,
     n_support,
     render,
-    svg_point_set,
 )
 from htgroth.jl_red import R_cell, S_cell, red_tau
 from htgroth.modl import (
@@ -64,6 +63,8 @@ from htgroth.segments import (
     speh_st_multisegment,
 )
 from htgroth.symbolic import atom
+
+from diagram_oracles import svg_point_set
 
 PI = CuspidalLabel("pi", g=1)
 

@@ -20,6 +20,8 @@ from htgroth.modl import TowerLevel, matched_strata, tower_cuspidal, tower_rank
 from htgroth.segments import CuspidalLabel, GrothElement, make_speh_st
 from htgroth.symbolic import atom
 
+from diagram_oracles import svg_point_set
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -221,11 +223,25 @@ def test_missing_fields_are_named(args, message):
     assert json.loads(err) == {"error": "precondition", "message": message}
 
 
-def test_default_weight_is_one_atom_for_any_id(capsys):
-    profile = '[{"s":1,"t":1,"cuspidal":"my pi+1"}]'
-    code, out = run_cli(["cohomology", "--profile", profile, "--pi", "my pi+1", "--r", "1"], capsys)
-    assert code == 0
-    assert [term["coeff"] for term in json.loads(out)["0"]] == ["ker1(Q,G)/d*m[my pi+1]"]
+def test_default_weight_is_one_atom_that_reads_back():
+    for cusp in ("rho[u=-1]#0", "\u03c1_1"):
+        profile = json.dumps([{"s": 1, "t": 1, "cuspidal": cusp}])
+        code, out, _ = run_main(["cohomology", "--profile", profile, "--pi", cusp, "--r", "1"])
+        assert code == 0
+        [term] = json.loads(out)["0"]
+        assert jsonio.sym_from_json(term["coeff"]) == atom("ker1(Q,G)/d") * atom(f"m[{cusp}]")
+
+
+@pytest.mark.parametrize("cusp", ["a+b", "a*b", "a^2", "my pi"])
+def test_default_weight_refuses_an_id_it_cannot_name(cusp):
+    # m[a+b] would print as a coefficient that reads back as two other atoms
+    profile = json.dumps([{"s": 1, "t": 1, "cuspidal": cusp}])
+    code, out, err = run_main(["cohomology", "--profile", profile, "--pi", cusp, "--r", "1"])
+    assert (code, out, json.loads(err)["error"]) == (3, "", "precondition")
+    # with its own weight such an id is fine
+    profile = json.dumps([{"s": 1, "t": 1, "cuspidal": cusp, "mult": "m"}])
+    code, out, _ = run_main(["cohomology", "--profile", profile, "--pi", cusp, "--r", "1"])
+    assert code == 0 and json.loads(out)["0"][0]["coeff"] == "ker1(Q,G)/d*m"
 
 
 class TestCohomologyCommand:
@@ -389,7 +405,7 @@ class TestFiguresCommand:
         assert code == 0
         written = json.loads(out)
         assert len(written) == 6
-        from htgroth.diagrams import svg_point_set, n_support, m_support
+        from htgroth.diagrams import n_support, m_support
 
         fig5 = [p for p in written if "fig5" in p]
         svg = Path(fig5[0]).read_text(encoding="utf-8")

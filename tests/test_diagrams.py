@@ -23,9 +23,10 @@ from htgroth.diagrams import (
     n_support,
     render,
     superpose,
-    svg_point_set,
 )
 from htgroth.segments import CuspidalLabel
+
+from diagram_oracles import svg_point_set
 
 PI = CuspidalLabel("pi")
 RHO = CuspidalLabel("rho")

@@ -1,18 +1,28 @@
+import json
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from htgroth import jsonio
 from htgroth.jl_red import red_tau
 from htgroth.modl import FieldData, SupercuspidalData
 from htgroth.segments import (
+    KIND_FORMAL,
+    KIND_GENERIC,
+    KIND_SPEH_ST,
     CuspidalLabel,
     GrothElement,
+    IrreducibleLabel,
+    Multisegment,
+    OpaqueFactor,
+    Segment,
     half,
     make_speh_st,
     make_steinberg,
 )
-from htgroth.symbolic import atom, integer
+from htgroth.symbolic import ATOM_NAME, SymExpr, atom, integer
 
 PI = CuspidalLabel("pi", g=1)
 
@@ -114,3 +124,97 @@ def test_twist_num_and_twist_val_are_inverse():
         assert data[0]["xi_twist_numerator"] == n
         assert jsonio.groth_from_json(data, {"pi": PI}) == x
     assert jsonio.multisegment_to_json(make_steinberg(PI, 1).multisegments()[0].twist(3)) == [["pi", 6, 1]]
+
+
+# -- indented output: the walker against the stdlib ---------------------------
+
+# quotes, backslashes, control characters, DEL, a line separator, non-ASCII and non-BMP
+TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028\xe9\u03c1\U0001f600'), max_size=8)
+INTS = st.integers() | st.sampled_from([0, -1, 2**63, -(2**100), 10**40])
+PAYLOADS = st.recursive(
+    st.none() | st.booleans() | INTS | TEXT,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, kids, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=PAYLOADS)
+def test_walker_prints_the_stdlib_bytes(obj):
+    expected = json.dumps(obj, indent=2, sort_keys=True)
+    assert jsonio._walk_dumps(obj) == expected
+    assert jsonio.dumps(obj) == expected
+
+
+def test_walker_prints_empty_containers_and_scalars_alone():
+    for obj in ({}, [], (), [{}, [], ()], {"": {}}, None, True, False, -7, "\u20ac"):
+        assert jsonio._walk_dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "obj", [1.5, [0.0], {"a": {"b": 2.0}}, {1: 2}, {"a": 1, None: 2}, [Fraction(1, 2)], {"a"}, b"x"]
+)
+def test_walker_refuses_floats_non_str_keys_and_other_types(obj):
+    with pytest.raises(TypeError):
+        jsonio._walk_dumps(obj)
+
+
+def test_dumps_walks_only_where_the_stdlib_indents_in_python():
+    assert (jsonio.dumps is jsonio._walk_dumps) == (sys.version_info < (3, 13))
+
+
+# -- Grothendieck elements through the printed text ---------------------------
+
+# ids with brackets and non-ASCII characters, on lines of several ranks
+LINES = (
+    CuspidalLabel("pi"),
+    CuspidalLabel("\u03c1[u=0]", g=2),
+    CuspidalLabel("\u03c0[u=-1]#1", g=3),
+    CuspidalLabel("[x y]"),
+)
+ATOM_NAMES = st.sampled_from(["m[\u03c1[u=0]]", "ker1(Q,G)/d", "n'", "dxi"]) | st.from_regex(
+    ATOM_NAME, fullmatch=True
+)
+
+
+@st.composite
+def coeffs(draw):
+    c = integer(0)
+    for _ in range(draw(st.integers(1, 3))):
+        term = integer(draw(st.integers(-3, 3)))
+        for _ in range(draw(st.integers(0, 2))):
+            term = term * SymExpr.atom(draw(ATOM_NAMES), draw(st.integers(1, 3)))
+        c = c + term
+    return c
+
+
+@st.composite
+def labels(draw):
+    factors = [
+        OpaqueFactor(draw(TEXT), draw(st.integers(0, 3))) for _ in range(draw(st.integers(0, 2)))
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        segs = [
+            Segment(draw(st.sampled_from(LINES)), half(draw(st.integers(-9, 9))), draw(st.integers(1, 3)))
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+        factors.append(Multisegment(segs))
+    return IrreducibleLabel(factors, draw(st.sampled_from([KIND_FORMAL, KIND_GENERIC, KIND_SPEH_ST])))
+
+
+@st.composite
+def elements(draw):
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        terms[(draw(labels()), half(draw(st.integers(-9, 9))))] = draw(coeffs())
+    return GrothElement(terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=elements())
+def test_groth_round_trip_through_the_printed_text(x):
+    text = jsonio.dumps(jsonio.groth_to_json(x))
+    assert text.isascii()
+    assert jsonio.groth_from_json(json.loads(text), {c.id: c for c in LINES}) == x

@@ -1,4 +1,6 @@
-from htgroth.symbolic import SymExpr, atom, integer
+import pytest
+
+from htgroth.symbolic import ATOM_NAME, SymExpr, atom, integer
 
 
 def test_ring_basics():
@@ -49,3 +51,17 @@ def test_integer_expressions_hash_as_their_int():
     assert hash(atom("x") - atom("x") + 2) == hash(2)
     assert {integer(3): "a"}[3] == "a"
     assert hash(atom("x")) == hash(atom("x") * 1)
+
+
+@pytest.mark.parametrize("name", ["", "1m", "-m", "^m", "a+b", "m[a+b]", "a*b", "m^2", "my pi", "m\t", "m "])
+def test_atom_refuses_names_a_coefficient_cannot_hold(name):
+    with pytest.raises(ValueError):
+        atom(name)
+    with pytest.raises(ValueError):
+        SymExpr.atom(name, 2)
+
+
+@pytest.mark.parametrize("name", ["m", "_x", "m[rho[u=-1]#0]", "ker1(Q,G)/d", "n'", "ρ", "m[\U0001d70b]"])
+def test_atom_takes_the_names_the_reader_takes(name):
+    assert ATOM_NAME.fullmatch(name)
+    assert atom(name).atoms() == {name}
