@@ -15,7 +15,6 @@ parser and from ``_read_json``, the one reader of JSON inputs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -232,7 +231,7 @@ def cmd_balance(args) -> int:
 
 def cmd_torsion(args) -> int:
     cert = torsion_detect(args.d, _load_supercuspidal(args.sc), args.u_prime, args.r_prime)
-    payload = {k: v for k, v in dataclasses.asdict(cert).items() if v is not None}
+    payload = {k: v for k, v in zip(cert._fields, cert._astuple()) if v is not None}
     if cert.emitted:
         payload["lower_bound_only"] = cert.lower_bound_only
     print(jsonio.dumps(payload))

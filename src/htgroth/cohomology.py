@@ -57,7 +57,6 @@ built once, unless it cancels on both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -79,6 +78,7 @@ from .segments import (
     CuspidalLabel,
     GrothElement,
     IrreducibleLabel,
+    Value,
     ensure_half,
     require_int,
     twice,
@@ -93,8 +93,7 @@ KER1_ATOM = "ker1(Q,G)/d"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProfileEntry:
+class ProfileEntry(Value):
     """One family of automorphic contributors with local block Speh_s(St_t).
 
     ``mult`` is the total symbolic weight m(Pi) d_xi(Pi_oo) of the family;
@@ -102,27 +101,38 @@ class ProfileEntry:
     cuspidal; ``tail`` the untouched complementary factor at the place.
     """
 
-    s: int
-    t: int
-    cuspidal: CuspidalLabel
-    mult: SymExpr
-    xi: Fraction = Fraction(0)
-    tail: IrreducibleLabel = field(default_factory=IrreducibleLabel.unit)
-    markers: frozenset[str] = frozenset()
+    __slots__ = _fields = ("s", "t", "cuspidal", "mult", "xi", "tail", "markers")
 
-    def __post_init__(self):
-        if require_int("s", self.s) < 1 or require_int("t", self.t) < 1:
+    def __init__(
+        self,
+        s: int,
+        t: int,
+        cuspidal: CuspidalLabel,
+        mult: SymExpr,
+        xi: Fraction = Fraction(0),
+        tail: IrreducibleLabel = IrreducibleLabel.unit(),
+        markers: frozenset[str] = frozenset(),
+    ):
+        if require_int("s", s) < 1 or require_int("t", t) < 1:
             raise ValueError("s and t must be >= 1")
-        object.__setattr__(self, "xi", ensure_half(self.xi))
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "cuspidal", cuspidal)
+        object.__setattr__(self, "mult", mult)
+        object.__setattr__(self, "xi", ensure_half(xi))
+        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "markers", markers)
 
     @property
     def r(self) -> int:
         return self.s + self.t - 1
 
 
-@dataclass(frozen=True)
-class SpectrumProfile:
-    entries: tuple[ProfileEntry, ...]
+class SpectrumProfile(Value):
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: tuple[ProfileEntry, ...]):
+        object.__setattr__(self, "entries", entries)
 
     def __iter__(self):
         return iter(self.entries)
@@ -490,22 +500,45 @@ def dxi_support(s: int) -> set[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TorsionCertificate:
-    """Outcome of the torsion criterion for a shriek/star extension pair."""
+class TorsionCertificate(Value):
+    """Outcome of the torsion criterion for a shriek/star extension pair.
 
-    d: int
-    u_prime: int
-    r_prime: int
-    g_base: int
-    g_up: int
-    emitted: bool
-    r: int | None = None
-    s: int | None = None
-    s_prime: int | None = None
-    i0_lower_bound: int | None = None
-    shriek_degree: int | None = None  # torsion degree for the !-extension
-    star_degree: int | None = None  # torsion degree for the *-extension
+    ``shriek_degree`` and ``star_degree`` are the torsion degrees of the !-
+    and the *-extension; the last six fields are None when none is emitted.
+    """
+
+    __slots__ = _fields = (
+        "d", "u_prime", "r_prime", "g_base", "g_up", "emitted",
+        "r", "s", "s_prime", "i0_lower_bound", "shriek_degree", "star_degree",
+    )
+
+    def __init__(
+        self,
+        d: int,
+        u_prime: int,
+        r_prime: int,
+        g_base: int,
+        g_up: int,
+        emitted: bool,
+        r: int | None = None,
+        s: int | None = None,
+        s_prime: int | None = None,
+        i0_lower_bound: int | None = None,
+        shriek_degree: int | None = None,
+        star_degree: int | None = None,
+    ):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "u_prime", u_prime)
+        object.__setattr__(self, "r_prime", r_prime)
+        object.__setattr__(self, "g_base", g_base)
+        object.__setattr__(self, "g_up", g_up)
+        object.__setattr__(self, "emitted", emitted)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "s_prime", s_prime)
+        object.__setattr__(self, "i0_lower_bound", i0_lower_bound)
+        object.__setattr__(self, "shriek_degree", shriek_degree)
+        object.__setattr__(self, "star_degree", star_degree)
 
     @property
     def lower_bound_only(self) -> bool:
@@ -554,15 +587,28 @@ def torsion_detect(d: int, sc: SupercuspidalData, u_prime: int, r_prime: int) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CongruenceConstraint:
-    """One homogeneous linear equation between spectrum multiplicities."""
+class CongruenceConstraint(Value):
+    """One homogeneous linear equation between spectrum multiplicities.
 
-    class_key: object
-    lhs: SymExpr
-    rhs: SymExpr
-    lhs_entries: tuple[tuple[int, int, frozenset], ...]  # (s, t, markers) provenance
-    rhs_entries: tuple[tuple[int, int, frozenset], ...]
+    ``lhs_entries`` and ``rhs_entries`` are the (s, t, markers) of the
+    entries feeding each side.
+    """
+
+    __slots__ = _fields = ("class_key", "lhs", "rhs", "lhs_entries", "rhs_entries")
+
+    def __init__(
+        self,
+        class_key: object,
+        lhs: SymExpr,
+        rhs: SymExpr,
+        lhs_entries: tuple[tuple[int, int, frozenset], ...],
+        rhs_entries: tuple[tuple[int, int, frozenset], ...],
+    ):
+        object.__setattr__(self, "class_key", class_key)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "lhs_entries", lhs_entries)
+        object.__setattr__(self, "rhs_entries", rhs_entries)
 
     def holds(self) -> bool:
         return self.lhs == self.rhs
@@ -669,10 +715,12 @@ def rl_hi_balance(
 MARKER_NONDEG_AUX = "nondegenerate-at-auxiliary-place"
 
 
-@dataclass(frozen=True)
-class CongruenceRecord:
-    constraint: CongruenceConstraint
-    strength: str  # "strong" or "weak"
+class CongruenceRecord(Value):
+    __slots__ = _fields = ("constraint", "strength")
+
+    def __init__(self, constraint: CongruenceConstraint, strength: str):
+        object.__setattr__(self, "constraint", constraint)
+        object.__setattr__(self, "strength", strength)  # "strong" or "weak"
 
 
 def strong_congruence_filter(constraints: list[CongruenceConstraint]) -> list[CongruenceRecord]:

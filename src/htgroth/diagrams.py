@@ -22,12 +22,11 @@ contribution descends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .segments import CuspidalLabel
+from .segments import CuspidalLabel, Value, require_int
 
 Point = tuple[int, int]
 
@@ -76,7 +75,7 @@ def n_polygon_vertices(s: int, t: int) -> list[Point]:
 
 
 # ---------------------------------------------------------------------------
-# exact convex-hull membership (the oracle side)
+# exact convex hulls (the oracle side)
 # ---------------------------------------------------------------------------
 
 
@@ -103,42 +102,6 @@ def convex_hull(points: Sequence[Point]) -> list[Point]:
     if not hull:  # all points collinear
         hull = [pts[0], pts[-1]]
     return hull
-
-
-def _on_segment(a: Point, b: Point, p: Point) -> bool:
-    if _cross(a, b, p) != 0:
-        return False
-    return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= p[1] <= max(
-        a[1], b[1]
-    )
-
-
-def hull_contains(vertices: Sequence[Point], p: Point) -> bool:
-    """Closed-hull membership of the integer point p, decided exactly."""
-    return _in_hull(convex_hull(vertices), p)
-
-
-def _in_hull(hull: Sequence[Point], p: Point) -> bool:
-    if len(hull) == 1:
-        return p == hull[0]
-    if len(hull) == 2:
-        return _on_segment(hull[0], hull[1], p)
-    sign = 0
-    for a, b in zip(hull, hull[1:] + hull[:1]):
-        c = _cross(a, b, p)
-        if c == 0:
-            return _on_segment(a, b, p)
-        if sign == 0:
-            sign = 1 if c > 0 else -1
-        elif (c > 0) != (sign > 0):
-            return False
-    return True
-
-
-def hull_column_max_i(vertices: Sequence[Point], r: int) -> int | None:
-    """Largest integer i with (r, i) in the hull, or None when the column is empty."""
-    interval = _column_interval(convex_hull(vertices), r)
-    return None if interval is None else interval[1]
 
 
 def _column_interval(hull: Sequence[Point], r: int) -> tuple[int, int] | None:
@@ -192,12 +155,14 @@ def m_coeff_hull(s: int, t: int, r: int, i: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiagramSupport:
-    kind: str  # "M" or "N"
-    s: int
-    t: int
-    points: frozenset[Point]
+class DiagramSupport(Value):
+    __slots__ = _fields = ("kind", "s", "t", "points")
+
+    def __init__(self, kind: str, s: int, t: int, points: frozenset[Point]):
+        object.__setattr__(self, "kind", kind)  # "M" or "N"
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "points", points)
 
     def __iter__(self):
         return iter(sorted(self.points))
@@ -223,23 +188,26 @@ def n_support(s: int, t: int) -> DiagramSupport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocalComponent:
+class LocalComponent(Value):
     """A product of rectangle blocks Speh_s(St_{t_k}(pi_k)) with twist tags."""
 
-    s: int
-    blocks: tuple[tuple[CuspidalLabel, int, Fraction], ...]  # (cuspidal, t_k, xi_k)
+    __slots__ = _fields = ("s", "blocks")
 
-    def __post_init__(self):
-        if self.s < 1 or any(t < 1 for _, t, _ in self.blocks):
+    def __init__(self, s: int, blocks: tuple[tuple[CuspidalLabel, int, Fraction], ...]):
+        # blocks: (cuspidal, t_k, xi_k)
+        if require_int("s", s) < 1 or any(require_int("t", t) < 1 for _, t, _ in blocks):
             raise ValueError("block sizes must be >= 1")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "blocks", blocks)
 
 
-@dataclass(frozen=True)
-class BlockContribution:
-    block: int  # index into LocalComponent.blocks
-    source: Point  # the vertex (s + t_k - 1, 0) the cell descends from
-    from_higher: bool  # source stratum strictly deeper than the cell
+class BlockContribution(Value):
+    __slots__ = _fields = ("block", "source", "from_higher")
+
+    def __init__(self, block: int, source: Point, from_higher: bool):
+        object.__setattr__(self, "block", block)  # index into LocalComponent.blocks
+        object.__setattr__(self, "source", source)  # the vertex (s + t_k - 1, 0) it descends from
+        object.__setattr__(self, "from_higher", from_higher)  # source strictly deeper than the cell
 
 
 def superpose(

@@ -29,7 +29,6 @@ endpoint identity at (s + t - 1, 0) exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -44,11 +43,13 @@ from .segments import (
     Multisegment,
     OpaqueFactor,
     Segment,
+    Value,
     _suffix_pieces,
     cut_tuples,
     half,
     label_of_multisegment,
     label_product,
+    require_int,
 )
 from .symbolic import SymExpr, integer
 
@@ -58,21 +59,21 @@ from .symbolic import SymExpr, integer
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(Value):
     """Orientation of the path graph on t vertices; True = rightward edge."""
 
-    t: int
-    edges: tuple[bool, ...]
+    __slots__ = _fields = ("t", "edges")
 
-    def __post_init__(self):
-        if self.t < 1 or len(self.edges) != self.t - 1:
+    def __init__(self, t: int, edges: tuple[bool, ...]):
+        if require_int("t", t) < 1 or len(edges) != t - 1:
             raise ValueError("need t-1 edges for t vertices")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "edges", edges)
 
 
 def orientations(t: int) -> list[Orientation]:
     """All 2^(t-1) orientations of the linear graph on 1..t."""
-    if t < 1:
+    if require_int("t", t) < 1:
         raise ValueError("t must be >= 1")
     return [Orientation(t, edges) for edges in itertools.product((True, False), repeat=t - 1)]
 
@@ -99,12 +100,14 @@ def multisegment_of_orientation(o: Orientation, pi: CuspidalLabel) -> Multisegme
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignedCharacter:
+class SignedCharacter(Value):
     """A sign and the unramified character |.|^{k/2} of F_v^x."""
 
-    sign: int
-    k: int
+    __slots__ = _fields = ("sign", "k")
+
+    def __init__(self, sign: int, k: int):
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "k", k)
 
     @property
     def exponent(self) -> Fraction:
@@ -150,8 +153,7 @@ TermKey = tuple[Shape, int]  # (shape, 2 * Xi exponent) of a label-free term
 Terms = tuple[tuple[TermKey, int], ...]  # (key, c), sorted by key, c != 0
 
 
-@dataclass(frozen=True)
-class Cut:
+class Cut(Value):
     """One surviving Jacquet cut of a ladder, label-free, in doubled integers.
 
     The cut takes the top ``ks[j]`` positions of ladder row j into a1, which
@@ -170,11 +172,21 @@ class Cut:
     the cohomology tables reads the pieces and their rows directly.
     """
 
-    ks: tuple[int, ...]
-    sign: int
-    center2: int
-    a1_pieces: tuple[Piece, ...]
-    a2_pieces: tuple[Piece, ...]
+    __slots__ = _fields = ("ks", "sign", "center2", "a1_pieces", "a2_pieces")
+
+    def __init__(
+        self,
+        ks: tuple[int, ...],
+        sign: int,
+        center2: int,
+        a1_pieces: tuple[Piece, ...],
+        a2_pieces: tuple[Piece, ...],
+    ):
+        object.__setattr__(self, "ks", ks)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "center2", center2)
+        object.__setattr__(self, "a1_pieces", a1_pieces)
+        object.__setattr__(self, "a2_pieces", a2_pieces)
 
 
 def _run_cuts(

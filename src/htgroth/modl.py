@@ -19,7 +19,6 @@ the public, ``Fraction``-twisted key only where a table or a constraint is retur
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .segments import (
@@ -28,6 +27,7 @@ from .segments import (
     IrreducibleLabel,
     Multisegment,
     OpaqueFactor,
+    Value,
     half,
     make_steinberg,
     require_int,
@@ -59,18 +59,20 @@ def _is_prime_power(n: int) -> bool:
     return n == 1
 
 
-@dataclass(frozen=True)
-class FieldData:
-    q: int
-    l: int
+class FieldData(Value):
+    """The residue field size q and the prime l."""
 
-    def __post_init__(self):
-        if not _is_prime_power(require_int("q", self.q)):
-            raise ValueError(f"q={self.q} is not a prime power")
-        if not _is_prime(require_int("l", self.l)):
-            raise ValueError(f"l={self.l} is not prime")
-        if self.q % self.l == 0:
+    __slots__ = _fields = ("q", "l")
+
+    def __init__(self, q: int, l: int):
+        if not _is_prime_power(require_int("q", q)):
+            raise ValueError(f"q={q} is not a prime power")
+        if not _is_prime(require_int("l", l)):
+            raise ValueError(f"l={l} is not prime")
+        if q % l == 0:
             raise ValueError("l must not divide q")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "l", l)
 
 
 def e_l(field: FieldData) -> int:
@@ -89,21 +91,27 @@ def is_banal(field: FieldData, d: int) -> bool:
     return e_l(field) > d
 
 
-@dataclass(frozen=True)
-class SupercuspidalData:
-    """A mod-l supercuspidal line: its label, field data and line size."""
+class SupercuspidalData(Value):
+    """A mod-l supercuspidal line: its label, field data and line size.
 
-    label: CuspidalLabel
-    field: FieldData
-    epsilon: int
+    It keys caches such as ``torsion_detect``'s, so its hash is taken once.
+    """
 
-    def __post_init__(self):
-        if require_int("epsilon", self.epsilon) < 1:
+    _fields = ("label", "field", "epsilon")
+    __slots__ = _fields + ("_hash",)
+
+    def __init__(self, label: CuspidalLabel, field: FieldData, epsilon: int):
+        if require_int("epsilon", epsilon) < 1:
             raise ValueError("epsilon must be positive")
-        if e_l(self.field) % self.epsilon != 0:
-            raise ValueError(
-                f"epsilon={self.epsilon} must divide e_l(q)={e_l(self.field)}"
-            )
+        if e_l(field) % epsilon != 0:
+            raise ValueError(f"epsilon={epsilon} must divide e_l(q)={e_l(field)}")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "_hash", hash((label, field, epsilon)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def g(self) -> int:
@@ -142,16 +150,16 @@ def is_cuspidal_st(sc: SupercuspidalData, s: int) -> bool:
     return s == 1
 
 
-@dataclass(frozen=True)
-class TowerLevel:
+class TowerLevel(Value):
     """Level u >= -1 of the cuspidal tower over a supercuspidal line."""
 
-    base: SupercuspidalData
-    u: int
+    __slots__ = _fields = ("base", "u")
 
-    def __post_init__(self):
-        if self.u < -1:
+    def __init__(self, base: SupercuspidalData, u: int):
+        if require_int("u", u) < -1:
             raise ValueError("u must be >= -1")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "u", u)
 
 
 def tower_rank(t: TowerLevel) -> int:

@@ -14,7 +14,6 @@ coefficients in the symbolic ring of :mod:`htgroth.symbolic`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
@@ -57,6 +56,48 @@ def require_int(name: str, value) -> int:
     return value
 
 
+class Value:
+    """Base of the immutable value classes: equal and hashed by their field tuple.
+
+    A subclass names its fields, in order, in ``_fields`` (its ``__init__``'s
+    arguments, each readable as an attribute), holds its state in
+    ``__slots__`` and sets it in ``__init__`` with
+    ``object.__setattr__``; afterwards assigning or deleting an attribute
+    raises ``AttributeError``.  As for a frozen dataclass, two values are
+    equal only when they are of the same class with equal field tuples, the
+    hash is the hash of the field tuple, and ``repr`` is ``Name(f=v, ...)``;
+    ``copy`` and ``pickle`` rebuild a value through its ``__init__``, which
+    takes the fields in order.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a {type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+
 class CuspidalLabel:
     """Opaque label of an irreducible cuspidal of GL_g.
 
@@ -93,7 +134,7 @@ class CuspidalLabel:
         return f"CuspidalLabel({self.id!r}, g={self.g})"
 
 
-class Segment:
+class Segment(Value):
     """The consecutive run pi{start}, ..., pi{start+length-1}.
 
     Immutable.  The start is stored once, doubled, in the int ``start2``;
@@ -104,6 +145,7 @@ class Segment:
     """
 
     __slots__ = ("cuspidal", "start2", "length", "_key", "_hash")
+    _fields = ("cuspidal", "start", "length")
 
     def __init__(self, cuspidal: CuspidalLabel, start: Union[int, Fraction], length: int):
         start2 = twice(start)
@@ -115,12 +157,6 @@ class Segment:
         object.__setattr__(self, "length", length)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: a segment is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: a segment is immutable")
 
     @property
     def end2(self) -> int:
@@ -226,12 +262,14 @@ class Multisegment:
         return "{" + ", ".join(map(repr, self.segments)) + "}"
 
 
-@dataclass(frozen=True)
-class OpaqueFactor:
+class OpaqueFactor(Value):
     """A factor we do not resolve into segments (profile tails, D-side labels)."""
 
-    name: str
-    rank: int = 0
+    __slots__ = _fields = ("name", "rank")
+
+    def __init__(self, name: str, rank: int = 0):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "rank", require_int("rank", rank))
 
     def twist(self, n) -> "OpaqueFactor":
         # opaque factors absorb twists silently; callers that care use the
@@ -587,15 +625,15 @@ def groth_product(a: GrothElement, b: GrothElement) -> GrothElement:
     return GrothElement._checked(out)
 
 
-@dataclass(frozen=True)
-class Partition:
-    parts: tuple[int, ...]
+class Partition(Value):
+    __slots__ = _fields = ("parts",)
 
-    def __post_init__(self):
-        if any(p < 1 for p in self.parts):
+    def __init__(self, parts: tuple[int, ...]):
+        if any(require_int("a part", p) < 1 for p in parts):
             raise ValueError("partition parts must be positive")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
+        if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError("partition parts must be weakly decreasing")
+        object.__setattr__(self, "parts", parts)
 
     @property
     def size(self) -> int:

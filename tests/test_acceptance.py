@@ -31,8 +31,6 @@ from htgroth.cohomology import (
     torsion_detect,
 )
 from htgroth.diagrams import (
-    hull_column_max_i,
-    hull_contains,
     m_coeff,
     m_polygon_vertices,
     m_support,
@@ -64,7 +62,7 @@ from htgroth.segments import (
 )
 from htgroth.symbolic import atom
 
-from diagram_oracles import svg_point_set
+from diagram_oracles import hull_column_max_i, hull_contains, svg_point_set
 
 PI = CuspidalLabel("pi", g=1)
 

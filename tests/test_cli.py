@@ -360,6 +360,33 @@ def test_balance_bytes_pinned():
     assert (digest, constraints) == (BALANCE_DIGEST, BALANCE_CONSTRAINTS)
 
 
+TORSION_EMITTED = """{
+  "d": 4,
+  "emitted": true,
+  "g_base": 1,
+  "g_up": 2,
+  "i0_lower_bound": 2,
+  "lower_bound_only": true,
+  "r": 2,
+  "r_prime": 1,
+  "s": 4,
+  "s_prime": 2,
+  "shriek_degree": 2,
+  "star_degree": -1,
+  "u_prime": 0
+}
+"""
+TORSION_NOT_EMITTED = """{
+  "d": 4,
+  "emitted": false,
+  "g_base": 1,
+  "g_up": 6,
+  "r_prime": 1,
+  "u_prime": 1
+}
+"""
+
+
 class TestTorsionCommand:
     def test_certificate(self, capsys):
         code, out = run_cli(
@@ -369,6 +396,13 @@ class TestTorsionCommand:
         assert code == 0
         cert = json.loads(out)
         assert cert["emitted"] and cert["shriek_degree"] == 2
+
+    def test_stdout_pinned(self, capsys):
+        # the bytes printed when the payload came from dataclasses.asdict
+        argv = ["torsion", "--d", "4", "--sc", SC, "--r-prime", "1", "--u-prime"]
+        emitted = run_cli(argv + ["0"], capsys)
+        assert emitted == (0, TORSION_EMITTED)
+        assert run_cli(argv + ["1"], capsys) == (0, TORSION_NOT_EMITTED)
 
 
 class TestVerifyCommand:

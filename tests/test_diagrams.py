@@ -6,11 +6,8 @@ import pytest
 from htgroth.diagrams import (
     LocalComponent,
     _column_interval,
-    _in_hull,
     _m_hull,
     convex_hull,
-    hull_column_max_i,
-    hull_contains,
     m_coeff,
     m_coeff_hull,
     m_column,
@@ -26,7 +23,7 @@ from htgroth.diagrams import (
 )
 from htgroth.segments import CuspidalLabel
 
-from diagram_oracles import svg_point_set
+from diagram_oracles import _in_hull, hull_column_max_i, hull_contains, svg_point_set
 
 PI = CuspidalLabel("pi")
 RHO = CuspidalLabel("rho")

@@ -1,0 +1,220 @@
+"""Identity of the immutable value classes: equality, hash, immutability, repr, refused input.
+
+Each class is built twice from the same arguments and once with one field
+changed; the field names are listed here in their public order, so a
+reordered or renamed field fails too.
+"""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from htgroth.cohomology import (
+    CongruenceConstraint,
+    CongruenceRecord,
+    ProfileEntry,
+    SpectrumProfile,
+    TorsionCertificate,
+    torsion_detect,
+)
+from htgroth.diagrams import BlockContribution, DiagramSupport, LocalComponent
+from htgroth.jl_red import Cut, Orientation, SignedCharacter, orientations
+from htgroth.modl import FieldData, SupercuspidalData, TowerLevel
+from htgroth.segments import CuspidalLabel, IrreducibleLabel, OpaqueFactor, Partition, Segment
+from htgroth.symbolic import atom
+
+PI = CuspidalLabel("pi")
+RHO = CuspidalLabel("rho")
+FIELD = FieldData(2, 7)
+SC = SupercuspidalData(RHO, FIELD, 3)
+ENTRY = ProfileEntry(2, 1, PI, atom("m"), Fraction(1, 2))
+CONSTRAINT = CongruenceConstraint(("k",), atom("a"), atom("a"), ((1, 1, frozenset()),), ())
+
+# (class, field names in order, arguments, arguments with one field changed)
+CASES = [
+    (
+        ProfileEntry,
+        ("s", "t", "cuspidal", "mult", "xi", "tail", "markers"),
+        (2, 1, PI, atom("m"), Fraction(1, 2)),
+        (2, 1, PI, atom("m"), Fraction(-1, 2)),
+    ),
+    (SpectrumProfile, ("entries",), ((ENTRY,),), ((ENTRY, ENTRY),)),
+    (
+        TorsionCertificate,
+        (
+            "d", "u_prime", "r_prime", "g_base", "g_up", "emitted",
+            "r", "s", "s_prime", "i0_lower_bound", "shriek_degree", "star_degree",
+        ),
+        (4, 1, 1, 1, 6, False),
+        (4, 1, 2, 1, 6, False),
+    ),
+    (
+        CongruenceConstraint,
+        ("class_key", "lhs", "rhs", "lhs_entries", "rhs_entries"),
+        (("k",), atom("a"), atom("a"), ((1, 1, frozenset()),), ()),
+        (("k",), atom("a"), atom("b"), ((1, 1, frozenset()),), ()),
+    ),
+    (CongruenceRecord, ("constraint", "strength"), (CONSTRAINT, "weak"), (CONSTRAINT, "strong")),
+    (
+        DiagramSupport,
+        ("kind", "s", "t", "points"),
+        ("M", 1, 1, frozenset({(1, 0)})),
+        ("N", 1, 1, frozenset({(1, 0)})),
+    ),
+    (LocalComponent, ("s", "blocks"), (2, ((PI, 1, Fraction(0)),)), (2, ((PI, 2, Fraction(0)),))),
+    (BlockContribution, ("block", "source", "from_higher"), (0, (2, 0), True), (0, (2, 0), False)),
+    (Orientation, ("t", "edges"), (2, (True,)), (2, (False,))),
+    (SignedCharacter, ("sign", "k"), (-1, 3), (1, 3)),
+    (
+        Cut,
+        ("ks", "sign", "center2", "a1_pieces", "a2_pieces"),
+        ((1, 0), 1, 0, ((0, 1, 0),), ((2, 1, 1),)),
+        ((1, 0), 1, 2, ((0, 1, 0),), ((2, 1, 1),)),
+    ),
+    (FieldData, ("q", "l"), (2, 7), (4, 7)),
+    (SupercuspidalData, ("label", "field", "epsilon"), (RHO, FIELD, 3), (PI, FIELD, 3)),
+    (TowerLevel, ("base", "u"), (SC, 0), (SC, 1)),
+    (OpaqueFactor, ("name", "rank"), ("x", 2), ("x", 3)),
+    (Partition, ("parts",), ((2, 1),), ((1, 1, 1),)),
+]
+IDS = [case[0].__name__ for case in CASES]
+
+
+@pytest.mark.parametrize("cls, names, args, other", CASES, ids=IDS)
+def test_equal_only_for_the_same_class_with_equal_fields(cls, names, args, other):
+    x, twin = cls(*args), cls(*args)
+    fields = tuple(getattr(x, name) for name in names)
+    assert x == twin and not x != twin and hash(x) == hash(twin)
+    assert x != cls(*other)
+    assert x != fields and x.__eq__(fields) is NotImplemented
+    subclass = type("Sub", (cls,), {"__slots__": ()})
+    assert x != subclass(*args) and subclass(*args) != x
+
+
+@pytest.mark.parametrize("cls, names, args, other", CASES, ids=IDS)
+def test_hash_is_the_hash_of_the_field_tuple(cls, names, args, other):
+    x = cls(*args)
+    assert hash(x) == hash(tuple(getattr(x, name) for name in names))
+    assert {x: 1}[cls(*args)] == 1
+
+
+@pytest.mark.parametrize("cls, names, args, other", CASES, ids=IDS)
+def test_fields_cannot_be_assigned_or_deleted(cls, names, args, other):
+    x = cls(*args)
+    before = tuple(getattr(x, name) for name in names)
+    for name in names + ("not_a_field",):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+    for name in names:
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert tuple(getattr(x, name) for name in names) == before
+
+
+@pytest.mark.parametrize("cls, names, args, other", CASES, ids=IDS)
+def test_repr_names_every_field(cls, names, args, other):
+    x = cls(*args)
+    inner = ", ".join(f"{name}={getattr(x, name)!r}" for name in names)
+    assert repr(x) == f"{cls.__name__}({inner})"
+
+
+@pytest.mark.parametrize("cls, names, args, other", CASES, ids=IDS)
+def test_copy_and_pickle_rebuild_an_equal_value(cls, names, args, other):
+    # as they did for the frozen dataclasses
+    x = cls(*args)
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is cls and y == x and hash(y) == hash(x)
+
+
+def test_segment_pickles_through_its_constructor():
+    seg = Segment(PI, Fraction(-3, 2), 2)
+    assert seg._astuple() == (PI, Fraction(-3, 2), 2)
+    assert pickle.loads(pickle.dumps(seg)) == seg == copy.deepcopy(seg)
+
+
+def test_repr_keeps_the_dataclass_form():
+    # both strings as the frozen dataclasses printed them
+    assert repr(TowerLevel(SC, 0)) == (
+        "TowerLevel(base=SupercuspidalData(label=CuspidalLabel('rho', g=1), "
+        "field=FieldData(q=2, l=7), epsilon=3), u=0)"
+    )
+    assert repr(torsion_detect(4, SC, 0, 1)) == (
+        "TorsionCertificate(d=4, u_prime=0, r_prime=1, g_base=1, g_up=3, emitted=True, "
+        "r=3, s=4, s_prime=1, i0_lower_bound=1, shriek_degree=1, star_degree=0)"
+    )
+
+
+def test_defaults_and_keywords_are_kept():
+    entry = ProfileEntry(s=2, t=1, cuspidal=PI, mult=atom("m"))
+    assert (entry.xi, entry.tail, entry.markers) == (0, IrreducibleLabel.unit(), frozenset())
+    assert type(entry.xi) is Fraction and ProfileEntry(2, 1, PI, atom("m"), xi=1).xi == 1
+    cert = TorsionCertificate(d=4, u_prime=1, r_prime=1, g_base=1, g_up=6, emitted=False)
+    assert (cert.r, cert.s, cert.s_prime, cert.i0_lower_bound) == (None,) * 4
+    assert (cert.shriek_degree, cert.star_degree) == (None, None)
+    assert OpaqueFactor("x").rank == 0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ProfileEntry(0, 1, PI, atom("m")),
+        lambda: ProfileEntry(1, 1, PI, atom("m"), Fraction(1, 3)),
+        lambda: FieldData(6, 7),
+        lambda: FieldData(2, 4),
+        lambda: FieldData(9, 3),
+        lambda: SupercuspidalData(RHO, FIELD, 0),
+        lambda: SupercuspidalData(RHO, FIELD, 2),
+        lambda: TowerLevel(SC, -2),
+        lambda: LocalComponent(0, ()),
+        lambda: LocalComponent(2, ((PI, 0, Fraction(0)),)),
+        lambda: Orientation(0, ()),
+        lambda: Orientation(3, (True,)),
+        lambda: orientations(0),
+        lambda: Partition((0,)),
+        lambda: Partition((1, 2)),
+    ],
+)
+def test_refused_fields_raise_value_error(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # each was once accepted; TowerLevel(SC, 0.5) gave a float tower rank
+        lambda: TowerLevel(SC, 0.5),
+        lambda: TowerLevel(SC, True),
+        lambda: Partition((2.0, 1)),
+        lambda: LocalComponent(2.0, ()),
+        lambda: LocalComponent(2, ((PI, 1.0, Fraction(0)),)),
+        lambda: Orientation(2.0, (True,)),
+        lambda: orientations(True),
+        lambda: orientations(2.0),
+        lambda: OpaqueFactor("x", 1.5),
+        lambda: OpaqueFactor("x", True),
+    ],
+)
+def test_floats_and_bools_are_refused_as_integer_fields(build):
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # compared before and after the import, so site hooks do not matter
+    code = (
+        "import sys; before = set(sys.modules); import htgroth.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
