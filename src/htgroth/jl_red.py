@@ -18,7 +18,9 @@ shape.  ``marked_cells`` is the one iterator over these cells, and
 label-free; the tables and the Euler calculus read its cuts and sums
 directly.  ``bind_shapes`` is the one place that turns shapes into labels:
 it binds a cell, an Euler sum or a transfer term to the line of pi once,
-with the block twist and the tail.  ``rectangle_cuts``, keyed on
+with the block twist and the tail.  Labels are interned per (line, shape,
+shift): each is built once and shared by every table, while the product
+with a tail is built per call.  ``rectangle_cuts``, keyed on
 (pi, s, t, r), keeps the bare bound values that ``R_cell``/``S_cell`` read.
 The two tables read off the same underlying cut data: the shriek cell of
 degree i reads the sheared intermediate degree i_m = 2 i + r - (s + t - 1),
@@ -348,6 +350,18 @@ def _segment(cuspidal: CuspidalLabel, start2: int, length: int) -> Segment:
     return Segment(cuspidal, half(start2), length)
 
 
+@lru_cache(maxsize=4096)
+def _formal_label(pi: CuspidalLabel, shape: Shape, shift2: int) -> IrreducibleLabel:
+    """The formal label of ``shape`` on the line of pi, every start moved by shift2/2, built once.
+
+    A shape recurs across cells, strata, profile entries and queries, so every
+    caller shares one label object per (pi, shape, shift2), and sums of
+    bound terms compare their keys by identity.
+    """
+    ms = Multisegment(_segment(pi, start2 + shift2, length) for start2, length in shape)
+    return label_of_multisegment(ms, KIND_FORMAL)
+
+
 def bind_shapes(
     pi: CuspidalLabel,
     terms: Iterable[tuple[TermKey, int]],
@@ -361,15 +375,17 @@ def bind_shapes(
     label of its segments on pi (the empty shape the unit label), every
     start moved by the block twist shift2/2, times ``tail``
     (``label_product``); ``xi2`` becomes the doubled Xi exponent xi2 + shift2,
-    and ``c`` the coefficient ``weight * c``.  On one line a multisegment
-    sorts its segments by (start, length), so distinct sorted shapes bind to
+    and ``c`` the coefficient ``weight * c``.  The label of a shape is
+    interned per (pi, shape, shift2) (``_formal_label``) and shared by every
+    table, Euler sum and transfer term; the product with the tail is built
+    per call, so the cache holds no tail.  On one line a multisegment sorts
+    its segments by (start, length), so distinct sorted shapes bind to
     distinct labels: the binding is injective, and the keys must be distinct
     with nonzero ``c``.
     """
     out = {}
     for (shape, xi2), c in terms:
-        ms = Multisegment(_segment(pi, start2 + shift2, length) for start2, length in shape)
-        label = label_of_multisegment(ms, KIND_FORMAL)
+        label = _formal_label(pi, shape, shift2)
         if tail.factors:  # the product with the unit is the label itself
             label = label_product(tail, label)
         out[(label, xi2 + shift2)] = weight * c

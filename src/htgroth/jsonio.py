@@ -35,7 +35,7 @@ from .segments import (
     require_int,
 )
 from .modl import SupercuspidalData, FieldData
-from .symbolic import ATOM_NAME, SymExpr, integer
+from .symbolic import ATOM_NAME, Monomial, SymExpr, integer
 
 
 # -- multisegments ----------------------------------------------------------
@@ -72,20 +72,29 @@ _FACTOR = re.compile(rf"(-?\d+)|({ATOM_NAME.pattern})(?:\^(\d+))?")
 
 
 def sym_from_json(data) -> SymExpr:
-    """Read what ``sym_to_json`` writes; any other string, empty parts too, raises ValueError."""
+    """Read what ``sym_to_json`` writes; any other string, empty parts too, raises ValueError.
+
+    Each part's integers multiply into its coefficient and its atom powers
+    add up (``^0`` reads as 1) into one monomial; the parts are summed as
+    one dict, and a single ``SymExpr`` is built from it.
+    """
     if isinstance(data, int):
         return integer(data)
-    total = integer(0)
+    terms: dict[Monomial, int] = {}
     for part in str(data).split("+"):
-        acc = integer(1)
+        coeff, powers = 1, {}
         for factor in part.split("*"):
             match = _FACTOR.fullmatch(factor.strip())
             if match is None:
                 raise ValueError(f"cannot read {factor.strip()!r} in the coefficient {data!r}")
             number, name, power = match.groups()
-            acc = acc * (integer(int(number)) if number else SymExpr.atom(name, int(power or 1)))
-        total = total + acc
-    return total
+            if number:
+                coeff *= int(number)
+            else:
+                powers[name] = powers.get(name, 0) + int(power or 1)
+        mono = tuple(sorted((name, p) for name, p in powers.items() if p))
+        terms[mono] = terms.get(mono, 0) + coeff
+    return SymExpr(terms)
 
 
 # -- Grothendieck elements --------------------------------------------------

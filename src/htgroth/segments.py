@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 from .symbolic import SymExpr, integer
@@ -67,19 +67,27 @@ class Value:
     equal only when they are of the same class with equal field tuples, the
     hash is the hash of the field tuple, and ``repr`` is ``Name(f=v, ...)``;
     ``copy`` and ``pickle`` rebuild a value through its ``__init__``, which
-    takes the fields in order.
+    takes the fields in order.  Each class reads its fields through one
+    ``operator.attrgetter``, built when the class is created.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # a plain attrgetter is no descriptor: read as self._values, it is called on self
+        cls._values = attrgetter(*cls._fields)
+
     def _astuple(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+        values = self._values(self)
+        return (values,) if len(self._fields) == 1 else values  # one name: a bare value
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._astuple() == other._astuple()
+        values = self._values
+        return values(self) == values(other)
 
     def __hash__(self):
         return hash(self._astuple())
@@ -98,37 +106,40 @@ class Value:
         return type(self), self._astuple()
 
 
-class CuspidalLabel:
+class CuspidalLabel(Value):
     """Opaque label of an irreducible cuspidal of GL_g.
 
     Labels compare equal exactly when their id, ``g`` (the rank) and
     ``e_pi`` (the unramified fixator count) all agree: ranks depend on ``g``
     and the cohomology scalar on ``e_pi``, so caches keyed by labels must
-    tell them apart.
+    tell them apart.  Immutable, so a cached value keyed on a label never
+    goes stale; like a segment's, its key (id, g, e_pi) and hash are
+    computed once, at construction.
     """
 
-    __slots__ = ("id", "g", "e_pi")
+    __slots__ = ("id", "g", "e_pi", "_key", "_hash")
+    _fields = ("id", "g", "e_pi")
 
     def __init__(self, id: str, g: int = 1, e_pi: int = 1):
         if not isinstance(id, str):
             raise ValueError(f"a cuspidal id must be a string, not {id!r}")
         if require_int("g", g) < 1 or require_int("e_pi", e_pi) < 1:
             raise ValueError("g and e_pi must be positive")
-        self.id = id
-        self.g = g
-        self.e_pi = e_pi
-
-    def _key(self):
-        return (self.id, self.g, self.e_pi)
+        key = (id, g, e_pi)
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "e_pi", e_pi)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __eq__(self, other):
-        return isinstance(other, CuspidalLabel) and self._key() == other._key()
+        return isinstance(other, CuspidalLabel) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     def __lt__(self, other):
-        return self._key() < other._key()
+        return self._key < other._key
 
     def __repr__(self):
         return f"CuspidalLabel({self.id!r}, g={self.g})"

@@ -318,6 +318,7 @@ EULER_CACHES = (
     jl_red.rectangle_shape_groups,
     jl_red.rectangle_cuts,
     jl_red._segment,
+    jl_red._formal_label,
     half,
     torsion_detect,
 )

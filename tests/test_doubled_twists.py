@@ -323,6 +323,7 @@ def _clear_caches():
         cohomology._weight,
         jl_red.rectangle_shape_groups,
         jl_red._segment,
+        jl_red._formal_label,
     ):
         cache.cache_clear()
 

@@ -9,7 +9,10 @@ from htgroth.jl_red import (
     R_cell,
     S_cell,
     Orientation,
+    _formal_label,
     _run_data,
+    bind_shapes,
+    marked_cells,
     multisegment_of_orientation,
     orientations,
     r_tau_sign,
@@ -32,6 +35,7 @@ from htgroth.segments import (
     groth_product,
     half,
     label_of_multisegment,
+    label_product,
     make_steinberg,
     speh_st_multisegment,
 )
@@ -392,3 +396,56 @@ def test_rectangle_shape_data_is_label_free():
                 ref = _shape_data(PI, s, t, r)
                 assert _shape_data(CuspidalLabel("pi", g=3), s, t, r) == ref, (s, t, r)
                 assert _shape_data(RHO, s, t, r) == ref, (s, t, r)
+
+
+def bind_shapes_reference(pi, terms, shift2=0, tail=IrreducibleLabel.unit(), weight=integer(1)):
+    """``bind_shapes`` without a cache: every term's label built from fresh segments."""
+    out = GrothElement.zero()
+    for (shape, xi2), c in terms:
+        ms = Multisegment(Segment(pi, Fraction(start2 + shift2, 2), n) for start2, n in shape)
+        label = label_product(tail, label_of_multisegment(ms, KIND_FORMAL))
+        out = out + GrothElement.of(label, Fraction(xi2 + shift2, 2), weight * c)
+    return out
+
+
+PI_G3 = CuspidalLabel("pi", g=3, e_pi=2)  # the id of PI on another line
+TAIL = IrreducibleLabel((OpaqueFactor("tail", 2),), KIND_FORMAL)
+
+
+def test_bind_shapes_matches_the_uncached_reference():
+    # every cell of both tables for s + t <= 8, at every doubled block twist
+    # in -8..8, bare and with a tail, on two lines of one id; the lines
+    # alternate per twist, so a label interned for one is asked for the
+    # other right after
+    _formal_label.cache_clear()
+    bindings = list(itertools.product(range(-8, 9), (PI, PI_G3), (IrreducibleLabel.unit(), TAIL)))
+    for s in range(1, 8):
+        for t in range(1, 9 - s):
+            for r, kind in itertools.product(range(0, s * t + 2), ("M", "N")):
+                cells = [sums for _, _, _, sums in marked_cells(s, t, r, kind) if sums]
+                for (shift2, pi, tail), sums in itertools.product(bindings, cells):
+                    expected = bind_shapes_reference(pi, sums, shift2, tail, atom("m"))
+                    assert bind_shapes(pi, sums, shift2, tail, atom("m")) == expected, (s, t, r)
+    assert _formal_label.cache_info().hits
+
+
+def test_bind_shapes_shares_one_label_per_line_shape_and_shift():
+    sums = max((sums for _, sums in rectangle_shape_groups(3, 2, 3).values()), key=len)
+    first, second = bind_shapes(PI, sums, 2), bind_shapes(PI, sums, 2, weight=atom("m"))
+    assert len(first.terms) == len(sums) > 1
+    shared = {label: label for label, _ in second.terms}
+    assert all(shared[label] is label for label, _ in first.terms)
+    interned = {id(_formal_label(PI, shape, 2)) for (shape, _), _ in sums}
+    assert {id(label) for label, _ in first.terms} == interned
+
+
+def test_bound_labels_never_leak_across_lines_of_one_id():
+    # PI and PI_G3 share their id, but not g or e_pi: a label interned for
+    # one must never be returned for the other
+    _formal_label.cache_clear()
+    for s, t in [(2, 2), (3, 2), (1, 4)]:
+        for r in range(1, s * t + 1):
+            for _, sums in rectangle_shape_groups(s, t, r).values():
+                for pi in (PI, PI_G3, PI):
+                    for label, _ in bind_shapes(pi, sums, 1).terms:
+                        assert all(seg.cuspidal == pi for ms in label.multisegments() for seg in ms)

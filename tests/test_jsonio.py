@@ -100,10 +100,51 @@ def test_sym_reads_the_multiplicity_forms():
         assert jsonio.sym_from_json(data) == value, data
 
 
-@pytest.mark.parametrize("data", ["", " ", "m+", "m*", "m^", "2.5", "m - n", "2^3", "m^-1", "-m"])
+MALFORMED = ["", " ", "m+", "m*", "m^", "2.5", "m - n", "2^3", "m^-1", "-m"]
+
+
+@pytest.mark.parametrize("data", MALFORMED)
 def test_sym_rejects_malformed_strings(data):
     with pytest.raises(ValueError):
         jsonio.sym_from_json(data)
+
+
+def sym_from_json_reference(data) -> SymExpr:
+    """The reader by ``SymExpr`` arithmetic: each factor an expression, multiplied, then summed."""
+    if isinstance(data, int):
+        return integer(data)
+    total = integer(0)
+    for part in str(data).split("+"):
+        acc = integer(1)
+        for factor in part.split("*"):
+            match = jsonio._FACTOR.fullmatch(factor.strip())
+            if match is None:
+                raise ValueError(f"cannot read {factor.strip()!r} in the coefficient {data!r}")
+            number, name, power = match.groups()
+            acc = acc * (integer(int(number)) if number else SymExpr.atom(name, int(power or 1)))
+        total = total + acc
+    return total
+
+
+def _read_both(data):
+    """The value or the ValueError message of the reader and of its reference."""
+    out = []
+    for read in (jsonio.sym_from_json, sym_from_json_reference):
+        try:
+            out.append(read(data))
+        except ValueError as exc:
+            out.append(("ValueError", str(exc)))
+    return out
+
+
+# repeated atoms, powers of 0 and 1, cancelling parts, a bare int: forms sym_to_json never writes
+HAND_WRITTEN = ["m^0", "m^0*n", "2*m^1*m", "m + -1*m", "m^00*3 + n^2*n^0*-2", "x*y*x^2 + y*x^3", 0]
+
+
+@pytest.mark.parametrize("data", MALFORMED + HAND_WRITTEN)
+def test_sym_reader_matches_the_arithmetic_reference_on_strings(data):
+    mine, reference = _read_both(data)
+    assert mine == reference
 
 
 @pytest.mark.parametrize("bad", [0.5, 1.0, True, "1/2", Fraction(1, 3)])
@@ -218,3 +259,11 @@ def test_groth_round_trip_through_the_printed_text(x):
     text = jsonio.dumps(jsonio.groth_to_json(x))
     assert text.isascii()
     assert jsonio.groth_from_json(json.loads(text), {c.id: c for c in LINES}) == x
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=coeffs())
+def test_sym_reader_matches_the_arithmetic_reference_on_written_coefficients(c):
+    data = jsonio.sym_to_json(c)
+    mine, reference = _read_both(data)
+    assert mine == reference == c

@@ -138,6 +138,28 @@ def test_segment_pickles_through_its_constructor():
     assert pickle.loads(pickle.dumps(seg)) == seg == copy.deepcopy(seg)
 
 
+def test_cuspidal_label_is_immutable_with_its_identity_kept():
+    # a label keys the segment, label and cut caches: g = 3 set on a label
+    # cached with g = 1 would leave them stale
+    pi = CuspidalLabel("pi", g=2, e_pi=3)
+    for name in ("id", "g", "e_pi", "_key", "_hash", "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(pi, name, 3)
+    for name in ("id", "g", "e_pi", "_key", "_hash"):
+        with pytest.raises(AttributeError):
+            delattr(pi, name)
+    assert (pi.id, pi.g, pi.e_pi) == ("pi", 2, 3) and hash(pi) == hash(("pi", 2, 3))
+    assert pi == CuspidalLabel("pi", 2, 3) and pi != ("pi", 2, 3)
+    assert pi != CuspidalLabel("pi", 2) and pi != CuspidalLabel("pi", 3, 3)
+    subclass = type("Sub", (CuspidalLabel,), {"__slots__": ()})
+    assert pi == subclass("pi", 2, 3) and hash(subclass("pi", 2, 3)) == hash(pi)
+    ordered = [CuspidalLabel("a", 2), CuspidalLabel("pi", 1, 5), pi, CuspidalLabel("pi", 2, 4)]
+    assert sorted(reversed(ordered)) == ordered
+    assert repr(pi) == "CuspidalLabel('pi', g=2)"
+    for y in (copy.copy(pi), copy.deepcopy(pi), pickle.loads(pickle.dumps(pi))):
+        assert type(y) is CuspidalLabel and (y.id, y.g, y.e_pi) == ("pi", 2, 3)
+
+
 def test_repr_keeps_the_dataclass_form():
     # both strings as the frozen dataclasses printed them
     assert repr(TowerLevel(SC, 0)) == (
