@@ -65,14 +65,13 @@ from .jl_red import Cut, Shape, TermKey, Terms, bind_shapes, frozen_terms, marke
 from .modl import (
     LiftMap,
     SupercuspidalData,
-    TowerLevel,
     chgt_cuspi_factor,
     collapse_label_key,
     collapse_segment_key,
     fraction_class_key,
+    level_rank,
     line_key,
     rl_collapse,
-    tower_rank,
 )
 from .segments import (
     CuspidalLabel,
@@ -98,10 +97,12 @@ class ProfileEntry(Value):
 
     ``mult`` is the total symbolic weight m(Pi) d_xi(Pi_oo) of the family;
     ``xi`` the unramified twist tag of the block relative to the reference
-    cuspidal; ``tail`` the untouched complementary factor at the place.
+    cuspidal, also kept doubled in ``xi2``, which is no field; ``tail`` the
+    untouched complementary factor at the place.
     """
 
-    __slots__ = _fields = ("s", "t", "cuspidal", "mult", "xi", "tail", "markers")
+    _fields = ("s", "t", "cuspidal", "mult", "xi", "tail", "markers")
+    __slots__ = _fields + ("xi2",)
 
     def __init__(
         self,
@@ -120,6 +121,7 @@ class ProfileEntry(Value):
         object.__setattr__(self, "cuspidal", cuspidal)
         object.__setattr__(self, "mult", mult)
         object.__setattr__(self, "xi", ensure_half(xi))
+        object.__setattr__(self, "xi2", twice(xi))
         object.__setattr__(self, "tail", tail)
         object.__setattr__(self, "markers", markers)
 
@@ -186,16 +188,15 @@ def _table(profile: SpectrumProfile, pi: CuspidalLabel, r: int, kind: str) -> Co
     marks in column r, the cell values bound once with the entry's block
     twist and tail, times the symbolic weight and the global scalar.
     """
-    rows: dict[int, GrothElement] = {}
+    rows: dict[int, dict] = {}
     for entry in profile:
         if entry.cuspidal != pi:
             continue
-        shift2, (weight, _) = twice(entry.xi), _weight(entry.mult, pi.e_pi)
+        weight = _weight(entry.mult, pi.e_pi)[0]
         for degree, _, _, sums in marked_cells(entry.s, entry.t, r, kind):
             if sums:
-                term = bind_shapes(pi, sums, shift2, entry.tail, weight)
-                rows[degree] = rows.get(degree, GrothElement.zero()) + term
-    return CohomologyTable(rows)
+                bind_shapes(pi, sums, entry.xi2, entry.tail, weight, rows.setdefault(degree, {}))
+    return CohomologyTable({i: GrothElement._checked(row) for i, row in rows.items()})
 
 
 def coh_intermediate(profile: SpectrumProfile, pi: CuspidalLabel, r: int) -> CohomologyTable:
@@ -430,18 +431,14 @@ def euler_master_identity(s: int, t: int, r: int) -> bool:
     return _euler_core(s, t, r, "M") == _shriek_core(s, t, r)
 
 
-def _dressed(entry: ProfileEntry, pi: CuspidalLabel, terms: Terms) -> GrothElement:
-    """An entry's label-free terms bound with its block twist and tail, times its weight."""
-    return bind_shapes(pi, terms, twice(entry.xi), entry.tail, _weight(entry.mult, pi.e_pi)[0])
-
-
 def _profile_euler(profile: SpectrumProfile, pi: CuspidalLabel, column) -> GrothElement:
-    """The sum over the entries on the line of pi of ``column(s, t)``, each dressed."""
-    acc = GrothElement.zero()
+    """Sum over the entries on pi's line of ``column(s, t)``, bound with twist, tail and weight."""
+    row: dict = {}
     for entry in profile:
         if entry.cuspidal == pi:
-            acc = acc + _dressed(entry, pi, column(entry.s, entry.t))
-    return acc
+            weight = _weight(entry.mult, pi.e_pi)[0]
+            bind_shapes(pi, column(entry.s, entry.t), entry.xi2, entry.tail, weight, row)
+    return GrothElement._checked(row)
 
 
 def euler_intermediate_profile(profile: SpectrumProfile, pi: CuspidalLabel, r: int) -> GrothElement:
@@ -562,7 +559,7 @@ def torsion_detect(d: int, sc: SupercuspidalData, u_prime: int, r_prime: int) ->
     if u_prime < 0:
         raise ValueError("the tower level u' must be >= 0")
     g_base = sc.g
-    g_up = tower_rank(TowerLevel(sc, u_prime))
+    g_up = level_rank(sc, u_prime)
     emitted = r_prime * g_up <= d - g_base
     degrees = {}
     if emitted:
@@ -662,12 +659,11 @@ def _balance_side(
         weight = [(mono, w * factor) for mono, w in _weight(entry.mult, pi.e_pi)[1]]
         if not weight:
             continue
-        core = _balance_core(
-            entry.s, entry.t, r, twice(entry.xi), line, collapse_label_key(entry.tail, lifts)
-        )
+        tail_key = collapse_label_key(entry.tail, lifts) if entry.tail.factors else ()
         source = (entry.s, entry.t, entry.markers)
-        for key, c in core:
-            vector, provenance = acc.setdefault(key, (({}, []), ({}, [])))[side]
+        for key, c in _balance_core(entry.s, entry.t, r, entry.xi2, line, tail_key):
+            sides = acc.get(key) or acc.setdefault(key, (({}, []), ({}, [])))  # built on a miss
+            vector, provenance = sides[side]
             for mono, w in weight:
                 vector[mono] = vector.get(mono, 0) + c * w
             provenance.append(source)
@@ -694,8 +690,7 @@ def rl_hi_balance(
     sides accumulate into one table on doubled-int keys; each coefficient and
     each public (``Fraction``) class key is built once.
     """
-    g_u = tower_rank(TowerLevel(sc, u))
-    g_up = tower_rank(TowerLevel(sc, u_prime))
+    g_u, g_up = level_rank(sc, u), level_rank(sc, u_prime)
     if r * g_u != r_prime * g_up:
         raise ValueError("strata do not match: r g_u != r' g_{u'}")
     acc: BalanceAccumulator = {}

@@ -48,8 +48,6 @@ from .segments import (
     Value,
     _suffix_pieces,
     cut_tuples,
-    half,
-    label_of_multisegment,
     label_product,
     require_int,
 )
@@ -91,9 +89,9 @@ def multisegment_of_orientation(o: Orientation, pi: CuspidalLabel) -> Multisegme
     run_start = 0
     for k in range(o.t - 1):
         if not o.edges[k]:  # leftward edge breaks the run
-            segs.append(Segment(pi, half(1 - o.t + 2 * run_start), k + 1 - run_start))
+            segs.append(Segment._of2(pi, 1 - o.t + 2 * run_start, k + 1 - run_start))
             run_start = k + 1
-    segs.append(Segment(pi, half(1 - o.t + 2 * run_start), o.t - run_start))
+    segs.append(Segment._of2(pi, 1 - o.t + 2 * run_start, o.t - run_start))
     return Multisegment(segs)
 
 
@@ -347,7 +345,7 @@ def rectangle_shape_groups(
 @lru_cache(maxsize=4096)
 def _segment(cuspidal: CuspidalLabel, start2: int, length: int) -> Segment:
     """The segment of a piece, built once: a row's remainders recur across its cuts."""
-    return Segment(cuspidal, half(start2), length)
+    return Segment._of2(cuspidal, start2, length)
 
 
 @lru_cache(maxsize=4096)
@@ -356,10 +354,13 @@ def _formal_label(pi: CuspidalLabel, shape: Shape, shift2: int) -> IrreducibleLa
 
     A shape recurs across cells, strata, profile entries and queries, so every
     caller shares one label object per (pi, shape, shift2), and sums of
-    bound terms compare their keys by identity.
+    bound terms compare their keys by identity.  On one line a shape sorted by
+    (start2, length) is in its segments' key order: it is wrapped, not sorted.
     """
-    ms = Multisegment(_segment(pi, start2 + shift2, length) for start2, length in shape)
-    return label_of_multisegment(ms, KIND_FORMAL)
+    if not shape:
+        return IrreducibleLabel.unit()
+    segs = tuple(_segment(pi, start2 + shift2, length) for start2, length in shape)
+    return IrreducibleLabel((Multisegment._in_order(segs),), KIND_FORMAL)
 
 
 def bind_shapes(
@@ -368,7 +369,8 @@ def bind_shapes(
     shift2: int = 0,
     tail: IrreducibleLabel = IrreducibleLabel.unit(),
     weight: SymExpr = integer(1),
-) -> GrothElement:
+    row: dict | None = None,
+) -> GrothElement | None:
     """Bind label-free terms ``((shape, xi2), c)`` to the line of pi, twisted, times a tail and a weight.
 
     The one place where shapes become labels.  A shape becomes the formal
@@ -381,15 +383,17 @@ def bind_shapes(
     per call, so the cache holds no tail.  On one line a multisegment sorts
     its segments by (start, length), so distinct sorted shapes bind to
     distinct labels: the binding is injective, and the keys must be distinct
-    with nonzero ``c``.
+    with nonzero ``c``.  Given a dict ``row``, it adds the terms there and returns None.
     """
-    out = {}
+    out = {} if row is None else row
     for (shape, xi2), c in terms:
         label = _formal_label(pi, shape, shift2)
         if tail.factors:  # the product with the unit is the label itself
             label = label_product(tail, label)
-        out[(label, xi2 + shift2)] = weight * c
-    return GrothElement._checked(out)
+        key, c = (label, xi2 + shift2), weight * c
+        old = out.get(key)
+        out[key] = c if old is None else old + c
+    return GrothElement._checked(out) if row is None else None
 
 
 @lru_cache(maxsize=4096)
@@ -485,7 +489,7 @@ def red_tau(pi: CuspidalLabel, r_units: int, x: GrothElement) -> GrothElement:
     """
     if r_units < 1:
         raise ValueError("r_units must be >= 1")
-    out = GrothElement.zero()
+    out: dict = {}
     for (label, tw2), coeff in x.terms.items():
         for idx, factor in enumerate(label.factors):
             if (
@@ -497,5 +501,5 @@ def red_tau(pi: CuspidalLabel, r_units: int, x: GrothElement) -> GrothElement:
             red = signed_shapes(run_cuts(factor, r_units), 1)
             rest = IrreducibleLabel(label.factors[:idx] + label.factors[idx + 1 :], KIND_FORMAL)
             terms = (((shape, xi2 + tw2), c) for (shape, xi2), c in red)
-            out = out + bind_shapes(pi, terms, tail=rest, weight=coeff)
-    return out
+            bind_shapes(pi, terms, tail=rest, weight=coeff, row=out)
+    return GrothElement._checked(out)

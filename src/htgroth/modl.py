@@ -164,9 +164,14 @@ class TowerLevel(Value):
 
 def tower_rank(t: TowerLevel) -> int:
     """g_u = g_{-1} for the base level, else g_{-1} * m * l^u."""
-    if t.u == -1:
-        return t.base.g
-    return t.base.g * m_of(t.base) * t.base.field.l**t.u
+    return level_rank(t.base, t.u)
+
+
+def level_rank(base: SupercuspidalData, u: int) -> int:
+    """``tower_rank`` of level u over ``base``, with no ``TowerLevel`` built; u >= -1."""
+    if require_int("u", u) < -1:
+        raise ValueError("u must be >= -1")
+    return base.g if u == -1 else base.g * m_of(base) * base.field.l**u
 
 
 def tower_cuspidal(t: TowerLevel, id: str | None = None) -> CuspidalLabel:
@@ -197,8 +202,7 @@ def chgt_cuspi_factor(u: int, u_prime: int, sc: SupercuspidalData) -> int:
 
 def matched_strata(u: int, u_prime: int, d: int, sc: SupercuspidalData) -> list[tuple[int, int]]:
     """All (r, r') with r g_u = r' g_{u'} <= d."""
-    g_u = tower_rank(TowerLevel(sc, u))
-    g_up = tower_rank(TowerLevel(sc, u_prime))
+    g_u, g_up = level_rank(sc, u), level_rank(sc, u_prime)
     step = g_u * g_up // gcd(g_u, g_up)
     out = []
     h = step
@@ -230,9 +234,7 @@ def rl_speh(label: IrreducibleLabel, target: CuspidalLabel) -> GrothElement:
     ms = segs[0]
     if any(seg.length != 1 for seg in ms.segments) or not ms.is_ladder():
         raise ValueError("rl_speh expects a Speh of a cuspidal (singleton ladder)")
-    reduced = Multisegment(
-        type(seg)(target, seg.start, seg.length) for seg in ms.segments
-    )
+    reduced = Multisegment(type(seg)._of2(target, seg.start2, seg.length) for seg in ms.segments)
     return GrothElement.of(IrreducibleLabel((reduced,), label.kind))
 
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
-from .symbolic import SymExpr, integer
+from .symbolic import Immutable, SymExpr, integer, require_int
 
 
 @lru_cache(maxsize=1024)
@@ -49,14 +49,7 @@ def ensure_half(x: Union[int, Fraction]) -> Fraction:
     return x if type(x) is Fraction else half(n)
 
 
-def require_int(name: str, value) -> int:
-    """``value`` when it is an int; bools are refused, since JSON true/false read as 1 and 0."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    return value
-
-
-class Value:
+class Value(Immutable):
     """Base of the immutable value classes: equal and hashed by their field tuple.
 
     A subclass names its fields, in order, in ``_fields`` (its ``__init__``'s
@@ -95,12 +88,6 @@ class Value:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: a {type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: a {type(self).__name__} is immutable")
 
     def __reduce__(self):
         return type(self), self._astuple()
@@ -152,22 +139,29 @@ class Segment(Value):
     ``start`` and ``end`` are its half-integer views.  Its key (cuspidal id,
     start2, length) orders the segments of a multisegment and, with its hash,
     is computed once, at construction; equality also compares the whole
-    cuspidal label.
+    cuspidal label; ``Segment._of2(pi, start2, length)`` builds one unchecked.
     """
 
     __slots__ = ("cuspidal", "start2", "length", "_key", "_hash")
     _fields = ("cuspidal", "start", "length")
 
     def __init__(self, cuspidal: CuspidalLabel, start: Union[int, Fraction], length: int):
-        start2 = twice(start)
-        if length < 1:
+        if require_int("length", length) < 1:
             raise ValueError("segment length must be >= 1")
+        self._set(cuspidal, twice(start), length)
+
+    def _set(self, cuspidal: CuspidalLabel, start2: int, length: int) -> "Segment":
         key = (cuspidal.id, start2, length)
         object.__setattr__(self, "cuspidal", cuspidal)
         object.__setattr__(self, "start2", start2)
         object.__setattr__(self, "length", length)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
+        return self
+
+    @classmethod
+    def _of2(cls, cuspidal: CuspidalLabel, start2: int, length: int) -> "Segment":
+        return object.__new__(cls)._set(cuspidal, start2, length)
 
     @property
     def end2(self) -> int:
@@ -186,7 +180,7 @@ class Segment(Value):
         return self.length * self.cuspidal.g
 
     def twist(self, n) -> "Segment":
-        return Segment(self.cuspidal, half(self.start2 + twice(n)), self.length)
+        return Segment._of2(self.cuspidal, self.start2 + twice(n), self.length)
 
     def sort_key(self) -> tuple[str, int, int]:
         return self._key
@@ -210,17 +204,24 @@ class Multisegment:
 
     The sort key and the hash are computed once, at construction, from the
     segments' integer keys: multisegments key the Grothendieck sums, which
-    look them up many times.
+    look them up many times; ``_in_order`` wraps segments already in key order.
     """
 
     __slots__ = ("segments", "_key", "_hash")
 
     def __init__(self, segments: Iterable[Segment] = ()):
-        keyed = sorted(((s._key, s) for s in segments), key=itemgetter(0))
-        keys = tuple(k for k, _ in keyed)
-        object.__setattr__(self, "segments", tuple(s for _, s in keyed))
+        self._set(tuple(sorted(segments, key=Segment.sort_key)))
+
+    def _set(self, segments: tuple[Segment, ...]) -> "Multisegment":
+        keys = tuple(s._key for s in segments)
+        object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "_key", ("segment",) + keys)
         object.__setattr__(self, "_hash", hash(keys))
+        return self
+
+    @classmethod
+    def _in_order(cls, segments: tuple[Segment, ...]) -> "Multisegment":
+        return object.__new__(cls)._set(segments)
 
     @property
     def rank(self) -> int:
@@ -254,8 +255,9 @@ class Multisegment:
         return True
 
     def twist(self, n) -> "Multisegment":
-        n = ensure_half(n)
-        return Multisegment(s.twist(n) for s in self.segments)
+        n2 = twice(n)  # shifting every start keeps the key order
+        segs = tuple(Segment._of2(s.cuspidal, s.start2 + n2, s.length) for s in self.segments)
+        return Multisegment._in_order(segs)
 
     def __eq__(self, other):
         return isinstance(other, Multisegment) and self.segments == other.segments
@@ -499,9 +501,9 @@ def make_steinberg(pi: CuspidalLabel, t: int) -> IrreducibleLabel:
 
 def speh_st_multisegment(pi: CuspidalLabel, s: int, t: int) -> Multisegment:
     """The s-by-t rectangle ladder: s segments of length t, staircase starts."""
-    if s < 1 or t < 1:
+    if require_int("s", s) < 1 or require_int("t", t) < 1:
         raise ValueError("s and t must be >= 1")
-    return Multisegment(Segment(pi, half(2 - s - t + 2 * j), t) for j in range(s))
+    return Multisegment._in_order(tuple(Segment._of2(pi, 2 - s - t + 2 * j, t) for j in range(s)))
 
 
 def make_speh_st(pi: CuspidalLabel, s: int, t: int) -> IrreducibleLabel:
@@ -537,9 +539,9 @@ def _suffix_pieces(lad: Multisegment, ks: Sequence[int]):
     a1, a2 = [], []
     for j, (seg, k) in enumerate(zip(lad.segments, ks)):
         if k:  # a1 starts at start + length - k
-            a1.append((Segment(seg.cuspidal, half(seg.start2 + 2 * (seg.length - k)), k), j))
+            a1.append((Segment._of2(seg.cuspidal, seg.start2 + 2 * (seg.length - k), k), j))
         if seg.length - k:
-            a2.append((Segment(seg.cuspidal, seg.start, seg.length - k), j))
+            a2.append((Segment._of2(seg.cuspidal, seg.start2, seg.length - k), j))
     return a1, a2
 
 

@@ -22,6 +22,13 @@ Monomial = tuple[tuple[str, int], ...]
 _ONE_MONO: Monomial = ()
 
 
+def require_int(name: str, value) -> int:
+    """``value`` when it is an int; bools are refused, since JSON true/false read as 1 and 0."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 def _mul_mono(a: Monomial, b: Monomial) -> Monomial:
     if not a:
         return b
@@ -35,10 +42,22 @@ def _mul_mono(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(powers.items()))
 
 
-class SymExpr:
-    """Immutable Z-linear combination of atom monomials."""
+class Immutable:
+    """Slotted base refusing attribute assignment and deletion once ``__init__`` is done."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a {type(self).__name__} is immutable")
+
+
+class SymExpr(Immutable):
+    """Immutable Z-linear combination of atom monomials; its hash is computed once, on first use."""
+
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
         object.__setattr__(self, "_terms", {m: c for m, c in (terms or {}).items() if c != 0})
@@ -47,13 +66,13 @@ class SymExpr:
 
     @staticmethod
     def integer(n: int) -> "SymExpr":
-        return SymExpr({_ONE_MONO: n}) if n else SymExpr()
+        return SymExpr({_ONE_MONO: n}) if require_int("a coefficient", n) else SymExpr()
 
     @staticmethod
     def atom(name: str, power: int = 1) -> "SymExpr":
         if not ATOM_NAME.fullmatch(name):
             raise ValueError(f"{name!r} is no atom name: a letter or _ first, no blank, ^, * or +")
-        if power < 0:
+        if require_int("an atom power", power) < 0:
             raise ValueError("atom powers must be nonnegative")
         if power == 0:
             return SymExpr.integer(1)
@@ -119,15 +138,21 @@ class SymExpr:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = SymExpr.integer(other)
+            return self._terms == ({_ONE_MONO: other} if other else {})
         if not isinstance(other, SymExpr):
             return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self):
-        if self.is_integer():  # equal to its int, so it hashes as that int
-            return hash(self._terms.get(_ONE_MONO, 0))
-        return hash(frozenset(self._terms.items()))
+        try:
+            return self._hash
+        except AttributeError:  # first use; an integer equals its int, so it hashes as that int
+            h = hash(self.as_integer() if self.is_integer() else frozenset(self._terms.items()))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):  # rebuilt from its terms; the hash is recomputed
+        return SymExpr, (self._terms,)
 
     def __bool__(self):
         return bool(self._terms)

@@ -12,7 +12,6 @@ from htgroth.cohomology import (
     KER1_ATOM,
     _balance_core,
     _balance_side,
-    _dressed,
     _euler_core,
     _shriek_core,
     CohomologyTable,
@@ -678,7 +677,9 @@ def test_balance_classes_match_rl_reduce_per_entry():
                     classes, provenance = balance_side(
                         SpectrumProfile((entry,)), line, r, lifts, side, factor
                     )
-                    bound = _dressed(entry, line, _euler_core(s, t, r, "N")).scale(factor)
+                    weight = mult * integer(line.e_pi) * atom(KER1_ATOM)
+                    column = _euler_core(s, t, r, "N")
+                    bound = jl_red.bind_shapes(line, column, shift2, tail, weight).scale(factor)
                     expected = rl_reduce(bound, lifts)
                     assert classes == expected, (line, s, t, r, shift2, tail)
                     assert sorted(map(repr, classes)) == sorted(map(repr, expected))

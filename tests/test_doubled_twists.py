@@ -6,7 +6,9 @@ These tests compare the two on random input, and guard that the mod-l paths
 hash no ``Fraction`` at all.
 """
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -34,6 +36,7 @@ from htgroth.modl import (
     matched_strata,
     rl_collapse,
     rl_reduce,
+    tower_cuspidal,
 )
 from htgroth.segments import (
     KIND_FORMAL,
@@ -49,7 +52,7 @@ from htgroth.segments import (
     steinberg_multisegment,
     twice,
 )
-from htgroth.symbolic import atom, integer
+from htgroth.symbolic import SymExpr, atom, integer
 
 from fraction_oracles import (
     collapse_label_key_fraction,
@@ -282,10 +285,17 @@ def test_run_data_and_r_tau_sign_match_the_fraction_reference(case):
 HASH_SC = SupercuspidalData(CuspidalLabel("rho"), FieldData(2, 7), 3)
 
 
-def _hash_problem():
-    """Two lifts of level 0, each with one profile of three entries, on half-integer twists."""
+def _hash_problem(ids=None):
+    """Two lifts of level 0, each with one profile of three entries, on half-integer twists.
+
+    ``ids`` names the two lifts, as a fresh line never seen before; by default
+    they are the first two ``cuspidal_lifts``.
+    """
     level = TowerLevel(HASH_SC, 0)
-    lift_a, lift_b = cuspidal_lifts(level, 2)
+    if ids is None:
+        lift_a, lift_b = cuspidal_lifts(level, 2)
+    else:
+        lift_a, lift_b = (tower_cuspidal(level, id=name) for name in ids)
     lifts = {lift_a.id: level, lift_b.id: level}
     tail = IrreducibleLabel(
         (steinberg_multisegment(CuspidalLabel("sigma"), 2), OpaqueFactor("tau", 1))
@@ -352,3 +362,74 @@ def test_balance_and_conj2_hash_no_fraction(monkeypatch):
     assert len(calls) == 0, "coh_shriek or conj2_predicate hashed a Fraction"
     # the counter does count: the Fraction-keyed collapse hashes
     assert rl_reduce_fraction(fraction_terms(run_a[1].euler()), lifts) and calls
+
+
+def _count_fraction_constructions(monkeypatch) -> list:
+    calls = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(None)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    return calls
+
+
+def _balance_all_strata(lift_a, lift_b, lifts, prof_a, prof_b):
+    return [
+        c
+        for r, rp in matched_strata(0, 0, 9, HASH_SC)
+        for c in rl_hi_balance(prof_a, prof_b, HASH_SC, 0, 0, r, rp, lift_a, lift_b, lifts)
+    ]
+
+
+def _shriek_runs(lift_a, lift_b, lifts, prof_a, prof_b):
+    run_a = {r: coh_shriek(prof_a, lift_a, r) for r in range(1, 4)}
+    run_b = {r: coh_shriek(prof_b, lift_b, r) for r in range(1, 4)}
+    return run_a, conj2_predicate(run_a, run_b, lifts, lifts)
+
+
+def test_fresh_lifts_build_no_fraction_with_warm_caches(monkeypatch):
+    # the towers path on two lift lines never seen before: after a warm-up
+    # on two other lifts, the balance builds no Fraction (its public class
+    # keys come from the warm half cache), and the shriek tables and their
+    # collapse build none even with that cache cleared: their segments,
+    # labels and twists stay doubled ints from the cut shapes on
+    warm = _hash_problem(("rho[u=0]#warm.a", "rho[u=0]#warm.b"))
+    _balance_all_strata(*warm)
+    _shriek_runs(*warm)
+    fresh = _hash_problem(("rho[u=0]#fresh.a", "rho[u=0]#fresh.b"))
+    calls = _count_fraction_constructions(monkeypatch)
+    constraints = _balance_all_strata(*fresh)
+    assert constraints and all(c.is_tautology() for c in constraints)
+    assert len(calls) == 0, "rl_hi_balance built a Fraction on fresh lifts"
+    half.cache_clear()
+    run_a, agree = _shriek_runs(*fresh)
+    assert agree and any(not table.is_zero() for table in run_a.values())
+    assert len(calls) == 0, "coh_shriek or conj2_predicate built a Fraction on fresh lifts"
+    assert Fraction(1, 3) and calls  # the counter does count
+
+    # an expression computes its hash once, however often it is hashed
+    hashed = []
+    is_integer = SymExpr.is_integer
+    monkeypatch.setattr(SymExpr, "is_integer", lambda self: hashed.append(self) or is_integer(self))
+    weight = atom("c0") * 3 + atom("c1")
+    assert hash(weight) == hash(weight) and len(hashed) == 1
+
+    # an entry keeps its twist doubled in a slot outside its fields
+    pi = fresh[0]
+    entry = ProfileEntry(s=2, t=1, cuspidal=pi, mult=atom("m"), xi=Fraction(3, 2))
+    assert entry.xi2 == 3 and type(entry.xi2) is int and entry.xi == Fraction(3, 2)
+    assert "xi2" not in ProfileEntry._fields and "xi2" not in repr(entry)
+    assert repr(entry) == (
+        "ProfileEntry(s=2, t=1, cuspidal=CuspidalLabel('rho[u=0]#fresh.a', g=3), mult=m, "
+        "xi=Fraction(3, 2), tail=<1>, markers=frozenset())"
+    )
+    twin = ProfileEntry(s=2, t=1, cuspidal=pi, mult=atom("m"), xi=half(3))
+    assert entry == twin and hash(entry) == hash(twin)
+    assert entry != ProfileEntry(s=2, t=1, cuspidal=pi, mult=atom("m"), xi=1)
+    for other in (copy.copy(entry), copy.deepcopy(entry), pickle.loads(pickle.dumps(entry))):
+        assert other == entry and repr(other) == repr(entry) and other.xi2 == 3
+    with pytest.raises(AttributeError):
+        entry.xi2 = 1

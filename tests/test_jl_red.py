@@ -1,9 +1,11 @@
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from htgroth.cohomology import _shriek_core
 from htgroth.diagrams import m_support
 from htgroth.jl_red import (
     R_cell,
@@ -449,3 +451,99 @@ def test_bound_labels_never_leak_across_lines_of_one_id():
                 for pi in (PI, PI_G3, PI):
                     for label, _ in bind_shapes(pi, sums, 1).terms:
                         assert all(seg.cuspidal == pi for ms in label.multisegments() for seg in ms)
+
+
+# ---------------------------------------------------------------------------
+# the trusted constructors against the public, checked ones
+# ---------------------------------------------------------------------------
+
+
+def public_formal_label(pi, shape, shift2):
+    """The formal label of a shape built through the checked constructors only."""
+    ms = Multisegment(Segment(pi, half(start2 + shift2), length) for start2, length in shape)
+    return label_of_multisegment(ms, KIND_FORMAL)
+
+
+def _same_value(mine, public):
+    return mine == public and hash(mine) == hash(public) and repr(mine) == repr(public)
+
+
+def test_formal_label_matches_the_public_constructors():
+    # every shape a rectangle with s + t <= 8 sums at any stratum, and every
+    # shape of its shriek Euler expansion, at every doubled shift in -4..4, on
+    # two lines of one id: wrapped unsorted from the trusted constructors,
+    # the label is the one the checked path sorts
+    _formal_label.cache_clear()
+    shapes = set()
+    for s in range(1, 8):
+        for t in range(1, 9 - s):
+            for r in range(0, s * t + 1):
+                for _, sums in rectangle_shape_groups(s, t, r).values():
+                    shapes.update(shape for (shape, _), _ in sums)
+                shapes.update(shape for (shape, _), _ in _shriek_core(s, t, r))
+    assert () in shapes and len(shapes) > 500
+    for shape, shift2, pi in itertools.product(shapes, range(-4, 5), (PI, PI_G3)):
+        mine, public = _formal_label(pi, shape, shift2), public_formal_label(pi, shape, shift2)
+        assert _same_value(mine, public), (shape, shift2, pi)
+        for ms, twin in zip(mine.multisegments(), public.multisegments(), strict=True):
+            assert ms._key == twin._key and all(map(_same_value, ms, twin))
+
+
+@settings(max_examples=200, deadline=None)
+@given(start2=st.integers(-30, 30), length=st.integers(1, 9), pi=st.sampled_from([PI, PI_G3, RHO]))
+def test_trusted_segment_matches_the_public_one(start2, length, pi):
+    mine, public = Segment._of2(pi, start2, length), Segment(pi, half(start2), length)
+    assert _same_value(mine, public) and mine._key == public._key
+    fields = ("cuspidal", "start2", "length")
+    assert [getattr(mine, f) for f in fields] == [getattr(public, f) for f in fields]
+    assert _same_value(pickle.loads(pickle.dumps(mine)), public)
+    assert _same_value(mine.twist(half(3)), public.twist(Fraction(3, 2)))
+
+
+segment_lists = st.lists(
+    st.builds(
+        lambda pi, start2, length: Segment(pi, half(start2), length),
+        st.sampled_from([PI, RHO, PI_G2]),
+        st.integers(-9, 9),
+        st.integers(1, 4),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(segs=segment_lists, n2=st.integers(-5, 5))
+def test_trusted_multisegments_match_the_public_ones(segs, n2):
+    public = Multisegment(segs)
+    ordered = tuple(sorted(segs, key=lambda seg: seg._key))
+    mine = Multisegment._in_order(ordered)
+    assert _same_value(mine, public) and mine._key == public._key
+    assert mine.segments == public.segments
+    # a twist shifts every start alike, so it keeps the key order it wraps
+    twisted = Multisegment(Segment(seg.cuspidal, seg.start + half(n2), seg.length) for seg in segs)
+    for n in [half(n2)] + ([n2 // 2] if n2 % 2 == 0 else []):  # a Fraction, or an int
+        assert _same_value(public.twist(n), twisted) and public.twist(n)._key == twisted._key
+
+
+def test_speh_st_multisegment_matches_the_public_path():
+    for s, t, pi in itertools.product(range(1, 7), range(1, 7), (PI, PI_G2)):
+        public = Multisegment(Segment(pi, half(2 - s - t + 2 * j), t) for j in range(s))
+        mine = speh_st_multisegment(pi, s, t)
+        assert _same_value(mine, public) and mine._key == public._key, (s, t)
+    for bad in (2.0, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            speh_st_multisegment(PI, bad, 2)
+        with pytest.raises(ValueError, match="must be an integer"):
+            speh_st_multisegment(PI, 2, bad)
+
+
+def test_bind_shapes_adds_into_a_row_what_the_elements_sum_to():
+    # one row fed by several bindings equals the sum of the bound elements
+    groups = rectangle_shape_groups(3, 2, 3)
+    row: dict = {}
+    expected = GrothElement.zero()
+    for shift2, weight in [(0, atom("m")), (2, integer(1)), (0, -atom("m")), (-1, atom("n"))]:
+        for _, sums in groups.values():
+            assert bind_shapes(PI, sums, shift2, TAIL, weight, row) is None
+            expected = expected + bind_shapes(PI, sums, shift2, TAIL, weight)
+    assert GrothElement._checked(row) == expected and not expected.is_zero()

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from htgroth.symbolic import ATOM_NAME, SymExpr, atom, integer
@@ -65,3 +68,62 @@ def test_atom_refuses_names_a_coefficient_cannot_hold(name):
 def test_atom_takes_the_names_the_reader_takes(name):
     assert ATOM_NAME.fullmatch(name)
     assert atom(name).atoms() == {name}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # each once reached the exact ring: integer(2.5) printed 2.5, atom("m", 1.5) m^1.5
+        lambda: SymExpr.integer(2.5),
+        lambda: integer(1.0),
+        lambda: integer(True),
+        lambda: SymExpr.atom("m", 1.5),
+        lambda: SymExpr.atom("m", True),
+        lambda: atom("m") * 2.5,
+        lambda: 2.5 * atom("m"),
+        lambda: atom("m") + 0.5,
+        lambda: atom("m") - False,
+    ],
+)
+def test_floats_and_bools_are_refused_as_integers(build):
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
+
+
+def test_expressions_cannot_be_assigned_or_deleted():
+    # a dict keyed on an expression keeps its hash: re-keying it in place must fail
+    e = atom("m") + 2
+    table = {e: "x"}
+    for name in ("_terms", "_hash", "not_a_slot"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(e, name, {(): 1})
+        with pytest.raises(AttributeError):
+            delattr(e, name)
+    assert e == atom("m") + 2 and table[atom("m") + 2] == "x"
+
+
+def test_the_hash_is_computed_once(monkeypatch):
+    calls = []
+    original = SymExpr.is_integer
+
+    def counting(self):
+        calls.append(None)
+        return original(self)
+
+    monkeypatch.setattr(SymExpr, "is_integer", counting)
+    e = atom("m") * atom("n") - 3
+    first = hash(e)
+    assert hash(e) == first and len(calls) == 1
+    assert first == hash(frozenset({((("m", 1), ("n", 1)), 1), ((), -3)}))
+
+
+def test_copies_and_pickles_rebuild_equal_expressions():
+    for e in (atom("m") * 2 + atom("n"), integer(7), SymExpr()):
+        hash(e)  # a cached hash is not carried along: it is recomputed
+        for twin in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert twin == e and hash(twin) == hash(e) and repr(twin) == repr(e)
+
+
+def test_bools_still_compare_as_their_ints():
+    assert integer(1) == True and integer(0) == False and SymExpr() == 0  # noqa: E712
+    assert atom("m") != 1 and integer(2) != 3

@@ -221,6 +221,9 @@ def test_refused_fields_raise_value_error(build):
         lambda: orientations(2.0),
         lambda: OpaqueFactor("x", 1.5),
         lambda: OpaqueFactor("x", True),
+        # Segment(PI, 0, 2.0) built and its repr raised later; True built length 1
+        lambda: Segment(PI, 0, 2.0),
+        lambda: Segment(PI, 0, True),
     ],
 )
 def test_floats_and_bools_are_refused_as_integer_fields(build):
