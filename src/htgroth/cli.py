@@ -248,9 +248,9 @@ def cmd_verify(args) -> int:
         return all(m_column(s, t, r) == m_column_hull(s, t, r) for r in range(1, s + t))
 
     def endpoint_agrees(s: int, t: int) -> bool:
-        # at (s + t - 1, 0) the M and N cells both read the center-0 cut group
+        # at (s + t - 1, 0) the M and N cells both read the center-0 sum
         r = s + t - 1
-        sums = [cell[3] for kind in "MN" for cell in marked_cells(s, t, r, kind) if cell[0] == 0]
+        sums = [cell[2] for kind in "MN" for cell in marked_cells(s, t, r, kind) if cell[0] == 0]
         marks_0 = 0 in m_column(s, t, r) and 0 in n_column(s, t, r)
         return marks_0 and sums[0] == sums[1] != ()
 

@@ -12,20 +12,20 @@ A cell (stratum r, degree i) of the intermediate or shriek table is the
 signed sum of the cuts of a rectangle ladder at left rank r whose center is
 -i_m/2, masked by the M or N diagram of :mod:`htgroth.diagrams`.  The shape
 layer, ``rectangle_shape_groups`` keyed on (s, t, r), enumerates a
-rectangle's cuts once, label-free, in doubled integers, groups them by
-center and sums each center's signed a2 shapes: they depend only on the
-shape.  ``marked_cells`` is the one iterator over these cells, and
-label-free; the tables and the Euler calculus read its cuts and sums
-directly.  ``bind_shapes`` is the one place that turns shapes into labels:
-it binds a cell, an Euler sum or a transfer term to the line of pi once,
-with the block twist and the tail.  Labels are interned per (line, shape,
-shift): each is built once and shared by every table, while the product
-with a tail is built per call.  ``rectangle_cuts``, keyed on
-(pi, s, t, r), keeps the bare bound values that ``R_cell``/``S_cell`` read.
-The two tables read off the same underlying cut data: the shriek cell of
-degree i reads the sheared intermediate degree i_m = 2 i + r - (s + t - 1),
-which also makes the two twist conventions agree on the nose, and the
-endpoint identity at (s + t - 1, 0) exact.
+rectangle's cuts once, label-free, in doubled integers, and keeps only each
+center's summed signed a2 shapes: they depend only on the shape.
+``marked_cells`` is the one iterator over these cells, and label-free; the
+tables and the Euler sums read its sums directly.  ``bind_shapes`` is the
+one place that turns shapes into labels: it binds a cell, an Euler sum or
+a transfer term to the line of pi once, with the block twist and the tail.
+Labels are interned per (line, shape, shift): each is built once and
+shared by every table, while the product with a tail is built per call.
+``rectangle_cuts``, keyed on (pi, s, t, r), keeps the bare bound values
+that ``R_cell``/``S_cell`` read.  The two tables read off the same
+underlying cut data: the shriek cell of degree i reads the sheared
+intermediate degree i_m = 2 i + r - (s + t - 1), which also makes the two
+twist conventions agree on the nose, and the endpoint identity at
+(s + t - 1, 0) exact.
 """
 
 from __future__ import annotations
@@ -165,11 +165,8 @@ class Cut(Value):
     ``sign`` = (-1)^(#a1 pieces - 1) and ``center2`` (twice the run's center;
     the attached character is |.|^(center2/2)) are the transfer data.
 
-    A cut carries no cuspidal label.  In the shape layer
-    (``rectangle_shape_groups``, keyed on (s, t, r)) a rectangle's cuts are
-    enumerated once per shape and their a2 shapes summed per center;
-    ``bind_shapes`` binds the sums, never the cuts.  The Euler calculus of
-    the cohomology tables reads the pieces and their rows directly.
+    A cut carries no cuspidal label.  Only ``signed_shapes`` reads the
+    pieces: the shape layer and the transfer keep the sums, not the cuts.
     """
 
     __slots__ = _fields = ("ks", "sign", "center2", "a1_pieces", "a2_pieces")
@@ -324,22 +321,19 @@ def signed_shapes(cuts: Iterable[Cut], xi_sign: int) -> Terms:
 
 
 @lru_cache(maxsize=1024)
-def rectangle_shape_groups(
-    s: int, t: int, left_units: int
-) -> Mapping[int, tuple[tuple[Cut, ...], Terms]]:
-    """``rectangle_shape_cuts`` grouped by ``center2``, with each center's summed a2 shapes.
+def rectangle_shape_groups(s: int, t: int, left_units: int) -> Mapping[int, Terms]:
+    """The ``signed_shapes`` of ``rectangle_shape_cuts`` per ``center2``, keyed on (shape, i_m).
 
-    A center maps to its cuts and to their ``signed_shapes`` keyed on
-    (shape, i_m), the value of every table cell that reads it, twist
-    included.  Enumerated and summed once per shape; every caller shares the
-    cached mapping, so it is read-only.
+    A center's sum is the value of every table cell that reads it; the cuts
+    are dropped here.  A sum is empty only when its center has no cut: the
+    a2 shape of a cut fixes its ks (row j's remainder starts at
+    2 - s - t + 2 j; a row with no piece is taken whole), so no two cuts
+    share a key.  The cached mapping is shared, so it is read-only.
     """
     groups: dict[int, list[Cut]] = {}
     for cut in rectangle_shape_cuts(s, t, left_units):
         groups.setdefault(cut.center2, []).append(cut)
-    return MappingProxyType(
-        {c2: (tuple(cuts), signed_shapes(cuts, -1)) for c2, cuts in sorted(groups.items())}
-    )
+    return MappingProxyType({c2: signed_shapes(cuts, -1) for c2, cuts in sorted(groups.items())})
 
 
 @lru_cache(maxsize=4096)
@@ -408,7 +402,7 @@ def rectangle_cuts(
     return MappingProxyType(
         {
             c2: bind_shapes(pi, (((shape, 0), c) for (shape, _), c in sums))
-            for c2, (_, sums) in rectangle_shape_groups(s, t, left_units).items()
+            for c2, sums in rectangle_shape_groups(s, t, left_units).items()
         }
     )
 
@@ -418,17 +412,15 @@ def rectangle_cuts(
 # ---------------------------------------------------------------------------
 
 
-def marked_cells(
-    s: int, t: int, r: int, kind: str
-) -> Iterator[tuple[int, int, tuple[Cut, ...], Terms]]:
-    """(degree, i_m, cuts, sums) for every cell of column r marked by the M or N diagram.
+def marked_cells(s: int, t: int, r: int, kind: str) -> Iterator[tuple[int, int, Terms]]:
+    """(degree, i_m, sums) for every cell of column r marked by the M or N diagram.
 
     ``degree`` indexes the cell in its own diagram and ``i_m`` is the
     intermediate degree behind it: i_m = degree on the M side, and the shear
-    i_m = 2 degree + r - (s + t - 1) on the N side.  ``cuts`` are the
-    label-free cuts of the s-by-t rectangle at left rank r whose center is
-    -i_m/2, and ``sums`` their signed a2 shapes keyed on (shape, i_m): the
-    value of the cell.  The only walk over the cells of a column.
+    i_m = 2 degree + r - (s + t - 1) on the N side.  ``sums`` are the signed
+    a2 shapes, keyed on (shape, i_m), of the cuts of the s-by-t rectangle at
+    left rank r whose center is -i_m/2: the value of the cell, empty when
+    no cut has that center.  The only walk over the cells of a column.
     """
     if kind == "M":
         cells = [(i, i) for i in m_column(s, t, r)]
@@ -440,12 +432,12 @@ def marked_cells(
         return
     groups = rectangle_shape_groups(s, t, r)
     for degree, i_m in cells:
-        yield (degree, i_m) + groups.get(-i_m, ((), ()))
+        yield degree, i_m, groups.get(-i_m, ())
 
 
 def _cell(pi: CuspidalLabel, s: int, t: int, r: int, kind: str, i: int) -> GrothElement:
-    for degree, i_m, cuts, _ in marked_cells(s, t, r, kind):
-        if degree == i and cuts:
+    for degree, i_m, sums in marked_cells(s, t, r, kind):
+        if degree == i and sums:
             return rectangle_cuts(pi, s, t, r)[-i_m]
     return GrothElement.zero()
 

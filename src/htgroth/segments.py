@@ -199,7 +199,7 @@ class Segment(Value):
         return f"[{self.start},{self.end}]_{self.cuspidal.id}"
 
 
-class Multisegment:
+class Multisegment(Immutable):
     """A multiset of segments, stored in canonical sorted order.
 
     The sort key and the hash are computed once, at construction, from the
@@ -265,6 +265,9 @@ class Multisegment:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        return Multisegment._in_order, (self.segments,)
+
     def __len__(self):
         return len(self.segments)
 
@@ -307,10 +310,11 @@ KIND_FORMAL = "formal"
 _KINDS = (KIND_GENERIC, KIND_SPEH_ST, KIND_FORMAL)
 
 
-class IrreducibleLabel:
+class IrreducibleLabel(Immutable):
     """Label of an irreducible: a multiset of factors plus a kind tag.
 
-    Like a multisegment, a label computes its hash once, at construction.
+    Like a multisegment, a label computes its hash once, at construction,
+    and is immutable, since the label caches share it; ``unit()`` is one label.
     """
 
     __slots__ = ("factors", "kind", "_hash")
@@ -327,7 +331,7 @@ class IrreducibleLabel:
 
     @staticmethod
     def unit() -> "IrreducibleLabel":
-        return IrreducibleLabel((), KIND_GENERIC)
+        return _UNIT
 
     @property
     def rank(self) -> int:
@@ -349,12 +353,18 @@ class IrreducibleLabel:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        return IrreducibleLabel, (self.factors, self.kind)
+
     def __repr__(self):
         if not self.factors:
             return "<1>"
         return " x ".join(
             f.name if isinstance(f, OpaqueFactor) else repr(f) for f in self.factors
         )
+
+
+_UNIT = IrreducibleLabel((), KIND_GENERIC)
 
 
 def label_of_multisegment(ms: Multisegment, kind: str = KIND_FORMAL) -> IrreducibleLabel:
@@ -370,7 +380,7 @@ def _lines_linked(a: Multisegment, b: Multisegment) -> bool:
     return bool(lines_a & lines_b)
 
 
-class GrothElement:
+class GrothElement(Immutable):
     """Finite sum of (label, Xi-twist) pairs with symbolic coefficients.
 
     The Xi slot is a half-integer exponent k meaning a factor Xi^k; the
@@ -460,6 +470,9 @@ class GrothElement:
 
     def __hash__(self):
         return hash(frozenset((k, v) for k, v in self.terms.items()))
+
+    def __reduce__(self):  # the keys are already (label, xi2) pairs
+        return GrothElement._checked, (dict(self.terms),)
 
     def __repr__(self):
         if not self.terms:

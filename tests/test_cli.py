@@ -15,12 +15,14 @@ from hypothesis import given, settings, strategies as st
 
 import htgroth
 from htgroth.cli import _parser, main
-from htgroth import jsonio
+from htgroth import jl_red, jsonio
+from htgroth.jl_red import Cut
 from htgroth.modl import TowerLevel, matched_strata, tower_cuspidal, tower_rank
 from htgroth.segments import CuspidalLabel, GrothElement, make_speh_st
 from htgroth.symbolic import atom
 
 from diagram_oracles import svg_point_set
+from htgroth_caches import clear_htgroth_caches
 
 
 def run_cli(args, capsys):
@@ -427,6 +429,25 @@ def test_verify_max_8_stdout_pinned(capsys):
     # --max 20 runs the master identity on squares up to 10x10
     for bound in ("8", "12", "20"):
         assert run_cli(["verify", "--max", bound], capsys) == (0, VERIFY_MAX_8), bound
+
+
+def test_verify_fails_when_every_cut_sign_flips(monkeypatch, capsys):
+    # the master identity is an oracle of the sign convention: with every
+    # cut's sign flipped the tables move, the shriek side's closed forms do
+    # not, and verify must fail there
+    run_cuts = jl_red._run_cuts
+
+    def flipped(*args):
+        return [Cut(c.ks, -c.sign, c.center2, c.a1_pieces, c.a2_pieces) for c in run_cuts(*args)]
+
+    monkeypatch.setattr(jl_red, "_run_cuts", flipped)
+    clear_htgroth_caches()
+    try:
+        code, out = run_cli(["verify", "--max", "8"], capsys)
+    finally:
+        monkeypatch.undo()
+        clear_htgroth_caches()
+    assert code == 1 and "FAIL euler-master-established-shapes" in out.splitlines()
 
 
 # sha256 of the six ``figures`` SVGs, concatenated in sorted name order

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from htgroth import jl_red, jsonio
+from htgroth.cli import _parser
+from htgroth.diagrams import m_column_hull
 from htgroth.jl_red import R_cell
 from htgroth.cohomology import (
     KER1_ATOM,
-    _balance_core,
     _balance_side,
     _euler_core,
-    _shriek_core,
     CohomologyTable,
     CongruenceConstraint,
     ProfileEntry,
@@ -58,6 +58,8 @@ from htgroth.segments import (
     steinberg_multisegment,
 )
 from htgroth.symbolic import SymExpr, atom, integer
+
+from htgroth_caches import clear_htgroth_caches, htgroth_caches
 
 PI = CuspidalLabel("pi", g=1)
 
@@ -310,33 +312,34 @@ def test_euler_shriek_core_matches_table_path(label):
     assert cases == 266
 
 
-EULER_CACHES = (
-    _balance_core,
-    _euler_core,
-    _shriek_core,
-    jl_red.rectangle_shape_groups,
-    jl_red.rectangle_cuts,
-    jl_red._segment,
-    jl_red._formal_label,
-    half,
-    torsion_detect,
-)
-
-
-def _clear_euler_caches():
-    for cache in EULER_CACHES:
-        cache.cache_clear()
-
-
 def test_clear_euler_caches_clears_every_cache():
+    # the caches are found, not listed: a new one shows up in this set
+    caches = htgroth_caches()
+    assert sorted(caches) == [
+        "cli._parser",
+        "cohomology._balance_core",
+        "cohomology._euler_core",
+        "cohomology._shriek_core",
+        "cohomology._weight",
+        "cohomology.torsion_detect",
+        "diagrams._m_hull",
+        "jl_red._formal_label",
+        "jl_red._segment",
+        "jl_red.rectangle_cuts",
+        "jl_red.rectangle_shape_groups",
+        "segments.half",
+    ]
     sc, pi_u, pi_up, lifts, pu, pup = make_balanced_setup()
     rl_hi_balance(pu, pup, sc, 0, 0, 2, 2, pi_u, pi_up, lifts)
     R_cell(2, 2, 2, 1, pi_u)
     euler_shriek_expansion(pu.entries[0], pi_u, 1)
     torsion_detect(4, sc, 0, 1)
-    assert all(cache.cache_info().currsize for cache in EULER_CACHES)
-    _clear_euler_caches()
-    assert not any(cache.cache_info().currsize for cache in EULER_CACHES)
+    m_column_hull(2, 2, 1)
+    _parser()
+    half(3)
+    assert all(cache.cache_info().currsize for cache in caches.values())
+    clear_htgroth_caches()
+    assert not any(cache.cache_info().currsize for cache in caches.values())
 
 
 def test_euler_cache_leaks_no_label():
@@ -355,7 +358,7 @@ def test_euler_cache_leaks_no_label():
                 warm[pi, s, t, r, side] = value
     assert any(not value.is_zero() for value in warm.values())
     for (pi, s, t, r, side), value in warm.items():
-        _clear_euler_caches()
+        clear_htgroth_caches()
         entry = ProfileEntry(s=s, t=t, cuspidal=pi, mult=atom("m"))
         assert EULER_SIDES[side](entry, pi, r) == value, (pi, s, t, r, side)
 
@@ -386,7 +389,7 @@ def test_table_cache_leaks_no_label():
                     warm[fn, profile, pi, r] = table
     assert any(not table.is_zero() for table in warm.values())
     for (fn, profile, pi, r), table in warm.items():
-        _clear_euler_caches()
+        clear_htgroth_caches()
         assert fn(profile, pi, r) == table, (fn.__name__, profile, r)
 
 
@@ -726,7 +729,7 @@ def test_balance_cache_leaks_no_line():
                 warm[pi, level, entry, r] = classes
     assert len({(pi, level) for pi, level, _, _ in warm}) == 6 and any(warm.values())
     for (pi, level, entry, r), classes in warm.items():
-        _clear_euler_caches()
+        clear_htgroth_caches()
         cold, _ = balance_side(SpectrumProfile((entry,)), pi, r, {pi.id: level} if level else {})
         assert cold == classes and list(map(repr, cold)) == list(map(repr, classes)), (pi, entry, r)
 

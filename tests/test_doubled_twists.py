@@ -14,7 +14,6 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import pytest
-from htgroth import cohomology, jl_red
 from htgroth.cohomology import (
     ProfileEntry,
     SpectrumProfile,
@@ -65,6 +64,7 @@ from fraction_oracles import (
     rl_reduce_fraction,
     run_data_fraction,
 )
+from htgroth_caches import clear_htgroth_caches
 
 # (base id, q, l, epsilon, u): the line of each level has the stretch and
 # period noted, so the lifts cover stretch 1, 2, 3 and 49 and epsilon 1, 2, 3
@@ -326,22 +326,10 @@ def _count_fraction_hashes(monkeypatch) -> list:
     return calls
 
 
-def _clear_caches():
-    for cache in (
-        cohomology._balance_core,
-        cohomology._euler_core,
-        cohomology._weight,
-        jl_red.rectangle_shape_groups,
-        jl_red._segment,
-        jl_red._formal_label,
-    ):
-        cache.cache_clear()
-
-
 def test_balance_and_conj2_hash_no_fraction(monkeypatch):
     lift_a, lift_b, lifts, prof_a, prof_b = _hash_problem()
     strata = matched_strata(0, 0, 9, HASH_SC)  # r = r' = 1, 2, 3: g_0 = 3, blocks of up to 3 units
-    _clear_caches()
+    clear_htgroth_caches()
     calls = _count_fraction_hashes(monkeypatch)
     for _ in range(2):  # cold caches, then warm
         constraints = list(

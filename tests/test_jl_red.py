@@ -24,6 +24,7 @@ from htgroth.jl_red import (
     red_tau,
     run_cuts,
     run_cuts_scan,
+    signed_shapes,
 )
 from htgroth.segments import (
     CuspidalLabel,
@@ -302,16 +303,22 @@ def test_rectangle_cut_rows_partition():
         for rank in range(0, s * t + 1):
             groups = rectangle_shape_groups(s, t, rank)
             assert list(rectangle_cuts(PI, s, t, rank)) == list(groups)
-            for center2, (cuts, _) in groups.items():
-                for cut in cuts:
-                    assert cut.center2 == center2
-                    assert sum(length for _, length, _ in cut.a1_pieces) == rank
-                    covered = sorted(
-                        (row, p)
-                        for start2, length, row in cut.a1_pieces + cut.a2_pieces
-                        for p in range(start2, start2 + 2 * length, 2)
-                    )
-                    assert covered == rows
+            by_center = {}
+            for cut in rectangle_shape_cuts(s, t, rank):
+                by_center.setdefault(cut.center2, []).append(cut)
+                assert sum(length for _, length, _ in cut.a1_pieces) == rank
+                covered = sorted(
+                    (row, p)
+                    for start2, length, row in cut.a1_pieces + cut.a2_pieces
+                    for p in range(start2, start2 + 2 * length, 2)
+                )
+                assert covered == rows
+            # one term per cut: distinct cuts have distinct a2 shapes, so none cancels
+            assert {c2: len(cuts) for c2, cuts in by_center.items()} == {
+                c2: len(sums) for c2, sums in groups.items()
+            }
+            for c2, cuts in by_center.items():
+                assert groups[c2] == signed_shapes(cuts, -1)
 
 
 def test_rectangle_cuts_key_on_the_whole_label():
@@ -424,7 +431,7 @@ def test_bind_shapes_matches_the_uncached_reference():
     for s in range(1, 8):
         for t in range(1, 9 - s):
             for r, kind in itertools.product(range(0, s * t + 2), ("M", "N")):
-                cells = [sums for _, _, _, sums in marked_cells(s, t, r, kind) if sums]
+                cells = [sums for _, _, sums in marked_cells(s, t, r, kind) if sums]
                 for (shift2, pi, tail), sums in itertools.product(bindings, cells):
                     expected = bind_shapes_reference(pi, sums, shift2, tail, atom("m"))
                     assert bind_shapes(pi, sums, shift2, tail, atom("m")) == expected, (s, t, r)
@@ -432,7 +439,7 @@ def test_bind_shapes_matches_the_uncached_reference():
 
 
 def test_bind_shapes_shares_one_label_per_line_shape_and_shift():
-    sums = max((sums for _, sums in rectangle_shape_groups(3, 2, 3).values()), key=len)
+    sums = max(rectangle_shape_groups(3, 2, 3).values(), key=len)
     first, second = bind_shapes(PI, sums, 2), bind_shapes(PI, sums, 2, weight=atom("m"))
     assert len(first.terms) == len(sums) > 1
     shared = {label: label for label, _ in second.terms}
@@ -447,7 +454,7 @@ def test_bound_labels_never_leak_across_lines_of_one_id():
     _formal_label.cache_clear()
     for s, t in [(2, 2), (3, 2), (1, 4)]:
         for r in range(1, s * t + 1):
-            for _, sums in rectangle_shape_groups(s, t, r).values():
+            for sums in rectangle_shape_groups(s, t, r).values():
                 for pi in (PI, PI_G3, PI):
                     for label, _ in bind_shapes(pi, sums, 1).terms:
                         assert all(seg.cuspidal == pi for ms in label.multisegments() for seg in ms)
@@ -478,7 +485,7 @@ def test_formal_label_matches_the_public_constructors():
     for s in range(1, 8):
         for t in range(1, 9 - s):
             for r in range(0, s * t + 1):
-                for _, sums in rectangle_shape_groups(s, t, r).values():
+                for sums in rectangle_shape_groups(s, t, r).values():
                     shapes.update(shape for (shape, _), _ in sums)
                 shapes.update(shape for (shape, _), _ in _shriek_core(s, t, r))
     assert () in shapes and len(shapes) > 500
@@ -543,7 +550,7 @@ def test_bind_shapes_adds_into_a_row_what_the_elements_sum_to():
     row: dict = {}
     expected = GrothElement.zero()
     for shift2, weight in [(0, atom("m")), (2, integer(1)), (0, -atom("m")), (-1, atom("n"))]:
-        for _, sums in groups.values():
+        for sums in groups.values():
             assert bind_shapes(PI, sums, shift2, TAIL, weight, row) is None
             expected = expected + bind_shapes(PI, sums, shift2, TAIL, weight)
     assert GrothElement._checked(row) == expected and not expected.is_zero()

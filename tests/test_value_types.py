@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from htgroth.cohomology import (
+    CohomologyTable,
     CongruenceConstraint,
     CongruenceRecord,
     ProfileEntry,
@@ -24,9 +25,19 @@ from htgroth.cohomology import (
     torsion_detect,
 )
 from htgroth.diagrams import BlockContribution, DiagramSupport, LocalComponent
-from htgroth.jl_red import Cut, Orientation, SignedCharacter, orientations
+from htgroth.jl_red import Cut, Orientation, SignedCharacter, _formal_label, orientations
 from htgroth.modl import FieldData, SupercuspidalData, TowerLevel
-from htgroth.segments import CuspidalLabel, IrreducibleLabel, OpaqueFactor, Partition, Segment
+from htgroth.segments import (
+    KIND_FORMAL,
+    CuspidalLabel,
+    GrothElement,
+    IrreducibleLabel,
+    Multisegment,
+    OpaqueFactor,
+    Partition,
+    Segment,
+    label_of_multisegment,
+)
 from htgroth.symbolic import atom
 
 PI = CuspidalLabel("pi")
@@ -158,6 +169,59 @@ def test_cuspidal_label_is_immutable_with_its_identity_kept():
     assert repr(pi) == "CuspidalLabel('pi', g=2)"
     for y in (copy.copy(pi), copy.deepcopy(pi), pickle.loads(pickle.dumps(pi))):
         assert type(y) is CuspidalLabel and (y.id, y.g, y.e_pi) == ("pi", 2, 3)
+
+
+MULTISEGMENT = Multisegment([Segment(RHO, 0, 1), Segment(PI, Fraction(-1, 2), 2)])
+LABEL = IrreducibleLabel((MULTISEGMENT, OpaqueFactor("x", 2)), KIND_FORMAL)
+ELEMENT = GrothElement({(LABEL, Fraction(1, 2)): atom("m"), (IrreducibleLabel.unit(), 0): 3})
+TABLE = CohomologyTable({0: ELEMENT, 3: -ELEMENT})
+# (a value the caches may hand to many callers, its attributes)
+SHARED = [
+    (MULTISEGMENT, ("segments", "_key", "_hash")),
+    (LABEL, ("factors", "kind", "_hash")),
+    (ELEMENT, ("terms",)),
+    (TABLE, ("rows",)),
+]
+SHARED_IDS = [type(x).__name__ for x, _ in SHARED]
+
+
+@pytest.mark.parametrize("x, names", SHARED, ids=SHARED_IDS)
+def test_shared_values_refuse_assignment_and_deletion(x, names):
+    before = [getattr(x, name) for name in names]
+    for name in names + ("not_a_field",):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+    for name in names:
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert [getattr(x, name) for name in names] == before
+
+
+@pytest.mark.parametrize("x, names", SHARED, ids=SHARED_IDS)
+def test_shared_values_copy_and_pickle_to_equal_values(x, names):
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    pickled = [pickle.loads(pickle.dumps(x, protocol)) for protocol in protocols]
+    for y in [copy.copy(x), copy.deepcopy(x)] + pickled:
+        assert type(y) is type(x) and y == x and repr(y) == repr(x)
+        assert [getattr(y, name) for name in names] == [getattr(x, name) for name in names]
+        if x is TABLE:  # a table compares by value and is unhashable, as before
+            with pytest.raises(TypeError):
+                hash(y)
+        else:
+            assert hash(y) == hash(x) and {x: 1}[y] == 1
+
+
+def test_unit_label_is_one_shared_object():
+    unit = IrreducibleLabel.unit()
+    assert unit is IrreducibleLabel.unit() and repr(unit) == "<1>"
+    assert unit == IrreducibleLabel(()) and hash(unit) == hash(IrreducibleLabel(()))
+    assert label_of_multisegment(Multisegment()) is unit
+    assert all(_formal_label(PI, (), shift2) is unit for shift2 in (-2, 0, 3))
+    # an interned label can no longer be emptied for every later caller
+    label = _formal_label(PI, ((0, 2),), 0)
+    with pytest.raises(AttributeError):
+        label.factors = ()
+    assert repr(_formal_label(PI, ((0, 2),), 0)) == "{[0,1]_pi}"
 
 
 def test_repr_keeps_the_dataclass_form():
