@@ -248,11 +248,17 @@ def cmd_verify(args) -> int:
         return all(m_column(s, t, r) == m_column_hull(s, t, r) for r in range(1, s + t))
 
     def endpoint_agrees(s: int, t: int) -> bool:
-        # at (s + t - 1, 0) the M and N cells both read the center-0 sum
+        # at (s + t - 1, 0) the M and N cells both read the center-0 sum: one term
+        # per cut, C_t(s - 1) cuts whose signs add to f_t(s - 1) (see jl_red._run_cuts)
         r = s + t - 1
         sums = [cell[2] for kind in "MN" for cell in marked_cells(s, t, r, kind) if cell[0] == 0]
         marks_0 = 0 in m_column(s, t, r) and 0 in n_column(s, t, r)
-        return marks_0 and sums[0] == sums[1] != ()
+        compositions = [1]  # C_t(N) for N = 0 .. s - 1
+        for size in range(1, s):
+            compositions.append(sum(compositions[max(0, size - t) :]))
+        signed = {0: 1, 1: -1}.get((s - 1) % (t + 1), 0)  # f_t(s - 1)
+        found = (len(sums[0]), sum(c for _, c in sums[0])) if marks_0 else None
+        return found == (compositions[-1], signed) and sums[0] == sums[1]
 
     agree = all(grid_agrees(s, t) for s in range(1, n + 1) for t in range(1, n + 1))
     checks.append(("diagram-bullets-vs-hull", agree))

@@ -281,6 +281,16 @@ def check_hij(t: int, s_max: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _alternating_sum(cells) -> Terms:
+    """The sum of (-1)^n sums over the pairs (n, sums) of ``cells``."""
+    terms: dict[TermKey, int] = {}
+    for n, sums in cells:
+        parity = -1 if n % 2 else 1
+        for key, c in sums:
+            terms[key] = terms.get(key, 0) + parity * c
+    return frozen_terms(terms)
+
+
 @lru_cache(maxsize=1024)
 def _euler_core(s: int, t: int, r: int, kind: str) -> Terms:
     """The alternating sum of the M (intermediate) or N (shriek) table of the block, label-free.
@@ -288,12 +298,7 @@ def _euler_core(s: int, t: int, r: int, kind: str) -> Terms:
     The cell of degree i adds its summed a2 shapes, keyed with the twist
     xi2 = i_m of the cuts behind it (i_m = i on the M side), with the sign (-1)^i.
     """
-    terms: dict[TermKey, int] = {}
-    for i, _, sums in marked_cells(s, t, r, kind):
-        parity = -1 if i % 2 else 1
-        for key, c in sums:
-            terms[key] = terms.get(key, 0) + parity * c
-    return frozen_terms(terms)
+    return _alternating_sum((i, sums) for i, _, sums in marked_cells(s, t, r, kind))
 
 
 @lru_cache(maxsize=1024)
@@ -351,19 +356,15 @@ def _shriek_core(s: int, t: int, r: int) -> Terms:
     """
     if r < 0 or r > s * t:
         return ()
-    terms: dict[TermKey, int] = {}
     if s > 1 and t > 1:  # T_0 alone: every peeled block vanishes
-        for _, i_m, sums in marked_cells(s, t, r, "N"):
-            parity = -1 if i_m % 2 else 1
-            for key, c in sums:
-                terms[key] = terms.get(key, 0) + parity * c
-        return frozen_terms(terms)
+        return _alternating_sum((i_m, sums) for _, i_m, sums in marked_cells(s, t, r, "N"))
     a0 = 2 - s - t
     if r == 0:  # the whole block
         shape = ((a0, t),) if s == 1 else tuple((a0 + 2 * j, 1) for j in range(s))
         return (((shape, -s * t), (-1) ** (s * t)),)
     if s == 1:  # the telescoped row
         return ((((), 0), 1),) if r == t else ()
+    terms: dict[TermKey, int] = {}
     for m in range(s - r + 1):  # one column: one shape per m
         shape = tuple((a0 + 2 * j, 1) for j in range(s) if not m <= j < r + m)
         terms[shape, s - r - 2 * m] = (-1) ** (s - 1)

@@ -46,7 +46,7 @@ from .segments import (
     OpaqueFactor,
     Segment,
     Value,
-    _suffix_pieces,
+    _suffix_cut,
     cut_tuples,
     label_product,
     require_int,
@@ -147,7 +147,6 @@ def r_tau_sign(a1: Multisegment) -> SignedCharacter:
 # the cut engine: label-free shapes, then bound cells
 # ---------------------------------------------------------------------------
 
-Piece = tuple[int, int, int]  # (2 * start, length, ladder row)
 Shape = tuple[tuple[int, int], ...]  # sorted (2 * start, length) of the segments of one line
 TermKey = tuple[Shape, int]  # (shape, 2 * Xi exponent) of a label-free term
 Terms = tuple[tuple[TermKey, int], ...]  # (key, c), sorted by key, c != 0
@@ -157,33 +156,24 @@ class Cut(Value):
     """One surviving Jacquet cut of a ladder, label-free, in doubled integers.
 
     The cut takes the top ``ks[j]`` positions of ladder row j into a1, which
-    then tiles one run once, and leaves the rest of the row in a2.  Positions
-    are doubled so they stay integers: a piece ``(start2, length, row)``
-    covers the doubled positions start2, start2 + 2, ..., start2 + 2(length - 1)
-    of ladder row ``row``.  ``a1_pieces`` run bottom to top, so their
-    positions in order are the run; ``a2_pieces`` follow the ladder rows.
-    ``sign`` = (-1)^(#a1 pieces - 1) and ``center2`` (twice the run's center;
-    the attached character is |.|^(center2/2)) are the transfer data.
+    then tiles one run once, and leaves the rest of the row in a2: both
+    halves follow from ``ks`` and the ladder.  ``a2`` is the shape of the
+    remainders, their sorted (start2, length) with start2 twice the start,
+    and the key under which every sum of cuts adds the cut.  ``sign`` =
+    (-1)^(#a1 pieces - 1) and ``center2`` (twice the run's center; the
+    attached character is |.|^(center2/2)) are the transfer data.
 
-    A cut carries no cuspidal label.  Only ``signed_shapes`` reads the
-    pieces: the shape layer and the transfer keep the sums, not the cuts.
+    A cut carries no cuspidal label.  ``signed_shapes`` sums cuts into
+    terms: the shape layer and the transfer keep the sums, not the cuts.
     """
 
-    __slots__ = _fields = ("ks", "sign", "center2", "a1_pieces", "a2_pieces")
+    __slots__ = _fields = ("ks", "sign", "center2", "a2")
 
-    def __init__(
-        self,
-        ks: tuple[int, ...],
-        sign: int,
-        center2: int,
-        a1_pieces: tuple[Piece, ...],
-        a2_pieces: tuple[Piece, ...],
-    ):
+    def __init__(self, ks: tuple[int, ...], sign: int, center2: int, a2: Shape):
         object.__setattr__(self, "ks", ks)
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "center2", center2)
-        object.__setattr__(self, "a1_pieces", a1_pieces)
-        object.__setattr__(self, "a2_pieces", a2_pieces)
+        object.__setattr__(self, "a2", a2)
 
 
 def _run_cuts(
@@ -199,6 +189,13 @@ def _run_cuts(
     The run is contiguous, so it ends 2 * remaining above the chain's top:
     a chain whose run cannot end on some row's end is dropped unwalked.
     The cuts come in the lexicographic order of their ks.
+
+    On the s-by-t rectangle at rank s + t - 1 only the bottom piece (0, t)
+    reaches center 0, and the forced ks above it are a composition of s - 1
+    into parts <= t.  So center 0 has C_t(s - 1) cuts, C_t(N) counting the
+    compositions of N into parts <= t, and their signs sum to f_t(s - 1), the
+    x^N coefficient of (1 - x)/(1 - x^(t+1)): 1 for N = 0 mod t + 1, -1 for
+    N = 1, else 0.  ``verify`` checks the walk against both counts.
     """
     n = len(lengths)
     ends2 = [a + 2 * (k - 1) for a, k in zip(starts2, lengths)]
@@ -223,13 +220,12 @@ def _run_cuts(
         del chain[depth:]
         chain.append(j)
         if remaining == 0:
-            ks, below2, a1 = [0] * n, bottom2 - 2, []
+            ks, below2 = [0] * n, bottom2 - 2
             for row in chain:
                 ks[row] = (ends2[row] - below2) // 2
-                a1.append((below2 + 2, ks[row], row))
                 below2 = ends2[row]
-            a2 = tuple((starts2[i], lengths[i] - ks[i], i) for i in range(n) if ks[i] < lengths[i])
-            out.append(Cut(tuple(ks), (-1) ** depth, (bottom2 + top2) // 2, tuple(a1), a2))
+            a2 = sorted((starts2[i], lengths[i] - ks[i]) for i in range(n) if ks[i] < lengths[i])
+            out.append(Cut(tuple(ks), (-1) ** depth, (bottom2 + top2) // 2, tuple(a2)))
             continue
         line, limit2, above = lines[chain[0]], min(2 * remaining, reach2), []
         for idx in range(nxt, n):
@@ -256,8 +252,8 @@ def run_cuts(lad: Multisegment, left_units: int) -> list[Cut]:
     tiling the run (see ``_run_cuts``, after Kret-Lapid's description of the
     Jacquet modules of ladders), not filtered out of all suffix tuples as
     ``run_cuts_scan`` does; the cuts come in the lexicographic order of
-    their ks, the order of that scan.  The rows of a piece index
-    ``lad.segments``.
+    their ks, the order of that scan.  ``ks[j]`` is the part of
+    ``lad.segments[j]`` that goes to a1.
     """
     segs = lad.segments
     return _run_cuts(
@@ -275,13 +271,12 @@ def run_cuts_scan(lad: Multisegment, left_units: int) -> list[Cut]:
         return []
     out = []
     for ks in cut_tuples(lengths, left_units):
-        a1, a2 = _suffix_pieces(lad, ks)
-        run = _run_data(Multisegment(seg for seg, _ in a1))
+        a1, a2 = _suffix_cut(lad, ks)
+        run = _run_data(a1)
         if run is None:
             continue
-        a1.sort(key=lambda piece: piece[0].start2)
-        doubled = [tuple((sg.start2, sg.length, j) for sg, j in side) for side in (a1, a2)]
-        out.append(Cut(tuple(ks), (-1) ** (len(a1) - 1), run[1], *doubled))
+        shape = tuple(sorted((seg.start2, seg.length) for seg in a2.segments))
+        out.append(Cut(tuple(ks), (-1) ** (len(a1.segments) - 1), run[1], shape))
     return out
 
 
@@ -304,38 +299,38 @@ def frozen_terms(terms: dict[TermKey, int]) -> Terms:
 def signed_shapes(cuts: Iterable[Cut], xi_sign: int) -> Terms:
     """The signed a2 shapes of ``cuts``, summed as integers.
 
-    A cut adds its sign to the key (shape, xi_sign * center2), where the
-    shape is the sorted (start2, length) of its a2 pieces (a general
-    ladder's pieces need not come sorted).  The transfer takes ``xi_sign``
-    1: the Xi slot carries the run's character |.|^(center2/2).  A table
-    cell takes -1: the cuts of center -i_m/2 sit in intermediate degree i_m
-    and carry the twist Xi^(i_m/2).
+    A cut adds its sign to the key (a2, xi_sign * center2).  The transfer
+    takes ``xi_sign`` 1: the Xi slot carries the run's character
+    |.|^(center2/2).  A table cell takes -1: the cuts of center -i_m/2 sit
+    in intermediate degree i_m and carry the twist Xi^(i_m/2).
     """
     terms: dict[TermKey, int] = {}
     for cut in cuts:
-        shape = [piece[:2] for piece in cut.a2_pieces]
-        shape.sort()
-        key = (tuple(shape), xi_sign * cut.center2)
+        key = (cut.a2, xi_sign * cut.center2)
         terms[key] = terms.get(key, 0) + cut.sign
     return frozen_terms(terms)
 
 
 @lru_cache(maxsize=1024)
 def rectangle_shape_groups(s: int, t: int, left_units: int) -> Mapping[int, Terms]:
-    """The ``signed_shapes`` of ``rectangle_shape_cuts`` per ``center2``, keyed on (shape, i_m).
+    """The ``signed_shapes`` of ``rectangle_shape_cuts``, keyed on (a2, i_m), per center2 = -i_m.
 
     A center's sum is the value of every table cell that reads it; the cuts
-    are dropped here.  A sum is empty only when its center has no cut: the
-    a2 shape of a cut fixes its ks (row j's remainder starts at
+    are dropped here.  A center has a sum exactly when it has a cut: the a2
+    shape of a cut fixes its ks (row j's remainder starts at
     2 - s - t + 2 j; a row with no piece is taken whole), so no two cuts
-    share a key.  The cached mapping is shared, so it is read-only.
+    share a key and no term cancels.  The cached mapping is shared, so it
+    is read-only.
     """
-    groups: dict[int, list[Cut]] = {}
-    for cut in rectangle_shape_cuts(s, t, left_units):
-        groups.setdefault(cut.center2, []).append(cut)
-    return MappingProxyType({c2: signed_shapes(cuts, -1) for c2, cuts in sorted(groups.items())})
+    groups: dict[int, list[tuple[TermKey, int]]] = {}
+    for term in signed_shapes(rectangle_shape_cuts(s, t, left_units), -1):
+        groups.setdefault(-term[0][1], []).append(term)
+    return MappingProxyType({c2: tuple(terms) for c2, terms in sorted(groups.items())})
 
 
+# Kept although each label is built once: the tables' labels share row
+# segments, and without this cache 8 s `tables` runs measured peak RSS
+# 29.7-29.9 -> 32.0-32.3 MB (+8 %, against a 10 % bound; Python 3.11, 2 vCPUs).
 @lru_cache(maxsize=4096)
 def _segment(cuspidal: CuspidalLabel, start2: int, length: int) -> Segment:
     """The segment of a piece, built once: a row's remainders recur across its cuts."""
@@ -397,14 +392,14 @@ def rectangle_cuts(
     """The bare cell values of the s-by-t rectangle on the line of pi, by ``center2``.
 
     Binds each center's summed a2 shapes from ``rectangle_shape_groups``
-    with the Xi exponent 0, as ``R_cell`` and ``S_cell`` return them.
+    with the Xi exponent 0, as ``R_cell`` and ``S_cell`` return them.  Every
+    caller gets the cached values, so their terms are read-only.
     """
-    return MappingProxyType(
-        {
-            c2: bind_shapes(pi, (((shape, 0), c) for (shape, _), c in sums))
-            for c2, sums in rectangle_shape_groups(s, t, left_units).items()
-        }
-    )
+    values = {}
+    for c2, sums in rectangle_shape_groups(s, t, left_units).items():
+        terms = bind_shapes(pi, (((shape, 0), c) for (shape, _), c in sums)).terms
+        values[c2] = GrothElement._checked(MappingProxyType(terms))
+    return MappingProxyType(values)
 
 
 # ---------------------------------------------------------------------------

@@ -547,21 +547,15 @@ def _rectangle_shape(lad: Multisegment) -> tuple[int, int] | None:
     return (len(lad.segments), t)
 
 
-def _suffix_pieces(lad: Multisegment, ks: Sequence[int]):
-    """The (Segment, row) pieces of a suffix tuple: a1 takes the top k_j twists of row j, a2 the rest."""
-    a1, a2 = [], []
-    for j, (seg, k) in enumerate(zip(lad.segments, ks)):
-        if k:  # a1 starts at start + length - k
-            a1.append((Segment._of2(seg.cuspidal, seg.start2 + 2 * (seg.length - k), k), j))
-        if seg.length - k:
-            a2.append((Segment._of2(seg.cuspidal, seg.start2, seg.length - k), j))
-    return a1, a2
-
-
 def _suffix_cut(lad: Multisegment, ks: Sequence[int]) -> tuple[Multisegment, Multisegment]:
-    """The halves (a1, a2) of a suffix tuple, as multisegments."""
-    a1, a2 = _suffix_pieces(lad, ks)
-    return Multisegment(seg for seg, _ in a1), Multisegment(seg for seg, _ in a2)
+    """The halves (a1, a2) of a suffix tuple: a1 takes the top k_j twists of row j, a2 the rest."""
+    a1, a2 = [], []
+    for seg, k in zip(lad.segments, ks):
+        if k:  # a1 starts at start + length - k
+            a1.append(Segment._of2(seg.cuspidal, seg.start2 + 2 * (seg.length - k), k))
+        if seg.length - k:
+            a2.append(Segment._of2(seg.cuspidal, seg.start2, seg.length - k))
+    return Multisegment(a1), Multisegment(a2)
 
 
 def cut_tuples(lengths: Sequence[int], total: int) -> Iterable[tuple[int, ...]]:

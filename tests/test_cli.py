@@ -431,23 +431,40 @@ def test_verify_max_8_stdout_pinned(capsys):
         assert run_cli(["verify", "--max", bound], capsys) == (0, VERIFY_MAX_8), bound
 
 
-def test_verify_fails_when_every_cut_sign_flips(monkeypatch, capsys):
-    # the master identity is an oracle of the sign convention: with every
-    # cut's sign flipped the tables move, the shriek side's closed forms do
-    # not, and verify must fail there
+def verify_max_8_under(monkeypatch, capsys, mutant):
+    """``verify --max 8`` with ``jl_red._run_cuts`` replaced by ``mutant(cuts)``, every cache cleared."""
     run_cuts = jl_red._run_cuts
-
-    def flipped(*args):
-        return [Cut(c.ks, -c.sign, c.center2, c.a1_pieces, c.a2_pieces) for c in run_cuts(*args)]
-
-    monkeypatch.setattr(jl_red, "_run_cuts", flipped)
+    monkeypatch.setattr(jl_red, "_run_cuts", lambda *args: mutant(run_cuts(*args)))
     clear_htgroth_caches()
     try:
-        code, out = run_cli(["verify", "--max", "8"], capsys)
+        return run_cli(["verify", "--max", "8"], capsys)
     finally:
         monkeypatch.undo()
         clear_htgroth_caches()
-    assert code == 1 and "FAIL euler-master-established-shapes" in out.splitlines()
+
+
+def test_verify_fails_when_every_cut_sign_flips(monkeypatch, capsys):
+    # the master identity is an oracle of the sign convention: with every
+    # cut's sign flipped the tables move, the shriek side's closed forms do
+    # not, and verify must fail there; the endpoint's signed count moves too
+    def flipped(cuts):
+        return [Cut(c.ks, -c.sign, c.center2, c.a2) for c in cuts]
+
+    code, out = verify_max_8_under(monkeypatch, capsys, flipped)
+    lines = out.splitlines()
+    assert code == 1 and "FAIL euler-master-established-shapes" in lines
+    assert "FAIL endpoint-identity" in lines
+
+
+def test_verify_fails_when_an_endpoint_cut_is_dropped(monkeypatch, capsys):
+    # dropping one cut from every center-0 group of two or more keeps the M
+    # and N endpoint cells equal; only the closed-form cut count sees it
+    def dropped(cuts):
+        center_0 = [c for c in cuts if c.center2 == 0]
+        return [c for c in cuts if len(center_0) < 2 or c is not center_0[0]]
+
+    code, out = verify_max_8_under(monkeypatch, capsys, dropped)
+    assert code == 1 and "FAIL endpoint-identity" in out.splitlines()
 
 
 # sha256 of the six ``figures`` SVGs, concatenated in sorted name order

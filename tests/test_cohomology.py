@@ -225,15 +225,17 @@ class TestEulerOracle:
                     assert (s, t) in shapes
 
     def test_violation_catalogue_pinned_at_8(self):
-        expected = [
-            (s, t, r)
-            for s in range(2, 7)
-            for t in range(2, 9 - s)
-            if s != t
-            for r in range(1, max(s, t))
-        ]
-        assert len(expected) == 42
-        assert euler_oracle_violations(8) == expected
+        # at 14 every rectangle with s + t <= 14 runs through the cuts at every rank
+        for max_sum, count in ((8, 42), (14, 390)):
+            expected = [
+                (s, t, r)
+                for s in range(2, max_sum - 1)
+                for t in range(2, max_sum + 1 - s)
+                if s != t
+                for r in range(1, max(s, t))
+            ]
+            assert len(expected) == count
+            assert euler_oracle_violations(max_sum) == expected
 
 
 # the two labels of the pinned Euler values: same id, told apart by g and e_pi

@@ -13,18 +13,32 @@ import itertools
 
 from htgroth.cohomology import _shriek_core, hij_expand, se2_expand
 from htgroth.jl_red import Cut, frozen_terms, marked_cells, rectangle_shape_cuts
+from htgroth.segments import CuspidalLabel, speh_st_multisegment
+
+from cut_pieces import cut_pieces
 
 
-def attachment_oracle(cut: Cut, m: int):
+@functools.lru_cache(maxsize=None)
+def rectangle(s: int, t: int):
+    return speh_st_multisegment(CuspidalLabel("pi"), s, t)
+
+
+def rectangle_pieces(s: int, t: int, cut: Cut):
+    """The (a1, a2) pieces of a cut of the s-by-t rectangle, a1 bottom to top."""
+    return cut_pieces(rectangle(s, t), cut.ks)
+
+
+def attachment_oracle(pieces, m: int):
     """Speh_m coefficient block on the bottom m run positions, against a2, position by position."""
-    bottom = cut.a1_pieces[0][0]
+    a1, a2 = pieces
+    bottom = a1[0][0]
     top = bottom + 2 * (m - 1)
-    for start, length, _ in cut.a2_pieces:
+    for start, length, _ in a2:
         if start <= top and start + 2 * (length - 1) >= bottom and (start - bottom) % 2 == 0:
             return None
     peeled = [
         (p, row)
-        for start2, length, row in cut.a1_pieces
+        for start2, length, row in a1
         for p in range(start2, start2 + 2 * length, 2)
     ][:m]
     support = dict(peeled)  # doubled position -> ladder row
@@ -33,7 +47,7 @@ def attachment_oracle(cut: Cut, m: int):
         if b == a + 2:
             fixed[a] = False
     runs = []
-    for start, length, row in cut.a2_pieces:
+    for start, length, row in a2:
         end = start + 2 * (length - 1)
         for p in range(start, end + 2, 2):
             if p in support:
@@ -106,8 +120,9 @@ def test_attachment_matches_oracle_on_every_rectangle_cut():
     for s, t in RECTANGLES:
         for rank in range(1, s * t + 1):
             for cut in rectangle_shape_cuts(s, t, rank):
+                pieces = rectangle_pieces(s, t, cut)
                 for m in range(1, rank + 1):
-                    expected = attachment_oracle(cut, m)
+                    expected = attachment_oracle(pieces, m)
                     # for s, t >= 2 every block vanishes: the proof at _shriek_core
                     assert expected is None or s == 1 or t == 1, (s, t, rank, cut, m)
                     calls += 1
@@ -116,9 +131,9 @@ def test_attachment_matches_oracle_on_every_rectangle_cut():
     assert (calls, surviving, both_free) == (58304, 516, 0)
 
 
-def peel_sign(cut: Cut, m: int) -> int:
+def peel_sign(a1, m: int) -> int:
     """The peel sign, position by position: the sign of the pieces left unpeeled, flipped on a cut piece."""
-    pieces = [idx for idx, (_, length, _) in enumerate(cut.a1_pieces) for _ in range(length)]
+    pieces = [idx for idx, (_, length, _) in enumerate(a1) for _ in range(length)]
     kept = len(set(pieces[m:]))
     sign = (-1) ** (kept - 1) if kept else 1
     return -sign if pieces[m - 1] in pieces[m:] else sign
@@ -139,10 +154,11 @@ def shriek_reference(s: int, t: int, r: int, cuts_at=rectangle_shape_cuts):
                 if cut.center2 != -i_m or sum(cut.ks) < m:
                     continue  # another cell's cut, or below stratum 0: no block of m positions
                 if m == 0:
-                    expanded = {tuple(sorted(piece[:2] for piece in cut.a2_pieces)): cut.sign}
+                    expanded = {cut.a2: cut.sign}
                 else:
-                    expanded = attachment_oracle(cut, m) or {}
-                    expanded = {shape: peel_sign(cut, m) * c for shape, c in expanded.items()}
+                    pieces = rectangle_pieces(s, t, cut)
+                    expanded = attachment_oracle(pieces, m) or {}
+                    expanded = {shape: peel_sign(pieces[0], m) * c for shape, c in expanded.items()}
                 for shape, c in expanded.items():
                     key = (shape, i_m - m)
                     terms[key] = terms.get(key, 0) + parity * c

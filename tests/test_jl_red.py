@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import pickle
 from fractions import Fraction
@@ -44,7 +45,9 @@ from htgroth.segments import (
 )
 from htgroth.symbolic import atom, integer
 
+from cut_pieces import cut_pieces, shape_of
 from fraction_oracles import fraction_terms, red_tau_fraction
+from htgroth_caches import clear_htgroth_caches
 
 PI = CuspidalLabel("pi", g=1)
 RHO = CuspidalLabel("rho", g=1)
@@ -300,25 +303,41 @@ def test_rectangle_cut_rows_partition():
     # the pieces of a cut split every row of the rectangle between a1 and a2
     for s, t in [(2, 2), (3, 2), (2, 3)]:
         rows = sorted((j, 2 - s - t + 2 * j + 2 * k) for j in range(s) for k in range(t))
+        lad = speh_st_multisegment(PI, s, t)
         for rank in range(0, s * t + 1):
             groups = rectangle_shape_groups(s, t, rank)
             assert list(rectangle_cuts(PI, s, t, rank)) == list(groups)
             by_center = {}
             for cut in rectangle_shape_cuts(s, t, rank):
                 by_center.setdefault(cut.center2, []).append(cut)
-                assert sum(length for _, length, _ in cut.a1_pieces) == rank
+                a1, a2 = cut_pieces(lad, cut.ks)
+                assert sum(length for _, length, _ in a1) == rank
                 covered = sorted(
                     (row, p)
-                    for start2, length, row in cut.a1_pieces + cut.a2_pieces
+                    for start2, length, row in a1 + a2
                     for p in range(start2, start2 + 2 * length, 2)
                 )
                 assert covered == rows
+                assert cut.a2 == shape_of(a2)
             # one term per cut: distinct cuts have distinct a2 shapes, so none cancels
             assert {c2: len(cuts) for c2, cuts in by_center.items()} == {
                 c2: len(sums) for c2, sums in groups.items()
             }
             for c2, cuts in by_center.items():
                 assert groups[c2] == signed_shapes(cuts, -1)
+
+
+def test_a_returned_cell_cannot_change_the_cache():
+    # R_cell, S_cell and rectangle_cuts hand out the values their cache keeps
+    def cells():
+        return [R_cell(2, 2, 2, -1, PI), S_cell(2, 2, 3, 0, PI), *rectangle_cuts(PI, 2, 2, 2).values()]
+
+    for value in cells():
+        with contextlib.suppress(AttributeError, TypeError):  # a read-only mapping refuses
+            value.terms.clear()
+    later = cells()
+    clear_htgroth_caches()
+    assert later == cells() and not any(value.is_zero() for value in later)
 
 
 def test_rectangle_cuts_key_on_the_whole_label():
@@ -334,22 +353,24 @@ def test_rectangle_cuts_key_on_the_whole_label():
 
 
 def assert_matches_scan(lad, r, cuts):
-    """``cuts`` equal the Fraction scan, and their pieces are its segments."""
+    """``cuts`` equal the Fraction scan, and the pieces of their ks are its segments."""
     assert list(cuts) == run_cuts_scan(lad, r), r
     rows = [seg.cuspidal for seg in lad.segments]
     for cut in cuts:
         a1, a2 = _suffix_cut(lad, cut.ks)
-        for pieces, segs in ((cut.a1_pieces, a1), (cut.a2_pieces, a2)):
+        a1_pieces, a2_pieces = cut_pieces(lad, cut.ks)
+        for pieces, segs in ((a1_pieces, a1), (a2_pieces, a2)):
             ms = Multisegment(Segment(rows[row], half(start2), n) for start2, n, row in pieces)
             assert ms == segs
+        assert cut.a2 == shape_of(a2_pieces)
         transfer = r_tau_sign(a1)
         assert (cut.sign, cut.center2) == (transfer.sign, transfer.k)
-        run = [p for start2, n, _ in cut.a1_pieces for p in range(start2, start2 + 2 * n, 2)]
+        run = [p for start2, n, _ in a1_pieces for p in range(start2, start2 + 2 * n, 2)]
         assert run == list(range(run[0], run[0] + 2 * len(run), 2))  # bottom to top
-        for start2, length, row in cut.a1_pieces:
+        for start2, length, row in a1_pieces:
             assert length == cut.ks[row]
             assert start2 + 2 * (length - 1) == 2 * lad.segments[row].end
-        for start2, length, row in cut.a2_pieces:
+        for start2, length, row in a2_pieces:
             assert length == lad.segments[row].length - cut.ks[row]
             assert start2 == 2 * lad.segments[row].start
 

@@ -84,9 +84,9 @@ CASES = [
     (SignedCharacter, ("sign", "k"), (-1, 3), (1, 3)),
     (
         Cut,
-        ("ks", "sign", "center2", "a1_pieces", "a2_pieces"),
-        ((1, 0), 1, 0, ((0, 1, 0),), ((2, 1, 1),)),
-        ((1, 0), 1, 2, ((0, 1, 0),), ((2, 1, 1),)),
+        ("ks", "sign", "center2", "a2"),
+        ((1, 0), 1, 0, ((2, 1),)),
+        ((1, 0), 1, 2, ((2, 1),)),
     ),
     (FieldData, ("q", "l"), (2, 7), (4, 7)),
     (SupercuspidalData, ("label", "field", "epsilon"), (RHO, FIELD, 3), (PI, FIELD, 3)),
