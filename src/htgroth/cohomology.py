@@ -24,9 +24,13 @@ base changes) reads, per block and stratum r:
 ``_shriek_core`` defines the attached terms, which peel m run positions off
 the cuts behind the shriek cells, and sums them in closed form, peeling no
 cut; the tests keep the peeling as its oracle.  These conventions are
-frozen here; the acceptance suite validates them on every one-row,
-one-column and square block, and the open non-square mixed shapes are
-catalogued by euler_oracle_violations.
+frozen here.  Under them the identity holds at every stratum r >= 1 on
+exactly the one-row, one-column and square blocks; on a non-square mixed
+block it fails at r = 1 .. max(s, t) - 1, because the sheared shriek column
+starts below the M column when s < t and above it when s > t, and the
+groups of cuts between the two starts are left over.
+``euler_oracle_violations`` proves this and lists those strata; the tests
+check the list against the sums.
 
 Both sides are integer sums that know no cuspidal label.  A term is keyed
 by (shape, xi2): ``shape`` is the sorted tuple of (start2, length) of its
@@ -387,7 +391,9 @@ def euler_master_identity(s: int, t: int, r: int) -> bool:
     Compares the two label-free integer sums: binding to the line of any
     cuspidal pi is injective (a multisegment on one cuspidal sorts by (start, length)), so
     they agree exactly when ``euler_intermediate`` and
-    ``euler_shriek_expansion`` do.
+    ``euler_shriek_expansion`` do.  Its domain is r >= 1: at r = 0 it is
+    False on every one-row and one-column block and True for s, t >= 2
+    (see ``euler_oracle_violations``, which catalogues where it fails).
     """
     return _euler_core(s, t, r, "M") == _shriek_core(s, t, r)
 
@@ -420,24 +426,57 @@ def euler_shriek_profile_expansion(
 
 
 def euler_shape_established(s: int, t: int) -> bool:
-    """Shapes where the master identity is exact under the frozen conventions.
+    """Shapes where the master identity is exact at every stratum r >= 1.
 
     One-row and one-column blocks (the cases the source combinatorics treats
-    directly) and square blocks.  Non-square mixed rectangles rest on
-    combinatorial input the shriek diagrams do not determine; they are
-    reported by euler_oracle_violations rather than silently resolved.
+    directly) and square blocks: ``euler_oracle_violations`` proves it.  On a
+    non-square mixed rectangle the identity fails at r = 1 .. max(s, t) - 1,
+    because the sheared shriek column starts below the M column when s < t
+    and above it when s > t; those strata are reported by
+    euler_oracle_violations rather than silently resolved.
     """
     return s == 1 or t == 1 or s == t
 
 
 def euler_oracle_violations(max_sum: int) -> list[tuple[int, int, int]]:
-    """Catalogue every (s, t, r) with s + t <= max_sum failing the oracle."""
+    """Every (s, t, r) with s + t <= max_sum and r >= 1 where the master identity fails.
+
+    They are the proved rule 2 <= s != t >= 2 and 1 <= r <= max(s, t) - 1,
+    listed by s, t, r; the tests compare the list with the sum-based
+    ``euler_master_identity``.  Stratum 0 is outside the catalogue: there
+    the identity fails on every one-row and one-column block, whose shriek
+    side leaves the whole block while the M diagram has no column 0, and
+    holds for s, t >= 2, where both sides are empty.
+
+    The proof.  Ranges step by 2; b = s - 1 - |t - r|.  The bottom piece of
+    a run cut at rank r is the top k_1 of row j_1, with 1 <= k_1 <= min(t, r)
+    and j_1 + r - k_1 <= s - 1 (``_run_cuts``), and its center gives
+    i_m = -center2 = s - t - r - 1 + 2 (k_1 - j_1).  As k_1 - j_1 takes every
+    value in r - s + 1 .. min(t, r), for 1 <= r <= s + t - 1 the centers with
+    a cut are exactly i_m = r - s - t + 1 .. b; above s + t - 1 there are
+    none.  The M column, -b .. b, has their parity and meets them on
+    |t - r| - s + 1 .. b.  The sheared N column, i_m = 2 i + r - (s + t - 1),
+    meets them on |s - r| - t + 1 .. b, which is empty only for r >= s + t.
+
+    For s, t >= 2 each side is the sum over its range of (-1)^(i_m) times
+    the group at center2 = -i_m (``_shriek_core``).  Groups of different
+    centers have different xi2, so they never cancel, and the group of a
+    center with a cut is never empty (``rectangle_shape_groups``).  So the
+    sides are equal exactly when both ranges start at the same place, as
+    they do where both are empty: when |t - r| + t = |s - r| + s, that is
+    when s = t or r >= max(s, t).
+
+    For s = 1 or t = 1 and r >= 1, ``_shriek_core``'s closed forms are the
+    M cells, term for term: on one row the unit at r = t, the only r where
+    the M column is nonempty; on one column the cell i = s - r - 2m reads
+    rows m .. m + r - 1, with sign (-1)^(s-1).
+    """
     return [
         (s, t, r)
         for s in range(1, max_sum)
         for t in range(1, max_sum + 1 - s)
-        for r in range(1, s * t + 1)
-        if not euler_master_identity(s, t, r)
+        if not euler_shape_established(s, t)
+        for r in range(1, max(s, t))
     ]
 
 

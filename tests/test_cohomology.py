@@ -14,6 +14,7 @@ from htgroth.cohomology import (
     KER1_ATOM,
     _balance_side,
     _euler_core,
+    _shriek_core,
     CohomologyTable,
     CongruenceConstraint,
     ProfileEntry,
@@ -214,28 +215,99 @@ class TestEulerOracle:
             assert euler_shriek_expansion(entry, PI, r).is_zero()
             assert euler_shriek_profile_expansion(SpectrumProfile((entry,)), PI, r).is_zero()
 
-    def test_violation_catalogue_is_exactly_nonsquare_mixed(self):
-        violations = euler_oracle_violations(7)
-        shapes = {(s, t) for s, t, _ in violations}
-        for s, t in shapes:
-            assert not euler_shape_established(s, t)
-        for s in range(2, 6):
-            for t in range(2, 6):
-                if s + t <= 7 and s != t:
-                    assert (s, t) in shapes
-
     def test_violation_catalogue_pinned_at_8(self):
-        # at 14 every rectangle with s + t <= 14 runs through the cuts at every rank
+        # the catalogue is the proved rule; the sums are its oracle, at 14 on
+        # every rectangle with s + t <= 14 at every rank
         for max_sum, count in ((8, 42), (14, 390)):
             expected = [
                 (s, t, r)
-                for s in range(2, max_sum - 1)
-                for t in range(2, max_sum + 1 - s)
-                if s != t
-                for r in range(1, max(s, t))
+                for s in range(1, max_sum)
+                for t in range(1, max_sum + 1 - s)
+                for r in range(1, s * t + 1)
+                if not euler_master_identity(s, t, r)
             ]
             assert len(expected) == count
             assert euler_oracle_violations(max_sum) == expected
+            assert {(s, t) for s, t, _ in expected} == {
+                (s, t)
+                for s in range(2, max_sum - 1)
+                for t in range(2, max_sum + 1 - s)
+                if not euler_shape_established(s, t)
+            }
+
+    def test_stratum_zero_is_outside_the_catalogue(self):
+        # at r = 0 the shriek side of a one-row or one-column block leaves the
+        # whole block, and the M diagram has no column 0; for s, t >= 2 both
+        # sides are empty
+        for s in range(1, 8):
+            for t in range(1, 9 - s):
+                mixed = s >= 2 and t >= 2
+                assert euler_master_identity(s, t, 0) == mixed, (s, t)
+                assert _euler_core(s, t, 0, "M") == ()
+                assert bool(_shriek_core(s, t, 0)) != mixed, (s, t)
+
+    def test_center_cut_counts_in_closed_form(self):
+        # a run cut's bottom piece is the top k1 of row j1, with
+        # 1 <= k1 <= min(t, r) and j1 + r - k1 <= s - 1, and its center is
+        # i_m = s - t - r - 1 + 2 (k1 - j1); the forced ks above it compose
+        # r - k1 into parts <= t: C_t(r - k1) cuts whose signs add to f_t(r - k1)
+        def compositions(n, t):  # C_t(0..n)
+            c = [1]
+            for size in range(1, n + 1):
+                c.append(sum(c[max(0, size - t):]))
+            return c
+
+        cases = 0
+        for s in range(1, 13):
+            for t in range(1, 14 - s):
+                c_t = compositions(s * t + 1, t)
+                for r in range(0, s * t + 2):
+                    expected: dict[int, list[int]] = {}
+                    for k1 in range(1, min(t, r) + 1):
+                        for j1 in range(0, s - r + k1):
+                            count = expected.setdefault(r + t + 1 - s - 2 * (k1 - j1), [0, 0])
+                            count[0] += c_t[r - k1]
+                            count[1] += {0: 1, 1: -1}.get((r - k1) % (t + 1), 0)
+                    groups = jl_red.rectangle_shape_groups(s, t, r)
+                    found = {c2: [len(sums), sum(c for _, c in sums)] for c2, sums in groups.items()}
+                    assert found == expected, (s, t, r)
+                    if 1 <= r <= s + t - 1:  # the centers the proof counts on
+                        b = s - 1 - abs(t - r)
+                        assert sorted(expected) == list(range(-b, s + t - r, 2)), (s, t, r)
+                    cases += 1
+        assert cases == 1521
+
+    def test_residual_is_the_groups_between_the_column_starts(self):
+        # for s, t >= 2, M - shriek is +-(-1)^(i_m) times the group at -i_m, for i_m
+        # from the lower column start to the higher start - 2, capped at b; the
+        # difference sits on the M side when s > t and on the shriek side when s < t
+        violations = set(euler_oracle_violations(14))
+        cases = 0
+        for s in range(2, 13):
+            for t in range(2, 15 - s):
+                for r in range(1, s * t + 1):
+                    diff = dict(_euler_core(s, t, r, "M"))
+                    for key, c in _shriek_core(s, t, r):
+                        diff[key] = diff.get(key, 0) - c
+                    starts = sorted((abs(t - r) - s + 1, abs(s - r) - t + 1))
+                    b = s - 1 - abs(t - r)
+                    groups = jl_red.rectangle_shape_groups(s, t, r)
+                    side = 1 if s > t else -1
+                    expected = {
+                        key: side * (-1) ** i_m * c
+                        for i_m in range(starts[0], min(starts[1] - 2, b) + 1, 2)
+                        for key, c in groups[-i_m]
+                    }
+                    assert {k: c for k, c in diff.items() if c} == expected, (s, t, r)
+                    assert bool(expected) == ((s, t, r) in violations), (s, t, r)
+                    cases += 1
+        assert cases == 1639
+
+    def test_catalogue_reads_no_cache(self):
+        clear_htgroth_caches()
+        assert len(euler_oracle_violations(30)) == 5278
+        filled = [name for name, cache in htgroth_caches().items() if cache.cache_info().currsize]
+        assert filled == []
 
 
 # the two labels of the pinned Euler values: same id, told apart by g and e_pi
