@@ -215,6 +215,16 @@ class TestEulerOracle:
             assert euler_shriek_expansion(entry, PI, r).is_zero()
             assert euler_shriek_profile_expansion(SpectrumProfile((entry,)), PI, r).is_zero()
 
+    def test_violation_catalogue_is_exactly_nonsquare_mixed(self):
+        violations = euler_oracle_violations(7)
+        shapes = {(s, t) for s, t, _ in violations}
+        for s, t in shapes:
+            assert not euler_shape_established(s, t)
+        for s in range(2, 6):
+            for t in range(2, 6):
+                if s + t <= 7 and s != t:
+                    assert (s, t) in shapes
+
     def test_violation_catalogue_pinned_at_8(self):
         # the catalogue is the proved rule; the sums are its oracle, at 14 on
         # every rectangle with s + t <= 14 at every rank
