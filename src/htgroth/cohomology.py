@@ -39,13 +39,18 @@ label), and ``xi2`` is twice its Xi exponent; coefficients are plain ints.
 Each side is computed once per (s, t, r) and cached, for every label alike.
 ``euler_intermediate`` and ``euler_shriek_expansion`` bind each surviving
 term to the line of pi once; ``euler_master_identity`` compares the integer
-sums themselves, since binding to one line is injective.  The tables bind
-each marked cell into its row through :func:`htgroth.jl_red.bind_shapes`,
-with an entry's block twist and tail in the same pass, and the profile Euler
-sums one cached column per entry (``_euler_core``, or ``_shriek_core``).
-The mod-l balance collapses that column label-free (``_balance_core``) and
-feeds both sides into one accumulator: each class holds, per side, an
-integer vector over the weight monomials (the tower factor folded in) and
+sums themselves, since binding to one line is injective.  A table keeps,
+per degree, one label-free part per entry and marked cell (where the
+cell's sums are cached, the entry's block twist, tail and weight) and
+binds its parts through :func:`htgroth.jl_red.bind_shapes` only when a
+caller first reads its rows; the profile Euler sums bind one cached column
+per entry (``_euler_core``, or ``_shriek_core``).  Two label-free collapses share ``_collapse_shapes``,
+which reads each piece off its ``collapse_segment_key``: the mod-l balance
+collapses an entry's column (``_balance_core``), and ``conj2_predicate`` a
+table cell (``_cell_classes``), so comparing two lifts binds no label.  Both
+sum the class integers times the entry's weight into integer vectors over
+the weight monomials.  The balance feeds both sides into one accumulator:
+each class holds, per side, such a vector (the tower factor folded in) and
 the entries feeding it, and becomes a constraint with its coefficients
 built once, unless it cancels on both sides.
 """
@@ -56,7 +61,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .jl_red import TermKey, Terms, bind_shapes, frozen_terms, marked_cells
+from .jl_red import TermKey, Terms, bind_shapes, frozen_terms, marked_cells, rectangle_shape_groups
 from .modl import (
     LiftMap,
     SupercuspidalData,
@@ -138,14 +143,52 @@ class SpectrumProfile(Value):
         return iter(self.entries)
 
 
-class CohomologyTable(Immutable):
-    """Finitely supported map degree -> Grothendieck element, immutable."""
+# one entry's share of a table cell at stratum r: the entry's rectangle (s, t), the cell's
+# intermediate degree i_m (its value is ``rectangle_shape_groups(s, t, r)[-i_m]``), and the
+# entry's xi2, tail and ``_weight`` pair
+TablePart = tuple[int, int, int, int, IrreducibleLabel, tuple]
 
-    __slots__ = ("rows",)
+
+class CohomologyTable(Immutable):
+    """Finitely supported map degree -> Grothendieck element, immutable.
+
+    ``CohomologyTable(rows)`` holds its rows.  A table built by ``_table``
+    holds, per degree, the label-free parts of its cells instead, plus the
+    line pi and the stratum r, and binds them into rows the first time
+    ``rows`` is read; everything public reads ``rows``, so both kinds
+    compare, print, copy and pickle alike.  ``conj2_predicate`` collapses the parts unbound.
+    """
+
+    __slots__ = ("_rows", "_parts")
 
     def __init__(self, rows: dict[int, GrothElement] | None = None):
         pruned = {i: g for i, g in (rows or {}).items() if not g.is_zero()}
-        object.__setattr__(self, "rows", pruned)
+        object.__setattr__(self, "_rows", pruned)
+        object.__setattr__(self, "_parts", None)
+
+    @classmethod
+    def _of_parts(cls, pi: CuspidalLabel, r: int, parts: dict[int, list[TablePart]]) -> "CohomologyTable":
+        table = object.__new__(cls)
+        object.__setattr__(table, "_rows", None)
+        object.__setattr__(table, "_parts", (pi, r, parts))
+        return table
+
+    @property
+    def rows(self) -> dict[int, GrothElement]:
+        """Degree -> its nonzero row; the parts are bound on the first read and kept."""
+        rows = self._rows
+        if rows is None:
+            pi, r, parts = self._parts
+            rows = {}
+            for i, cell_parts in parts.items():
+                row: dict = {}
+                for s, t, i_m, xi2, tail, weight in cell_parts:
+                    bind_shapes(pi, rectangle_shape_groups(s, t, r)[-i_m], xi2, tail, weight[0], row)
+                element = GrothElement._checked(row)
+                if not element.is_zero():
+                    rows[i] = element
+            object.__setattr__(self, "_rows", rows)
+        return rows
 
     def degree(self, i: int) -> GrothElement:
         return self.rows.get(i, GrothElement.zero())
@@ -183,21 +226,27 @@ def _weight(mult: SymExpr, e_pi: int) -> tuple[SymExpr, tuple]:
 
 
 def _table(profile: SpectrumProfile, pi: CuspidalLabel, r: int, kind: str) -> CohomologyTable:
-    """The intermediate ("M") or shriek ("N") table at stratum r.
+    """The intermediate ("M") or shriek ("N") table at stratum r, unbound.
 
-    Sums, over the entries on the line of ``pi`` and the cells their diagram
-    marks in column r, the cell values bound once with the entry's block
-    twist and tail, times the symbolic weight and the global scalar.
+    Over the entries on the line of ``pi`` and the cells their diagram marks
+    in column r, keeps one label-free part per (entry, cell): where the
+    cell's summed shapes are cached, with the entry's block twist, tail and
+    weight.  Reading the table's rows binds the parts, once, through
+    ``bind_shapes``: the sum of the cell values bound with twist and tail,
+    times the symbolic weight and the global scalar.  An entry of weight zero adds no part.
     """
-    rows: dict[int, dict] = {}
+    parts: dict[int, list[TablePart]] = {}
     for entry in profile:
         if entry.cuspidal != pi:
             continue
-        weight = _weight(entry.mult, pi.e_pi)[0]
-        for degree, _, sums in marked_cells(entry.s, entry.t, r, kind):
+        weight = _weight(entry.mult, pi.e_pi)
+        if not weight[1]:
+            continue
+        s, t, xi2, tail = entry.s, entry.t, entry.xi2, entry.tail
+        for degree, i_m, sums in marked_cells(s, t, r, kind):
             if sums:
-                bind_shapes(pi, sums, entry.xi2, entry.tail, weight, rows.setdefault(degree, {}))
-    return CohomologyTable({i: GrothElement._checked(row) for i, row in rows.items()})
+                parts.setdefault(degree, []).append((s, t, i_m, xi2, tail, weight))
+    return CohomologyTable._of_parts(pi, r, parts)
 
 
 def coh_intermediate(profile: SpectrumProfile, pi: CuspidalLabel, r: int) -> CohomologyTable:
@@ -614,20 +663,32 @@ class CongruenceConstraint(Value):
         return self.holds()
 
 
-@lru_cache(maxsize=4096)
-def _balance_core(s: int, t: int, r: int, shift2: int, line: tuple, tail_key: tuple):
-    """The integer mod-l classes of ``_euler_core(s, t, r, "N")`` on a line, label-free.
+def _collapse_shapes(terms: Terms, shift2: int, line: tuple, tail_key: tuple) -> tuple:
+    """The integer mod-l classes of label-free ``terms`` on a line, as ((class key, c), ...).
 
-    ``rl_collapse`` of the column bound with the twist shift2/2 to the line of
+    ``rl_collapse`` of the terms bound with the twist shift2/2 to the line of
     ``line_key`` ``line``, lifted or not, with a tail of collapse key
-    ``tail_key``: each piece is read off its ``collapse_segment_key``.
+    ``tail_key``: each piece is read off its ``collapse_segment_key``, and
+    the class key is that of ``rl_collapse``.
     """
     classes: dict = {}
-    for (shape, xi2), c in _euler_core(s, t, r, "N"):
+    for (shape, xi2), c in terms:
         pieces = tuple(collapse_segment_key(a + shift2, k, line) for a, k in shape)
         key = (tuple(sorted(tail_key + pieces)), xi2 + shift2)
         classes[key] = classes.get(key, 0) + c
     return tuple((key, c) for key, c in classes.items() if c)
+
+
+@lru_cache(maxsize=4096)
+def _balance_core(s: int, t: int, r: int, shift2: int, line: tuple, tail_key: tuple):
+    """The integer mod-l classes of ``_euler_core(s, t, r, "N")`` on a line (``_collapse_shapes``)."""
+    return _collapse_shapes(_euler_core(s, t, r, "N"), shift2, line, tail_key)
+
+
+@lru_cache(maxsize=4096)
+def _cell_classes(s: int, t: int, r: int, i_m: int, shift2: int, line: tuple, tail_key: tuple):
+    """The integer mod-l classes of the table cell that reads center -i_m/2 (``_collapse_shapes``)."""
+    return _collapse_shapes(rectangle_shape_groups(s, t, r)[-i_m], shift2, line, tail_key)
 
 
 # doubled-int class key -> its lhs and rhs sides, each (coefficient vector over the weight
@@ -771,19 +832,62 @@ def inclusion_exclusion_ramified(s1_size_max: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _collapsed_rows(table: CohomologyTable, lifts: LiftMap) -> dict[int, dict]:
+    """Degree -> the nonzero mod-l classes of its row, each an integer vector over monomials.
+
+    The class keys are those of ``rl_collapse``, and a class's vector is its
+    coefficient's {monomial: int}, zeros dropped; a degree whose classes all
+    cancel is left out, on both kinds of table.  A table built from rows
+    collapses them with ``rl_collapse``.  A table from ``_table`` stays
+    unbound: each part reads its cell's cached integer classes
+    (``_cell_classes``, keyed on the cell, the block twist, the line's
+    ``line_key`` and the tail's collapse key), and adds each class integer
+    times the entry's weight to the class's vector, monomial by monomial,
+    as the balance does.  Binding is injective and the collapse linear, so
+    both kinds of table give the same classes.
+    """
+    if table._parts is None:
+        return {
+            i: classes
+            for i, g in table.rows.items()
+            if (classes := {key: dict(expr.items()) for key, expr in rl_collapse(g, lifts).items()})
+        }
+    pi, r, parts = table._parts
+    line = line_key(pi.id, lifts)
+    collapsed = {}
+    for i, cell_parts in parts.items():
+        vectors: dict = {}
+        for s, t, i_m, xi2, tail, weight in cell_parts:
+            tail_key = collapse_label_key(tail, lifts) if tail.factors else ()
+            for key, c in _cell_classes(s, t, r, i_m, xi2, line, tail_key):
+                vector = vectors.get(key)
+                if vector is None:
+                    vector = vectors[key] = {}
+                for mono, w in weight[1]:
+                    vector[mono] = vector.get(mono, 0) + c * w
+        pruned = ((key, {m: c for m, c in v.items() if c}) for key, v in vectors.items())
+        classes = {key: v for key, v in pruned if v}
+        if classes:
+            collapsed[i] = classes
+    return collapsed
+
+
 def conj2_predicate(
     run_a: dict[int, CohomologyTable],
     run_b: dict[int, CohomologyTable],
     lifts_a: LiftMap,
     lifts_b: LiftMap,
 ) -> bool:
-    """Tables over two lifts agree class by class after mod-l collapse."""
-    strata = set(run_a) | set(run_b)
-    for r in strata:
-        table_a = run_a.get(r, CohomologyTable())
-        table_b = run_b.get(r, CohomologyTable())
-        degrees = set(table_a.rows) | set(table_b.rows)
-        for i in degrees:
-            if rl_collapse(table_a.degree(i), lifts_a) != rl_collapse(table_b.degree(i), lifts_b):
-                return False
+    """Tables over two lifts agree class by class after mod-l collapse.
+
+    Compares, stratum by stratum, the collapsed rows of ``_collapsed_rows``:
+    the tables of ``coh_shriek`` and ``coh_intermediate`` are collapsed
+    label-free and never bound here, a table built from rows through
+    ``rl_collapse``, and the two kinds may meet.
+    """
+    empty = CohomologyTable()
+    for r in set(run_a) | set(run_b):
+        rows_a = _collapsed_rows(run_a.get(r, empty), lifts_a)
+        if rows_a != _collapsed_rows(run_b.get(r, empty), lifts_b):
+            return False
     return True

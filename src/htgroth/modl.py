@@ -151,15 +151,20 @@ def is_cuspidal_st(sc: SupercuspidalData, s: int) -> bool:
 
 
 class TowerLevel(Value):
-    """Level u >= -1 of the cuspidal tower over a supercuspidal line."""
+    """Level u >= -1 of the cuspidal tower over a supercuspidal line.
 
-    __slots__ = _fields = ("base", "u")
+    ``line`` is the ``line_key`` of a line lifting the level, built once; it
+    is no field, so equality, hash, copy and pickle read ``base`` and ``u`` only.
+    """
+
+    _fields = ("base", "u")
+    __slots__ = ("base", "u", "line")
 
     def __init__(self, base: SupercuspidalData, u: int):
-        if require_int("u", u) < -1:
-            raise ValueError("u must be >= -1")
+        stretch = level_rank(base, u) // base.g  # checks u
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "u", u)
+        object.__setattr__(self, "line", ("base", base.label.id, u, stretch, base.epsilon))
 
 
 def tower_rank(t: TowerLevel) -> int:
@@ -283,13 +288,11 @@ def line_key(id: str, lifts: LiftMap) -> tuple:
     """All a collapse reads of the line of cuspidal ``id``.
 
     ``("raw", id)`` off the lift map, else ``("base", base id, u, stretch
-    g_u/g_{-1}, period epsilon)`` of the tower level it lifts.
+    g_u/g_{-1}, period epsilon)`` of the tower level it lifts, which the
+    level holds as ``TowerLevel.line``.
     """
     level = lifts.get(id)
-    if level is None:
-        return ("raw", id)
-    base = level.base
-    return ("base", base.label.id, level.u, tower_rank(level) // base.g, base.epsilon)
+    return ("raw", id) if level is None else level.line
 
 
 def collapse_segment_key(start2: int, length: int, line: tuple):
@@ -341,7 +344,8 @@ def rl_reduce(x: GrothElement, lifts: LiftMap) -> dict:
 
     Keys are (collapsed label key, Xi twist) in ``Fraction`` twists; values
     are symbolic coefficients, and two elements reduce alike exactly when the
-    tables agree.  ``conj2_predicate`` compares the ``rl_collapse`` behind it,
-    and the balance, collapsed label-free, keeps this as its test oracle.
+    tables agree.  ``conj2_predicate`` compares the ``rl_collapse`` behind it
+    on tables built from rows; the balance and the other tables, collapsed
+    label-free, keep these as their test oracles.
     """
     return {fraction_class_key(k): v for k, v in rl_collapse(x, lifts).items()}

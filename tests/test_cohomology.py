@@ -402,6 +402,7 @@ def test_clear_euler_caches_clears_every_cache():
     assert sorted(caches) == [
         "cli._parser",
         "cohomology._balance_core",
+        "cohomology._cell_classes",
         "cohomology._euler_core",
         "cohomology._shriek_core",
         "cohomology._weight",
@@ -415,6 +416,7 @@ def test_clear_euler_caches_clears_every_cache():
     ]
     sc, pi_u, pi_up, lifts, pu, pup = make_balanced_setup()
     rl_hi_balance(pu, pup, sc, 0, 0, 2, 2, pi_u, pi_up, lifts)
+    conj2_predicate({2: coh_shriek(pu, pi_u, 2)}, {2: coh_shriek(pup, pi_up, 2)}, lifts, lifts)
     R_cell(2, 2, 2, 1, pi_u)
     euler_shriek_expansion(pu.entries[0], pi_u, 1)
     torsion_detect(4, sc, 0, 1)

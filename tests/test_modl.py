@@ -1,6 +1,10 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+from htgroth import modl
 from htgroth.modl import (
     _is_prime,
     _is_prime_power,
@@ -278,6 +282,40 @@ class TestCollapse:
         xa = GrothElement.of(make_speh_st(lift, 2, 1))
         xb = GrothElement.of(make_steinberg(lift, 2))
         assert rl_reduce(xa, lifts) != rl_reduce(xb, lifts)
+
+    def test_line_key_of_a_lift_is_the_level_line_built_once(self, monkeypatch):
+        # the level holds its line key in a slot outside its fields: equality,
+        # hash, repr, copy and pickle read (base, u) alone, and line_key reads
+        # the slot without asking for a tower rank again
+        sc = sc_with(5, 3, g=2, epsilon=2, id="kappa")  # m = 2, l = 3
+        levels = [TowerLevel(sc, u) for u in (-1, 0, 2)]
+        assert [level.line for level in levels] == [
+            ("base", "kappa", -1, 1, 2),
+            ("base", "kappa", 0, 2, 2),
+            ("base", "kappa", 2, 18, 2),
+        ]
+        for level in levels:
+            assert level.line == (
+                "base", "kappa", level.u, tower_rank(level) // sc.g, sc.epsilon
+            )
+            assert "line" not in TowerLevel._fields and "line" not in repr(level)
+            assert hash(level) == hash((sc, level.u))
+            for twin in (copy.copy(level), copy.deepcopy(level), pickle.loads(pickle.dumps(level))):
+                assert twin == level and twin.line == level.line
+            with pytest.raises(AttributeError):
+                setattr(level, "line", ("raw", "x"))
+            with pytest.raises(AttributeError):
+                delattr(level, "line")
+        lifts = {f"lift{tag}": level for tag, level in zip("abc", levels)}
+
+        def no_rank(*args):
+            raise AssertionError("line_key asked for a tower rank")
+
+        monkeypatch.setattr(modl, "level_rank", no_rank)
+        monkeypatch.setattr(modl, "tower_rank", no_rank)
+        assert [line_key(id, lifts) for id in lifts] == [level.line for level in levels]
+        assert all(line_key(id, lifts) is level.line for id, level in lifts.items())
+        assert line_key("kappa", lifts) == ("raw", "kappa")
 
     def test_label_key_parts_keep_their_forms(self):
         # a lifted segment keeps its footprint on the base line, a segment off
