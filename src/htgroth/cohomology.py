@@ -39,20 +39,21 @@ label), and ``xi2`` is twice its Xi exponent; coefficients are plain ints.
 Each side is computed once per (s, t, r) and cached, for every label alike.
 ``euler_intermediate`` and ``euler_shriek_expansion`` bind each surviving
 term to the line of pi once; ``euler_master_identity`` compares the integer
-sums themselves, since binding to one line is injective.  A table keeps,
-per degree, one label-free part per entry and marked cell (where the
-cell's sums are cached, the entry's block twist, tail and weight) and
-binds its parts through :func:`htgroth.jl_red.bind_shapes` only when a
-caller first reads its rows; the profile Euler sums bind one cached column
-per entry (``_euler_core``, or ``_shriek_core``).  Two label-free collapses share ``_collapse_shapes``,
-which reads each piece off its ``collapse_segment_key``: the mod-l balance
-collapses an entry's column (``_balance_core``), and ``conj2_predicate`` a
-table cell (``_cell_classes``), so comparing two lifts binds no label.  Both
-sum the class integers times the entry's weight into integer vectors over
-the weight monomials.  The balance feeds both sides into one accumulator:
-each class holds, per side, such a vector (the tower factor folded in) and
-the entries feeding it, and becomes a constraint with its coefficients
-built once, unless it cancels on both sides.
+sums themselves, since binding to one line is injective.  A table keeps
+the profile entries on the line of pi with their weights and walks no
+cell until a caller first reads its rows; it then binds them cell by cell
+through :func:`htgroth.jl_red.bind_shapes`.  The profile Euler sums bind
+one cached column per entry (``_euler_core``, or ``_shriek_core``).  One
+cached label-free mod-l collapse per entry's column, ``_column_classes``,
+reads each piece off its ``collapse_segment_key`` and gives each marked
+cell its integer classes.  The balance signs them by (-1)^degree, and
+``conj2_predicate`` adds them into the cell's degree, so comparing two
+lifts binds no label.  Both sum the class integers times the entry's
+weight into integer vectors over the weight monomials.  The balance feeds
+both sides into one accumulator: each class holds, per side, such a vector
+(the tower factor folded in) and the entries feeding it, and becomes a
+constraint with its coefficients built once, unless it cancels on both
+sides.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .jl_red import TermKey, Terms, bind_shapes, frozen_terms, marked_cells, rectangle_shape_groups
+from .jl_red import TermKey, Terms, bind_shapes, frozen_terms, marked_cells
 from .modl import (
     LiftMap,
     SupercuspidalData,
@@ -143,20 +144,14 @@ class SpectrumProfile(Value):
         return iter(self.entries)
 
 
-# one entry's share of a table cell at stratum r: the entry's rectangle (s, t), the cell's
-# intermediate degree i_m (its value is ``rectangle_shape_groups(s, t, r)[-i_m]``), and the
-# entry's xi2, tail and ``_weight`` pair
-TablePart = tuple[int, int, int, int, IrreducibleLabel, tuple]
-
-
 class CohomologyTable(Immutable):
     """Finitely supported map degree -> Grothendieck element, immutable.
 
     ``CohomologyTable(rows)`` holds its rows.  A table built by ``_table``
-    holds, per degree, the label-free parts of its cells instead, plus the
-    line pi and the stratum r, and binds them into rows the first time
+    holds its profile entries instead, as (pi, r, kind, the entries on pi's
+    line with their weights), and binds them into rows the first time
     ``rows`` is read; everything public reads ``rows``, so both kinds
-    compare, print, copy and pickle alike.  ``conj2_predicate`` collapses the parts unbound.
+    compare, print, copy and pickle alike.  ``conj2_predicate`` collapses the entries unbound.
     """
 
     __slots__ = ("_rows", "_parts")
@@ -167,26 +162,23 @@ class CohomologyTable(Immutable):
         object.__setattr__(self, "_parts", None)
 
     @classmethod
-    def _of_parts(cls, pi: CuspidalLabel, r: int, parts: dict[int, list[TablePart]]) -> "CohomologyTable":
+    def _of_parts(cls, pi: CuspidalLabel, r: int, kind: str, entries: list) -> "CohomologyTable":
         table = object.__new__(cls)
         object.__setattr__(table, "_rows", None)
-        object.__setattr__(table, "_parts", (pi, r, parts))
+        object.__setattr__(table, "_parts", (pi, r, kind, entries))
         return table
 
     @property
     def rows(self) -> dict[int, GrothElement]:
-        """Degree -> its nonzero row; the parts are bound on the first read and kept."""
+        """Degree -> its nonzero row; the entries are bound cell by cell on the first read, and kept."""
         rows = self._rows
         if rows is None:
-            pi, r, parts = self._parts
-            rows = {}
-            for i, cell_parts in parts.items():
-                row: dict = {}
-                for s, t, i_m, xi2, tail, weight in cell_parts:
-                    bind_shapes(pi, rectangle_shape_groups(s, t, r)[-i_m], xi2, tail, weight[0], row)
-                element = GrothElement._checked(row)
-                if not element.is_zero():
-                    rows[i] = element
+            pi, r, kind, entries = self._parts
+            terms: dict[int, dict] = {}
+            for entry, (weight, _) in entries:
+                for degree, _, sums in marked_cells(entry.s, entry.t, r, kind):
+                    bind_shapes(pi, sums, entry.xi2, entry.tail, weight, terms.setdefault(degree, {}))
+            rows = {i: g for i, row in terms.items() if not (g := GrothElement._checked(row)).is_zero()}
             object.__setattr__(self, "_rows", rows)
         return rows
 
@@ -195,12 +187,6 @@ class CohomologyTable(Immutable):
 
     def degrees(self) -> list[int]:
         return sorted(self.rows)
-
-    def euler(self) -> GrothElement:
-        acc = GrothElement.zero()
-        for i, g in self.rows.items():
-            acc = acc + (g if i % 2 == 0 else -g)
-        return acc
 
     def is_zero(self) -> bool:
         return not self.rows
@@ -225,28 +211,26 @@ def _weight(mult: SymExpr, e_pi: int) -> tuple[SymExpr, tuple]:
     return weight, tuple(weight.items())
 
 
+def _line_entries(profile: SpectrumProfile, pi: CuspidalLabel) -> list[tuple[ProfileEntry, tuple]]:
+    """The entries on the line of pi, each with its ``_weight``; an entry of weight zero is left out."""
+    return [
+        (entry, weight)
+        for entry in profile
+        if entry.cuspidal == pi and (weight := _weight(entry.mult, pi.e_pi))[1]
+    ]
+
+
 def _table(profile: SpectrumProfile, pi: CuspidalLabel, r: int, kind: str) -> CohomologyTable:
     """The intermediate ("M") or shriek ("N") table at stratum r, unbound.
 
-    Over the entries on the line of ``pi`` and the cells their diagram marks
-    in column r, keeps one label-free part per (entry, cell): where the
-    cell's summed shapes are cached, with the entry's block twist, tail and
-    weight.  Reading the table's rows binds the parts, once, through
-    ``bind_shapes``: the sum of the cell values bound with twist and tail,
-    times the symbolic weight and the global scalar.  An entry of weight zero adds no part.
+    Keeps the entries on the line of ``pi`` with their weights
+    (``_line_entries``) and walks no cell.  Reading the table's rows binds
+    them, once, entry by entry over the cells their diagram marks in column
+    r (``marked_cells``), through ``bind_shapes``: the sum of the cell
+    values bound with twist and tail, times the symbolic weight and the
+    global scalar.
     """
-    parts: dict[int, list[TablePart]] = {}
-    for entry in profile:
-        if entry.cuspidal != pi:
-            continue
-        weight = _weight(entry.mult, pi.e_pi)
-        if not weight[1]:
-            continue
-        s, t, xi2, tail = entry.s, entry.t, entry.xi2, entry.tail
-        for degree, i_m, sums in marked_cells(s, t, r, kind):
-            if sums:
-                parts.setdefault(degree, []).append((s, t, i_m, xi2, tail, weight))
-    return CohomologyTable._of_parts(pi, r, parts)
+    return CohomologyTable._of_parts(pi, r, kind, _line_entries(profile, pi))
 
 
 def coh_intermediate(profile: SpectrumProfile, pi: CuspidalLabel, r: int) -> CohomologyTable:
@@ -345,13 +329,13 @@ def _alternating_sum(cells) -> Terms:
 
 
 @lru_cache(maxsize=1024)
-def _euler_core(s: int, t: int, r: int, kind: str) -> Terms:
-    """The alternating sum of the M (intermediate) or N (shriek) table of the block, label-free.
+def _euler_core(s: int, t: int, r: int) -> Terms:
+    """The alternating sum of the intermediate table of the block, label-free.
 
     The cell of degree i adds its summed a2 shapes, keyed with the twist
-    xi2 = i_m of the cuts behind it (i_m = i on the M side), with the sign (-1)^i.
+    xi2 = i of the cuts behind it, with the sign (-1)^i.
     """
-    return _alternating_sum((i, sums) for i, _, sums in marked_cells(s, t, r, kind))
+    return _alternating_sum((i, sums) for i, _, sums in marked_cells(s, t, r, "M"))
 
 
 @lru_cache(maxsize=1024)
@@ -426,7 +410,7 @@ def _shriek_core(s: int, t: int, r: int) -> Terms:
 
 def euler_intermediate(entry: ProfileEntry, pi: CuspidalLabel, r: int) -> GrothElement:
     """Alternating sum of the intermediate table of one block at stratum r."""
-    return bind_shapes(pi, _euler_core(entry.s, entry.t, r, "M"))
+    return bind_shapes(pi, _euler_core(entry.s, entry.t, r))
 
 
 def euler_shriek_expansion(entry: ProfileEntry, pi: CuspidalLabel, r: int) -> GrothElement:
@@ -444,22 +428,20 @@ def euler_master_identity(s: int, t: int, r: int) -> bool:
     False on every one-row and one-column block and True for s, t >= 2
     (see ``euler_oracle_violations``, which catalogues where it fails).
     """
-    return _euler_core(s, t, r, "M") == _shriek_core(s, t, r)
+    return _euler_core(s, t, r) == _shriek_core(s, t, r)
 
 
 def _profile_euler(profile: SpectrumProfile, pi: CuspidalLabel, column) -> GrothElement:
     """Sum over the entries on pi's line of ``column(s, t)``, bound with twist, tail and weight."""
     row: dict = {}
-    for entry in profile:
-        if entry.cuspidal == pi:
-            weight = _weight(entry.mult, pi.e_pi)[0]
-            bind_shapes(pi, column(entry.s, entry.t), entry.xi2, entry.tail, weight, row)
+    for entry, (weight, _) in _line_entries(profile, pi):
+        bind_shapes(pi, column(entry.s, entry.t), entry.xi2, entry.tail, weight, row)
     return GrothElement._checked(row)
 
 
 def euler_intermediate_profile(profile: SpectrumProfile, pi: CuspidalLabel, r: int) -> GrothElement:
     """Euler characteristic of the full intermediate table of a profile, built entry by entry."""
-    return _profile_euler(profile, pi, lambda s, t: _euler_core(s, t, r, "M"))
+    return _profile_euler(profile, pi, lambda s, t: _euler_core(s, t, r))
 
 
 def euler_shriek_profile_expansion(
@@ -663,32 +645,30 @@ class CongruenceConstraint(Value):
         return self.holds()
 
 
-def _collapse_shapes(terms: Terms, shift2: int, line: tuple, tail_key: tuple) -> tuple:
-    """The integer mod-l classes of label-free ``terms`` on a line, as ((class key, c), ...).
+@lru_cache(maxsize=4096)
+def _column_classes(s: int, t: int, r: int, kind: str, shift2: int, line: tuple, tail_key: tuple) -> tuple:
+    """The integer mod-l classes of the cells of column r, label-free, as (degree, ((class key, c), ...)).
 
-    ``rl_collapse`` of the terms bound with the twist shift2/2 to the line of
-    ``line_key`` ``line``, lifted or not, with a tail of collapse key
-    ``tail_key``: each piece is read off its ``collapse_segment_key``, and
-    the class key is that of ``rl_collapse``.
+    One pair per cell that ``marked_cells`` marks for the M or N diagram,
+    in its order: ``rl_collapse`` of the cell's sums bound with the twist
+    shift2/2 to the line of ``line_key`` ``line``, lifted or not, with a
+    tail of collapse key ``tail_key``.  Each piece is read off its
+    ``collapse_segment_key``, and the class key is that of
+    ``rl_collapse``.  No two cells of a column share a class key,
+    since a cell's twist xi2 = i_m + shift2 differs from cell to cell; so
+    the cells' classes signed by (-1)^degree are the collapse of the
+    alternating column, which the balance reads, and each cell's are the
+    collapse of its row, which ``conj2_predicate`` reads.
     """
-    classes: dict = {}
-    for (shape, xi2), c in terms:
-        pieces = tuple(collapse_segment_key(a + shift2, k, line) for a, k in shape)
-        key = (tuple(sorted(tail_key + pieces)), xi2 + shift2)
-        classes[key] = classes.get(key, 0) + c
-    return tuple((key, c) for key, c in classes.items() if c)
-
-
-@lru_cache(maxsize=4096)
-def _balance_core(s: int, t: int, r: int, shift2: int, line: tuple, tail_key: tuple):
-    """The integer mod-l classes of ``_euler_core(s, t, r, "N")`` on a line (``_collapse_shapes``)."""
-    return _collapse_shapes(_euler_core(s, t, r, "N"), shift2, line, tail_key)
-
-
-@lru_cache(maxsize=4096)
-def _cell_classes(s: int, t: int, r: int, i_m: int, shift2: int, line: tuple, tail_key: tuple):
-    """The integer mod-l classes of the table cell that reads center -i_m/2 (``_collapse_shapes``)."""
-    return _collapse_shapes(rectangle_shape_groups(s, t, r)[-i_m], shift2, line, tail_key)
+    out = []
+    for degree, _, sums in marked_cells(s, t, r, kind):
+        classes: dict = {}
+        for (shape, xi2), c in sums:
+            pieces = tuple(collapse_segment_key(a + shift2, k, line) for a, k in shape)
+            key = (tuple(sorted(tail_key + pieces)), xi2 + shift2)
+            classes[key] = classes.get(key, 0) + c
+        out.append((degree, tuple((key, c) for key, c in classes.items() if c)))
+    return tuple(out)
 
 
 # doubled-int class key -> its lhs and rhs sides, each (coefficient vector over the weight
@@ -708,26 +688,25 @@ def _balance_side(
     """Add ``factor`` times the mod-l classes of a profile's alternating shriek sum to ``acc``.
 
     ``side`` is 0 for the lhs, 1 for the rhs.  Linear in the entries: each
-    entry's column collapses label-free into integer classes
-    (``_balance_core``, on or off the lift map alike), each class key is
-    hashed once per entry, and its integer times the entry's weight is added
-    monomial by monomial.  A zero weight adds no class and no provenance.
+    entry's shriek column collapses label-free into integer classes
+    (``_column_classes``, on or off the lift map alike), each class key is
+    hashed once per entry, and its integer times (-1)^degree and the entry's
+    weight is added monomial by monomial.  A zero weight adds no class and
+    no provenance.
     """
     line = line_key(pi.id, lifts)
-    for entry in profile:
-        if entry.cuspidal != pi:
-            continue
-        weight = [(mono, w * factor) for mono, w in _weight(entry.mult, pi.e_pi)[1]]
-        if not weight:
-            continue
+    for entry, (_, monomials) in _line_entries(profile, pi):
+        weight = [(mono, w * factor) for mono, w in monomials]
         tail_key = collapse_label_key(entry.tail, lifts) if entry.tail.factors else ()
         source = (entry.s, entry.t, entry.markers)
-        for key, c in _balance_core(entry.s, entry.t, r, entry.xi2, line, tail_key):
-            sides = acc.get(key) or acc.setdefault(key, (({}, []), ({}, [])))  # built on a miss
-            vector, provenance = sides[side]
-            for mono, w in weight:
-                vector[mono] = vector.get(mono, 0) + c * w
-            provenance.append(source)
+        for degree, classes in _column_classes(entry.s, entry.t, r, "N", entry.xi2, line, tail_key):
+            sign = -1 if degree % 2 else 1
+            for key, c in classes:
+                sides = acc.get(key) or acc.setdefault(key, (({}, []), ({}, [])))  # built on a miss
+                vector, provenance = sides[side]
+                for mono, w in weight:
+                    vector[mono] = vector.get(mono, 0) + sign * c * w
+                provenance.append(source)
 
 
 def rl_hi_balance(
@@ -839,12 +818,11 @@ def _collapsed_rows(table: CohomologyTable, lifts: LiftMap) -> dict[int, dict]:
     coefficient's {monomial: int}, zeros dropped; a degree whose classes all
     cancel is left out, on both kinds of table.  A table built from rows
     collapses them with ``rl_collapse``.  A table from ``_table`` stays
-    unbound: each part reads its cell's cached integer classes
-    (``_cell_classes``, keyed on the cell, the block twist, the line's
-    ``line_key`` and the tail's collapse key), and adds each class integer
-    times the entry's weight to the class's vector, monomial by monomial,
-    as the balance does.  Binding is injective and the collapse linear, so
-    both kinds of table give the same classes.
+    unbound: each entry reads its column's cached integer classes
+    (``_column_classes``, which the balance shares), and each cell's class
+    integers times the entry's weight are added into its degree, monomial
+    by monomial.  Binding is injective and the collapse linear, so both
+    kinds of table give the same classes.
     """
     if table._parts is None:
         return {
@@ -852,22 +830,23 @@ def _collapsed_rows(table: CohomologyTable, lifts: LiftMap) -> dict[int, dict]:
             for i, g in table.rows.items()
             if (classes := {key: dict(expr.items()) for key, expr in rl_collapse(g, lifts).items()})
         }
-    pi, r, parts = table._parts
+    pi, r, kind, entries = table._parts
     line = line_key(pi.id, lifts)
-    collapsed = {}
-    for i, cell_parts in parts.items():
-        vectors: dict = {}
-        for s, t, i_m, xi2, tail, weight in cell_parts:
-            tail_key = collapse_label_key(tail, lifts) if tail.factors else ()
-            for key, c in _cell_classes(s, t, r, i_m, xi2, line, tail_key):
-                vector = vectors.get(key)
+    vectors: dict[int, dict] = {}
+    for entry, (_, weight) in entries:
+        tail_key = collapse_label_key(entry.tail, lifts) if entry.tail.factors else ()
+        for degree, classes in _column_classes(entry.s, entry.t, r, kind, entry.xi2, line, tail_key):
+            row = vectors.setdefault(degree, {})
+            for key, c in classes:
+                vector = row.get(key)
                 if vector is None:
-                    vector = vectors[key] = {}
-                for mono, w in weight[1]:
+                    vector = row[key] = {}
+                for mono, w in weight:
                     vector[mono] = vector.get(mono, 0) + c * w
-        pruned = ((key, {m: c for m, c in v.items() if c}) for key, v in vectors.items())
-        classes = {key: v for key, v in pruned if v}
-        if classes:
+    collapsed = {}
+    for i, row in vectors.items():
+        pruned = ((key, {m: c for m, c in v.items() if c}) for key, v in row.items())
+        if classes := {key: v for key, v in pruned if v}:
             collapsed[i] = classes
     return collapsed
 

@@ -70,10 +70,6 @@ def m_polygon_vertices(s: int, t: int) -> list[Point]:
     return [(s + t - 1, 0), (t, s - 1), (t - s + 1, 0), (t, 1 - s)]
 
 
-def n_polygon_vertices(s: int, t: int) -> list[Point]:
-    return [(s + t - 1, 0), (s, 0), (1, s - 1), (t, s - 1)]
-
-
 # ---------------------------------------------------------------------------
 # exact convex hulls (the oracle side)
 # ---------------------------------------------------------------------------

@@ -345,7 +345,9 @@ def rl_reduce(x: GrothElement, lifts: LiftMap) -> dict:
     Keys are (collapsed label key, Xi twist) in ``Fraction`` twists; values
     are symbolic coefficients, and two elements reduce alike exactly when the
     tables agree.  ``conj2_predicate`` compares the ``rl_collapse`` behind it
-    on tables built from rows; the balance and the other tables, collapsed
-    label-free, keep these as their test oracles.
+    on tables built from rows.  The balance and the tables of ``coh_shriek``
+    and ``coh_intermediate`` collapse label-free, through one cached
+    collapse per column (``cohomology._column_classes``), whose test
+    oracles are ``rl_collapse`` and this function.
     """
     return {fraction_class_key(k): v for k, v in rl_collapse(x, lifts).items()}

@@ -16,6 +16,11 @@ def svg_point_set(svg_text: str) -> set[tuple[int, int]]:
     return pts
 
 
+def n_polygon_vertices(s: int, t: int) -> list[Point]:
+    """The vertices of the N diagram's polygon, whose closed hull ``n_column`` reads in closed form."""
+    return [(s + t - 1, 0), (s, 0), (1, s - 1), (t, s - 1)]
+
+
 def _on_segment(a: Point, b: Point, p: Point) -> bool:
     if _cross(a, b, p) != 0:
         return False

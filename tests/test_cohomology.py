@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 from htgroth import jl_red, jsonio
 from htgroth.cli import _parser
 from htgroth.diagrams import m_column_hull
-from htgroth.jl_red import R_cell
+from htgroth.jl_red import R_cell, marked_cells
 from htgroth.cohomology import (
     KER1_ATOM,
     _balance_side,
+    _column_classes,
     _euler_core,
     _shriek_core,
     CohomologyTable,
@@ -42,9 +43,12 @@ from htgroth.modl import (
     SupercuspidalData,
     TowerLevel,
     chgt_cuspi_factor,
+    collapse_label_key,
     cuspidal_lifts,
     fraction_class_key,
+    line_key,
     matched_strata,
+    rl_collapse,
     rl_reduce,
     tower_rank,
 )
@@ -60,6 +64,7 @@ from htgroth.segments import (
 )
 from htgroth.symbolic import SymExpr, atom, integer
 
+from euler_oracles import column_euler, table_euler
 from htgroth_caches import clear_htgroth_caches, htgroth_caches
 
 PI = CuspidalLabel("pi", g=1)
@@ -253,7 +258,7 @@ class TestEulerOracle:
             for t in range(1, 9 - s):
                 mixed = s >= 2 and t >= 2
                 assert euler_master_identity(s, t, 0) == mixed, (s, t)
-                assert _euler_core(s, t, 0, "M") == ()
+                assert _euler_core(s, t, 0) == ()
                 assert bool(_shriek_core(s, t, 0)) != mixed, (s, t)
 
     def test_center_cut_counts_in_closed_form(self):
@@ -296,7 +301,7 @@ class TestEulerOracle:
         for s in range(2, 13):
             for t in range(2, 15 - s):
                 for r in range(1, s * t + 1):
-                    diff = dict(_euler_core(s, t, r, "M"))
+                    diff = dict(_euler_core(s, t, r))
                     for key, c in _shriek_core(s, t, r):
                         diff[key] = diff.get(key, 0) - c
                     starts = sorted((abs(t - r) - s + 1, abs(s - r) - t + 1))
@@ -376,7 +381,7 @@ def test_euler_intermediate_matches_table_path(label):
     for s, t, r in euler_grid():
         entry = ProfileEntry(s=s, t=t, cuspidal=pi, mult=integer(1))
         table = coh_intermediate(SpectrumProfile((entry,)), pi, r)
-        assert euler_intermediate(entry, pi, r).scale(scal) == table.euler(), (s, t, r)
+        assert euler_intermediate(entry, pi, r).scale(scal) == table_euler(table), (s, t, r)
         cases += 1
     assert cases == 266
 
@@ -391,7 +396,7 @@ def test_euler_shriek_core_matches_table_path(label):
     for s, t, r in euler_grid():
         entry = ProfileEntry(s=s, t=t, cuspidal=pi, mult=integer(1))
         table = coh_shriek(SpectrumProfile((entry,)), pi, r)
-        assert jl_red.bind_shapes(pi, _euler_core(s, t, r, "N")).scale(scal) == table.euler(), (s, t, r)
+        assert jl_red.bind_shapes(pi, column_euler(s, t, r, "N")).scale(scal) == table_euler(table), (s, t, r)
         cases += 1
     assert cases == 266
 
@@ -401,8 +406,7 @@ def test_clear_euler_caches_clears_every_cache():
     caches = htgroth_caches()
     assert sorted(caches) == [
         "cli._parser",
-        "cohomology._balance_core",
-        "cohomology._cell_classes",
+        "cohomology._column_classes",
         "cohomology._euler_core",
         "cohomology._shriek_core",
         "cohomology._weight",
@@ -426,6 +430,22 @@ def test_clear_euler_caches_clears_every_cache():
     assert all(cache.cache_info().currsize for cache in caches.values())
     clear_htgroth_caches()
     assert not any(cache.cache_info().currsize for cache in caches.values())
+
+
+def test_conj2_reads_the_column_classes_the_balance_built():
+    # one cache serves both collapses: after the balance of a profile pair
+    # at (r, r'), comparing the shriek tables of the same profiles at those
+    # strata hits every column it reads and builds none
+    for u, u_prime, r, r_prime in [(0, 0, 2, 2), (-1, 0, 3, 1)]:
+        clear_htgroth_caches()
+        sc, pi_u, pi_up, lifts, pu, pup = make_balanced_setup(u, u_prime, ((3, 1), (1, 3), (2, 2)))
+        assert rl_hi_balance(pu, pup, sc, u, u_prime, r, r_prime, pi_u, pi_up, lifts)
+        before = _column_classes.cache_info()
+        # under one key, so that both tables are collapsed whatever they read
+        conj2_predicate({0: coh_shriek(pu, pi_u, r)}, {0: coh_shriek(pup, pi_up, r_prime)}, lifts, lifts)
+        after = _column_classes.cache_info()
+        assert after.misses == before.misses > 0, (u, u_prime)
+        assert after.hits == before.hits + 6  # one column per entry, three entries a side
 
 
 def test_euler_cache_leaks_no_label():
@@ -635,7 +655,7 @@ def reference_balance(profile_u, profile_up, sc, u, u_prime, r, r_prime, pi_u, p
         for entry in profile:
             if entry.cuspidal != pi:
                 continue
-            euler = coh_shriek(SpectrumProfile((entry,)), pi, stratum).euler()
+            euler = table_euler(coh_shriek(SpectrumProfile((entry,)), pi, stratum))
             total = total + euler
             for key in rl_reduce(euler, lifts):
                 provenance.setdefault(key, []).append((entry.s, entry.t, entry.markers))
@@ -734,11 +754,32 @@ def balance_side(profile, pi, r, lifts, side=0, factor=1):
     return {key: c for key, c in classes.items() if c}, provenance
 
 
+def assert_column_classes_are_the_cell_collapses(line, s, t, r, shift2, tail, weight, lifts):
+    """Per degree of either diagram, ``_column_classes`` is ``rl_collapse`` of the cell bound with labels.
+
+    With weight 1 each cell's classes, in ``marked_cells`` order, are the
+    collapse of the cell bound; with ``weight`` each class integer times it
+    is the collapse of the cell bound with it.
+    """
+    tail_key = collapse_label_key(tail, lifts) if tail.factors else ()
+    for kind in ("M", "N"):
+        column = _column_classes(s, t, r, kind, shift2, line_key(line.id, lifts), tail_key)
+        cells = [(d, sums) for d, _, sums in marked_cells(s, t, r, kind)]
+        unit = [(d, rl_collapse(jl_red.bind_shapes(line, sums, shift2, tail), lifts)) for d, sums in cells]
+        got = [(d, {k: integer(c) for k, c in classes}) for d, classes in column]
+        assert got == unit, (kind, line, s, t, r, shift2, tail)
+        for (d, sums), (_, classes) in zip(cells, column):
+            bound = jl_red.bind_shapes(line, sums, shift2, tail, weight)
+            scaled = {k: w for k, c in classes if (w := weight * c)}
+            assert scaled == rl_collapse(bound, lifts), (kind, line, s, t, r, shift2, tail, d)
+
+
 def test_balance_classes_match_rl_reduce_per_entry():
     # per entry, on a lifted line and off the lift map alike, the label-free
     # classes times the weight, with provenance, are the collapse of the column
     # bound with labels, keys of the same types; the cases alternate between
-    # the lhs with a tower factor and the rhs
+    # the lhs with a tower factor and the rhs.  The one collapse behind them,
+    # ``_column_classes``, is the collapse of each cell of either diagram.
     level, other_level = TowerLevel(BALANCE_SC, 0), TowerLevel(BALANCE_SC, 1)
     pi, other = cuspidal_lifts(level, 1)[0], cuspidal_lifts(other_level, 1)[0]
     off = CuspidalLabel("sigma")
@@ -767,12 +808,13 @@ def test_balance_classes_match_rl_reduce_per_entry():
                         SpectrumProfile((entry,)), line, r, lifts, side, factor
                     )
                     weight = mult * integer(line.e_pi) * atom(KER1_ATOM)
-                    column = _euler_core(s, t, r, "N")
+                    column = column_euler(s, t, r, "N")
                     bound = jl_red.bind_shapes(line, column, shift2, tail, weight).scale(factor)
                     expected = rl_reduce(bound, lifts)
                     assert classes == expected, (line, s, t, r, shift2, tail)
                     assert sorted(map(repr, classes)) == sorted(map(repr, expected))
                     assert provenance == {key: [(s, t, entry.markers)] for key in expected}
+                    assert_column_classes_are_the_cell_collapses(line, s, t, r, shift2, tail, weight, lifts)
                     cases += 1
                     nonempty += bool(classes)
     # half the weights are zero, and some columns vanish
@@ -959,7 +1001,7 @@ class TestFreePartReduction:
         )
         for r in range(1, 4):
             table = coh_shriek(profile, lift, r)
-            direct = rl_reduce(table.euler(), lifts)
+            direct = rl_reduce(table_euler(table), lifts)
             termwise: dict = {}
             for i in table.degrees():
                 part = rl_reduce(

@@ -16,14 +16,13 @@ from htgroth.diagrams import (
     m_support,
     n_coeff,
     n_column,
-    n_polygon_vertices,
     n_support,
     render,
     superpose,
 )
 from htgroth.segments import CuspidalLabel
 
-from diagram_oracles import _in_hull, hull_column_max_i, hull_contains, svg_point_set
+from diagram_oracles import _in_hull, hull_column_max_i, hull_contains, n_polygon_vertices, svg_point_set
 
 PI = CuspidalLabel("pi")
 RHO = CuspidalLabel("rho")

@@ -64,6 +64,7 @@ from fraction_oracles import (
     rl_reduce_fraction,
     run_data_fraction,
 )
+from euler_oracles import table_euler
 from htgroth_caches import clear_htgroth_caches
 
 # (base id, q, l, epsilon, u): the line of each level has the stretch and
@@ -349,7 +350,7 @@ def test_balance_and_conj2_hash_no_fraction(monkeypatch):
         assert conj2_predicate(run_a, run_b, lifts, lifts)
     assert len(calls) == 0, "coh_shriek or conj2_predicate hashed a Fraction"
     # the counter does count: the Fraction-keyed collapse hashes
-    assert rl_reduce_fraction(fraction_terms(run_a[1].euler()), lifts) and calls
+    assert rl_reduce_fraction(fraction_terms(table_euler(run_a[1])), lifts) and calls
 
 
 def _count_fraction_constructions(monkeypatch) -> list:

@@ -1,7 +1,8 @@
 """Tables that stay label-free until a row is read, and their unbound mod-l collapse.
 
-``coh_shriek`` and ``coh_intermediate`` return tables that hold label-free
-parts and bind them on the first read of a row.  The binding of the eager
+``coh_shriek`` and ``coh_intermediate`` return tables that hold the
+profile entries on the line of pi with their weights, walk no cell, and
+bind the entries on the first read of a row.  The binding of the eager
 tables (``eager_table``) is the oracle of their values, ``rl_collapse``
 of a bound row the oracle of the unbound collapse that ``conj2_predicate``
 reads, and ``oracle_conj2``, the predicate on bound rows degree by degree,
@@ -45,6 +46,8 @@ from htgroth.segments import (
 )
 from htgroth.symbolic import SymExpr, atom, integer
 
+from euler_oracles import table_euler
+
 SC = SupercuspidalData(CuspidalLabel("rho"), FieldData(2, 3), 2)  # g_u = 1, 2, 6, 18 for u = -1..2
 SIGMA = CuspidalLabel("sigma")  # never lifted
 TABLES = {"M": coh_intermediate, "N": coh_shriek}
@@ -66,6 +69,17 @@ def eager_table(profile, pi, r, kind):
             if sums:
                 bind_shapes(pi, sums, entry.xi2, entry.tail, weight, rows.setdefault(degree, {}))
     return CohomologyTable({i: GrothElement._checked(row) for i, row in rows.items()})
+
+
+def marked_degrees(table):
+    """The degrees of the cells with nonzero sums that an unbound table's entries mark."""
+    _, r, kind, entries = table._parts
+    return {
+        degree
+        for entry, _ in entries
+        for degree, _, sums in marked_cells(entry.s, entry.t, r, kind)
+        if sums
+    }
 
 
 def tails(pi):
@@ -147,7 +161,7 @@ def test_unbound_collapse_matches_rl_collapse_of_the_rows(problem):
             table = build(profile, pi, r)
             collapsed = _collapsed_rows(table, lifts)
             assert table._rows is None  # still unbound
-            degrees = set(table._parts[2]) | set(table.rows)
+            degrees = marked_degrees(table) | set(table.rows)
             expected = {i: rl_collapse(table.degree(i), lifts) for i in degrees}
             assert as_symbolic(collapsed) == {i: c for i, c in expected.items() if c}, (r, kind)
             assert _collapsed_rows(CohomologyTable(table.rows), lifts) == collapsed
@@ -167,7 +181,7 @@ def test_rows_that_cancel_collapse_to_nothing():
     twin = ProfileEntry(2, 2, pi, -atom("m"), Fraction(1, 2), tail)
     for r in range(1, 4):  # the strata where the block marks a shriek cell
         table = coh_shriek(SpectrumProfile((entry, twin)), pi, r)
-        assert table._parts[2] and table.rows == {} and table.is_zero()
+        assert marked_degrees(table) and table.rows == {} and table.is_zero()
         assert _collapsed_rows(table, {pi.id: level}) == {}
         assert conj2_predicate({r: table}, {}, {pi.id: level}, {})
 
@@ -312,7 +326,7 @@ def test_unbound_table_reads_as_the_eager_table(kind, r):
     assert [fresh().degree(i) for i in range(-3, 8)] == [eager.degree(i) for i in range(-3, 8)]
     assert fresh().degrees() == eager.degrees()
     assert fresh().is_zero() == eager.is_zero()
-    assert fresh().euler() == eager.euler()
+    assert table_euler(fresh()) == table_euler(eager)
     assert fresh() == eager and eager == fresh() and fresh() == fresh()
     assert repr(fresh()) == repr(eager)
     copies = [copy.copy(fresh()), copy.deepcopy(fresh())]
@@ -325,10 +339,15 @@ def test_unbound_table_reads_as_the_eager_table(kind, r):
 
 
 def test_the_value_cases_cover_cancelled_and_empty_tables():
-    # a stratum whose only parts cancel, and one with no part at all
+    # a stratum where a marked cell cancels, and one with no marked cell at
+    # all; every table holds the entries on pi's line with their weights
     tables = {(kind, r): TABLES[kind](VALUE_PROFILE, VALUE_PI, r) for kind, r in VALUE_CASES}
-    assert any(t._parts[2] and len(t.rows) < len(t._parts[2]) for t in tables.values())
-    assert any(not t._parts[2] for t in tables.values())
+    on_line = [(e, _weight(e.mult, VALUE_PI.e_pi)) for e in VALUE_PROFILE if e.cuspidal == VALUE_PI]
+    assert all(t._parts == (VALUE_PI, r, kind, on_line) for (kind, r), t in tables.items())
+    with_zero = SpectrumProfile(VALUE_PROFILE.entries + (ProfileEntry(2, 1, VALUE_PI, integer(0)),))
+    assert coh_shriek(with_zero, VALUE_PI, 2)._parts[3] == on_line  # a zero weight is left out
+    assert any(len(t.rows) < len(marked_degrees(t)) for t in tables.values())
+    assert any(not marked_degrees(t) for t in tables.values())
     assert any(len(t.rows) > 1 for t in tables.values())
 
 
