@@ -9,7 +9,11 @@ machine-readable error record on stderr.
 ``main`` is the single input boundary: the subcommands and the value types
 they build raise ``ValueError`` (or ``OSError``) on input they refuse, and
 ``main`` alone turns that into exit 3.  Exit 2 comes only from the argument
-parser and from ``_read_json``, the one reader of JSON inputs.
+parser and from ``_read_json``, the one reader of JSON inputs.  An argv led
+by a subcommand's name goes straight to that subcommand's parser
+(``_parse_args``); any other, and one with arguments left over, takes the
+full parse, so every parse message is argparse's own.  The subcommands that
+print Grothendieck elements hand them to ``jsonio.dumps`` as they are.
 """
 
 from __future__ import annotations
@@ -105,7 +109,7 @@ def cmd_jacquet(args) -> int:
 def cmd_red(args) -> int:
     pi = CuspidalLabel("pi", g=args.g)
     out = red_tau(pi, args.r, GrothElement.of(make_speh_st(pi, args.s, args.t)))
-    print(jsonio.dumps(jsonio.groth_to_json(out)))
+    print(jsonio.dumps(out))
     return 0
 
 
@@ -115,7 +119,7 @@ def cmd_reduce(args) -> int:
     else:
         pi = tower_cuspidal(TowerLevel(_load_supercuspidal(args.sc), args.u))
         out = rl_speh(make_speh_st(pi, args.s, 1), modl_label(pi))
-    print(jsonio.dumps(jsonio.groth_to_json(out)))
+    print(jsonio.dumps(out))
     return 0
 
 
@@ -192,10 +196,7 @@ def cmd_cohomology(args) -> int:
         if args.extension == "shriek"
         else coh_intermediate(profile, pi, args.r)
     )
-    payload = {
-        str(i): jsonio.groth_to_json(table.degree(i)) for i in table.degrees()
-    }
-    print(jsonio.dumps(payload))
+    print(jsonio.dumps({str(i): table.degree(i) for i in table.degrees()}))
     return 0
 
 
@@ -339,18 +340,23 @@ def _int_list(text: str) -> list[int]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports parse errors as the JSON error record (exit 2); subparsers inherit it."""
+    """Reports parse errors as the JSON error record (exit 2); subparsers inherit it.
+
+    ``build_parser`` gives the top parser ``commands``: each subcommand's name
+    and the parser it registers for it.
+    """
 
     def error(self, message):
         _fail(PARSE_ERROR, "parse", f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     parser = _Parser(
         prog="htgroth",
         description="exact bookkeeping for Harris-Taylor local system combinatorics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("diagram", help="coefficient diagram supports")
     p.add_argument("--kind", choices=["m", "n", "M", "N"], required=True)
@@ -419,9 +425,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> _Parser:
     """The parser, built once per process; parsing leaves it unchanged."""
     return build_parser()
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, parsed by the subcommand's own parser when argv[0] names one.
+
+    The full parse hands everything after the name to that same parser, so a
+    parse that uses every argument gives the same namespace, and an error or
+    ``--help`` the same bytes and exit code.  Arguments left over, and every
+    argv not led by a subcommand's name, go through the full parse, so their
+    messages stay argparse's own.
+    """
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -430,7 +455,7 @@ def main(argv=None) -> int:
     A reader that closes stdout early is no input error: the run exits 1 with
     nothing on stderr.
     """
-    args = _parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         code = args.func(args)
         sys.stdout.flush()  # a short output's closed pipe surfaces here too

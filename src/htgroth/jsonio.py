@@ -8,12 +8,16 @@ joined with " + ".  Each factor is an integer or an atom name of
 coefficient written reads back as itself.
 
 ``dumps`` prints exactly the bytes of ``json.dumps(obj, indent=2,
-sort_keys=True)``.  Below Python 3.13 the stdlib encodes indented output in
-pure Python, so there ``dumps`` walks the payload itself, at about half the
-cost; from 3.13 on the stdlib's C encoder handles ``indent`` and ``dumps``
-calls it.  The walker takes str, int, bool, None, lists, tuples and dicts
-with str keys, all that the CLI prints; anything else, floats included,
-raises TypeError.
+sort_keys=True)`` of the payload with every ``IrreducibleLabel`` read as
+``_label_to_json`` and every ``GrothElement`` as ``groth_to_json`` encodes
+it, so the CLI hands it elements as they are.  Below Python 3.13 the stdlib
+encodes indented output in pure Python, so there ``dumps`` walks the payload
+itself: a label is written from its text, built once per label (table
+labels are interned per shape and recur across queries) and re-indented to
+its depth.  From 3.13 on the stdlib's C encoder handles
+``indent``, and ``dumps`` calls it with ``_default`` for the two types.  The
+walker takes str, int, bool, None, lists, tuples, dicts with str keys and
+the two types; anything else, floats included, raises TypeError.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from .segments import (
@@ -120,17 +125,16 @@ def _label_from_json(data: dict, cuspidals: dict[str, CuspidalLabel]) -> Irreduc
     return IrreducibleLabel(factors, data.get("kind", KIND_FORMAL))
 
 
+def _terms(x: GrothElement, label=lambda label: label) -> list[dict]:
+    """The printed terms of ``x``, sorted by (twist, label), each label as ``label`` gives it."""
+    return [
+        {"label": label(lab), "xi_twist_numerator": tw, "coeff": sym_to_json(coeff)}
+        for (lab, tw), coeff in x.sorted_terms()
+    ]
+
+
 def groth_to_json(x: GrothElement) -> list:
-    out = []
-    for (label, tw), coeff in x.sorted_terms():
-        out.append(
-            {
-                "label": _label_to_json(label),
-                "xi_twist_numerator": tw,
-                "coeff": sym_to_json(coeff),
-            }
-        )
-    return out
+    return _terms(x, _label_to_json)
 
 
 def groth_from_json(data: list, cuspidals: dict[str, CuspidalLabel] | None = None) -> GrothElement:
@@ -175,12 +179,23 @@ _SCALARS = {
 }
 
 
+@lru_cache(maxsize=4096)
+def _label_text(label: IrreducibleLabel) -> str:
+    """The indented text of ``_label_to_json(label)`` at top level, built once per label."""
+    return _walk_dumps(_label_to_json(label))
+
+
 def _walk(obj, append, newline: str) -> None:
     """Append the text of ``obj``, whose lines after the first start with ``newline``."""
     kind = type(obj)
     scalar = _SCALARS.get(kind)
     if scalar is not None:
         append(scalar(obj))
+    elif kind is IrreducibleLabel:
+        # ensure_ascii escapes every newline inside a string: each "\n" starts a line
+        append(_label_text(obj).replace("\n", newline))
+    elif kind is GrothElement:
+        _walk(_terms(obj), append, newline)
     elif kind is dict:
         if not obj:
             append("{}")
@@ -210,16 +225,26 @@ def _walk(obj, append, newline: str) -> None:
 
 
 def _walk_dumps(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, without the stdlib's pure-Python encoder."""
+    """``json.dumps(obj, indent=2, sort_keys=True, default=_default)``, without the stdlib encoder."""
     parts: list[str] = []
     _walk(obj, parts.append, "\n")
     return "".join(parts)
 
 
+def _default(obj):
+    """The JSON data of a label or an element for the stdlib encoder; anything else raises TypeError."""
+    kind = type(obj)
+    if kind is IrreducibleLabel:
+        return _label_to_json(obj)
+    if kind is GrothElement:
+        return _terms(obj)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 if sys.version_info >= (3, 13):
 
     def dumps(obj) -> str:
-        return json.dumps(obj, indent=2, sort_keys=True)
+        return json.dumps(obj, indent=2, sort_keys=True, default=_default)
 
 else:
     dumps = _walk_dumps

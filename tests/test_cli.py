@@ -11,7 +11,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import htgroth
 from htgroth.cli import _parser, main
@@ -22,6 +22,7 @@ from htgroth.segments import CuspidalLabel, GrothElement, make_speh_st
 from htgroth.symbolic import atom
 
 from diagram_oracles import svg_point_set
+from parse_oracle import EXTRAS, HEADS, VALUES, both_parses, draw_argv
 from htgroth_caches import clear_htgroth_caches
 
 
@@ -563,6 +564,22 @@ def test_parse_errors_exit_2_with_the_error_record(argv):
     assert code == 2 and out == ""
     record = json.loads(err)
     assert record["error"] == "parse" and record["message"]
+
+
+# drawn from every option of every subcommand, or free tokens for shrinking
+ARGVS = st.randoms(use_true_random=False).map(draw_argv) | st.lists(
+    st.sampled_from(sorted(_parser().commands) + HEADS + VALUES + EXTRAS) | st.text(max_size=4),
+    max_size=6,
+)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=ARGVS)
+def test_direct_parse_matches_the_full_parse(argv, capsys):
+    # the same vars, or the same exit code with the same stdout and stderr
+    capsys.readouterr()
+    direct, full = both_parses(argv, capsys.readouterr)
+    assert direct == full, argv
 
 
 def test_empty_blocks_means_no_superposition():

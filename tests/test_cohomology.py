@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from htgroth import jl_red, jsonio
+from htgroth import cohomology, jl_red, jsonio
 from htgroth.cli import _parser
 from htgroth.diagrams import m_column_hull
 from htgroth.jl_red import R_cell, marked_cells
 from htgroth.cohomology import (
     KER1_ATOM,
     _balance_side,
+    _collapsed_rows,
     _column_classes,
     _euler_core,
     _shriek_core,
@@ -44,6 +45,7 @@ from htgroth.modl import (
     TowerLevel,
     chgt_cuspi_factor,
     collapse_label_key,
+    collapse_segment_key,
     cuspidal_lifts,
     fraction_class_key,
     line_key,
@@ -416,6 +418,7 @@ def test_clear_euler_caches_clears_every_cache():
         "jl_red._segment",
         "jl_red.rectangle_cuts",
         "jl_red.rectangle_shape_groups",
+        "jsonio._label_text",
         "segments.half",
     ]
     sc, pi_u, pi_up, lifts, pu, pup = make_balanced_setup()
@@ -426,6 +429,7 @@ def test_clear_euler_caches_clears_every_cache():
     torsion_detect(4, sc, 0, 1)
     m_column_hull(2, 2, 1)
     _parser()
+    jsonio._walk_dumps(R_cell(2, 2, 2, 1, pi_u))  # the walker, which dumps is only below 3.13
     half(3)
     assert all(cache.cache_info().currsize for cache in caches.values())
     clear_htgroth_caches()
@@ -446,6 +450,42 @@ def test_conj2_reads_the_column_classes_the_balance_built():
         after = _column_classes.cache_info()
         assert after.misses == before.misses > 0, (u, u_prime)
         assert after.hits == before.hits + 6  # one column per entry, three entries a side
+
+
+def test_a_class_whose_integers_cancel_in_a_cell_is_dropped(monkeypatch):
+    # no real column is known to reach this (a search over s, t <= 5 found
+    # none), so the columns are synthetic: on a lifted line two starts one
+    # period apart fold into one class, whose integers cancel in the cell of
+    # (2, 1), while (1, 2) holds that class alone
+    sc, pi_u, pi_up, lifts, _, _ = make_balanced_setup()
+    line = line_key(pi_u.id, lifts)
+    period2 = 2 * lifts[pi_u.id].base.epsilon
+    piece = collapse_segment_key(0, 1, line)
+    assert collapse_segment_key(period2, 1, line) == piece
+    here, a_period_on = (((0, 1),), 0), (((period2, 1),), 0)  # (shape, xi2): one segment of length 1
+    columns = {  # (s, t) -> its cells (degree, i_m, sums)
+        (2, 1): [(0, 0, ((here, 1), (a_period_on, -1)))],
+        (1, 2): [(0, 0, ((here, 1),))],
+    }
+    monkeypatch.setattr(cohomology, "marked_cells", lambda s, t, r, kind: iter(columns.get((s, t), ())))
+    clear_htgroth_caches()
+    try:
+        key = ((piece,), 0)
+        assert _column_classes(2, 1, 1, "N", 0, line, ()) == ((0, ()),)
+        assert _column_classes(1, 2, 1, "N", 0, line, ()) == ((0, ((key, 1),)),)
+        cancelled = ProfileEntry(s=2, t=1, cuspidal=pi_u, mult=atom("m"))
+        alone = ProfileEntry(s=1, t=2, cuspidal=pi_u, mult=atom("n"))
+        profile = SpectrumProfile((cancelled, alone))
+        # the balance reads the class from (1, 2) only: (2, 1) is no source of it
+        (constraint,) = rl_hi_balance(profile, SpectrumProfile(()), sc, 0, 0, 1, 1, pi_u, pi_up, lifts)
+        assert constraint.class_key == fraction_class_key(key)
+        assert constraint.lhs_entries == ((1, 2, frozenset()),) and constraint.rhs_entries == ()
+        # conj2_predicate finds no class in the cancelling column either
+        assert _collapsed_rows(coh_shriek(SpectrumProfile((cancelled,)), pi_u, 1), lifts) == {}
+        assert conj2_predicate({1: coh_shriek(SpectrumProfile((cancelled,)), pi_u, 1)}, {}, lifts, lifts)
+        assert not conj2_predicate({1: coh_shriek(profile, pi_u, 1)}, {}, lifts, lifts)
+    finally:
+        clear_htgroth_caches()
 
 
 def test_euler_cache_leaks_no_label():

@@ -267,3 +267,70 @@ def test_sym_reader_matches_the_arithmetic_reference_on_written_coefficients(c):
     data = jsonio.sym_to_json(c)
     mine, reference = _read_both(data)
     assert mine == reference == c
+
+
+# -- labels and elements handed to dumps as they are --------------------------
+
+
+def plain(obj):
+    """``obj`` with every element as ``groth_to_json`` and every label as ``_label_to_json`` encodes it."""
+    if isinstance(obj, GrothElement):
+        return jsonio.groth_to_json(obj)
+    if isinstance(obj, IrreducibleLabel):
+        return jsonio._label_to_json(obj)
+    if isinstance(obj, dict):
+        return {key: plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(value) for value in obj]
+    return obj
+
+
+# elements and labels at several depths, among scalars, lists and dicts
+VALUE_PAYLOADS = st.recursive(
+    elements() | labels() | st.sampled_from([GrothElement.zero(), IrreducibleLabel.unit()]) | INTS | TEXT,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(TEXT, kids, max_size=3),
+    max_leaves=8,
+)
+
+
+def assert_three_encodings_agree(obj):
+    walked = jsonio._walk_dumps(obj)
+    assert walked == json.dumps(obj, indent=2, sort_keys=True, default=jsonio._default)
+    assert walked == json.dumps(plain(obj), indent=2, sort_keys=True)
+    assert jsonio.dumps(obj) == walked
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=VALUE_PAYLOADS)
+def test_values_print_as_their_json_data(obj):
+    assert_three_encodings_agree(obj)
+
+
+def test_values_print_as_their_json_data_at_every_depth():
+    rho = CuspidalLabel("ρ[u=0]", g=2)
+    x = red_tau(PI, 1, GrothElement.of(make_speh_st(PI, 2, 2)))
+    mixed = IrreducibleLabel(
+        [OpaqueFactor("τ\n\"tail\"", 2), make_speh_st(rho, 2, 1).multisegments()[0]], KIND_GENERIC
+    )
+    y = GrothElement.of(mixed, half(-3), atom("m[ρ[u=0]]") * 2 - 1)
+    unit, zero = IrreducibleLabel.unit(), GrothElement.zero()
+    for obj in (x, mixed, unit, zero, [zero], {"0": x, "1": zero, "2": y}, [{"a": [y, mixed]}, (unit,)]):
+        assert_three_encodings_agree(obj)
+
+
+def test_a_label_is_encoded_once(monkeypatch):
+    # the walker writes each label from its cached text: a second print of
+    # the same element encodes no label (the dumps of Python 3.13 and later
+    # hands the stdlib encoder each label's data instead)
+    calls = []
+    encode = jsonio._label_to_json
+    monkeypatch.setattr(jsonio, "_label_to_json", lambda label: calls.append(label) or encode(label))
+    jsonio._label_text.cache_clear()
+    x = red_tau(PI, 1, GrothElement.of(make_speh_st(PI, 3, 2)))
+    expected = json.dumps(jsonio.groth_to_json(x), indent=2, sort_keys=True)
+    calls.clear()
+    jsonio._walk_dumps({"0": x, "1": [x]})
+    assert len(calls) == len({label for label, _ in x.terms}) > 1
+    calls.clear()
+    assert jsonio._walk_dumps(x) == expected
+    assert calls == []
