@@ -61,6 +61,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import itemgetter
 
 from .jl_red import TermKey, Terms, bind_shapes, frozen_terms, marked_cells
 from .modl import (
@@ -135,10 +136,20 @@ class ProfileEntry(Value):
 
 
 class SpectrumProfile(Value):
-    __slots__ = _fields = ("entries",)
+    """The entries of a spectrum profile, immutable.
+
+    ``_on_line``, a slot outside the fields, maps each cuspidal pi asked
+    about to its ``_line_entries``, computed on the first call for that pi;
+    equality, hash, repr, copy and pickle read ``entries`` only, so a copy
+    starts with an empty map.
+    """
+
+    _fields = ("entries",)
+    __slots__ = ("entries", "_on_line")
 
     def __init__(self, entries: tuple[ProfileEntry, ...]):
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_on_line", {})
 
     def __iter__(self):
         return iter(self.entries)
@@ -162,7 +173,7 @@ class CohomologyTable(Immutable):
         object.__setattr__(self, "_parts", None)
 
     @classmethod
-    def _of_parts(cls, pi: CuspidalLabel, r: int, kind: str, entries: list) -> "CohomologyTable":
+    def _of_parts(cls, pi: CuspidalLabel, r: int, kind: str, entries: tuple) -> "CohomologyTable":
         table = object.__new__(cls)
         object.__setattr__(table, "_rows", None)
         object.__setattr__(table, "_parts", (pi, r, kind, entries))
@@ -211,13 +222,23 @@ def _weight(mult: SymExpr, e_pi: int) -> tuple[SymExpr, tuple]:
     return weight, tuple(weight.items())
 
 
-def _line_entries(profile: SpectrumProfile, pi: CuspidalLabel) -> list[tuple[ProfileEntry, tuple]]:
-    """The entries on the line of pi, each with its ``_weight``; an entry of weight zero is left out."""
-    return [
-        (entry, weight)
-        for entry in profile
-        if entry.cuspidal == pi and (weight := _weight(entry.mult, pi.e_pi))[1]
-    ]
+def _line_entries(
+    profile: SpectrumProfile, pi: CuspidalLabel
+) -> tuple[tuple[ProfileEntry, tuple], ...]:
+    """The entries on the line of pi, each with its ``_weight``; an entry of weight zero is left out.
+
+    Computed once per (profile, pi) and kept on the profile: every table and
+    balance side of the profile on that line shares the one tuple.
+    """
+    on_line = profile._on_line
+    entries = on_line.get(pi)
+    if entries is None:
+        entries = on_line[pi] = tuple(
+            (entry, weight)
+            for entry in profile
+            if entry.cuspidal == pi and (weight := _weight(entry.mult, pi.e_pi))[1]
+        )
+    return entries
 
 
 def _table(profile: SpectrumProfile, pi: CuspidalLabel, r: int, kind: str) -> CohomologyTable:
@@ -709,6 +730,16 @@ def _balance_side(
                 provenance.append(source)
 
 
+@lru_cache(maxsize=4096)
+def _public_key(key: tuple) -> tuple[str, tuple]:
+    """The ``repr`` of the public class key of a doubled-int class key, and that key.
+
+    A class key is collapsed onto the base line, so fresh lift lines share it.
+    """
+    class_key = fraction_class_key(key)
+    return repr(class_key), class_key
+
+
 def rl_hi_balance(
     profile_u: SpectrumProfile,
     profile_up: SpectrumProfile,
@@ -726,9 +757,11 @@ def rl_hi_balance(
     Forms the alternating shriek sums on both sides, collapses every label to
     its mod-l class under the configured lift relation, scales the lower
     level by the tower change factor, and emits one constraint per class
-    that is nonzero on some side, with the entries feeding each side.  Both
-    sides accumulate into one table on doubled-int keys; each coefficient and
-    each public (``Fraction``) class key is built once.
+    that is nonzero on some side, with the entries feeding each side, in
+    the order of the ``repr`` of their public class keys.  Both sides
+    accumulate into one table on doubled-int keys; each coefficient is built
+    once per call, and each public (``Fraction``) class key and its ``repr``
+    once per process and doubled key (``_public_key``).
     """
     g_u, g_up = level_rank(sc, u), level_rank(sc, u_prime)
     if r * g_u != r_prime * g_up:
@@ -736,15 +769,14 @@ def rl_hi_balance(
     acc: BalanceAccumulator = {}
     _balance_side(acc, 0, profile_u, pi_u, r, lifts, chgt_cuspi_factor(u, u_prime, sc))
     _balance_side(acc, 1, profile_up, pi_up, r_prime, lifts, 1)
-    constraints = []
+    keyed = []
     for key, ((vector_l, prov_l), (vector_r, prov_r)) in acc.items():
         lhs, rhs = SymExpr(vector_l), SymExpr(vector_r)
         if lhs or rhs:  # a class cancelled on both sides is no constraint
-            constraints.append(
-                CongruenceConstraint(fraction_class_key(key), lhs, rhs, tuple(prov_l), tuple(prov_r))
-            )
-    constraints.sort(key=lambda c: repr(c.class_key))
-    return constraints
+            text, class_key = _public_key(key)
+            keyed.append((text, CongruenceConstraint(class_key, lhs, rhs, tuple(prov_l), tuple(prov_r))))
+    keyed.sort(key=itemgetter(0))
+    return [constraint for _, constraint in keyed]
 
 
 MARKER_NONDEG_AUX = "nondegenerate-at-auxiliary-place"

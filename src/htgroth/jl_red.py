@@ -13,7 +13,9 @@ signed sum of the cuts of a rectangle ladder at left rank r whose center is
 -i_m/2, masked by the M or N diagram of :mod:`htgroth.diagrams`.  The shape
 layer, ``rectangle_shape_groups`` keyed on (s, t, r), enumerates a
 rectangle's cuts once, label-free, in doubled integers, and keeps only each
-center's summed signed a2 shapes: they depend only on the shape.
+center's summed signed a2 shapes: they depend only on the shape.  Likewise
+``red_tau`` reads a factor's transfer sums from ``_transfer_terms``, keyed on
+the factor's doubled starts, lengths and depth, not on its line.
 ``marked_cells`` is the one iterator over these cells, and label-free; the
 tables and the Euler sums read its sums directly.  ``bind_shapes`` is the
 one place that turns shapes into labels: it binds a cell, an Euler sum or
@@ -463,6 +465,16 @@ def S_cell(s: int, t: int, r: int, i: int, pi: CuspidalLabel) -> GrothElement:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1024)
+def _transfer_terms(starts2: tuple[int, ...], lengths: tuple[int, ...], r_units: int) -> Terms:
+    """``signed_shapes(run_cuts(factor, r_units), 1)`` of a factor on one line, from its rows.
+
+    The rows are passed line-free, as ``rectangle_shape_cuts`` passes a
+    rectangle's, so factors on different lines with the same rows share one sum.
+    """
+    return signed_shapes(_run_cuts(starts2, lengths, [None] * len(lengths), r_units), 1)
+
+
 def red_tau(pi: CuspidalLabel, r_units: int, x: GrothElement) -> GrothElement:
     """The transfer against the depth-r pseudo-coefficient, extended by Leibniz.
 
@@ -471,8 +483,9 @@ def red_tau(pi: CuspidalLabel, r_units: int, x: GrothElement) -> GrothElement:
     label collects the untouched factors times the cut remainder.  Factors
     on other cuspidal lines transfer to zero, so a product label expands as
     the usual one-factor-at-a-time sum.  A factor's transfer is summed
-    label-free (``signed_shapes``; all its rows lie on pi) and each of its
-    terms bound once, with the untouched factors as the tail.
+    label-free from its doubled starts and lengths (``_transfer_terms``, all
+    its rows lie on pi), once per process and shape, and each of its terms
+    is bound once per call, with the untouched factors as the tail.
     """
     if r_units < 1:
         raise ValueError("r_units must be >= 1")
@@ -485,7 +498,9 @@ def red_tau(pi: CuspidalLabel, r_units: int, x: GrothElement) -> GrothElement:
                 or r_units * pi.g > factor.rank
             ):
                 continue  # the transfer vanishes identically
-            red = signed_shapes(run_cuts(factor, r_units), 1)
+            segs = factor.segments
+            starts2, lengths = tuple(seg.start2 for seg in segs), tuple(seg.length for seg in segs)
+            red = _transfer_terms(starts2, lengths, r_units)
             rest = IrreducibleLabel(label.factors[:idx] + label.factors[idx + 1 :], KIND_FORMAL)
             terms = (((shape, xi2 + tw2), c) for (shape, xi2), c in red)
             bind_shapes(pi, terms, tail=rest, weight=coeff, row=out)

@@ -16,6 +16,7 @@ from htgroth.cohomology import (
     _collapsed_rows,
     _column_classes,
     _euler_core,
+    _public_key,
     _shriek_core,
     CohomologyTable,
     CongruenceConstraint,
@@ -410,12 +411,14 @@ def test_clear_euler_caches_clears_every_cache():
         "cli._parser",
         "cohomology._column_classes",
         "cohomology._euler_core",
+        "cohomology._public_key",
         "cohomology._shriek_core",
         "cohomology._weight",
         "cohomology.torsion_detect",
         "diagrams._m_hull",
         "jl_red._formal_label",
         "jl_red._segment",
+        "jl_red._transfer_terms",
         "jl_red.rectangle_cuts",
         "jl_red.rectangle_shape_groups",
         "jsonio._label_text",
@@ -425,6 +428,7 @@ def test_clear_euler_caches_clears_every_cache():
     rl_hi_balance(pu, pup, sc, 0, 0, 2, 2, pi_u, pi_up, lifts)
     conj2_predicate({2: coh_shriek(pu, pi_u, 2)}, {2: coh_shriek(pup, pi_up, 2)}, lifts, lifts)
     R_cell(2, 2, 2, 1, pi_u)
+    jl_red.red_tau(pi_u, 1, GrothElement.of(make_steinberg(pi_u, 2)))
     euler_shriek_expansion(pu.entries[0], pi_u, 1)
     torsion_detect(4, sc, 0, 1)
     m_column_hull(2, 2, 1)
@@ -782,6 +786,58 @@ def test_balance_matches_table_reference(problem):
     for r, r_prime in strata:
         args = (profile_u, profile_up, BALANCE_SC, u, u_prime, r, r_prime, pi_u, pi_up, lifts)
         assert rl_hi_balance(*args) == reference_balance(*args), (r, r_prime)
+
+
+def balance_by_fraction_keys(profile_u, profile_up, sc, u, u_prime, r, r_prime, pi_u, pi_up, lifts):
+    """The balance with each public class key built per class, the constraints sorted by its ``repr``."""
+    acc = {}
+    _balance_side(acc, 0, profile_u, pi_u, r, lifts, chgt_cuspi_factor(u, u_prime, sc))
+    _balance_side(acc, 1, profile_up, pi_up, r_prime, lifts, 1)
+    constraints = []
+    for key, ((vector_l, prov_l), (vector_r, prov_r)) in acc.items():
+        lhs, rhs = SymExpr(vector_l), SymExpr(vector_r)
+        if lhs or rhs:
+            class_key = fraction_class_key(key)
+            constraints.append(CongruenceConstraint(class_key, lhs, rhs, tuple(prov_l), tuple(prov_r)))
+    constraints.sort(key=lambda c: repr(c.class_key))
+    return constraints
+
+
+@settings(max_examples=80, deadline=None)
+@given(problem=balance_problems(), raw=st.sampled_from((None, 0, 1)))
+def test_balance_reads_cached_public_keys_in_repr_order(problem, raw):
+    # both lift lines lifted, or one of them left raw, off the lift map
+    profile_u, profile_up, u, u_prime, pi_u, pi_up, lifts, strata = problem
+    if raw is not None:
+        lifts = {k: v for k, v in lifts.items() if k != (pi_u, pi_up)[raw].id}
+    for r, r_prime in strata:
+        args = (profile_u, profile_up, BALANCE_SC, u, u_prime, r, r_prime, pi_u, pi_up, lifts)
+        constraints, reference = rl_hi_balance(*args), balance_by_fraction_keys(*args)
+        assert constraints == reference, (r, r_prime)
+        assert [repr(c) for c in constraints] == [repr(c) for c in reference]  # no int for a Fraction
+
+
+def test_fresh_lifts_build_no_public_key():
+    # the class keys collapse onto the base line, so a second pair of lift
+    # lines of the same levels builds none of the first pair's public keys
+    first = make_balanced_setup(-1, 0, ((3, 1), (1, 3), (2, 2)))
+    sc, pi_u, pi_up, lifts, pu, pup = first
+    expected = rl_hi_balance(pu, pup, sc, -1, 0, 3, 1, pi_u, pi_up, lifts)
+    assert expected
+    level_u, level_up = lifts[pi_u.id], lifts[pi_up.id]
+    fresh_u, fresh_up = cuspidal_lifts(level_u, 3)[2], cuspidal_lifts(level_up, 4)[3]
+
+    def moved(profile, pi):
+        return SpectrumProfile(tuple(ProfileEntry(e.s, e.t, pi, e.mult) for e in profile))
+
+    before = _public_key.cache_info()
+    fresh_lifts = {fresh_u.id: level_u, fresh_up.id: level_up}
+    fresh_args = (sc, -1, 0, 3, 1, fresh_u, fresh_up, fresh_lifts)
+    again = rl_hi_balance(moved(pu, fresh_u), moved(pup, fresh_up), *fresh_args)
+    after = _public_key.cache_info()
+    assert after.misses == before.misses and after.hits - before.hits == len(again)
+    assert again == expected
+    assert all(a.class_key is b.class_key for a, b in zip(again, expected))
 
 
 def balance_side(profile, pi, r, lifts, side=0, factor=1):

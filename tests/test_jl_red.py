@@ -14,6 +14,7 @@ from htgroth.jl_red import (
     Orientation,
     _formal_label,
     _run_data,
+    _transfer_terms,
     bind_shapes,
     marked_cells,
     multisegment_of_orientation,
@@ -27,6 +28,7 @@ from htgroth.jl_red import (
     run_cuts_scan,
     signed_shapes,
 )
+from htgroth.modl import FieldData, SupercuspidalData, TowerLevel, cuspidal_lifts, tower_cuspidal
 from htgroth.segments import (
     CuspidalLabel,
     GrothElement,
@@ -350,6 +352,85 @@ def test_rectangle_cuts_key_on_the_whole_label():
             (ms,) = label.multisegments()
             for seg in ms.segments:
                 assert seg.cuspidal.g == 3
+
+
+LIFT_LEVEL = TowerLevel(SupercuspidalData(CuspidalLabel("rho"), FieldData(2, 3), 2), 0)  # g = 2
+LIFT, TWIN = cuspidal_lifts(LIFT_LEVEL, 2)
+
+
+def red_tau_reference(pi, r_units, x):
+    """``red_tau`` as it read before ``_transfer_terms``: ``run_cuts`` of each factor, per call."""
+    out = GrothElement.zero()
+    for (label, tw2), coeff in x.terms.items():
+        for idx, factor in enumerate(label.factors):
+            if isinstance(factor, OpaqueFactor) or factor.cuspidal_lines() != [pi]:
+                continue
+            if r_units * pi.g > factor.rank:
+                continue
+            rest = IrreducibleLabel(label.factors[:idx] + label.factors[idx + 1 :], KIND_FORMAL)
+            red = signed_shapes(run_cuts(factor, r_units), 1)
+            terms = (((shape, xi2 + tw2), c) for (shape, xi2), c in red)
+            out = out + bind_shapes(pi, terms, tail=rest, weight=coeff)
+    return out
+
+
+def one_line_ladders(pi):
+    """1-4 segments on the line of pi, of random starts and lengths, twisted by half an integer."""
+    rows = st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 4)), min_size=1, max_size=4)
+    return st.builds(
+        lambda rows, n2: Multisegment(Segment(pi, half(a), k) for a, k in rows).twist(half(n2)),
+        rows,
+        st.integers(-3, 3),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(lad=one_line_ladders(PI), r=st.integers(1, 9))
+def test_transfer_terms_match_the_cuts_of_the_ladder(lad, r):
+    segs = lad.segments
+    terms = _transfer_terms(tuple(seg.start2 for seg in segs), tuple(seg.length for seg in segs), r)
+    assert terms == signed_shapes(run_cuts(lad, r), 1) == signed_shapes(run_cuts_scan(lad, r), 1)
+
+
+@st.composite
+def lift_products(draw):
+    """Formal sums of products mixing factors on two lift lines, off-line factors and opaque ones."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        lines = draw(st.lists(st.sampled_from((LIFT, LIFT, TWIN)), min_size=1, max_size=3))
+        factors = [draw(one_line_ladders(pi)) for pi in lines]
+        if draw(st.booleans()):  # one factor on two lines, which transfers to zero
+            factors.append(Multisegment((Segment(LIFT, 0, 1), Segment(TWIN, 1, 2))))
+        if draw(st.booleans()):
+            factors.insert(draw(st.integers(0, len(factors))), OpaqueFactor("tau", 2))
+        tw = half(draw(st.integers(-3, 3)))
+        coeff = draw(st.sampled_from([integer(1), integer(-2), atom("m")]))
+        terms[(IrreducibleLabel(factors, KIND_FORMAL), tw)] = coeff
+    return GrothElement(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=lift_products(), r=st.integers(1, 4))
+def test_red_tau_matches_the_per_factor_cuts(x, r):
+    assert red_tau(LIFT, r, x) == red_tau_reference(LIFT, r, x)
+    assert red_tau(TWIN, r, x) == red_tau_reference(TWIN, r, x)
+
+
+def test_a_fresh_lift_reads_the_transfer_sums_of_the_first():
+    # the same shapes on a lift line never seen before build no transfer sum
+    def element(pi):
+        a = label_of_multisegment(speh_st_multisegment(pi, 3, 2).twist(half(1)), KIND_FORMAL)
+        b = label_of_multisegment(speh_st_multisegment(pi, 2, 2), KIND_FORMAL)
+        return groth_product(GrothElement.of(a), GrothElement.of(b))
+
+    first = tower_cuspidal(LIFT_LEVEL, id="rho[u=0]#fresh.0")
+    assert not red_tau(first, 2, element(first)).is_zero()
+    before = _transfer_terms.cache_info()
+    second = tower_cuspidal(LIFT_LEVEL, id="rho[u=0]#fresh.1")
+    out = red_tau(second, 2, element(second))
+    after = _transfer_terms.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
+    assert out == red_tau_reference(second, 2, element(second)) and not out.is_zero()
 
 
 def assert_matches_scan(lad, r, cuts):

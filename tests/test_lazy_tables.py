@@ -16,12 +16,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from htgroth import jl_red
+from htgroth import cohomology, jl_red
 from htgroth.cohomology import (
     CohomologyTable,
     ProfileEntry,
     SpectrumProfile,
     _collapsed_rows,
+    _line_entries,
     _weight,
     coh_intermediate,
     coh_shriek,
@@ -342,7 +343,7 @@ def test_the_value_cases_cover_cancelled_and_empty_tables():
     # a stratum where a marked cell cancels, and one with no marked cell at
     # all; every table holds the entries on pi's line with their weights
     tables = {(kind, r): TABLES[kind](VALUE_PROFILE, VALUE_PI, r) for kind, r in VALUE_CASES}
-    on_line = [(e, _weight(e.mult, VALUE_PI.e_pi)) for e in VALUE_PROFILE if e.cuspidal == VALUE_PI]
+    on_line = tuple((e, _weight(e.mult, VALUE_PI.e_pi)) for e in VALUE_PROFILE if e.cuspidal == VALUE_PI)
     assert all(t._parts == (VALUE_PI, r, kind, on_line) for (kind, r), t in tables.items())
     with_zero = SpectrumProfile(VALUE_PROFILE.entries + (ProfileEntry(2, 1, VALUE_PI, integer(0)),))
     assert coh_shriek(with_zero, VALUE_PI, 2)._parts[3] == on_line  # a zero weight is left out
@@ -362,3 +363,58 @@ def test_unbound_table_refuses_assignment_and_deletion(bound):
         with pytest.raises(AttributeError):
             delattr(table, name)
     assert table == eager_table(VALUE_PROFILE, VALUE_PI, 2, "N")
+
+
+def fresh_value_profile():
+    return SpectrumProfile(tuple(ProfileEntry(*entry._astuple()) for entry in VALUE_PROFILE))
+
+
+def test_line_entries_are_read_once_per_profile_and_line(monkeypatch):
+    calls = []
+
+    def counting_weight(mult, e_pi):
+        calls.append(mult)
+        return _weight(mult, e_pi)
+
+    monkeypatch.setattr(cohomology, "_weight", counting_weight)
+    profile = fresh_value_profile()
+    first = _line_entries(profile, VALUE_PI)
+    assert type(first) is tuple and len(calls) == 4  # the entries on the line
+    assert _line_entries(profile, VALUE_PI) is first and len(calls) == 4
+    tables = [coh_shriek(profile, VALUE_PI, r) for r in range(1, 4)]
+    tables.append(coh_intermediate(profile, VALUE_PI, 2))
+    assert all(t._parts[3] is first for t in tables) and len(calls) == 4
+    assert _line_entries(fresh_value_profile(), VALUE_PI) == first and len(calls) == 8
+
+
+def test_line_entries_tell_labels_of_one_id_apart():
+    # the same id with another e_pi is another line, with its own entries and weights
+    pi2 = CuspidalLabel(VALUE_PI.id, e_pi=2)
+    profile = SpectrumProfile(VALUE_PROFILE.entries + (ProfileEntry(1, 2, pi2, atom("m")),))
+    on_pi = _line_entries(profile, VALUE_PI)
+    on_pi2 = _line_entries(profile, pi2)
+    assert [e.cuspidal for e, _ in on_pi] == [VALUE_PI] * 4
+    assert on_pi2 == ((profile.entries[-1], _weight(atom("m"), 2)),)
+    assert _line_entries(profile, VALUE_PI) is on_pi and _line_entries(profile, pi2) is on_pi2
+    assert coh_shriek(profile, pi2, 1) == eager_table(profile, pi2, 1, "N")
+
+
+def test_line_entries_are_no_part_of_the_profile_value():
+    read = fresh_value_profile()
+    for r in range(1, 4):
+        coh_shriek(read, VALUE_PI, r)
+    _line_entries(read, SIGMA)
+    unread = fresh_value_profile()
+    assert read == unread and hash(read) == hash(unread) and repr(read) == repr(unread)
+    assert "_on_line" not in repr(read)
+    copies = [copy.copy(read), copy.deepcopy(read)]
+    copies += [pickle.loads(pickle.dumps(read, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for y in copies:
+        assert type(y) is SpectrumProfile and y == read and hash(y) == hash(read)
+        for kind, r in VALUE_CASES:
+            assert TABLES[kind](y, VALUE_PI, r) == TABLES[kind](read, VALUE_PI, r)
+    for name in ("_on_line", "entries"):
+        with pytest.raises(AttributeError):
+            setattr(read, name, {})
+        with pytest.raises(AttributeError):
+            delattr(read, name)
