@@ -12,12 +12,16 @@ sort_keys=True)`` of the payload with every ``IrreducibleLabel`` read as
 ``_label_to_json`` and every ``GrothElement`` as ``groth_to_json`` encodes
 it, so the CLI hands it elements as they are.  Below Python 3.13 the stdlib
 encodes indented output in pure Python, so there ``dumps`` walks the payload
-itself: a label is written from its text, built once per label (table
-labels are interned per shape and recur across queries) and re-indented to
-its depth.  From 3.13 on the stdlib's C encoder handles
-``indent``, and ``dumps`` calls it with ``_default`` for the two types.  The
-walker takes str, int, bool, None, lists, tuples, dicts with str keys and
-the two types; anything else, floats included, raises TypeError.
+itself.  An element's terms are written straight from ``sorted_terms()`` in
+their key order ``coeff``, ``label``, ``xi_twist_numerator``, with no
+per-term dict.  A label is written from its text, built once per label
+(table labels are interned per shape and recur across queries) and
+re-indented once per depth; a coefficient's text is built once per
+coefficient.  From 3.13 on the stdlib's C encoder handles ``indent``, and
+``dumps`` calls it with ``_default`` for the two types.  The walker takes
+str, int, bool, None, lists, tuples, dicts with str keys and the two types;
+anything else, floats included, raises TypeError.  ``sym_from_json`` reads
+each coefficient string once per process.
 """
 
 from __future__ import annotations
@@ -81,10 +85,18 @@ def sym_from_json(data) -> SymExpr:
 
     Each part's integers multiply into its coefficient and its atom powers
     add up (``^0`` reads as 1) into one monomial; the parts are summed as
-    one dict, and a single ``SymExpr`` is built from it.
+    one dict, and a single ``SymExpr`` is built from it.  A string is read
+    once per process (``_read_coeff``, keyed on the string only, since a
+    ``SymExpr`` is immutable); ints and bools never reach that cache, so
+    ``True`` is still refused, and any other value is read uncached.
     """
     if isinstance(data, int):
         return integer(data)
+    return _read_coeff(data) if type(data) is str else _read_coeff.__wrapped__(data)
+
+
+@lru_cache(maxsize=1024)
+def _read_coeff(data) -> SymExpr:
     terms: dict[Monomial, int] = {}
     for part in str(data).split("+"):
         coeff, powers = 1, {}
@@ -185,6 +197,37 @@ def _label_text(label: IrreducibleLabel) -> str:
     return _walk_dumps(_label_to_json(label))
 
 
+@lru_cache(maxsize=4096)
+def _label_at(label: IrreducibleLabel, newline: str) -> str:
+    """``_label_text(label)``, its lines after the first starting with ``newline``; once per depth."""
+    # ensure_ascii escapes every newline inside a string: each "\n" starts a line
+    return _label_text(label).replace("\n", newline)
+
+
+@lru_cache(maxsize=4096)
+def _coeff_text(c: SymExpr) -> str:
+    """The JSON text of ``sym_to_json(c)``, built once per coefficient."""
+    data = sym_to_json(c)
+    return _SCALARS[type(data)](data)
+
+
+def _walk_terms(x: GrothElement, append, newline: str) -> None:
+    """Append the text of ``_terms(x)``: each term's fields in their sorted key order, with no dict built."""
+    terms = x.sorted_terms()
+    if not terms:
+        append("[]")
+        return
+    inner = newline + "  "
+    field = inner + "  "
+    head, label_key = "{" + field + '"coeff": ', "," + field + '"label": '
+    twist_key, sep = "," + field + '"xi_twist_numerator": ', "[" + inner
+    for (label, tw), coeff in terms:
+        text = _coeff_text(coeff) + label_key + _label_at(label, field) + twist_key + int.__repr__(tw)
+        append(sep + head + text + inner + "}")
+        sep = "," + inner
+    append(newline + "]")
+
+
 def _walk(obj, append, newline: str) -> None:
     """Append the text of ``obj``, whose lines after the first start with ``newline``."""
     kind = type(obj)
@@ -192,10 +235,9 @@ def _walk(obj, append, newline: str) -> None:
     if scalar is not None:
         append(scalar(obj))
     elif kind is IrreducibleLabel:
-        # ensure_ascii escapes every newline inside a string: each "\n" starts a line
-        append(_label_text(obj).replace("\n", newline))
+        append(_label_at(obj, newline))
     elif kind is GrothElement:
-        _walk(_terms(obj), append, newline)
+        _walk_terms(obj, append, newline)
     elif kind is dict:
         if not obj:
             append("{}")

@@ -19,6 +19,7 @@ the public, ``Fraction``-twisted key only where a table or a constraint is retur
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .segments import (
@@ -172,8 +173,9 @@ def tower_rank(t: TowerLevel) -> int:
     return level_rank(t.base, t.u)
 
 
+@lru_cache(maxsize=256, typed=True)  # typed: a bool u misses the int's entry, so it is refused
 def level_rank(base: SupercuspidalData, u: int) -> int:
-    """``tower_rank`` of level u over ``base``, with no ``TowerLevel`` built; u >= -1."""
+    """``tower_rank`` of level u over ``base``, with no ``TowerLevel`` built, once per (base, u); u >= -1."""
     if require_int("u", u) < -1:
         raise ValueError("u must be >= -1")
     return base.g if u == -1 else base.g * m_of(base) * base.field.l**u

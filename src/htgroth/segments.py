@@ -315,9 +315,10 @@ class IrreducibleLabel(Immutable):
 
     Like a multisegment, a label computes its hash once, at construction,
     and is immutable, since the label caches share it; ``unit()`` is one label.
+    Its sort key is kept in ``_sort_key`` on the first sort that reads it.
     """
 
-    __slots__ = ("factors", "kind", "_hash")
+    __slots__ = ("factors", "kind", "_hash", "_sort_key")
 
     def __init__(self, factors: Iterable[Factor] = (), kind: str = KIND_FORMAL):
         if kind not in _KINDS:
@@ -460,10 +461,7 @@ class GrothElement(Immutable):
     # -- misc -------------------------------------------------------------
 
     def sorted_terms(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (kv[0][1], _label_sort_key(kv[0][0])),
-        )
+        return sorted(self.terms.items(), key=lambda kv: (kv[0][1], _kept_sort_key(kv[0][0])))
 
     def __eq__(self, other):
         return isinstance(other, GrothElement) and self.terms == other.terms
@@ -486,6 +484,16 @@ class GrothElement(Immutable):
 
 def _label_sort_key(label: IrreducibleLabel):
     return (label.kind, tuple(map(_factor_key, label.factors)))
+
+
+def _kept_sort_key(label: IrreducibleLabel):
+    """``_label_sort_key(label)``, computed on the first call and kept on the label."""
+    try:
+        return label._sort_key
+    except AttributeError:
+        key = _label_sort_key(label)
+        object.__setattr__(label, "_sort_key", key)
+        return key
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,22 @@ def test_missing_fields_are_named(args, message):
     assert json.loads(err) == {"error": "precondition", "message": message}
 
 
+@pytest.mark.parametrize(
+    "mult, message",
+    [("true", "mult must be an integer, not True"), ("1.5", "mult has the wrong JSON type: 1.5")],
+)
+def test_a_mult_of_another_json_type_keeps_its_error_bytes(mult, message):
+    # coefficient strings are read once per process; neither a bool nor a
+    # float is answered from that cache, even after "1" and 1 were read
+    for ok in ('"1"', "1"):
+        profile = f'[{{"s":1,"t":1,"cuspidal":"pi","mult":{ok}}}]'
+        assert run_main(["cohomology", "--profile", profile, "--pi", "pi", "--r", "1"])[0] == 0
+    profile = f'[{{"s":1,"t":1,"cuspidal":"pi","mult":{mult}}}]'
+    code, out, err = run_main(["cohomology", "--profile", profile, "--pi", "pi", "--r", "1"])
+    assert (code, out) == (3, "")
+    assert err == '{"error": "precondition", "message": "bad profile entry: ' + message + '"}\n'
+
+
 def test_default_weight_is_one_atom_that_reads_back():
     for cusp in ("rho[u=-1]#0", "\u03c1_1"):
         profile = json.dumps([{"s": 1, "t": 1, "cuspidal": cusp}])

@@ -18,6 +18,7 @@ from htgroth.segments import (
     Multisegment,
     OpaqueFactor,
     Segment,
+    _label_sort_key,
     half,
     make_speh_st,
     make_steinberg,
@@ -107,6 +108,22 @@ MALFORMED = ["", " ", "m+", "m*", "m^", "2.5", "m - n", "2^3", "m^-1", "-m"]
 def test_sym_rejects_malformed_strings(data):
     with pytest.raises(ValueError):
         jsonio.sym_from_json(data)
+
+
+@pytest.mark.parametrize("data", [True, False, 1.5, [1]])
+def test_sym_answers_no_other_json_type_from_the_string_cache(data):
+    # strings are read once per process, keyed on the string only: "True"
+    # reads as an atom, and True, read after it and after 1, is still refused
+    jsonio.sym_from_json(1), jsonio.sym_from_json(0)
+    try:
+        jsonio.sym_from_json(str(data))
+    except ValueError:
+        pass
+    with pytest.raises(ValueError) as mine:
+        jsonio.sym_from_json(data)
+    with pytest.raises(ValueError) as reference:
+        sym_from_json_reference(data)
+    assert str(mine.value) == str(reference.value)
 
 
 def sym_from_json_reference(data) -> SymExpr:
@@ -254,6 +271,23 @@ def elements(draw):
 
 
 @settings(max_examples=100, deadline=None)
+@given(labs=st.lists(labels(), min_size=1, max_size=6), data=st.data())
+def test_sorted_terms_order_as_a_fresh_label_sort_key_sort(labs, data):
+    # each label keeps its sort key from its first sort; the order, the kept
+    # key and the hash stay what a fresh _label_sort_key gives
+    hashes = [hash(label) for label in labs]
+    for _ in range(3):  # the later sorts read kept keys, on labels shared between elements
+        terms = {(label, half(data.draw(st.integers(-1, 1)))): integer(1) for label in labs}
+        x = GrothElement(terms)
+        fresh = sorted(x.terms.items(), key=lambda kv: (kv[0][1], _label_sort_key(kv[0][0])))
+        assert x.sorted_terms() == fresh
+    # (a sort of one term reads no key)
+    assert all(getattr(label, "_sort_key", None) in (None, _label_sort_key(label)) for label in labs)
+    assert [hash(label) for label in labs] == hashes
+    assert hashes == [hash((_label_sort_key(label)[1], label.kind)) for label in labs]
+
+
+@settings(max_examples=100, deadline=None)
 @given(x=elements())
 def test_groth_round_trip_through_the_printed_text(x):
     text = jsonio.dumps(jsonio.groth_to_json(x))
@@ -318,6 +352,37 @@ def test_values_print_as_their_json_data_at_every_depth():
         assert_three_encodings_agree(obj)
 
 
+# atom names with non-ASCII characters, printed with ^ powers
+POWER_ATOMS = st.sampled_from(["\u03bc", "m[\u03c1[u=0]]", "\u03be_2", "dxi"])
+
+
+@st.composite
+def printed_elements(draw):
+    """An element, often empty: its coefficients print with ``^`` powers, its labels hold an opaque factor."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        base = draw(labels())
+        opaque = OpaqueFactor(draw(TEXT), draw(st.integers(0, 3)))
+        label = IrreducibleLabel((opaque, *base.factors), base.kind)
+        c = integer(draw(st.integers(-2, 2)))
+        for _ in range(draw(st.integers(1, 2))):
+            c = c + draw(st.integers(1, 3)) * SymExpr.atom(draw(POWER_ATOMS), draw(st.integers(2, 4)))
+        terms[(label, half(draw(st.integers(-9, 9))))] = c
+    return GrothElement(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=printed_elements(), wraps=st.lists(st.booleans(), max_size=3))
+def test_elements_print_their_stdlib_bytes_at_depths_0_to_3(x, wraps):
+    obj = x
+    for in_a_list in wraps:
+        obj = [obj, 0] if in_a_list else {"\u03c1": obj, "a": x}
+    expected = json.dumps(obj, indent=2, sort_keys=True, default=jsonio._default)
+    assert "^" in expected or x.is_zero()
+    assert jsonio._walk_dumps(obj) == expected
+    assert jsonio.dumps(obj) == expected
+
+
 def test_a_label_is_encoded_once(monkeypatch):
     # the walker writes each label from its cached text: a second print of
     # the same element encodes no label (the dumps of Python 3.13 and later
@@ -326,6 +391,7 @@ def test_a_label_is_encoded_once(monkeypatch):
     encode = jsonio._label_to_json
     monkeypatch.setattr(jsonio, "_label_to_json", lambda label: calls.append(label) or encode(label))
     jsonio._label_text.cache_clear()
+    jsonio._label_at.cache_clear()
     x = red_tau(PI, 1, GrothElement.of(make_speh_st(PI, 3, 2)))
     expected = json.dumps(jsonio.groth_to_json(x), indent=2, sort_keys=True)
     calls.clear()

@@ -149,6 +149,19 @@ class TestInvariants:
         sc2 = sc_with(5, 3, g=2, epsilon=2)  # m=2, l=3
         assert tower_rank(TowerLevel(sc2, 2)) == 2 * 2 * 9
 
+    def test_level_rank_refuses_a_bool_level_it_has_cached_as_an_int(self):
+        # the rank is cached per (base, u); True == 1 and hashes alike, so only
+        # a typed cache keeps the bool from reading the int's entry
+        sc = sc_with(2, 7, epsilon=3)
+        modl.level_rank.cache_clear()
+        assert modl.level_rank(sc, 0) == 3 and modl.level_rank(sc, 1) == 21 == modl.level_rank(sc, 1)
+        assert modl.level_rank.cache_info().hits == 1
+        for bad in (True, False):
+            with pytest.raises(ValueError, match="u must be an integer"):
+                modl.level_rank(sc, bad)
+        with pytest.raises(ValueError, match="u must be >= -1"):
+            modl.level_rank(sc, -2)
+
     def test_banal_no_tower_fits(self):
         # e_l(q) > d forces m(rho) g > d for every supercuspidal of rank <= d
         for (q, l) in [(2, 11), (3, 7), (2, 13)]:
