@@ -9,10 +9,10 @@ machine-readable error record on stderr.
 ``main`` is the single input boundary: the subcommands and the value types
 they build raise ``ValueError`` (or ``OSError``) on input they refuse, and
 ``main`` alone turns that into exit 3.  Exit 2 comes only from the argument
-parser and from ``_read_json``, the one reader of JSON inputs.  An argv led
-by a subcommand's name goes straight to that subcommand's parser
-(``_parse_args``); any other, and one with arguments left over, takes the
-full parse, so every parse message is argparse's own.  The subcommands that
+parser and from ``_read_json``, the one reader of JSON inputs.  An argv of
+the shape ``name --opt value ...`` is read without argparse, off the
+subcommand's own actions (``_parse_args``); every other argv takes the full
+parse, so every parse message is argparse's own.  The subcommands that
 print Grothendieck elements hand them to ``jsonio.dumps`` as they are.
 """
 
@@ -343,7 +343,8 @@ class _Parser(argparse.ArgumentParser):
     """Reports parse errors as the JSON error record (exit 2); subparsers inherit it.
 
     ``build_parser`` gives the top parser ``commands``: each subcommand's name
-    and the parser it registers for it.
+    and the parser it registers for it; and each of those ``plain``: its
+    ``{option string: action}`` of the store actions that take one value.
     """
 
     def error(self, message):
@@ -421,6 +422,13 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_figures)
 
+    for command in parser.commands.values():
+        command.plain = {
+            flag: action
+            for action in command._actions
+            if type(action) is argparse._StoreAction and action.nargs is None
+            for flag in action.option_strings
+        }
     return parser
 
 
@@ -430,23 +438,55 @@ def _parser() -> _Parser:
     return build_parser()
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``_parser().parse_args(argv)``, parsed by the subcommand's own parser when argv[0] names one.
+def _read_plain(command: _Parser, argv: list[str]):
+    """The namespace the full parse gives ``argv``, read off ``command``'s actions, or None.
 
-    The full parse hands everything after the name to that same parser, so a
-    parse that uses every argument gives the same namespace, and an error or
-    ``--help`` the same bytes and exit code.  Arguments left over, and every
-    argv not led by a subcommand's name, go through the full parse, so their
-    messages stay argparse's own.
+    Only ``name --opt value ...`` is read: each option once, by its exact
+    string, a plain store action whose value does not start with ``-`` and
+    passes the action's ``type`` and ``choices``; every required option
+    given, and no omitted one with a ``str`` default that a ``type`` would
+    convert.  Anything else gives None.
+    """
+    if len(argv) % 2 == 0:
+        return None
+    given = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        action = command.plain.get(flag)
+        if action is None or action.dest in given or text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except Exception:
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+    values = {}
+    for action in command._actions:
+        if action.dest in given:
+            continue
+        if action.required or (isinstance(action.default, str) and action.type is not None):
+            return None
+        if argparse.SUPPRESS not in (action.dest, action.default):
+            values[action.dest] = action.default
+    # as in argparse: a given value wins over an action's default, which wins over set_defaults
+    return argparse.Namespace(**{"command": argv[0], **command._defaults, **values, **given})
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, on one of two paths.
+
+    An argv led by a subcommand's name and made of ``--opt value`` pairs of
+    that subcommand's plain options is read by ``_read_plain``, without
+    argparse's generic matching; it gives the namespace the full parse gives.
+    Every other argv, and one it refuses, takes the full parse, so an error,
+    ``--help``, an abbreviation or ``--opt=value`` keeps argparse's own
+    bytes and exit code.  ``tests/parse_oracle.py`` checks the two agree.
     """
     parser = _parser()
     command = parser.commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, rest = command.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    args = None if command is None else _read_plain(command, argv)
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

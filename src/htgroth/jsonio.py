@@ -192,16 +192,14 @@ _SCALARS = {
 
 
 @lru_cache(maxsize=4096)
-def _label_text(label: IrreducibleLabel) -> str:
-    """The indented text of ``_label_to_json(label)`` at top level, built once per label."""
-    return _walk_dumps(_label_to_json(label))
-
-
-@lru_cache(maxsize=4096)
 def _label_at(label: IrreducibleLabel, newline: str) -> str:
-    """``_label_text(label)``, its lines after the first starting with ``newline``; once per depth."""
-    # ensure_ascii escapes every newline inside a string: each "\n" starts a line
-    return _label_text(label).replace("\n", newline)
+    """The text of ``_label_to_json(label)``, its lines after the first starting with ``newline``.
+
+    Built once per label and depth: a stream prints each label at one depth.
+    """
+    parts: list[str] = []
+    _walk(_label_to_json(label), parts.append, newline)
+    return "".join(parts)
 
 
 @lru_cache(maxsize=4096)

@@ -1,13 +1,17 @@
 """Generated argv for the CLI, and the differential of its two parses.
 
-``cli._parse_args`` hands argv straight to the parser of the subcommand that
-argv[0] names; ``_parser().parse_args`` is the full parse it must equal: the
-same ``vars`` of the namespace, or the same exit code with the same bytes on
-stdout and stderr.  The argv are drawn from every option of every
-subcommand, read off the parser itself, in the forms ``--opt value``,
-``--opt=value``, abbreviated and ambiguous, without their value, with
-``-h``/``--help`` and their abbreviations, ``--``, leftover arguments, an
-unknown or option-first head, and the empty argv.
+``cli._parse_args`` reads an argv of ``--opt value`` pairs itself, off the
+actions of the subcommand that argv[0] names; ``_parser().parse_args`` is
+the full parse it must equal: the same ``vars`` of the namespace, or the
+same exit code with the same bytes on stdout and stderr.  The argv are
+drawn from every option of every subcommand, read off the parser itself, in
+the forms ``--opt value``, ``--opt=value``, abbreviated and ambiguous,
+without their value, given twice (argparse keeps the last), mixed with the
+switches ``--division`` and ``-h``/``--help`` and their abbreviations, with
+``--``, leftover arguments, an unknown or option-first head, and the empty
+argv.  Int values include those only ``int`` itself settles (`` 3``, ``+3``,
+``1_0``, an Arabic-Indic digit), so the reader's every fallback rule has
+draws on both sides.
 
 Run as a script it needs neither pytest nor hypothesis, so it runs on every
 supported Python:
@@ -20,12 +24,12 @@ import io
 import random
 import sys
 
-from htgroth.cli import _parse_args, _parser
+from htgroth.cli import _parse_args, _parser, _read_plain
 
 # heads that name no subcommand: unknown, near misses, and options first
 HEADS = ["", "nosuch", "Cohomology", "cohomolog", "-h", "--help", "--he", "--h", "-hx",
          "--help=x", "-x", "--bogus", "--", "-"]
-INTS = ["0", "1", "2", "3", "-1", "-2", "12"] * 2 + ["x", "", "1.5", "-"]
+INTS = ["0", "1", "2", "3", "-1", "-2", "12"] * 2 + ["x", "", "1.5", "-", " 3", "+3", "1_0", "٣", "3 "]
 VALUES = INTS + ["1,3", ",", "m", "json", "shriek", "--", "-h", "--help", "[]",
                  '[{"s":2,"t":1,"cuspidal":"pi"}]', "{}", "ρ[u=0]", "a b", "--s=1"]
 EXTRAS = ["extra", "--bogus", "--", "-h", "--he", "--t", "1", "-", "--s=2", "--u-", "--profile"]
@@ -56,9 +60,9 @@ def draw_argv(rng: random.Random) -> list[str]:
     command = commands.get(head) or commands[rng.choice(sorted(commands))]
     actions = [a for a in command._actions if a.option_strings]
     rng.shuffle(actions)
-    for action in actions:
+    for action in actions + rng.sample(actions, rng.choice([0] * 5 + [1, 2])):  # some twice
         if action.nargs == 0:  # a switch: --help or --division
-            if rng.randrange(3 if "--help" not in action.option_strings else 20) == 0:
+            if rng.randrange(2 if "--help" not in action.option_strings else 20) == 0:
                 argv.append(_flag(rng, action) + ("=x" if rng.randrange(6) == 0 else ""))
             continue
         if rng.randrange(15) == 0:
@@ -109,6 +113,9 @@ def main(draws: int = 3000, seed: int = 20261019) -> int:
             print(f"MISMATCH {argv!r}\n  direct: {direct!r}\n  full:   {full!r}")
             return 1
         kind = "ok" if full[0] == "ok" else f"exit {full[1]}"
+        command = _parser().commands.get(argv[0]) if argv else None
+        if command is not None and _read_plain(command, argv) is not None:
+            kind = "ok, read without argparse"
         kinds[kind] = kinds.get(kind, 0) + 1
     print(f"Python {sys.version.split()[0]}: {len(argvs)} argv, both parses equal; outcomes {kinds}")
     return 0

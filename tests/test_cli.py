@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import hashlib
@@ -5,6 +6,7 @@ import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import warnings
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import htgroth
-from htgroth.cli import _parser, main
+from htgroth.cli import _parse_args, _parser, main
 from htgroth import jl_red, jsonio
 from htgroth.jl_red import Cut
 from htgroth.modl import TowerLevel, matched_strata, tower_cuspidal, tower_rank
@@ -598,6 +600,27 @@ def test_direct_parse_matches_the_full_parse(argv, capsys):
     assert direct == full, argv
 
 
+def test_plain_argv_are_read_without_argparse(monkeypatch):
+    # a silent fallback to the full parse keeps every answer right and loses
+    # the time the direct reader saves: here argparse cannot parse at all
+    profile = '[{"cuspidal": "pi", "markers": [], "mult": "2*m0", "s": 2, "t": 3, "xi_numerator": -1}]'
+    argvs = [
+        ["cohomology", "--profile", profile, "--pi", "pi", "--r", "4", "--extension", "intermediate"],
+        ["verify", "--max", "12"],
+        ["balance", "--sc", SC, "--u", "0", "--u-prime", "0", "--r", "1", "--r-prime", "1",
+         "--profile-u", PROFILE, "--profile-u-prime", PROFILE],
+        ["torsion", "--d", "4", "--sc", SC, "--u-prime", "0", "--r-prime", "1"],
+    ]
+    expected = [vars(_parser().parse_args(argv)) for argv in argvs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse was asked to parse")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    assert [vars(_parse_args(argv)) for argv in argvs] == expected
+
+
 def test_empty_blocks_means_no_superposition():
     plain = ["diagram", "--kind", "m", "--s", "4", "--t", "2"]
     assert run_main(plain + ["--blocks", ""]) == run_main(plain)
@@ -811,3 +834,25 @@ def test_fuzz_past_the_parser():
     for command, found in codes.items():
         counts = {c: found.count(c) for c in (0, 2, 3)}
         assert counts[0] and counts[3] > counts[2], (command, counts)
+
+
+def readme_examples() -> list[list[str]]:
+    """The argv of each ``htgroth`` example in the README's "Command line" section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("htgroth ")]
+
+
+@pytest.mark.parametrize("argv", readme_examples())
+def test_readme_command_line_example_exits_0(argv, tmp_path):
+    if argv[0] == "figures":
+        argv = [*argv[: argv.index("--out") + 1], str(tmp_path)]
+    code, out, err = run_main(argv)
+    assert (code, err) == (0, ""), argv
+    assert out
+
+
+def test_readme_lists_every_subcommand_in_its_examples():
+    assert sorted({argv[0] for argv in readme_examples()}) == sorted(_parser().commands)

@@ -423,7 +423,6 @@ def test_clear_euler_caches_clears_every_cache():
         "jl_red.rectangle_shape_groups",
         "jsonio._coeff_text",
         "jsonio._label_at",
-        "jsonio._label_text",
         "jsonio._read_coeff",
         "modl.level_rank",
         "segments.half",

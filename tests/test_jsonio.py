@@ -384,19 +384,20 @@ def test_elements_print_their_stdlib_bytes_at_depths_0_to_3(x, wraps):
 
 
 def test_a_label_is_encoded_once(monkeypatch):
-    # the walker writes each label from its cached text: a second print of
-    # the same element encodes no label (the dumps of Python 3.13 and later
-    # hands the stdlib encoder each label's data instead)
+    # the walker writes each label from its cached text, one per depth: a
+    # second print of the same element at a depth it was printed at encodes
+    # no label (the dumps of Python 3.13 and later hands the stdlib encoder
+    # each label's data instead)
     calls = []
     encode = jsonio._label_to_json
     monkeypatch.setattr(jsonio, "_label_to_json", lambda label: calls.append(label) or encode(label))
-    jsonio._label_text.cache_clear()
     jsonio._label_at.cache_clear()
     x = red_tau(PI, 1, GrothElement.of(make_speh_st(PI, 3, 2)))
     expected = json.dumps(jsonio.groth_to_json(x), indent=2, sort_keys=True)
     calls.clear()
-    jsonio._walk_dumps({"0": x, "1": [x]})
-    assert len(calls) == len({label for label, _ in x.terms}) > 1
+    jsonio._walk_dumps({"0": x, "1": x, "2": [x]})  # two depths
+    assert len(calls) == 2 * len({label for label, _ in x.terms}) > 2
+    assert jsonio._walk_dumps(x) == expected
     calls.clear()
     assert jsonio._walk_dumps(x) == expected
     assert calls == []
