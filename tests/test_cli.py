@@ -2,9 +2,11 @@ import argparse
 import contextlib
 import gc
 import hashlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import random
 import shlex
 import subprocess
@@ -836,11 +838,15 @@ def test_fuzz_past_the_parser():
         assert counts[0] and counts[3] > counts[2], (command, counts)
 
 
+def readme_section(heading: str) -> str:
+    """The text of the README section under ``## heading``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def readme_examples() -> list[list[str]]:
     """The argv of each ``htgroth`` example in the README's "Command line" section."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    block = readme_section("Command line").split("```sh\n", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("htgroth ")]
 
@@ -856,3 +862,15 @@ def test_readme_command_line_example_exits_0(argv, tmp_path):
 
 def test_readme_lists_every_subcommand_in_its_examples():
     assert sorted({argv[0] for argv in readme_examples()}) == sorted(_parser().commands)
+
+
+def test_readme_module_table_rows_name_every_module_in_at_most_400_characters():
+    # a row says what its module computes, its entry points and its oracle;
+    # the mechanisms belong in the module's docstrings
+    rows = [line for line in readme_section("Layout").splitlines() if line.startswith("| `htgroth.")]
+    names = [row.split("`", 2)[1] for row in rows]
+    for row, name in zip(rows, names):
+        importlib.import_module(name)
+        assert len(row) <= 400, (name, len(row))
+    package = sorted(f"htgroth.{m.name}" for m in pkgutil.iter_modules(htgroth.__path__))
+    assert sorted(names) == package

@@ -437,7 +437,7 @@ def test_clear_euler_caches_clears_every_cache():
     torsion_detect(4, sc, 0, 1)
     m_column_hull(2, 2, 1)
     _parser()
-    jsonio._walk_dumps(R_cell(2, 2, 2, 1, pi_u))  # the walker, which dumps is only below 3.13
+    jsonio.dumps(R_cell(2, 2, 2, 1, pi_u))
     jsonio.sym_from_json("2*m")
     half(3)
     assert [name for name, cache in caches.items() if not cache.cache_info().currsize] == []

@@ -1,5 +1,4 @@
 import json
-import sys
 from fractions import Fraction
 
 import pytest
@@ -201,26 +200,23 @@ PAYLOADS = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(obj=PAYLOADS)
 def test_walker_prints_the_stdlib_bytes(obj):
-    expected = json.dumps(obj, indent=2, sort_keys=True)
-    assert jsonio._walk_dumps(obj) == expected
-    assert jsonio.dumps(obj) == expected
+    assert jsonio.dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 def test_walker_prints_empty_containers_and_scalars_alone():
     for obj in ({}, [], (), [{}, [], ()], {"": {}}, None, True, False, -7, "\u20ac"):
-        assert jsonio._walk_dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+        assert jsonio.dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize(
-    "obj", [1.5, [0.0], {"a": {"b": 2.0}}, {1: 2}, {"a": 1, None: 2}, [Fraction(1, 2)], {"a"}, b"x"]
+    "obj",
+    [1.5, [0.0], {"a": {"b": 2.0}}, {1: 2}, {"a": 1, None: 2}, [Fraction(1, 2)], {"a"}, b"x"]
+    + [{"a": 1.5}, [float("nan")], [float("inf")], {"a": [GrothElement.zero(), -0.0]}],
 )
 def test_walker_refuses_floats_non_str_keys_and_other_types(obj):
+    # the stdlib would print 1.5, NaN (no JSON) or the key "1"; dumps prints no float and no coerced key
     with pytest.raises(TypeError):
-        jsonio._walk_dumps(obj)
-
-
-def test_dumps_walks_only_where_the_stdlib_indents_in_python():
-    assert (jsonio.dumps is jsonio._walk_dumps) == (sys.version_info < (3, 13))
+        jsonio.dumps(obj)
 
 
 # -- Grothendieck elements through the printed text ---------------------------
@@ -327,17 +323,10 @@ VALUE_PAYLOADS = st.recursive(
 )
 
 
-def assert_three_encodings_agree(obj):
-    walked = jsonio._walk_dumps(obj)
-    assert walked == json.dumps(obj, indent=2, sort_keys=True, default=jsonio._default)
-    assert walked == json.dumps(plain(obj), indent=2, sort_keys=True)
-    assert jsonio.dumps(obj) == walked
-
-
 @settings(max_examples=150, deadline=None)
 @given(obj=VALUE_PAYLOADS)
 def test_values_print_as_their_json_data(obj):
-    assert_three_encodings_agree(obj)
+    assert jsonio.dumps(obj) == json.dumps(plain(obj), indent=2, sort_keys=True)
 
 
 def test_values_print_as_their_json_data_at_every_depth():
@@ -349,7 +338,7 @@ def test_values_print_as_their_json_data_at_every_depth():
     y = GrothElement.of(mixed, half(-3), atom("m[ρ[u=0]]") * 2 - 1)
     unit, zero = IrreducibleLabel.unit(), GrothElement.zero()
     for obj in (x, mixed, unit, zero, [zero], {"0": x, "1": zero, "2": y}, [{"a": [y, mixed]}, (unit,)]):
-        assert_three_encodings_agree(obj)
+        assert jsonio.dumps(obj) == json.dumps(plain(obj), indent=2, sort_keys=True)
 
 
 # atom names with non-ASCII characters, printed with ^ powers
@@ -377,17 +366,14 @@ def test_elements_print_their_stdlib_bytes_at_depths_0_to_3(x, wraps):
     obj = x
     for in_a_list in wraps:
         obj = [obj, 0] if in_a_list else {"\u03c1": obj, "a": x}
-    expected = json.dumps(obj, indent=2, sort_keys=True, default=jsonio._default)
+    expected = json.dumps(plain(obj), indent=2, sort_keys=True)
     assert "^" in expected or x.is_zero()
-    assert jsonio._walk_dumps(obj) == expected
     assert jsonio.dumps(obj) == expected
 
 
 def test_a_label_is_encoded_once(monkeypatch):
-    # the walker writes each label from its cached text, one per depth: a
-    # second print of the same element at a depth it was printed at encodes
-    # no label (the dumps of Python 3.13 and later hands the stdlib encoder
-    # each label's data instead)
+    # dumps writes each label from its cached text, one per depth: a second
+    # print of the same element at a depth it was printed at encodes no label
     calls = []
     encode = jsonio._label_to_json
     monkeypatch.setattr(jsonio, "_label_to_json", lambda label: calls.append(label) or encode(label))
@@ -395,9 +381,9 @@ def test_a_label_is_encoded_once(monkeypatch):
     x = red_tau(PI, 1, GrothElement.of(make_speh_st(PI, 3, 2)))
     expected = json.dumps(jsonio.groth_to_json(x), indent=2, sort_keys=True)
     calls.clear()
-    jsonio._walk_dumps({"0": x, "1": x, "2": [x]})  # two depths
+    jsonio.dumps({"0": x, "1": x, "2": [x]})  # two depths
     assert len(calls) == 2 * len({label for label, _ in x.terms}) > 2
-    assert jsonio._walk_dumps(x) == expected
+    assert jsonio.dumps(x) == expected
     calls.clear()
-    assert jsonio._walk_dumps(x) == expected
+    assert jsonio.dumps(x) == expected
     assert calls == []
