@@ -9,11 +9,14 @@ machine-readable error record on stderr.
 ``main`` is the single input boundary: the subcommands and the value types
 they build raise ``ValueError`` (or ``OSError``) on input they refuse, and
 ``main`` alone turns that into exit 3.  Exit 2 comes only from the argument
-parser and from ``_read_json``, the one reader of JSON inputs.  An argv of
-the shape ``name --opt value ...`` is read without argparse, off the
-subcommand's own actions (``_parse_args``); every other argv takes the full
-parse, so every parse message is argparse's own.  The subcommands that
-print Grothendieck elements hand them to ``jsonio.dumps`` as they are.
+parser and from ``_read_json``, the one reader of JSON inputs.  Each
+subcommand and its options are declared once, in ``COMMANDS``:
+``build_parser`` makes the argparse parser of it, and an argv of the shape
+``name --opt value ...`` is read off it without argparse (``_parse_args``);
+every other argv takes the full parse, so every parse message is argparse's
+own.  ``main`` runs the subcommand ``name`` as ``cmd_<name>``.  The
+subcommands that print Grothendieck elements hand them to ``jsonio.dumps``
+as they are.
 """
 
 from __future__ import annotations
@@ -339,166 +342,153 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",")] if text else []
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports parse errors as the JSON error record (exit 2); subparsers inherit it.
+REQUIRED = object()  # the default of an option that must be given
 
-    ``build_parser`` gives the top parser ``commands``: each subcommand's name
-    and the parser it registers for it; and each of those ``plain``: its
-    ``{option string: action}`` of the store actions that take one value.
-    """
+# name -> (help, {flag: (kind, default[, help])}); a kind is int, str, _int_list,
+# a tuple of choices, or bool for a switch.  Both parses read this one table.
+COMMANDS = {
+    "diagram": ("coefficient diagram supports", {
+        "--kind": (("m", "n", "M", "N"), REQUIRED),
+        "--s": (int, REQUIRED),
+        "--t": (int, 1),
+        "--blocks": (_int_list, None, "comma-separated t_k for a superposition"),
+        "--format": (("ascii", "svg", "json"), "ascii"),
+    }),
+    "jacquet": ("ladder cut enumeration", {
+        "--s": (int, REQUIRED),
+        "--t": (int, REQUIRED),
+        "--g": (int, 1),
+        "--left-rank": (int, REQUIRED),
+    }),
+    "red": ("transfer of a rectangle block", {
+        "--s": (int, REQUIRED),
+        "--t": (int, REQUIRED),
+        "--g": (int, 1),
+        "--r": (int, REQUIRED, "depth in g-units"),
+    }),
+    "reduce": ("mod-l reduction rules", {
+        "--division": (bool, False),
+        "--m-tau": (int, 1),
+        "--iota": (str, "iota"),
+        "--sc": (str, '{"id":"rho","g":1,"q":2,"l":3,"epsilon":1}'),
+        "--u": (int, -1),
+        "--s": (int, 1),
+    }),
+    "cohomology": ("degree-resolved tables over a profile", {
+        "--profile": (str, REQUIRED, "JSON file or inline JSON"),
+        "--pi": (str, REQUIRED, "reference cuspidal id"),
+        "--r": (int, REQUIRED),
+        "--extension": (("shriek", "intermediate"), "shriek"),
+    }),
+    "balance": ("mod-l balance constraints across a tower", {
+        "--sc": (str, REQUIRED),
+        "--u": (int, REQUIRED),
+        "--u-prime": (int, REQUIRED),
+        "--r": (int, REQUIRED),
+        "--r-prime": (int, REQUIRED),
+        "--profile-u": (str, REQUIRED),
+        "--profile-u-prime": (str, REQUIRED),
+    }),
+    "torsion": ("torsion certificates", {
+        "--d": (int, REQUIRED),
+        "--sc": (str, REQUIRED),
+        "--u-prime": (int, REQUIRED),
+        "--r-prime": (int, REQUIRED),
+    }),
+    "verify": ("run the invariant suites", {"--max": (int, 8)}),
+    "figures": ("regenerate the reference diagrams as SVG", {"--out": (str, REQUIRED)}),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports parse errors as the JSON error record (exit 2); subparsers inherit it."""
 
     def error(self, message):
         _fail(PARSE_ERROR, "parse", f"{self.prog}: {message}")
 
 
 def build_parser() -> _Parser:
+    """The argparse parser of ``COMMANDS``: one subparser per name, one argument per option."""
     parser = _Parser(
         prog="htgroth",
         description="exact bookkeeping for Harris-Taylor local system combinatorics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices
-
-    p = sub.add_parser("diagram", help="coefficient diagram supports")
-    p.add_argument("--kind", choices=["m", "n", "M", "N"], required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", type=int, default=1)
-    p.add_argument("--blocks", type=_int_list, help="comma-separated t_k for a superposition")
-    p.add_argument("--format", choices=["ascii", "svg", "json"], default="ascii")
-    p.set_defaults(func=cmd_diagram)
-
-    p = sub.add_parser("jacquet", help="ladder cut enumeration")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--g", type=int, default=1)
-    p.add_argument("--left-rank", type=int, required=True)
-    p.set_defaults(func=cmd_jacquet)
-
-    p = sub.add_parser("red", help="transfer of a rectangle block")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--g", type=int, default=1)
-    p.add_argument("--r", type=int, required=True, help="depth in g-units")
-    p.set_defaults(func=cmd_red)
-
-    p = sub.add_parser("reduce", help="mod-l reduction rules")
-    p.add_argument("--division", action="store_true")
-    p.add_argument("--m-tau", type=int, default=1)
-    p.add_argument("--iota", default="iota")
-    p.add_argument("--sc", default='{"id":"rho","g":1,"q":2,"l":3,"epsilon":1}')
-    p.add_argument("--u", type=int, default=-1)
-    p.add_argument("--s", type=int, default=1)
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("cohomology", help="degree-resolved tables over a profile")
-    p.add_argument("--profile", required=True, help="JSON file or inline JSON")
-    p.add_argument("--pi", required=True, help="reference cuspidal id")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--extension", choices=["shriek", "intermediate"], default="shriek")
-    p.set_defaults(func=cmd_cohomology)
-
-    p = sub.add_parser("balance", help="mod-l balance constraints across a tower")
-    p.add_argument("--sc", required=True)
-    p.add_argument("--u", type=int, required=True)
-    p.add_argument("--u-prime", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--r-prime", type=int, required=True)
-    p.add_argument("--profile-u", required=True)
-    p.add_argument("--profile-u-prime", required=True)
-    p.set_defaults(func=cmd_balance)
-
-    p = sub.add_parser("torsion", help="torsion certificates")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--sc", required=True)
-    p.add_argument("--u-prime", type=int, required=True)
-    p.add_argument("--r-prime", type=int, required=True)
-    p.set_defaults(func=cmd_torsion)
-
-    p = sub.add_parser("verify", help="run the invariant suites")
-    p.add_argument("--max", type=int, default=8)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("figures", help="regenerate the reference diagrams as SVG")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_figures)
-
-    for command in parser.commands.values():
-        command.plain = {
-            flag: action
-            for action in command._actions
-            if type(action) is argparse._StoreAction and action.nargs is None
-            for flag in action.option_strings
-        }
+    for name, (summary, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for flag, (kind, default, *text) in options.items():
+            spec = {"required": True} if default is REQUIRED else {"default": default}
+            if kind is bool:
+                spec["action"] = "store_true"
+            elif kind is not str:
+                spec["choices" if isinstance(kind, tuple) else "type"] = kind
+            command.add_argument(flag, help=text[0] if text else None, **spec)
     return parser
 
 
-# `tables`, 8,192 ops: 8,191 hits / 1 miss; a build takes ~2 ms (Python 3.11, 2 vCPUs), ten queries.
+# `tables`, 8,192 ops: 0 builds, as _read_plain reads every query; a build takes ~1.5 ms (3.11, 2 vCPUs).
 @lru_cache(maxsize=None)
 def _parser() -> _Parser:
     """The parser, built once per process; parsing leaves it unchanged."""
     return build_parser()
 
 
-def _read_plain(command: _Parser, argv: list[str]):
-    """The namespace the full parse gives ``argv``, read off ``command``'s actions, or None.
+def _read_plain(argv: list[str]):
+    """The namespace the full parse gives ``argv``, read off ``COMMANDS``, or None.
 
     Only ``name --opt value ...`` is read: each option once, by its exact
-    string, a plain store action whose value does not start with ``-`` and
-    passes the action's ``type`` and ``choices``; every required option
-    given, and no omitted one with a ``str`` default that a ``type`` would
-    convert.  Anything else gives None.
+    flag, not a switch, with a value that does not start with ``-`` and that
+    its kind converts or its choices hold; every required option given.
+    Anything else gives None.
     """
-    if len(argv) % 2 == 0:
+    if len(argv) % 2 == 0 or argv[0] not in COMMANDS:
         return None
+    options = COMMANDS[argv[0]][1]
     given = {}
     for flag, text in zip(argv[1::2], argv[2::2]):
-        action = command.plain.get(flag)
-        if action is None or action.dest in given or text.startswith("-"):
+        option = options.get(flag)
+        if option is None or option[0] is bool or flag in given or text.startswith("-"):
+            return None
+        kind = option[0]
+        if isinstance(kind, tuple) and text not in kind:
             return None
         try:
-            value = text if action.type is None else action.type(text)
-        except Exception:
+            given[flag] = text if isinstance(kind, tuple) else kind(text)
+        except ValueError:
             return None
-        if action.choices is not None and value not in action.choices:
+    values = {"command": argv[0]}
+    for flag, option in options.items():
+        value = given.get(flag, option[1])
+        if value is REQUIRED:
             return None
-        given[action.dest] = value
-    values = {}
-    for action in command._actions:
-        if action.dest in given:
-            continue
-        if action.required or (isinstance(action.default, str) and action.type is not None):
-            return None
-        if argparse.SUPPRESS not in (action.dest, action.default):
-            values[action.dest] = action.default
-    # as in argparse: a given value wins over an action's default, which wins over set_defaults
-    return argparse.Namespace(**{"command": argv[0], **command._defaults, **values, **given})
+        values[flag[2:].replace("-", "_")] = value
+    return argparse.Namespace(**values)
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """``_parser().parse_args(argv)``, on one of two paths.
 
     An argv led by a subcommand's name and made of ``--opt value`` pairs of
-    that subcommand's plain options is read by ``_read_plain``, without
-    argparse's generic matching; it gives the namespace the full parse gives.
-    Every other argv, and one it refuses, takes the full parse, so an error,
+    that subcommand's options is read by ``_read_plain``, which neither builds
+    nor runs argparse; it gives the namespace the full parse gives.  Every
+    other argv, and one it refuses, takes the full parse, so an error,
     ``--help``, an abbreviation or ``--opt=value`` keeps argparse's own
     bytes and exit code.  ``tests/parse_oracle.py`` checks the two agree.
     """
-    parser = _parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    args = None if command is None else _read_plain(command, argv)
-    return parser.parse_args(argv) if args is None else args
+    args = _read_plain(argv)
+    return _parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:
     """Run one subcommand; the input it refuses exits 3 with the error record.
 
     A reader that closes stdout early is no input error: the run exits 1 with
-    nothing on stderr.
+    nothing on stderr.  The handler ``cmd_<name>`` is looked up in the module
+    per call, so a wrapper put on ``cli.cmd_<name>`` is the one that runs.
     """
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        code = args.func(args)
+        code = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()  # a short output's closed pipe surfaces here too
         return code
     except BrokenPipeError:

@@ -599,7 +599,7 @@ class TorsionCertificate(Value):
 
 
 # `towers`, 8,000 ops: 247,549 hits / 930 misses; problems ask the same few certificates.
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)  # typed: a float or bool argument misses the int's entry
 def torsion_detect(d: int, sc: SupercuspidalData, u_prime: int, r_prime: int) -> TorsionCertificate:
     """Certify torsion for the depth-r' extensions of the level-u' tower sheaf.
 
@@ -607,12 +607,13 @@ def torsion_detect(d: int, sc: SupercuspidalData, u_prime: int, r_prime: int) ->
     carries r = r' g_{u'} / g_{-1}, s = floor(d / g_{-1}), s' = floor(d / g_{u'}),
     checks the pivot inequality s - r > s' - r', and reports torsion in degree
     i0 >= s - r for the shriek extension and -i0 + 1 for the star extension.
-    Only that lower bound is certified.  A pure function of its hashable
-    arguments, so calls are cached; a call that raises is not.
+    Only that lower bound is certified.  d, u' and r' must be ints; calls
+    are cached, and a call that raises is not.
     """
-    if r_prime < 1:
+    require_int("d", d)
+    if require_int("r'", r_prime) < 1:
         raise ValueError("r' must be >= 1")
-    if u_prime < 0:
+    if require_int("u'", u_prime) < 0:
         raise ValueError("the tower level u' must be >= 0")
     g_base = sc.g
     g_up = level_rank(sc, u_prime)

@@ -84,18 +84,21 @@ def sym_from_json(data) -> SymExpr:
     one dict, and a single ``SymExpr`` is built from it.  A string is read
     once per process (``_read_coeff``, keyed on the string only, since a
     ``SymExpr`` is immutable); ints and bools never reach that cache, so
-    ``True`` is still refused, and any other value is read uncached.
+    ``True`` is still refused, and so is any value but an int or a string:
+    JSON ``null``, ``NaN`` and ``Infinity`` are no atoms.
     """
     if isinstance(data, int):
         return integer(data)
-    return _read_coeff(data) if type(data) is str else _read_coeff.__wrapped__(data)
+    if not isinstance(data, str):
+        raise ValueError(f"a coefficient is an integer or a string, not {data!r}")
+    return _read_coeff(data)
 
 
 # `tables`, 8,192 ops: 20,464 hits / 0 misses after set-up; a read costs ~7 us, a hit ~0.4 us (3.11).
 @lru_cache(maxsize=1024)
 def _read_coeff(data) -> SymExpr:
     terms: dict[Monomial, int] = {}
-    for part in str(data).split("+"):
+    for part in data.split("+"):
         coeff, powers = 1, {}
         for factor in part.split("*"):
             match = _FACTOR.fullmatch(factor.strip())

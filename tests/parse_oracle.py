@@ -1,13 +1,14 @@
 """Generated argv for the CLI, and the differential of its two parses.
 
 ``cli._parse_args`` reads an argv of ``--opt value`` pairs itself, off the
-actions of the subcommand that argv[0] names; ``_parser().parse_args`` is
-the full parse it must equal: the same ``vars`` of the namespace, or the
-same exit code with the same bytes on stdout and stderr.  The argv are
-drawn from every option of every subcommand, read off the parser itself, in
-the forms ``--opt value``, ``--opt=value``, abbreviated and ambiguous,
-without their value, given twice (argparse keeps the last), mixed with the
-switches ``--division`` and ``-h``/``--help`` and their abbreviations, with
+options ``cli.COMMANDS`` declares for the subcommand that argv[0] names;
+``_parser().parse_args`` is the full parse it must equal: the same ``vars``
+of the namespace, or the same exit code with the same bytes on stdout and
+stderr.  The argv are drawn from every option of every subcommand, read off
+``COMMANDS`` (plus argparse's own ``-h``/``--help``), in the forms
+``--opt value``, ``--opt=value``, abbreviated and ambiguous, without their
+value, given twice (argparse keeps the last), mixed with the switches
+``--division`` and ``-h``/``--help`` and their abbreviations, with
 ``--``, leftover arguments, an unknown or option-first head, and the empty
 argv.  Int values include those only ``int`` itself settles (`` 3``, ``+3``,
 ``1_0``, an Arabic-Indic digit), so the reader's every fallback rule has
@@ -24,7 +25,7 @@ import io
 import random
 import sys
 
-from htgroth.cli import _parse_args, _parser, _read_plain
+from htgroth.cli import COMMANDS, _parse_args, _parser, _read_plain
 
 # heads that name no subcommand: unknown, near misses, and options first
 HEADS = ["", "nosuch", "Cohomology", "cohomolog", "-h", "--help", "--he", "--h", "-hx",
@@ -35,16 +36,21 @@ VALUES = INTS + ["1,3", ",", "m", "json", "shriek", "--", "-h", "--help", "[]",
 EXTRAS = ["extra", "--bogus", "--", "-h", "--he", "--t", "1", "-", "--s=2", "--u-", "--profile"]
 
 
-def _value(rng: random.Random, action) -> str:
-    if action.choices and rng.randrange(6):
-        return rng.choice(sorted(action.choices))
-    if action.type is int and rng.randrange(6):
+def _options(name: str) -> list[tuple[tuple[str, ...], object]]:
+    """(option strings, kind) of each option of the subcommand ``name``, its ``-h``/``--help`` first."""
+    return [(("-h", "--help"), bool)] + [((flag,), kind) for flag, (kind, *_) in COMMANDS[name][1].items()]
+
+
+def _value(rng: random.Random, kind) -> str:
+    if isinstance(kind, tuple) and rng.randrange(6):
+        return rng.choice(sorted(kind))
+    if kind is int and rng.randrange(6):
         return rng.choice(INTS)
     return rng.choice(VALUES)
 
 
-def _flag(rng: random.Random, action) -> str:
-    flag = rng.choice(action.option_strings)
+def _flag(rng: random.Random, flags: tuple[str, ...]) -> str:
+    flag = rng.choice(flags)
     if flag.startswith("--") and len(flag) > 3 and rng.randrange(5) == 0:
         return flag[: rng.randrange(3, len(flag))]  # an abbreviation, maybe ambiguous
     return flag
@@ -52,22 +58,20 @@ def _flag(rng: random.Random, action) -> str:
 
 def draw_argv(rng: random.Random) -> list[str]:
     """One argv: mostly a subcommand with most of its options, often well formed."""
-    commands = _parser().commands
     if rng.randrange(25) == 0:
         return []
-    head = rng.choice(HEADS) if rng.randrange(8) == 0 else rng.choice(sorted(commands))
+    head = rng.choice(HEADS) if rng.randrange(8) == 0 else rng.choice(sorted(COMMANDS))
     argv = [head]
-    command = commands.get(head) or commands[rng.choice(sorted(commands))]
-    actions = [a for a in command._actions if a.option_strings]
-    rng.shuffle(actions)
-    for action in actions + rng.sample(actions, rng.choice([0] * 5 + [1, 2])):  # some twice
-        if action.nargs == 0:  # a switch: --help or --division
-            if rng.randrange(2 if "--help" not in action.option_strings else 20) == 0:
-                argv.append(_flag(rng, action) + ("=x" if rng.randrange(6) == 0 else ""))
+    options = _options(head if head in COMMANDS else rng.choice(sorted(COMMANDS)))
+    rng.shuffle(options)
+    for flags, kind in options + rng.sample(options, rng.choice([0] * 5 + [1, 2])):  # some twice
+        if kind is bool:  # a switch: --help or --division
+            if rng.randrange(2 if "--help" not in flags else 20) == 0:
+                argv.append(_flag(rng, flags) + ("=x" if rng.randrange(6) == 0 else ""))
             continue
         if rng.randrange(15) == 0:
             continue  # left out, required or not
-        flag, value, form = _flag(rng, action), _value(rng, action), rng.randrange(15)
+        flag, value, form = _flag(rng, flags), _value(rng, kind), rng.randrange(15)
         if form == 0:
             argv.append(flag)  # no value
         elif form < 3:
@@ -113,8 +117,7 @@ def main(draws: int = 3000, seed: int = 20261019) -> int:
             print(f"MISMATCH {argv!r}\n  direct: {direct!r}\n  full:   {full!r}")
             return 1
         kind = "ok" if full[0] == "ok" else f"exit {full[1]}"
-        command = _parser().commands.get(argv[0]) if argv else None
-        if command is not None and _read_plain(command, argv) is not None:
+        if _read_plain(argv) is not None:
             kind = "ok, read without argparse"
         kinds[kind] = kinds.get(kind, 0) + 1
     print(f"Python {sys.version.split()[0]}: {len(argvs)} argv, both parses equal; outcomes {kinds}")

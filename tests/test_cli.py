@@ -18,8 +18,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import htgroth
-from htgroth.cli import _parse_args, _parser, main
-from htgroth import jl_red, jsonio
+from htgroth.cli import COMMANDS, _parse_args, _parser, main
+from htgroth import cli, jl_red, jsonio
 from htgroth.jl_red import Cut
 from htgroth.modl import TowerLevel, matched_strata, tower_cuspidal, tower_rank
 from htgroth.segments import CuspidalLabel, GrothElement, make_speh_st
@@ -588,7 +588,7 @@ def test_parse_errors_exit_2_with_the_error_record(argv):
 
 # drawn from every option of every subcommand, or free tokens for shrinking
 ARGVS = st.randoms(use_true_random=False).map(draw_argv) | st.lists(
-    st.sampled_from(sorted(_parser().commands) + HEADS + VALUES + EXTRAS) | st.text(max_size=4),
+    st.sampled_from(sorted(COMMANDS) + HEADS + VALUES + EXTRAS) | st.text(max_size=4),
     max_size=6,
 )
 
@@ -621,6 +621,33 @@ def test_plain_argv_are_read_without_argparse(monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
     assert [vars(_parse_args(argv)) for argv in argvs] == expected
+
+
+def test_plain_argv_build_no_parser():
+    # a fresh `htgroth verify` or `cohomology` process skips the argparse build;
+    # an argv the plain reader refuses builds it, once, and reads the same
+    _parser.cache_clear()
+    query = ["cohomology", "--profile", PROFILE, "--pi", "pi", "--r", "2", "--extension", "intermediate"]
+    verify, plain = run_main(["verify", "--max", "2"]), run_main(query)
+    assert (verify[0], plain[0]) == (0, 0)
+    assert _parser.cache_info().currsize == 0
+    assert run_main(query[:5] + ["--r=2"] + query[7:]) == plain
+    assert _parser.cache_info().currsize == 1
+
+
+def test_main_runs_the_handler_the_module_holds_when_it_runs(monkeypatch):
+    # a wrapper put on cli.cmd_<name> after the parser is built is the one that runs
+    assert all(callable(getattr(cli, f"cmd_{name}", None)) for name in COMMANDS)
+    _parser()
+    calls = []
+
+    def wrapper(args):
+        calls.append(args.max)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_verify", wrapper)
+    assert run_main(["verify", "--max", "3"]) == run_main(["verify", "--max=4"]) == (0, "", "")
+    assert calls == [3, 4]
 
 
 def test_empty_blocks_means_no_superposition():
@@ -861,7 +888,7 @@ def test_readme_command_line_example_exits_0(argv, tmp_path):
 
 
 def test_readme_lists_every_subcommand_in_its_examples():
-    assert sorted({argv[0] for argv in readme_examples()}) == sorted(_parser().commands)
+    assert sorted({argv[0] for argv in readme_examples()}) == sorted(COMMANDS)
 
 
 def test_readme_module_table_rows_name_every_module_in_at_most_400_characters():

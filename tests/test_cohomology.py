@@ -599,6 +599,18 @@ class TestTorsion:
                 outcomes.add(expected.emitted)
         assert outcomes == {"raises", True, False}
 
+    def test_cache_answers_no_other_type_from_an_int_entry(self):
+        # each call once got the certificate cached for the equal int call
+        sc = sc_with(2, 3, g=1, epsilon=2)
+        torsion_detect.cache_clear()
+        with pytest.raises(ValueError, match="must be an integer"):
+            torsion_detect(8, sc, 0, 1.0)
+        cert = torsion_detect(8, sc, 0, 1)
+        assert type(cert.r_prime) is int and (cert.r, cert.i0_lower_bound) == (2, 6)
+        for d, u_prime, r_prime in [(8.0, 0, 1), (8.5, 0, 1), (True, 0, 1), (8, False, 1), (8, 0.0, 1), (8, 0, True)]:
+            with pytest.raises(ValueError, match="must be an integer"):
+                torsion_detect(d, sc, u_prime, r_prime)
+
     def test_exhaustive_sweep_condition(self):
         count = 0
         for l in (2, 3, 5, 7):

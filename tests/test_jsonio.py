@@ -109,10 +109,11 @@ def test_sym_rejects_malformed_strings(data):
         jsonio.sym_from_json(data)
 
 
-@pytest.mark.parametrize("data", [True, False, 1.5, [1]])
+@pytest.mark.parametrize("data", [True, False, 1.5, [1], None, float("nan"), float("inf")])
 def test_sym_answers_no_other_json_type_from_the_string_cache(data):
     # strings are read once per process, keyed on the string only: "True"
-    # reads as an atom, and True, read after it and after 1, is still refused
+    # reads as an atom, and True, read after it and after 1, is still refused;
+    # null, NaN and Infinity once read as the atoms None, nan and inf
     jsonio.sym_from_json(1), jsonio.sym_from_json(0)
     try:
         jsonio.sym_from_json(str(data))
@@ -129,8 +130,10 @@ def sym_from_json_reference(data) -> SymExpr:
     """The reader by ``SymExpr`` arithmetic: each factor an expression, multiplied, then summed."""
     if isinstance(data, int):
         return integer(data)
+    if not isinstance(data, str):
+        raise ValueError(f"a coefficient is an integer or a string, not {data!r}")
     total = integer(0)
-    for part in str(data).split("+"):
+    for part in data.split("+"):
         acc = integer(1)
         for factor in part.split("*"):
             match = jsonio._FACTOR.fullmatch(factor.strip())
@@ -171,6 +174,14 @@ def test_twist_num_refuses_what_is_no_half_integer(bad):
     term = jsonio.groth_to_json(GrothElement.of(make_steinberg(PI, 2)))[0]
     with pytest.raises(ValueError):
         jsonio.groth_from_json([dict(term, xi_twist_numerator=bad)], {"pi": PI})
+
+
+@pytest.mark.parametrize("coeff", [None, 1.5, [1], {"m": 1}])
+def test_groth_from_json_refuses_a_coefficient_of_no_json_int_or_string(coeff):
+    # "coeff": null once read as the element (None)*<label>
+    term = jsonio.groth_to_json(GrothElement.of(make_steinberg(PI, 2)))[0]
+    with pytest.raises(ValueError, match="a coefficient is an integer or a string"):
+        jsonio.groth_from_json([dict(term, coeff=coeff)], {"pi": PI})
 
 
 def test_twist_num_and_twist_val_are_inverse():
