@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 from .symbolic import Immutable, SymExpr, integer, require_int
@@ -138,9 +138,10 @@ class Segment(Value):
 
     Immutable.  The start is stored once, doubled, in the int ``start2``;
     ``start`` and ``end`` are its half-integer views.  Its key (cuspidal id,
-    start2, length) orders the segments of a multisegment and, with its hash,
-    is computed once, at construction; equality also compares the whole
-    cuspidal label; ``Segment._of2(pi, start2, length)`` builds one unchecked.
+    start2, length, g, e_pi) orders the segments of a multisegment, the
+    whole cuspidal key last so that it only breaks ties, and decides
+    equality; with its hash it is computed once, at construction.
+    ``Segment._of2(pi, start2, length)`` builds one unchecked.
     """
 
     __slots__ = ("cuspidal", "start2", "length", "_key", "_hash")
@@ -152,7 +153,7 @@ class Segment(Value):
         self._set(cuspidal, twice(start), length)
 
     def _set(self, cuspidal: CuspidalLabel, start2: int, length: int) -> "Segment":
-        key = (cuspidal.id, start2, length)
+        key = (cuspidal.id, start2, length, cuspidal.g, cuspidal.e_pi)
         object.__setattr__(self, "cuspidal", cuspidal)
         object.__setattr__(self, "start2", start2)
         object.__setattr__(self, "length", length)
@@ -183,15 +184,11 @@ class Segment(Value):
     def twist(self, n) -> "Segment":
         return Segment._of2(self.cuspidal, self.start2 + twice(n), self.length)
 
-    def sort_key(self) -> tuple[str, int, int]:
+    def sort_key(self) -> tuple[str, int, int, int, int]:
         return self._key
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Segment)
-            and self._key == other._key
-            and self.cuspidal == other.cuspidal
-        )
+        return isinstance(other, Segment) and self._key == other._key
 
     def __hash__(self):
         return self._hash
@@ -204,8 +201,8 @@ class Multisegment(Immutable):
     """A multiset of segments, stored in canonical sorted order.
 
     The sort key and the hash are computed once, at construction, from the
-    segments' integer keys: multisegments key the Grothendieck sums, which
-    look them up many times; ``_in_order`` wraps segments already in key order.
+    segments' keys: multisegments key the Grothendieck sums, which look them
+    up many times; ``_in_order`` wraps segments already in key order.
     """
 
     __slots__ = ("segments", "_key", "_hash")
@@ -280,28 +277,34 @@ class Multisegment(Immutable):
 
 
 class OpaqueFactor(Value):
-    """A factor we do not resolve into segments (profile tails, D-side labels)."""
+    """A factor we do not resolve into segments (profile tails, D-side labels).
 
-    __slots__ = _fields = ("name", "rank")
+    Like a multisegment, it keeps its sort key ``_key`` and its hash, computed at construction.
+    """
+
+    __slots__ = ("name", "rank", "_key", "_hash")
+    _fields = ("name", "rank")
 
     def __init__(self, name: str, rank: int = 0):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "rank", require_int("rank", rank))
+        object.__setattr__(self, "_key", ("~opaque", name, rank))
+        object.__setattr__(self, "_hash", hash((name, rank)))
+
+    def __hash__(self):
+        return self._hash
 
     def twist(self, n) -> "OpaqueFactor":
         # opaque factors absorb twists silently; callers that care use the
         # external Xi slot instead
         return self
 
-    def sort_key(self):
-        return ("~opaque", self.name, self.rank)
-
 
 Factor = Union[Multisegment, OpaqueFactor]
 
-
-def _factor_key(f: Factor):
-    return f.sort_key() if isinstance(f, OpaqueFactor) else f._key
+# a factor's sort key and hash, kept on it: every multisegment key sorts before every opaque one
+_factor_key = attrgetter("_key")
+_factor_hash = attrgetter("_hash")
 
 
 KIND_GENERIC = "generic-product"
@@ -314,9 +317,11 @@ _KINDS = (KIND_GENERIC, KIND_SPEH_ST, KIND_FORMAL)
 class IrreducibleLabel(Immutable):
     """Label of an irreducible: a multiset of factors plus a kind tag.
 
-    Like a multisegment, a label computes its hash once, at construction,
-    and is immutable, since the label caches share it; ``unit()`` is one label.
-    Its sort key is kept in ``_sort_key`` on the first sort that reads it.
+    The factors are kept sorted by their keys (sorted only when there are
+    several).  Like a multisegment, a label computes its hash once, at
+    construction, from the hashes its factors keep, and is immutable, since
+    the label caches share it; ``unit()`` is one label.  Its sort key is
+    kept in ``_sort_key`` on the first sort that reads it.
     """
 
     __slots__ = ("factors", "kind", "_hash", "_sort_key")
@@ -324,12 +329,14 @@ class IrreducibleLabel(Immutable):
     def __init__(self, factors: Iterable[Factor] = (), kind: str = KIND_FORMAL):
         if kind not in _KINDS:
             raise ValueError(f"unknown kind {kind!r}")
-        keyed = sorted(((_factor_key(f), f) for f in factors), key=itemgetter(0))
-        if not keyed:
+        factors = tuple(factors)
+        if len(factors) > 1:
+            factors = tuple(sorted(factors, key=_factor_key))
+        elif not factors:
             kind = KIND_GENERIC  # the empty product is the unit
-        object.__setattr__(self, "factors", tuple(f for _, f in keyed))
+        object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "_hash", hash((tuple(k for k, _ in keyed), kind)))
+        object.__setattr__(self, "_hash", hash((tuple(map(_factor_hash, factors)), kind)))
 
     @staticmethod
     def unit() -> "IrreducibleLabel":
@@ -373,13 +380,6 @@ def label_of_multisegment(ms: Multisegment, kind: str = KIND_FORMAL) -> Irreduci
     if ms.is_empty():
         return IrreducibleLabel.unit()
     return IrreducibleLabel((ms,), kind)
-
-
-def _lines_linked(a: Multisegment, b: Multisegment) -> bool:
-    """Crude linkage test used only to degrade kind tags on products."""
-    lines_a = {c.id for c in a.cuspidal_lines()}
-    lines_b = {c.id for c in b.cuspidal_lines()}
-    return bool(lines_a & lines_b)
 
 
 class GrothElement(Immutable):
@@ -627,19 +627,20 @@ def ladder_cuts(lad: Multisegment, left_rank: int) -> list[tuple[Multisegment, M
 
 
 def _product_kind(a: IrreducibleLabel, b: IrreducibleLabel) -> str:
-    segs_a = a.multisegments()
-    segs_b = b.multisegments()
-    for ma, mb in itertools.product(segs_a, segs_b):
-        if _lines_linked(ma, mb):
-            return KIND_FORMAL
-    if KIND_FORMAL in (a.kind, b.kind):
+    """The kind of a x b: formal when either is, or when their segments share a cuspidal id."""
+    kinds = (a.kind, b.kind)
+    if KIND_FORMAL in kinds:
         return KIND_FORMAL
-    if KIND_SPEH_ST in (a.kind, b.kind):
-        return KIND_SPEH_ST
-    return KIND_GENERIC
+    ids = {s.cuspidal.id for f in a.factors if isinstance(f, Multisegment) for s in f.segments}
+    if ids and any(
+        s.cuspidal.id in ids for f in b.factors if isinstance(f, Multisegment) for s in f.segments
+    ):
+        return KIND_FORMAL  # a crude linkage test: it only degrades the kind
+    return KIND_SPEH_ST if KIND_SPEH_ST in kinds else KIND_GENERIC
 
 
 def label_product(a: IrreducibleLabel, b: IrreducibleLabel) -> IrreducibleLabel:
+    """The label of the formal product a x b: the factors of both, of the kind ``_product_kind`` gives."""
     return IrreducibleLabel(a.factors + b.factors, _product_kind(a, b))
 
 

@@ -55,18 +55,34 @@ class Immutable:
 
 
 class SymExpr(Immutable):
-    """Immutable Z-linear combination of atom monomials; its hash is computed once, on first use."""
+    """Immutable Z-linear combination of atom monomials, none with a zero coefficient.
+
+    The hash is ``hash(frozenset(items))``, except that an integer (at most
+    the one monomial ``()``) hashes as its int, which it equals; it is
+    computed on first use and kept in ``_hash``, None until then.  The
+    public constructor drops zero coefficients; ``_of`` wraps a dict that
+    holds none, and the ring operations build their results through it.
+    """
 
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        object.__setattr__(self, "_terms", {m: c for m, c in (terms or {}).items() if c != 0})
+        _set_terms(self, {m: c for m, c in (terms or {}).items() if c != 0})
+        _set_hash(self, None)
+
+    @classmethod
+    def _of(cls, terms: dict[Monomial, int]) -> "SymExpr":
+        """Wrap ``terms``, which holds no zero coefficient, unchecked and uncopied."""
+        e = _new(cls)
+        _set_terms(e, terms)
+        _set_hash(e, None)
+        return e
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def integer(n: int) -> "SymExpr":
-        return SymExpr({_ONE_MONO: n}) if require_int("a coefficient", n) else SymExpr()
+        return SymExpr._of({_ONE_MONO: n} if require_int("a coefficient", n) else {})
 
     @staticmethod
     def atom(name: str, power: int = 1) -> "SymExpr":
@@ -76,7 +92,7 @@ class SymExpr(Immutable):
             raise ValueError("atom powers must be nonnegative")
         if power == 0:
             return SymExpr.integer(1)
-        return SymExpr({((name, power),): 1})
+        return SymExpr._of({((name, power),): 1})
 
     # -- ring structure -----------------------------------------------
 
@@ -88,13 +104,17 @@ class SymExpr(Immutable):
         other = self._coerce(other)
         terms = dict(self._terms)
         for m, c in other._terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return SymExpr(terms)
+            c += terms.get(m, 0)
+            if c:
+                terms[m] = c
+            else:  # c cancels a term of self
+                del terms[m]
+        return SymExpr._of(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SymExpr({m: -c for m, c in self._terms.items()})
+        return SymExpr._of({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -104,7 +124,7 @@ class SymExpr(Immutable):
 
     def __mul__(self, other):
         if type(other) is int:  # a scalar: no coercion, no monomial products
-            return SymExpr({m: c * other for m, c in self._terms.items()} if other else None)
+            return SymExpr._of({m: c * other for m, c in self._terms.items()} if other else {})
         other = self._coerce(other)
         terms: dict[Monomial, int] = {}
         for m1, c1 in self._terms.items():
@@ -121,7 +141,8 @@ class SymExpr(Immutable):
         return not self._terms
 
     def is_integer(self) -> bool:
-        return all(m == _ONE_MONO for m in self._terms)
+        terms = self._terms  # no zero coefficient is kept: an integer has at most one term
+        return not terms or (len(terms) == 1 and _ONE_MONO in terms)
 
     def as_integer(self) -> int:
         if not self.is_integer():
@@ -144,12 +165,12 @@ class SymExpr(Immutable):
         return self._terms == other._terms
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:  # first use; an integer equals its int, so it hashes as that int
-            h = hash(self.as_integer() if self.is_integer() else frozenset(self._terms.items()))
-            object.__setattr__(self, "_hash", h)
-            return h
+        h = self._hash
+        if h is None:  # first use; an integer equals its int, so it hashes as that int
+            terms = self._terms
+            h = hash(terms.get(_ONE_MONO, 0) if self.is_integer() else frozenset(terms.items()))
+            _set_hash(self, h)
+        return h
 
     def __reduce__(self):  # rebuilt from its terms; the hash is recomputed
         return SymExpr, (self._terms,)
@@ -175,6 +196,11 @@ class SymExpr(Immutable):
         for p in parts[1:]:
             out += p if p.startswith("-") else "+" + p
         return out
+
+
+_new = object.__new__
+_set_terms = SymExpr._terms.__set__
+_set_hash = SymExpr._hash.__set__
 
 
 def atom(name: str) -> SymExpr:

@@ -5,11 +5,13 @@ The package keys Grothendieck terms and mod-l classes on doubled ints
 here compute the same values the plain way: a Grothendieck element is a dict
 keyed on (label, Xi exponent as a ``Fraction``), and a collapse keeps every
 twist as a ``Fraction``.  ``fraction_terms`` reads a ``GrothElement`` into
-that form.
+that form.  ``product_kind_pairwise`` keeps the pairwise rule that once
+decided the kind of a label product, as an oracle for ``_product_kind``.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from htgroth.jl_red import SignedCharacter
@@ -17,6 +19,8 @@ from htgroth.jsonio import _label_from_json, _label_to_json, sym_from_json, sym_
 from htgroth.modl import line_key
 from htgroth.segments import (
     KIND_FORMAL,
+    KIND_GENERIC,
+    KIND_SPEH_ST,
     GrothElement,
     IrreducibleLabel,
     Multisegment,
@@ -53,6 +57,19 @@ def groth_product_fraction(a: FractionTerms, b: FractionTerms) -> FractionTerms:
         for (lb, tb), cb in b.items():
             _add(out, (label_product(la, lb), ta + tb), ca * cb)
     return _pruned(out)
+
+
+def product_kind_pairwise(a: IrreducibleLabel, b: IrreducibleLabel) -> str:
+    """The kind of a x b: formal when a multisegment of a and one of b share a cuspidal id, or when
+    either kind is formal; else speh-of-st when either is, else generic."""
+    for ma, mb in itertools.product(a.multisegments(), b.multisegments()):
+        if {c.id for c in ma.cuspidal_lines()} & {c.id for c in mb.cuspidal_lines()}:
+            return KIND_FORMAL
+    if KIND_FORMAL in (a.kind, b.kind):
+        return KIND_FORMAL
+    if KIND_SPEH_ST in (a.kind, b.kind):
+        return KIND_SPEH_ST
+    return KIND_GENERIC
 
 
 def run_data_fraction(ms: Multisegment):

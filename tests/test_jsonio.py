@@ -280,8 +280,8 @@ def elements(draw):
 @settings(max_examples=100, deadline=None)
 @given(labs=st.lists(labels(), min_size=1, max_size=6), data=st.data())
 def test_sorted_terms_order_as_a_fresh_label_sort_key_sort(labs, data):
-    # each label keeps its sort key from its first sort; the order, the kept
-    # key and the hash stay what a fresh _label_sort_key gives
+    # each label keeps its sort key from its first sort; the order and the kept
+    # key stay what a fresh _label_sort_key gives, the hash what its factors' hashes give
     hashes = [hash(label) for label in labs]
     for _ in range(3):  # the later sorts read kept keys, on labels shared between elements
         terms = {(label, half(data.draw(st.integers(-1, 1)))): integer(1) for label in labs}
@@ -291,7 +291,7 @@ def test_sorted_terms_order_as_a_fresh_label_sort_key_sort(labs, data):
     # (a sort of one term reads no key)
     assert all(getattr(label, "_sort_key", None) in (None, _label_sort_key(label)) for label in labs)
     assert [hash(label) for label in labs] == hashes
-    assert hashes == [hash((_label_sort_key(label)[1], label.kind)) for label in labs]
+    assert hashes == [hash((tuple(map(hash, label.factors)), label.kind)) for label in labs]
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,17 +3,22 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from fraction_oracles import product_kind_pairwise
 
 from htgroth.segments import (
     CuspidalLabel,
     GrothElement,
     IrreducibleLabel,
     KIND_FORMAL,
+    KIND_GENERIC,
+    KIND_SPEH_ST,
     Multisegment,
     OpaqueFactor,
     Partition,
     Segment,
+    _product_kind,
     _rectangle_shape,
     box_partitions,
     cut_tuples,
@@ -22,6 +27,7 @@ from htgroth.segments import (
     groth_product,
     half,
     ladder_cuts,
+    label_product,
     make_speh_st,
     _factor_key,
     make_steinberg,
@@ -330,7 +336,76 @@ def test_cached_hashes_agree_with_equality_and_the_key(segs, rnd):
     la = IrreducibleLabel(factors, KIND_FORMAL)
     lb = IrreducibleLabel(reversed(factors), KIND_FORMAL)
     assert la == lb and hash(la) == hash(lb)
-    assert hash(la) == hash((tuple(map(_factor_key, la.factors)), la.kind))
+    assert hash(la) == hash((tuple(map(hash, la.factors)), la.kind))
+    assert la.factors == tuple(sorted(factors, key=_factor_key))
+
+
+def test_order_is_canonical_on_lines_sharing_an_id():
+    # segments and factors on two lines of one id sort by the whole cuspidal
+    # key, so equal values built in either order compare, hash and print alike
+    for other in (CuspidalLabel("pi", g=2), CuspidalLabel("pi", e_pi=3)):
+        s1, s2 = Segment(PI, 0, 2), Segment(other, 0, 2)
+        assert Multisegment([s1, s2]) == Multisegment([s2, s1])
+        assert hash(Multisegment([s1, s2])) == hash(Multisegment([s2, s1]))
+        assert Multisegment([s1, s2]).segments == Multisegment([s2, s1]).segments == (s1, s2)
+        a, b = make_steinberg(PI, 2), make_steinberg(other, 2)
+        assert label_product(a, b) == label_product(b, a)
+        assert hash(label_product(a, b)) == hash(label_product(b, a))
+        x, y = GrothElement.of(a), GrothElement.of(b, half(1))
+        assert groth_product(x, y) == groth_product(y, x)
+        assert repr(groth_product(x, y)) == repr(groth_product(y, x))
+
+
+PRODUCT_LINES = [
+    CuspidalLabel("pi"), CuspidalLabel("pi", g=2), CuspidalLabel("rho"), CuspidalLabel("sigma", e_pi=2)
+]
+
+
+@st.composite
+def product_labels(draw):
+    """A label of any kind: 0-3 multisegments (possibly empty) on 1-3 lines, 0-2 opaque factors."""
+    lines = draw(st.lists(st.sampled_from(PRODUCT_LINES), min_size=1, max_size=3, unique=True))
+    factors = [
+        Multisegment(
+            Segment(draw(st.sampled_from(lines)), half(draw(st.integers(-3, 3))), draw(st.integers(1, 2)))
+            for _ in range(draw(st.integers(0, 2)))
+        )
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    factors += [
+        OpaqueFactor(draw(st.sampled_from(["tail", "rem"])), draw(st.integers(0, 2)))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    if draw(st.booleans()) and not factors:
+        return IrreducibleLabel.unit()
+    return IrreducibleLabel(factors, draw(st.sampled_from([KIND_FORMAL, KIND_GENERIC, KIND_SPEH_ST])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=product_labels(), b=product_labels())
+def test_product_kind_matches_the_pairwise_rule(a, b):
+    kind = product_kind_pairwise(a, b)
+    assert _product_kind(a, b) == kind == _product_kind(b, a)
+    ab = label_product(a, b)
+    assert ab == label_product(b, a) and hash(ab) == hash(label_product(b, a))
+    assert ab.factors == tuple(sorted(a.factors + b.factors, key=_factor_key))
+    assert ab.kind == (kind if ab.factors else KIND_GENERIC)
+
+
+def test_product_kind_reaches_every_kind():
+    speh, st2 = make_speh_st(PI, 2, 1), make_steinberg(PI2, 2)
+    opaque = IrreducibleLabel((OpaqueFactor("tail", 1),), KIND_GENERIC)
+    cases = [
+        (st2, opaque, KIND_GENERIC),
+        (speh, st2, KIND_SPEH_ST),
+        (speh, make_steinberg(PI, 3), KIND_FORMAL),  # one line: linked
+        (speh, make_steinberg(CuspidalLabel("pi", g=3), 1), KIND_FORMAL),  # one id, another rank
+        (IrreducibleLabel(st2.factors, KIND_FORMAL), opaque, KIND_FORMAL),
+        (IrreducibleLabel.unit(), speh, KIND_SPEH_ST),
+        (IrreducibleLabel.unit(), IrreducibleLabel.unit(), KIND_GENERIC),
+    ]
+    for a, b, kind in cases:
+        assert _product_kind(a, b) == _product_kind(b, a) == product_kind_pairwise(a, b) == kind
 
 
 def test_cancelling_sums_equal_zero():
@@ -379,7 +454,7 @@ def test_segment_is_immutable_and_tells_ranks_apart():
     with pytest.raises(AttributeError):
         del seg.start
     assert (seg.start, seg.length, seg.cuspidal) == (half(1), 2, PI)
-    assert repr(seg) == "[1/2,3/2]_pi" and seg.sort_key() == ("pi", 1, 2)
+    assert repr(seg) == "[1/2,3/2]_pi" and seg.sort_key() == ("pi", 1, 2, 1, 1)
     same = Segment(CuspidalLabel("pi"), Fraction(1, 2), 2)
     assert seg == same and hash(seg) == hash(same)
     for other in (CuspidalLabel("pi", g=2), CuspidalLabel("pi", e_pi=3)):
@@ -389,7 +464,7 @@ def test_segment_is_immutable_and_tells_ranks_apart():
 
 
 def test_multisegment_order_is_the_fraction_order():
-    # the integer key (id, doubled start, length) sorts as (id, start, length) did
+    # the integer key (id, doubled start, length, g, e_pi) sorts as (id, start, length, g, e_pi) does
     rng = random.Random(20261018)
     lines = [CuspidalLabel(i, g=g, e_pi=e) for i in ("pi", "rho", "pi2") for g in (1, 2) for e in (1, 2)]
     for _ in range(300):
@@ -397,5 +472,5 @@ def test_multisegment_order_is_the_fraction_order():
             Segment(rng.choice(lines), half(rng.randint(-6, 6)), rng.randint(1, 3))
             for _ in range(rng.randint(0, 7))
         ]
-        expected = sorted(segs, key=lambda seg: (seg.cuspidal.id, seg.start, seg.length))
-        assert list(Multisegment(segs).segments) == expected  # ties in order, ranks compared
+        expected = sorted(segs, key=lambda seg: (seg.cuspidal.id, seg.start, seg.length) + seg.cuspidal._key[1:])
+        assert list(Multisegment(segs).segments) == expected  # ranks compared

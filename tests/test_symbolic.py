@@ -2,6 +2,7 @@ import copy
 import pickle
 
 import pytest
+from hypothesis import given, strategies as st
 
 from htgroth.symbolic import ATOM_NAME, SymExpr, atom, integer
 
@@ -127,3 +128,35 @@ def test_copies_and_pickles_rebuild_equal_expressions():
 def test_bools_still_compare_as_their_ints():
     assert integer(1) == True and integer(0) == False and SymExpr() == 0  # noqa: E712
     assert atom("m") != 1 and integer(2) != 3
+
+
+EXPRS = st.dictionaries(
+    st.sampled_from([(), (("m", 1),), (("n", 2),), (("m", 1), ("n", 1))]), st.integers(-2, 2), max_size=4
+).map(SymExpr)
+
+
+def _reference_terms(terms: dict) -> dict:
+    return {m: c for m, c in terms.items() if c}
+
+
+@given(a=EXPRS, b=EXPRS, k=st.integers(-2, 2))
+def test_ring_operations_keep_no_zero_coefficient_and_start_with_no_hash(a, b, k):
+    # the ring operations wrap their dicts unchecked: each must drop what cancels itself
+    summed = {m: a._terms.get(m, 0) + b._terms.get(m, 0) for m in {**a._terms, **b._terms}}
+    negated = {m: -c for m, c in b._terms.items()}
+    expected = [
+        (a + b, summed),
+        (a - b, {m: a._terms.get(m, 0) + negated.get(m, 0) for m in {**a._terms, **negated}}),
+        (-a, {m: -c for m, c in a._terms.items()}),
+        (a * k, {m: c * k for m, c in a._terms.items()}),
+        (k * a, {m: c * k for m, c in a._terms.items()}),
+        (a + k, {**a._terms, (): a._terms.get((), 0) + k}),
+        (SymExpr.integer(k), {(): k}),
+    ]
+    for e, terms in expected:
+        assert e._terms == _reference_terms(terms) and 0 not in e._terms.values()
+        assert e._hash is None  # the first hash finds the slot set, and raises nothing
+        assert hash(e) == (hash(e.as_integer()) if e.is_integer() else hash(frozenset(e.items())))
+        assert e._hash == hash(e)
+    product = a * b  # built through the public constructor, which drops zeros
+    assert 0 not in product._terms.values() and product._hash is None
