@@ -64,7 +64,7 @@ from .modl import (
     tower_cuspidal,
 )
 from .segments import CuspidalLabel, GrothElement, half, ladder_cuts, make_speh_st, require_int
-from .symbolic import atom
+from .symbolic import atom_name
 
 PARSE_ERROR = 2
 PRECONDITION_ERROR = 3
@@ -172,8 +172,9 @@ def _load_profile(source: str, cuspidals: dict[str, CuspidalLabel]) -> SpectrumP
             cuspidals[name] = cusp
             if "mult" in item:
                 mult = jsonio.sym_from_json(_json_field(item, "mult", (int, str)))
-            else:  # one atom, so an id with a blank, ^, * or + cannot name it: ValueError
-                mult = atom(f"m[{name}]")
+            else:  # one atom, so an id with a blank, ^, * or + cannot name it: ValueError;
+                # read like a written mult, so every query of the id shares one object
+                mult = jsonio.sym_from_json(atom_name(f"m[{name}]"))
             entries.append(
                 ProfileEntry(
                     s=item["s"],

@@ -138,10 +138,10 @@ class ProfileEntry(Value):
 class SpectrumProfile(Value):
     """The entries of a spectrum profile, immutable.
 
-    ``_on_line``, a slot outside the fields, maps each cuspidal pi asked
-    about to its ``_line_entries``, computed on the first call for that pi;
-    equality, hash, repr, copy and pickle read ``entries`` only, so a copy
-    starts with an empty map.
+    ``_on_line``, a slot outside the fields, maps the ``_key`` of each
+    cuspidal pi asked about to its ``_line_entries``, computed on the first
+    call for that line; equality, hash, repr, copy and pickle read
+    ``entries`` only, so a copy starts with an empty map.
     """
 
     _fields = ("entries",)
@@ -194,7 +194,8 @@ class CohomologyTable(Immutable):
         return rows
 
     def degree(self, i: int) -> GrothElement:
-        return self.rows.get(i, GrothElement.zero())
+        row = self.rows.get(i)
+        return GrothElement.zero() if row is None else row  # a default argument builds a zero per call
 
     def degrees(self) -> list[int]:
         return sorted(self.rows)
@@ -231,13 +232,15 @@ def _line_entries(
     Computed once per (profile, pi) and kept on the profile: every table and
     balance side of the profile on that line shares the one tuple.
     """
-    on_line = profile._on_line
-    entries = on_line.get(pi)
+    on_line, line = profile._on_line, pi._key
+    entries = on_line.get(line)
     if entries is None:
-        entries = on_line[pi] = tuple(
+        entries = on_line[line] = tuple(
             (entry, weight)
             for entry in profile
-            if entry.cuspidal == pi and (weight := _weight(entry.mult, pi.e_pi))[1]
+            # a query's entries hold its pi itself: the identity test spares the __eq__ call
+            if (entry.cuspidal is pi or entry.cuspidal == pi)
+            and (weight := _weight(entry.mult, pi.e_pi))[1]
         )
     return entries
 

@@ -20,7 +20,7 @@ the factor's doubled starts, lengths and depth, not on its line.
 tables and the Euler sums read its sums directly.  ``bind_shapes`` is the
 one place that turns shapes into labels: it binds a cell, an Euler sum or
 a transfer term to the line of pi once, with the block twist and the tail.
-Labels are interned per (line, shape, shift): each is built once and
+Labels are interned per line and shifted shape: each is built once and
 shared by every table, while the product with a tail is built per call.
 ``rectangle_cuts``, keyed on (pi, s, t, r), keeps the bare bound values
 that ``R_cell``/``S_cell`` read.  The two tables read off the same
@@ -340,19 +340,27 @@ def _segment(cuspidal: CuspidalLabel, start2: int, length: int) -> Segment:
     return Segment._of2(cuspidal, start2, length)
 
 
-# `tables`, 8,192 ops: 48,319 hits / 1,689 misses; `towers` 11,525 / 10,377 (full at 4,096).
+# `tables`, 8,192 ops: 48,728 hits / 2,961 misses (a miss at shift2 != 0 asks shift 0 too);
+# `towers` 11,525 / 10,377, full at 4,096.
 @lru_cache(maxsize=4096)
-def _formal_label(pi: CuspidalLabel, shape: Shape, shift2: int) -> IrreducibleLabel:
-    """The formal label of ``shape`` on the line of pi, every start moved by shift2/2, built once.
+def _formal_label(line: tuple, shape: Shape, shift2: int) -> IrreducibleLabel:
+    """The formal label of ``shape`` on ``line``, every start moved by shift2/2, built once.
 
-    A shape recurs across cells, strata, profile entries and queries, so every
-    caller shares one label object per (pi, shape, shift2), and sums of
-    bound terms compare their keys by identity.  On one line a shape sorted by
-    (start2, length) is in its segments' key order: it is wrapped, not sorted.
+    ``line`` is the cuspidal's ``_key`` (id, g, e_pi): a query's fresh
+    ``CuspidalLabel`` then hits by tuple equality, and a ``CuspidalLabel``
+    is rebuilt from the key on a miss only.  A shape recurs across cells, strata,
+    profile entries and queries, so every caller shares one label object per
+    line and shifted shape: a miss at shift2 != 0 reads the shifted shape at
+    shift 0, and sums of bound terms compare their keys by identity.  On one
+    line a shape sorted by (start2, length) is in its segments' key order:
+    it is wrapped, not sorted.
     """
     if not shape:
         return IrreducibleLabel.unit()
-    segs = tuple(_segment(pi, start2 + shift2, length) for start2, length in shape)
+    if shift2:
+        return _formal_label(line, tuple((start2 + shift2, length) for start2, length in shape), 0)
+    pi = CuspidalLabel(*line)
+    segs = tuple(_segment(pi, start2, length) for start2, length in shape)
     return IrreducibleLabel((Multisegment._in_order(segs),), KIND_FORMAL)
 
 
@@ -370,17 +378,20 @@ def bind_shapes(
     label of its segments on pi (the empty shape the unit label), every
     start moved by the block twist shift2/2, times ``tail``
     (``label_product``); ``xi2`` becomes the doubled Xi exponent xi2 + shift2,
-    and ``c`` the coefficient ``weight * c``.  The label of a shape is
-    interned per (pi, shape, shift2) (``_formal_label``) and shared by every
-    table, Euler sum and transfer term; the product with the tail is built
-    per call, so the cache holds no tail.  On one line a multisegment sorts
-    its segments by (start, length), so distinct sorted shapes bind to
-    distinct labels: the binding is injective, and the keys must be distinct
-    with nonzero ``c``.  Given a dict ``row``, it adds the terms there and returns None.
+    and ``c`` the coefficient ``weight * c``, which for c = +-1 is ``weight``
+    itself or its kept negation, one object across calls.  The label of a
+    shape is interned per line and shifted shape (``_formal_label``, keyed
+    on pi's ``_key``, read once per call) and shared by every table, Euler
+    sum and transfer term; the product with the tail is built per call, so
+    the cache holds no tail.  On one line a multisegment sorts its segments
+    by (start, length), so distinct sorted shapes bind to distinct labels:
+    the binding is injective, and the keys must be distinct with nonzero
+    ``c``.  Given a dict ``row``, it adds the terms there and returns None.
     """
     out = {} if row is None else row
+    line = pi._key
     for (shape, xi2), c in terms:
-        label = _formal_label(pi, shape, shift2)
+        label = _formal_label(line, shape, shift2)
         if tail.factors:  # the product with the unit is the label itself
             label = label_product(tail, label)
         key, c = (label, xi2 + shift2), weight * c

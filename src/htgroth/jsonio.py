@@ -187,7 +187,7 @@ _SCALARS = {
 }
 
 
-# `tables`, 8,192 ops: 31,593 hits / 1,583 misses; interned table labels recur across queries.
+# `tables`, 8,192 ops: 31,593 hits / 1,583 misses; table labels are interned, one object per label.
 @lru_cache(maxsize=4096)
 def _label_at(label: IrreducibleLabel, newline: str) -> str:
     """The text of ``_label_to_json(label)``, its lines after the first starting with ``newline``.
@@ -199,7 +199,7 @@ def _label_at(label: IrreducibleLabel, newline: str) -> str:
     return "".join(parts)
 
 
-# `tables`, 8,192 ops: 33,132 hits / 44 misses; a stream prints few distinct coefficients.
+# `tables`, 8,192 ops: 33,132 hits / 44 misses, ~90 % by identity: a weight times +-1 is one object.
 @lru_cache(maxsize=4096)
 def _coeff_text(c: SymExpr) -> str:
     """The JSON text of ``sym_to_json(c)``, built once per coefficient."""

@@ -29,6 +29,13 @@ def require_int(name: str, value) -> int:
     return value
 
 
+def atom_name(name: str) -> str:
+    """``name`` when it is an atom name (``ATOM_NAME``), else ValueError."""
+    if not ATOM_NAME.fullmatch(name):
+        raise ValueError(f"{name!r} is no atom name: a letter or _ first, no blank, ^, * or +")
+    return name
+
+
 def _mul_mono(a: Monomial, b: Monomial) -> Monomial:
     if not a:
         return b
@@ -62,13 +69,20 @@ class SymExpr(Immutable):
     computed on first use and kept in ``_hash``, None until then.  The
     public constructor drops zero coefficients; ``_of`` wraps a dict that
     holds none, and the ring operations build their results through it.
+
+    A product with the int 1 is the expression itself, and one with -1 its
+    negation kept in ``_neg``, built on first use like the hash (None until
+    then): a bound coefficient ``weight * c`` with c = +-1 is then one shared
+    object, whose hash is kept and which caches keyed on it find by identity.
+    ``-e`` and every other product are built anew.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_neg")
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
         _set_terms(self, {m: c for m, c in (terms or {}).items() if c != 0})
         _set_hash(self, None)
+        _set_neg(self, None)
 
     @classmethod
     def _of(cls, terms: dict[Monomial, int]) -> "SymExpr":
@@ -76,6 +90,7 @@ class SymExpr(Immutable):
         e = _new(cls)
         _set_terms(e, terms)
         _set_hash(e, None)
+        _set_neg(e, None)
         return e
 
     # -- constructors -------------------------------------------------
@@ -86,8 +101,7 @@ class SymExpr(Immutable):
 
     @staticmethod
     def atom(name: str, power: int = 1) -> "SymExpr":
-        if not ATOM_NAME.fullmatch(name):
-            raise ValueError(f"{name!r} is no atom name: a letter or _ first, no blank, ^, * or +")
+        atom_name(name)
         if require_int("an atom power", power) < 0:
             raise ValueError("atom powers must be nonnegative")
         if power == 0:
@@ -124,6 +138,14 @@ class SymExpr(Immutable):
 
     def __mul__(self, other):
         if type(other) is int:  # a scalar: no coercion, no monomial products
+            if other == 1:
+                return self
+            if other == -1:
+                neg = self._neg
+                if neg is None:
+                    neg = -self
+                    _set_neg(self, neg)
+                return neg
             return SymExpr._of({m: c * other for m, c in self._terms.items()} if other else {})
         other = self._coerce(other)
         terms: dict[Monomial, int] = {}
@@ -201,6 +223,7 @@ class SymExpr(Immutable):
 _new = object.__new__
 _set_terms = SymExpr._terms.__set__
 _set_hash = SymExpr._hash.__set__
+_set_neg = SymExpr._neg.__set__
 
 
 def atom(name: str) -> SymExpr:

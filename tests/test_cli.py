@@ -23,7 +23,7 @@ from htgroth import cli, jl_red, jsonio
 from htgroth.jl_red import Cut
 from htgroth.modl import TowerLevel, matched_strata, tower_cuspidal, tower_rank
 from htgroth.segments import CuspidalLabel, GrothElement, make_speh_st
-from htgroth.symbolic import atom
+from htgroth.symbolic import SymExpr, atom
 
 from diagram_oracles import svg_point_set
 from parse_oracle import EXTRAS, HEADS, VALUES, both_parses, draw_argv
@@ -284,6 +284,39 @@ class TestCohomologyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["cohomology", "--profile", "[not json", "--pi", "pi", "--r", "1"])
         assert exc.value.code == 2
+
+    def test_a_repeated_query_hits_its_caches_by_identity(self, monkeypatch):
+        # the second run of a query compares no cuspidal and no coefficient by
+        # value, and binds its rows to the first run's coefficient objects
+        profile = json.dumps(
+            [
+                {"cuspidal": "pi", "s": 2, "t": 2, "xi_numerator": 2},
+                {"cuspidal": "pi", "s": 3, "t": 2, "mult": "-1*n"},
+            ]
+        )
+        argv = ["cohomology", "--profile", profile, "--pi", "pi", "--r", "2", "--extension", "intermediate"]
+        printed = []
+        dumps = jsonio.dumps
+
+        def keeping(obj):
+            printed.append(obj)
+            return dumps(obj)
+
+        monkeypatch.setattr(jsonio, "dumps", keeping)
+        first = run_main(argv)
+        calls = []
+        for cls in (CuspidalLabel, SymExpr):
+            def counting(self, other, eq=cls.__eq__, name=cls.__name__):
+                calls.append(name)
+                return eq(self, other)
+
+            monkeypatch.setattr(cls, "__eq__", counting)
+        second = run_main(argv)
+        monkeypatch.undo()
+        assert first == second and first[0] == 0 and calls == []
+        rows = [{i: [c for _, c in g.sorted_terms()] for i, g in run.items()} for run in printed]
+        assert rows[0] and rows[0] == rows[1]
+        assert all(a is b for i in rows[0] for a, b in zip(rows[0][i], rows[1][i], strict=True))
 
 
 class TestBalanceCommand:

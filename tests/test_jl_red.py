@@ -546,7 +546,7 @@ def test_bind_shapes_shares_one_label_per_line_shape_and_shift():
     assert len(first.terms) == len(sums) > 1
     shared = {label: label for label, _ in second.terms}
     assert all(shared[label] is label for label, _ in first.terms)
-    interned = {id(_formal_label(PI, shape, 2)) for (shape, _), _ in sums}
+    interned = {id(_formal_label(PI._key, shape, 2)) for (shape, _), _ in sums}
     assert {id(label) for label, _ in first.terms} == interned
 
 
@@ -560,6 +560,18 @@ def test_bound_labels_never_leak_across_lines_of_one_id():
                 for pi in (PI, PI_G3, PI):
                     for label, _ in bind_shapes(pi, sums, 1).terms:
                         assert all(seg.cuspidal == pi for ms in label.multisegments() for seg in ms)
+
+
+def test_formal_label_is_interned_on_its_shifted_shape():
+    # a label reached under two (shape, shift2) keys is one object, on each line
+    _formal_label.cache_clear()
+    for pi in (PI, PI_G3):
+        for shape in (((0, 2),), ((-2, 1), (0, 2), (4, 1))):
+            for shift2 in (2, -3):
+                shifted = tuple((start2 + shift2, length) for start2, length in shape)
+                assert _formal_label(pi._key, shape, shift2) is _formal_label(pi._key, shifted, 0)
+                assert _formal_label(pi._key, shifted, 0) == public_formal_label(pi, shape, shift2)
+    assert _formal_label(PI._key, ((0, 2),), 0) is not _formal_label(PI_G3._key, ((0, 2),), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +604,7 @@ def test_formal_label_matches_the_public_constructors():
                 shapes.update(shape for (shape, _), _ in _shriek_core(s, t, r))
     assert () in shapes and len(shapes) > 500
     for shape, shift2, pi in itertools.product(shapes, range(-4, 5), (PI, PI_G3)):
-        mine, public = _formal_label(pi, shape, shift2), public_formal_label(pi, shape, shift2)
+        mine, public = _formal_label(pi._key, shape, shift2), public_formal_label(pi, shape, shift2)
         assert _same_value(mine, public), (shape, shift2, pi)
         for ms, twin in zip(mine.multisegments(), public.multisegments(), strict=True):
             assert ms._key == twin._key and all(map(_same_value, ms, twin))

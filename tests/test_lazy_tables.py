@@ -339,6 +339,24 @@ def test_unbound_table_reads_as_the_eager_table(kind, r):
         hash(fresh())
 
 
+@pytest.mark.parametrize("kind", TABLES)
+def test_degree_builds_an_element_only_for_a_missing_degree(kind, monkeypatch):
+    # a nonzero table's degree returns its row; the zero is built only off the support
+    table = TABLES[kind](VALUE_PROFILE, VALUE_PI, 2)
+    rows = table.rows
+    assert rows
+    built = []
+    original = GrothElement.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(None)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(GrothElement, "__init__", counting)
+    assert all(table.degree(i) is rows[i] for i in table.degrees()) and not built
+    assert table.degree(min(rows) - 1).is_zero() and len(built) == 1
+
+
 def test_the_value_cases_cover_cancelled_and_empty_tables():
     # a stratum where a marked cell cancels, and one with no marked cell at
     # all; every table holds the entries on pi's line with their weights

@@ -95,7 +95,7 @@ def test_expressions_cannot_be_assigned_or_deleted():
     # a dict keyed on an expression keeps its hash: re-keying it in place must fail
     e = atom("m") + 2
     table = {e: "x"}
-    for name in ("_terms", "_hash", "not_a_slot"):
+    for name in ("_terms", "_hash", "_neg", "not_a_slot"):
         with pytest.raises(AttributeError, match="immutable"):
             setattr(e, name, {(): 1})
         with pytest.raises(AttributeError):
@@ -148,15 +148,20 @@ def test_ring_operations_keep_no_zero_coefficient_and_start_with_no_hash(a, b, k
         (a + b, summed),
         (a - b, {m: a._terms.get(m, 0) + negated.get(m, 0) for m in {**a._terms, **negated}}),
         (-a, {m: -c for m, c in a._terms.items()}),
-        (a * k, {m: c * k for m, c in a._terms.items()}),
-        (k * a, {m: c * k for m, c in a._terms.items()}),
         (a + k, {**a._terms, (): a._terms.get((), 0) + k}),
         (SymExpr.integer(k), {(): k}),
     ]
+    if abs(k) != 1:  # a product with +-1 is a itself or its kept negation: below
+        scaled = {m: c * k for m, c in a._terms.items()}
+        expected += [(a * k, scaled), (k * a, scaled)]
     for e, terms in expected:
         assert e._terms == _reference_terms(terms) and 0 not in e._terms.values()
         assert e._hash is None  # the first hash finds the slot set, and raises nothing
         assert hash(e) == (hash(e.as_integer()) if e.is_integer() else hash(frozenset(e.items())))
         assert e._hash == hash(e)
+    assert a * 1 is a and 1 * a is a
+    assert a * -1 is a * -1 and -1 * a is a * -1
+    assert a * -1 == -a and (a * -1) * -1 == a and 0 not in (a * -1)._terms.values()
+    assert hash(a * -1) == hash(-a) and hash((a * -1) * -1) == hash(a)
     product = a * b  # built through the public constructor, which drops zeros
     assert 0 not in product._terms.values() and product._hash is None
