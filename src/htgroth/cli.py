@@ -126,22 +126,28 @@ def cmd_reduce(args) -> int:
     return 0
 
 
-def _read_json(source: str, what: str, inline: str):
-    """The JSON value of ``source``: inline when it starts with ``inline``, else a UTF-8 file.
+def _read_json(source: str, what: str, kind: type):
+    """The JSON value of ``source``: inline when it starts with ``[`` or ``{``, else a UTF-8 file.
 
-    The one reader of JSON inputs; a file or text it cannot read or decode exits 2.
+    The one reader of JSON inputs; a file or text it cannot read or decode
+    exits 2.  The value must be a ``kind``, a list (a JSON array) or a dict
+    (a JSON object); a value of another JSON type raises ``ValueError``.
     """
     try:
-        if source.strip().startswith(inline):
-            return json.loads(source)
-        with open(source, encoding="utf-8") as fh:
-            return json.load(fh)
+        if source.strip().startswith(("[", "{")):
+            data = json.loads(source)
+        else:
+            with open(source, encoding="utf-8") as fh:
+                data = json.load(fh)
     except (OSError, ValueError) as exc:
         _fail(PARSE_ERROR, "parse", f"cannot read {what}: {exc}")
+    if not isinstance(data, kind) or (kind is list and not all(isinstance(x, dict) for x in data)):
+        raise ValueError(f"{what} must be a JSON {'array of objects' if kind is list else 'object'}")
+    return data
 
 
 def _load_supercuspidal(source: str) -> SupercuspidalData:
-    data = _read_json(source, "supercuspidal data", "{")
+    data = _read_json(source, "supercuspidal data", dict)
     try:
         return jsonio.supercuspidal_from_json(data)
     except (KeyError, TypeError) as exc:
@@ -160,7 +166,7 @@ def _json_field(item: dict, key: str, kinds, default=None):
 
 
 def _load_profile(source: str, cuspidals: dict[str, CuspidalLabel]) -> SpectrumProfile:
-    data = _read_json(source, "profile", "[")
+    data = _read_json(source, "profile", list)
     entries = []
     try:
         for item in data:

@@ -12,7 +12,8 @@ read one column r at a time, and a column is a closed range of degrees:
 * ``n_column(s, t, r)`` marks the shriek-extension cells: the lattice
   points of the parallelogram 0 <= i <= s-1, s <= r+i <= s+t-1.  Its oracle
   is the closed convex hull of the vertices (s+t-1,0), (s,0), (1,s-1),
-  (t,s-1).
+  (t,s-1), which lives in the tests, not here: ``n_polygon_vertices`` and
+  ``hull_contains`` in ``tests/diagram_oracles.py``.
 
 ``m_coeff``/``n_coeff`` test one cell against its column.  Superposition
 glues the per-block diagrams of a product local component, remembering for

@@ -10,10 +10,11 @@ character cut out by the run's center.
 
 A cell (stratum r, degree i) of the intermediate or shriek table is the
 signed sum of the cuts of a rectangle ladder at left rank r whose center is
--i_m/2, masked by the M or N diagram of :mod:`htgroth.diagrams`.  The shape
-layer, ``rectangle_shape_groups`` keyed on (s, t, r), enumerates a
-rectangle's cuts once, label-free, in doubled integers, and keeps only each
-center's summed signed a2 shapes: they depend only on the shape.  Likewise
+-i_m/2, masked by the M or N diagram of :mod:`htgroth.diagrams`.  One walk,
+``_run_cuts``, sums the signed a2 shapes of the cuts of rows on one line,
+label-free, in doubled integers, and keeps no cut.  The shape layer,
+``rectangle_shape_groups`` keyed on (s, t, r), walks a rectangle once and
+keeps each center's sums: they depend only on the shape.  Likewise
 ``red_tau`` reads a factor's transfer sums from ``_transfer_terms``, keyed on
 the factor's doubled starts, lengths and depth, not on its line.
 ``marked_cells`` is the one iterator over these cells, and label-free; the
@@ -155,18 +156,12 @@ Terms = tuple[tuple[TermKey, int], ...]  # (key, c), sorted by key, c != 0
 
 
 class Cut(Value):
-    """One surviving Jacquet cut of a ladder, label-free, in doubled integers.
+    """One Jacquet cut of a ladder whose a1 tiles one run once, label-free, in doubled integers.
 
-    The cut takes the top ``ks[j]`` positions of ladder row j into a1, which
-    then tiles one run once, and leaves the rest of the row in a2: both
-    halves follow from ``ks`` and the ladder.  ``a2`` is the shape of the
-    remainders, their sorted (start2, length) with start2 twice the start,
-    and the key under which every sum of cuts adds the cut.  ``sign`` =
-    (-1)^(#a1 pieces - 1) and ``center2`` (twice the run's center; the
-    attached character is |.|^(center2/2)) are the transfer data.
-
-    A cut carries no cuspidal label.  ``signed_shapes`` sums cuts into
-    terms: the shape layer and the transfer keep the sums, not the cuts.
+    Row j of the ladder gives its top ``ks[j]`` positions to a1 and keeps the
+    rest in a2, whose sorted (start2, length) shape is ``a2``.  ``sign`` =
+    (-1)^(#a1 pieces - 1) and ``center2``, twice the run's center, are the
+    transfer data.  Only the scan ``run_cuts`` builds cuts.
     """
 
     __slots__ = _fields = ("ks", "sign", "center2", "a2")
@@ -178,19 +173,27 @@ class Cut(Value):
         object.__setattr__(self, "a2", a2)
 
 
-def _run_cuts(
-    starts2: Sequence[int], lengths: Sequence[int], lines: Sequence, left_units: int
-) -> list[Cut]:
-    """The cuts whose a1 tiles one run once, of rows given as doubled starts, lengths, lines.
+def frozen_terms(terms: dict[TermKey, int]) -> Terms:
+    """The nonzero terms of an integer sum, sorted by key."""
+    return tuple(sorted((key, c) for key, c in terms.items() if c))
 
-    Sorted by end, the nonzero pieces of such a cut are a chain of rows
-    j_1, ..., j_n with strictly increasing ends on one cuspidal line.  The
-    bottom piece k(j_1) is free in 1..len(j_1); every later piece starts just
-    above the previous top, so k(j_(m+1)) = end(j_(m+1)) - end(j_m) is forced
-    and must be an integer in 1..len(j_(m+1)); the ks sum to left_units.
-    The run is contiguous, so it ends 2 * remaining above the chain's top:
-    a chain whose run cannot end on some row's end is dropped unwalked.
-    The cuts come in the lexicographic order of their ks.
+
+def _run_cuts(starts2: Sequence[int], lengths: Sequence[int], left_units: int, xi_sign: int) -> Terms:
+    """The signed a2 shapes of the cuts whose a1 tiles one run once, summed, of rows on one line.
+
+    The rows are doubled starts and lengths.  Sorted by end, the nonzero
+    pieces of such a cut are a chain of rows with strictly increasing ends:
+    the bottom piece is free in 1..its row's length, and every later piece
+    starts just above the previous top, so its length, the gap between the
+    two ends, is forced and must fit its row; the pieces sum to left_units.
+    The run is contiguous, so it ends 2 * remaining above the chain's top: a
+    chain whose run cannot end on some row's end is dropped unwalked.
+
+    Each cut adds its sign (-1)^(#a1 pieces - 1) under (a2, xi_sign *
+    center2), a2 being the chain's rows trimmed and the other rows whole,
+    sorted.  The transfer takes xi_sign 1 (the Xi slot carries the run's
+    character |.|^(center2/2)); a table cell takes -1 (its cuts of center
+    -i_m/2 carry the twist Xi^(i_m/2)).
 
     On the s-by-t rectangle at rank s + t - 1 only the bottom piece (0, t)
     reaches center 0, and the forced ks above it are a composition of s - 1
@@ -204,7 +207,7 @@ def _run_cuts(
     row_ends2 = set(ends2)
     order = sorted(range(n), key=ends2.__getitem__)
     reach2 = 2 * max(lengths, default=0)  # no piece spans a wider gap
-    out = []
+    terms: dict[TermKey, int] = {}
     chain: list[int] = []  # the rows of the a1 pieces, bottom to top
     # depth first with an explicit stack, in the order a recursion would take, at
     # any depth; a frame is (its row's depth in the chain, row, next position in
@@ -222,57 +225,37 @@ def _run_cuts(
         del chain[depth:]
         chain.append(j)
         if remaining == 0:
-            ks, below2 = [0] * n, bottom2 - 2
-            for row in chain:
-                ks[row] = (ends2[row] - below2) // 2
-                below2 = ends2[row]
-            a2 = sorted((starts2[i], lengths[i] - ks[i]) for i in range(n) if ks[i] < lengths[i])
-            out.append(Cut(tuple(ks), (-1) ** depth, (bottom2 + top2) // 2, tuple(a2)))
+            rest, below2 = list(lengths), bottom2 - 2
+            for row in chain:  # the piece of a chain row runs from below2 + 2 to its end
+                rest[row], below2 = (below2 + 2 - starts2[row]) // 2, ends2[row]
+            a2 = tuple(sorted((starts2[i], k) for i, k in enumerate(rest) if k))
+            key = (a2, xi_sign * ((bottom2 + top2) // 2))
+            terms[key] = terms.get(key, 0) + (-1) ** depth
             continue
-        line, limit2, above = lines[chain[0]], min(2 * remaining, reach2), []
+        limit2, above = min(2 * remaining, reach2), []
         for idx in range(nxt, n):
             i = order[idx]
             gap2 = ends2[i] - top2
             if gap2 > limit2:
                 break  # ends only grow along the order
-            if gap2 < 2 or gap2 % 2 or gap2 > 2 * lengths[i] or lines[i] != line:
+            if gap2 < 2 or gap2 % 2 or gap2 > 2 * lengths[i]:
                 continue
             above.append((depth + 1, i, idx + 1, remaining - gap2 // 2, bottom2))
         stack.extend(reversed(above))
-    out.sort(key=lambda cut: cut.ks)  # ks are distinct
-    return out
+    return frozen_terms(terms)
 
 
 def run_cuts(lad: Multisegment, left_units: int) -> list[Cut]:
-    """All suffix cuts of the ladder whose first half survives the transfer.
+    """All suffix cuts of the ladder whose a1 survives the transfer, by scan: the tests' reference.
 
-    Unlike the public ``ladder_cuts`` (every Jacquet-module term: on a
-    rectangle the tuples of ``segments.box_partitions``), this lists exactly
-    the suffix tuples whose a1 is a multiplicity-one consecutive run, i.e.
-    the terms with a nonzero pseudo-coefficient trace that the cohomology
-    cells aggregate.  The tuples are generated directly as chains of rows
-    tiling the run (see ``_run_cuts``, after Kret-Lapid's description of the
-    Jacquet modules of ladders), not filtered out of all suffix tuples as
-    ``run_cuts_scan`` does; the cuts come in the lexicographic order of
-    their ks, the order of that scan.  ``ks[j]`` is the part of
-    ``lad.segments[j]`` that goes to a1.
+    Unlike ``ladder_cuts`` (every Jacquet-module term), this keeps exactly
+    the suffix tuples, in the lexicographic order of ``cut_tuples``, whose a1
+    is a multiplicity-one consecutive run: the terms with a nonzero
+    pseudo-coefficient trace.  Its cost grows with the number of tuples; the
+    walk ``_run_cuts`` sums the same cuts without them.
     """
-    segs = lad.segments
-    return _run_cuts(
-        [seg.start2 for seg in segs],
-        [seg.length for seg in segs],
-        [seg.cuspidal for seg in segs],
-        left_units,
-    )
-
-
-def run_cuts_scan(lad: Multisegment, left_units: int) -> list[Cut]:
-    """Reference for ``run_cuts``: scan every suffix tuple, keep the runs."""
-    lengths = [seg.length for seg in lad.segments]
-    if left_units > sum(lengths) or left_units < 0:
-        return []
     out = []
-    for ks in cut_tuples(lengths, left_units):
+    for ks in cut_tuples([seg.length for seg in lad.segments], left_units):
         a1, a2 = _suffix_cut(lad, ks)
         run = _run_data(a1)
         if run is None:
@@ -282,51 +265,19 @@ def run_cuts_scan(lad: Multisegment, left_units: int) -> list[Cut]:
     return out
 
 
-def rectangle_shape_cuts(s: int, t: int, left_units: int) -> tuple[Cut, ...]:
-    """The cuts of the s-by-t rectangle ladder at left rank ``left_units``, label-free.
-
-    Row j of ``speh_st_multisegment`` starts at the doubled position
-    2 - s - t + 2 j; the rows index that ladder's segments.
-    """
-    return tuple(
-        _run_cuts([2 - s - t + 2 * j for j in range(s)], [t] * s, [None] * s, left_units)
-    )
-
-
-def frozen_terms(terms: dict[TermKey, int]) -> Terms:
-    """The nonzero terms of an integer sum, sorted by key."""
-    return tuple(sorted((key, c) for key, c in terms.items() if c))
-
-
-def signed_shapes(cuts: Iterable[Cut], xi_sign: int) -> Terms:
-    """The signed a2 shapes of ``cuts``, summed as integers.
-
-    A cut adds its sign to the key (a2, xi_sign * center2).  The transfer
-    takes ``xi_sign`` 1: the Xi slot carries the run's character
-    |.|^(center2/2).  A table cell takes -1: the cuts of center -i_m/2 sit
-    in intermediate degree i_m and carry the twist Xi^(i_m/2).
-    """
-    terms: dict[TermKey, int] = {}
-    for cut in cuts:
-        key = (cut.a2, xi_sign * cut.center2)
-        terms[key] = terms.get(key, 0) + cut.sign
-    return frozen_terms(terms)
-
-
 # `tables`, 8,192 ops: 8,403 hits / 0 misses after set-up; `towers` 266 / 19, `verify --max 12` 93 / 123.
 @lru_cache(maxsize=1024)
 def rectangle_shape_groups(s: int, t: int, left_units: int) -> Mapping[int, Terms]:
-    """The ``signed_shapes`` of ``rectangle_shape_cuts``, keyed on (a2, i_m), per center2 = -i_m.
+    """``_run_cuts`` of the s-by-t rectangle at xi_sign -1, keyed on (a2, i_m), per center2 = -i_m.
 
-    A center's sum is the value of every table cell that reads it; the cuts
-    are dropped here.  A center has a sum exactly when it has a cut: the a2
-    shape of a cut fixes its ks (row j's remainder starts at
-    2 - s - t + 2 j; a row with no piece is taken whole), so no two cuts
-    share a key and no term cancels.  The cached mapping is shared, so it
-    is read-only.
+    Row j of ``speh_st_multisegment`` starts at 2 - s - t + 2 j, doubled, so
+    a cut's a2 shape fixes its ks (a row with no remainder is taken whole):
+    no two cuts share a key, no term cancels, and a center has a sum, the
+    value of every table cell that reads it, exactly when it has a cut.  The
+    cached mapping is shared, so it is read-only.
     """
     groups: dict[int, list[tuple[TermKey, int]]] = {}
-    for term in signed_shapes(rectangle_shape_cuts(s, t, left_units), -1):
+    for term in _run_cuts([2 - s - t + 2 * j for j in range(s)], [t] * s, left_units, -1):
         groups.setdefault(-term[0][1], []).append(term)
     return MappingProxyType({c2: tuple(terms) for c2, terms in sorted(groups.items())})
 
@@ -482,12 +433,12 @@ def S_cell(s: int, t: int, r: int, i: int, pi: CuspidalLabel) -> GrothElement:
 # `towers`, 8,000 ops: 13,873 hits / 35 misses; fresh lift lines share a factor's shapes.
 @lru_cache(maxsize=1024)
 def _transfer_terms(starts2: tuple[int, ...], lengths: tuple[int, ...], r_units: int) -> Terms:
-    """``signed_shapes(run_cuts(factor, r_units), 1)`` of a factor on one line, from its rows.
+    """The summed transfer terms of a factor on one line, from its rows: ``_run_cuts`` at xi_sign 1.
 
-    The rows are passed line-free, as ``rectangle_shape_cuts`` passes a
+    The rows are passed line-free, as ``rectangle_shape_groups`` passes a
     rectangle's, so factors on different lines with the same rows share one sum.
     """
-    return signed_shapes(_run_cuts(starts2, lengths, [None] * len(lengths), r_units), 1)
+    return _run_cuts(starts2, lengths, r_units, 1)
 
 
 def red_tau(pi: CuspidalLabel, r_units: int, x: GrothElement) -> GrothElement:

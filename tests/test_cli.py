@@ -20,7 +20,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import htgroth
 from htgroth.cli import COMMANDS, _parse_args, _parser, main
 from htgroth import cli, jl_red, jsonio
-from htgroth.jl_red import Cut
 from htgroth.modl import TowerLevel, matched_strata, tower_cuspidal, tower_rank
 from htgroth.segments import CuspidalLabel, GrothElement, make_speh_st
 from htgroth.symbolic import SymExpr, atom
@@ -486,7 +485,7 @@ def test_verify_max_8_stdout_pinned(capsys):
 
 
 def verify_max_8_under(monkeypatch, capsys, mutant):
-    """``verify --max 8`` with ``jl_red._run_cuts`` replaced by ``mutant(cuts)``, every cache cleared."""
+    """``verify --max 8`` with ``jl_red._run_cuts`` replaced by ``mutant(terms)``, every cache cleared."""
     run_cuts = jl_red._run_cuts
     monkeypatch.setattr(jl_red, "_run_cuts", lambda *args: mutant(run_cuts(*args)))
     clear_htgroth_caches()
@@ -499,10 +498,10 @@ def verify_max_8_under(monkeypatch, capsys, mutant):
 
 def test_verify_fails_when_every_cut_sign_flips(monkeypatch, capsys):
     # the master identity is an oracle of the sign convention: with every
-    # cut's sign flipped the tables move, the shriek side's closed forms do
-    # not, and verify must fail there; the endpoint's signed count moves too
-    def flipped(cuts):
-        return [Cut(c.ks, -c.sign, c.center2, c.a2) for c in cuts]
+    # term of the walk negated the tables move, the shriek side's closed forms
+    # do not, and verify must fail there; the endpoint's signed count moves too
+    def flipped(terms):
+        return tuple((key, -c) for key, c in terms)
 
     code, out = verify_max_8_under(monkeypatch, capsys, flipped)
     lines = out.splitlines()
@@ -511,14 +510,109 @@ def test_verify_fails_when_every_cut_sign_flips(monkeypatch, capsys):
 
 
 def test_verify_fails_when_an_endpoint_cut_is_dropped(monkeypatch, capsys):
-    # dropping one cut from every center-0 group of two or more keeps the M
+    # dropping one center-0 term wherever the walk sums two or more keeps the M
     # and N endpoint cells equal; only the closed-form cut count sees it
-    def dropped(cuts):
-        center_0 = [c for c in cuts if c.center2 == 0]
-        return [c for c in cuts if len(center_0) < 2 or c is not center_0[0]]
+    def dropped(terms):
+        center_0 = [term for term in terms if term[0][1] == 0]
+        return tuple(term for term in terms if len(center_0) < 2 or term is not center_0[0])
 
     code, out = verify_max_8_under(monkeypatch, capsys, dropped)
     assert code == 1 and "FAIL endpoint-identity" in out.splitlines()
+
+
+def test_a_cut_cache_miss_builds_no_cut(monkeypatch, capsys):
+    # the walk sums each cut into its term as it finds it: with every cache
+    # cleared, the misses of the shape groups and of the transfer sums build none
+    built = []
+    init = jl_red.Cut.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    clear_htgroth_caches()
+    monkeypatch.setattr(jl_red.Cut, "__init__", counted)
+    try:
+        assert run_cli(["verify", "--max", "8"], capsys)[0] == 0
+        assert run_cli(["red", "--s", "4", "--t", "3", "--r", "3"], capsys)[0] == 0
+        misses = [cache.cache_info().misses for cache in (jl_red.rectangle_shape_groups, jl_red._transfer_terms)]
+    finally:
+        monkeypatch.undo()
+        clear_htgroth_caches()
+    assert all(misses) and built == [], misses
+
+
+# The sha256 pins of the "Installed entry point" step of .github/workflows/tests.yml,
+# copied verbatim: (argv, sha256 of its stdout), run in-process here
+CI_PINS = [
+    (
+        [
+            "cohomology", "--profile",
+            '[{"cuspidal": "ρ[u=0]", "s": 2, "t": 2, "xi_numerator": 1, "mult": "2*m0*dxi"}, {"cuspidal": "ρ[u=0]", "s": 3, "t": 1, "xi_numerator": -3}]',
+            "--pi", "ρ[u=0]", "--r", "2", "--extension", "intermediate",
+        ],
+        "5fb42f9eb4f72e4fb15019cbf8f904fa57b2c42820ffb389218f2752568e39f1",
+    ),
+    (
+        ["cohomology", "--profile", '[{"cuspidal": "pi", "s": 2, "t": 1}]', "--pi", "pi", "--r", "5"],
+        "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
+    ),
+    (
+        [
+            "cohomology", "--profile",
+            '[{"cuspidal": "pi", "s": 2, "t": 3}, {"cuspidal": "pi", "s": 2, "t": 3, "xi_numerator": 2, "mult": "m"}, {"cuspidal": "pi", "s": 2, "t": 3, "xi_numerator": -2, "mult": "n*dxi"}, {"cuspidal": "pi", "s": 2, "t": 3, "mult": "2*m"}]',
+            "--pi", "pi", "--r", "2", "--extension", "shriek",
+        ],
+        "a21efe7b0e943b498ae2dc8155ea809ca83455c1a4b862d354a33e0501284901",
+    ),
+    (["red", "--s", "3", "--t", "2", "--r", "2"], "7871e8be893021af5956960df7ac58ddfb93ee65ea19af92708941124d45c310"),
+    (["reduce", "--u", "0", "--s", "3"], "81822d2db9eafc1b919358a63ea4b8cc9ea817efb0de4e1b322ff5bad35c9bb1"),
+    (
+        ["reduce", "--division", "--m-tau", "3", "--iota", "ι"],
+        "24493fdf474fce2b93d592680d786e7252b517c6846c6515e77f184471ea4037",
+    ),
+    (
+        [
+            "balance", "--sc", '{"id": "rho", "g": 1, "q": 2, "l": 7, "epsilon": 3}',
+            "--u", "-1", "--u-prime", "0", "--r", "3", "--r-prime", "1",
+            "--profile-u",
+            '[{"cuspidal": "rho[u=-1]", "s": 3, "t": 2, "xi_numerator": 1}, {"cuspidal": "rho[u=-1]", "s": 1, "t": 4, "xi_numerator": -3, "mult": "2*m"}, {"cuspidal": "rho[u=-1]", "s": 2, "t": 3, "markers": ["nondegenerate-at-auxiliary-place"]}, {"cuspidal": "sigma", "s": 2, "t": 1}]',
+            "--profile-u-prime",
+            '[{"cuspidal": "rho[u=0]", "s": 2, "t": 1, "xi_numerator": 3}, {"cuspidal": "rho[u=0]", "s": 1, "t": 2, "xi_numerator": -1}, {"cuspidal": "rho[u=0]", "s": 1, "t": 3, "xi_numerator": 2, "mult": "m"}]',
+        ],
+        "81359a64b803f9f8befe76881676e00d5a73426ca6ec58a773563823afd88a85",
+    ),
+    (
+        [
+            "cohomology", "--profile",
+            '[{"cuspidal": "pi", "s": 3, "t": 2, "xi_numerator": 1, "mult": "3*μ^2*n"}, {"cuspidal": "pi", "s": 2, "t": 2, "xi_numerator": -2, "mult": "m^3"}, {"cuspidal": "pi", "s": 1, "t": 3, "mult": "2*m*dxi + μ"}]',
+            "--pi", "pi", "--r", "2", "--extension", "intermediate",
+        ],
+        "c87b8b087e23abc3464c554e151c2643320650885da2eb979d7d2e155c6809da",
+    ),
+    (["red", "--s", "4", "--t", "3", "--r", "3"], "497db07d82b3ba8ce389a78b7ccf7353521ba7abfd01982b9c62e31a338c9fa7"),
+    *(
+        (
+            [
+                "cohomology", "--profile",
+                '[{"cuspidal": "pi", "s": 2, "t": 2, "xi_numerator": 2}, {"cuspidal": "pi", "s": 2, "t": 2, "mult": "-1*n"}]',
+                "--pi", "pi", "--r", "2", "--extension", extension,
+            ],
+            digest,
+        )
+        for extension, digest in (
+            ("intermediate", "ca817d17eca56561dd357a6c4742d4918536e113bdbb32086360670687061d2c"),
+            ("shriek", "ee9ea0214eddf6fefe51ddd0dee3b61d353fd7a39c8294d29369b4cca5d3987c"),
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, sha256", CI_PINS, ids=[f"{argv[0]}-{sha[:8]}" for argv, sha in CI_PINS])
+def test_ci_entry_point_pins(argv, sha256):
+    code, out, err = run_main(argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
 # sha256 of the six ``figures`` SVGs, concatenated in sorted name order
@@ -714,6 +808,38 @@ def test_file_inputs_read_as_their_inline_forms(flag, inline, argv, tmp_path):
         gc.collect()
     assert from_file == expected and expected[0] == 0 and expected[1]
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+PROFILE_TYPE = "profile must be a JSON array of objects"
+SC_TYPE = "supercuspidal data must be a JSON object"
+BALANCE = ["balance", "--sc", SC, "--u", "0", "--u-prime", "0", "--r", "1", "--r-prime", "1"]
+
+
+@pytest.mark.parametrize(
+    "flag, text, argv, message",
+    [
+        ("--profile", "{}", ["cohomology", "--pi", "pi", "--r", "1"], PROFILE_TYPE),
+        ("--profile", '{"s":1}', ["cohomology", "--pi", "pi", "--r", "1"], PROFILE_TYPE),
+        ("--profile", "[[1]]", ["cohomology", "--pi", "pi", "--r", "1"], PROFILE_TYPE),
+        ("--profile", '[{"s":1,"t":1,"cuspidal":"pi"}, 1]', ["cohomology", "--pi", "pi", "--r", "1"], PROFILE_TYPE),
+        ("--profile-u", "{}", BALANCE + ["--profile-u-prime", PROFILE], PROFILE_TYPE),
+        ("--profile-u-prime", "[[]]", BALANCE + ["--profile-u", PROFILE], PROFILE_TYPE),
+        ("--sc", "[]", ["torsion", "--d", "4", "--u-prime", "0", "--r-prime", "1"], SC_TYPE),
+        ("--sc", '[{"id":"rho"}]', ["reduce", "--u", "0"], SC_TYPE),
+    ],
+)
+@pytest.mark.parametrize("where", ["inline", "file"])
+def test_json_input_of_the_wrong_type_names_the_type_expected(flag, text, argv, message, where, tmp_path):
+    # a JSON object once read as an empty profile (exit 0), inline JSON not
+    # led by the expected bracket was opened as a file name (exit 2), and a
+    # list where an object belongs failed with a raw TypeError text
+    if where == "file":
+        path = tmp_path / "input.json"
+        path.write_text(text, encoding="utf-8")
+        text = str(path)
+    code, out, err = run_main(argv + [flag, text])
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "precondition", "message": message}
 
 
 # -- fuzzing every subcommand ---------------------------------------------

@@ -5,17 +5,19 @@ keys every edge, and takes a product over the edges it leaves free; the
 block-append oracles ``hij_oracle``/``se2_oracle`` are the two expansions
 written out separately; ``shriek_reference`` runs the se2 expansion's full
 m-loop through ``attachment_oracle`` on every cut of every block.
-``cohomology`` computes each in one closed form, and peels no cut.
+``cohomology`` computes each in one closed form, and peels no cut.  The
+package keeps no cut, so the cuts of a rectangle are read back from its
+summed shapes (``cut_pieces.rectangle_group_cuts``).
 """
 
 import functools
 import itertools
 
 from htgroth.cohomology import _shriek_core, hij_expand, se2_expand
-from htgroth.jl_red import Cut, frozen_terms, marked_cells, rectangle_shape_cuts
+from htgroth.jl_red import Cut, frozen_terms, marked_cells
 from htgroth.segments import CuspidalLabel, speh_st_multisegment
 
-from cut_pieces import cut_pieces
+from cut_pieces import cut_pieces, rectangle_group_cuts
 
 
 @functools.lru_cache(maxsize=None)
@@ -119,7 +121,7 @@ def test_attachment_matches_oracle_on_every_rectangle_cut():
     calls = surviving = both_free = 0
     for s, t in RECTANGLES:
         for rank in range(1, s * t + 1):
-            for cut in rectangle_shape_cuts(s, t, rank):
+            for cut in rectangle_group_cuts(s, t, rank):
                 pieces = rectangle_pieces(s, t, cut)
                 for m in range(1, rank + 1):
                     expected = attachment_oracle(pieces, m)
@@ -139,11 +141,11 @@ def peel_sign(a1, m: int) -> int:
     return -sign if pieces[m - 1] in pieces[m:] else sign
 
 
-def shriek_reference(s: int, t: int, r: int, cuts_at=rectangle_shape_cuts):
+def shriek_reference(s: int, t: int, r: int, cuts_at=rectangle_group_cuts):
     """``_shriek_core`` with the full m-loop on every block, through ``attachment_oracle``.
 
     The cuts behind a marked cell are those of ``cuts_at(s, t, r + m)``,
-    ``rectangle_shape_cuts`` or a cache of it, whose center is -i_m/2.
+    ``rectangle_group_cuts`` or a cache of it, whose center is -i_m/2.
     """
     terms = {}
     for m in range(0, s * t - r + 1):
@@ -169,7 +171,7 @@ def test_shriek_core_matches_full_reference():
     # every block with s + t <= 12, and every one-row and one-column block
     # up to 24, where the closed form is read off the telescoping m-loop
     blocks = set(RECTANGLES) | {shape for n in range(1, 25) for shape in ((1, n), (n, 1))}
-    cuts_at = functools.lru_cache(maxsize=None)(rectangle_shape_cuts)  # each stratum once
+    cuts_at = functools.lru_cache(maxsize=None)(rectangle_group_cuts)  # each stratum once
     triples = 0
     for s, t in sorted(blocks):
         for r in range(-1, s * t + 2):

@@ -4,7 +4,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from htgroth.cohomology import _shriek_core
 from htgroth.diagrams import m_support
@@ -13,6 +13,7 @@ from htgroth.jl_red import (
     S_cell,
     Orientation,
     _formal_label,
+    _run_cuts,
     _run_data,
     _transfer_terms,
     bind_shapes,
@@ -21,12 +22,9 @@ from htgroth.jl_red import (
     orientations,
     r_tau_sign,
     rectangle_cuts,
-    rectangle_shape_cuts,
     rectangle_shape_groups,
     red_tau,
     run_cuts,
-    run_cuts_scan,
-    signed_shapes,
 )
 from htgroth.modl import FieldData, SupercuspidalData, TowerLevel, cuspidal_lifts, tower_cuspidal
 from htgroth.segments import (
@@ -47,7 +45,7 @@ from htgroth.segments import (
 )
 from htgroth.symbolic import atom, integer
 
-from cut_pieces import cut_pieces, shape_of
+from cut_pieces import cut_pieces, rectangle_group_cuts, shape_of, signed_sum
 from fraction_oracles import fraction_terms, red_tau_fraction
 from htgroth_caches import clear_htgroth_caches
 
@@ -309,8 +307,10 @@ def test_rectangle_cut_rows_partition():
         for rank in range(0, s * t + 1):
             groups = rectangle_shape_groups(s, t, rank)
             assert list(rectangle_cuts(PI, s, t, rank)) == list(groups)
+            cuts = rectangle_group_cuts(s, t, rank)  # one cut per term: none cancels
+            assert cuts == tuple(run_cuts(lad, rank))
             by_center = {}
-            for cut in rectangle_shape_cuts(s, t, rank):
+            for cut in cuts:
                 by_center.setdefault(cut.center2, []).append(cut)
                 a1, a2 = cut_pieces(lad, cut.ks)
                 assert sum(length for _, length, _ in a1) == rank
@@ -321,12 +321,9 @@ def test_rectangle_cut_rows_partition():
                 )
                 assert covered == rows
                 assert cut.a2 == shape_of(a2)
-            # one term per cut: distinct cuts have distinct a2 shapes, so none cancels
-            assert {c2: len(cuts) for c2, cuts in by_center.items()} == {
-                c2: len(sums) for c2, sums in groups.items()
-            }
-            for c2, cuts in by_center.items():
-                assert groups[c2] == signed_shapes(cuts, -1)
+            assert sorted(by_center) == list(groups)
+            for c2, center_cuts in by_center.items():
+                assert groups[c2] == signed_sum(center_cuts, -1)
 
 
 def test_a_returned_cell_cannot_change_the_cache():
@@ -359,7 +356,7 @@ LIFT, TWIN = cuspidal_lifts(LIFT_LEVEL, 2)
 
 
 def red_tau_reference(pi, r_units, x):
-    """``red_tau`` as it read before ``_transfer_terms``: ``run_cuts`` of each factor, per call."""
+    """``red_tau`` as it read before ``_transfer_terms``: the walk over each factor's rows, per call."""
     out = GrothElement.zero()
     for (label, tw2), coeff in x.terms.items():
         for idx, factor in enumerate(label.factors):
@@ -368,7 +365,8 @@ def red_tau_reference(pi, r_units, x):
             if r_units * pi.g > factor.rank:
                 continue
             rest = IrreducibleLabel(label.factors[:idx] + label.factors[idx + 1 :], KIND_FORMAL)
-            red = signed_shapes(run_cuts(factor, r_units), 1)
+            segs = factor.segments
+            red = _run_cuts([seg.start2 for seg in segs], [seg.length for seg in segs], r_units, 1)
             terms = (((shape, xi2 + tw2), c) for (shape, xi2), c in red)
             out = out + bind_shapes(pi, terms, tail=rest, weight=coeff)
     return out
@@ -389,7 +387,7 @@ def one_line_ladders(pi):
 def test_transfer_terms_match_the_cuts_of_the_ladder(lad, r):
     segs = lad.segments
     terms = _transfer_terms(tuple(seg.start2 for seg in segs), tuple(seg.length for seg in segs), r)
-    assert terms == signed_shapes(run_cuts(lad, r), 1) == signed_shapes(run_cuts_scan(lad, r), 1)
+    assert terms == signed_sum(run_cuts(lad, r), 1)
 
 
 @st.composite
@@ -433,9 +431,9 @@ def test_a_fresh_lift_reads_the_transfer_sums_of_the_first():
     assert out == red_tau_reference(second, 2, element(second)) and not out.is_zero()
 
 
-def assert_matches_scan(lad, r, cuts):
-    """``cuts`` equal the Fraction scan, and the pieces of their ks are its segments."""
-    assert list(cuts) == run_cuts_scan(lad, r), r
+def assert_matches_scan(lad, r):
+    """The cuts of the scan ``run_cuts``, checked position by position against the Fraction pieces of their ks."""
+    cuts = run_cuts(lad, r)
     rows = [seg.cuspidal for seg in lad.segments]
     for cut in cuts:
         a1, a2 = _suffix_cut(lad, cut.ks)
@@ -454,25 +452,37 @@ def assert_matches_scan(lad, r, cuts):
         for start2, length, row in a2_pieces:
             assert length == lad.segments[row].length - cut.ks[row]
             assert start2 == 2 * lad.segments[row].start
+    assert [cut.ks for cut in cuts] == sorted(cut.ks for cut in cuts)
+    return cuts
+
+
+def assert_walk_matches_scan(lad, r):
+    """The walk over the rows of a one-line ``lad`` sums the scan's cuts, under both Xi signs."""
+    cuts = assert_matches_scan(lad, r)
+    starts2, lengths = [seg.start2 for seg in lad.segments], [seg.length for seg in lad.segments]
+    for xi_sign in (1, -1):
+        assert _run_cuts(starts2, lengths, r, xi_sign) == signed_sum(cuts, xi_sign), (r, xi_sign)
+    return cuts
 
 
 def test_run_cuts_matches_scan_on_rectangles():
-    # the scan costs about 0.3 ms per suffix tuple, (t + 1)^s tuples per
-    # shape, so the larger rectangles are left out
+    # the walk sums the scan's cuts, and the cuts read back from its sums are
+    # the scan's; the scan costs about 0.3 ms per suffix tuple, (t + 1)^s
+    # tuples per shape, so the larger rectangles are left out
     for s in range(1, 7):
         for t in range(1, 7):
             if s * t > 20:
                 continue
             lad = speh_st_multisegment(PI, s, t)
             for r in range(0, s * t + 2):
-                cuts = run_cuts(lad, r)
-                assert rectangle_shape_cuts(s, t, r) == tuple(cuts), (s, t, r)
-                assert_matches_scan(lad, r, cuts)
+                cuts = assert_walk_matches_scan(lad, r)
+                assert rectangle_group_cuts(s, t, r) == tuple(cuts), (s, t, r)
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_run_cuts_matches_scan_on_multisegments(data):
+    # on two lines too, where a1 keeps to one line and the other rows stay whole
     n = data.draw(st.integers(min_value=1, max_value=4))
     segs = [
         Segment(
@@ -484,7 +494,25 @@ def test_run_cuts_matches_scan_on_multisegments(data):
     ]
     ms = Multisegment(segs)
     r = data.draw(st.integers(min_value=0, max_value=sum(seg.length for seg in segs) + 1))
-    assert_matches_scan(ms, r, run_cuts(ms, r))
+    if len(ms.cuspidal_lines()) == 1:
+        assert_walk_matches_scan(ms, r)
+    else:
+        assert_matches_scan(ms, r)
+
+
+# rows (0, 2) and (0, 3) share a start: the cut taking the top two positions of
+# the longer row leaves (0, 2) whole and (0, 1), which a2 lists first
+@example(rows=[(0, 2), (0, 3)], r=2)
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.integers(-2, 2), st.integers(1, 4)), min_size=1, max_size=5),
+    r=st.integers(0, 21),
+)
+def test_walk_matches_the_summed_scan_on_one_line(rows, r):
+    # starts drawn from five doubled values, so rows often share a start2:
+    # only there does a trimmed row move in the sorted a2
+    lad = Multisegment(Segment(PI, half(start2), length) for start2, length in rows)
+    assert_walk_matches_scan(lad, min(r, sum(length for _, length in rows) + 1))
 
 
 def _shape_data(pi, s, t, r):
