@@ -16,19 +16,20 @@ subcommand and its options are declared once, in ``COMMANDS``:
 every other argv takes the full parse, so every parse message is argparse's
 own.  ``main`` runs the subcommand ``name`` as ``cmd_<name>``.  The
 subcommands that print Grothendieck elements hand them to ``jsonio.dumps``
-as they are.
+as they are.  argparse is imported only where the full parse is built, and
+``jsonio`` only when a command first reads or prints JSON, so a ``verify``
+run loads neither.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
-from . import jsonio
 from .cohomology import (
     ProfileEntry,
     SpectrumProfile,
@@ -68,6 +69,24 @@ from .symbolic import atom_name
 
 PARSE_ERROR = 2
 PRECONDITION_ERROR = 3
+
+
+class _Jsonio:
+    """Stands for ``htgroth.jsonio`` until a command first reads or prints JSON.
+
+    The first attribute read imports the module and puts it in this
+    module's globals in place of the stand-in, so ``verify`` never imports
+    it and every later ``jsonio.<name>`` is a plain module attribute.
+    """
+
+    def __getattr__(self, name):
+        global jsonio
+        from . import jsonio
+
+        return getattr(jsonio, name)
+
+
+jsonio = _Jsonio()
 
 
 def _fail(code: int, kind: str, message: str):
@@ -407,15 +426,20 @@ COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports parse errors as the JSON error record (exit 2); subparsers inherit it."""
+def build_parser():
+    """The argparse parser of ``COMMANDS``: one subparser per name, one argument per option.
 
-    def error(self, message):
-        _fail(PARSE_ERROR, "parse", f"{self.prog}: {message}")
+    argparse is imported here, so a run whose argv ``_read_plain`` reads
+    never loads it.
+    """
+    import argparse
 
+    class _Parser(argparse.ArgumentParser):
+        """Reports parse errors as the JSON error record (exit 2); subparsers inherit it."""
 
-def build_parser() -> _Parser:
-    """The argparse parser of ``COMMANDS``: one subparser per name, one argument per option."""
+        def error(self, message):
+            _fail(PARSE_ERROR, "parse", f"{self.prog}: {message}")
+
     parser = _Parser(
         prog="htgroth",
         description="exact bookkeeping for Harris-Taylor local system combinatorics",
@@ -433,15 +457,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-# `tables`, 8,192 ops: 0 builds, as _read_plain reads every query; a build takes ~1.5 ms (3.11, 2 vCPUs).
+# `tables`, 8,192 ops: 0 builds, as _read_plain reads every query; a build takes ~1.3 ms, and
+# the first ~4 ms with the argparse import (3.11, 2 vCPUs).
 @lru_cache(maxsize=None)
-def _parser() -> _Parser:
+def _parser():
     """The parser, built once per process; parsing leaves it unchanged."""
     return build_parser()
 
 
 def _read_plain(argv: list[str]):
-    """The namespace the full parse gives ``argv``, read off ``COMMANDS``, or None.
+    """The namespace the full parse gives ``argv`` (the same ``vars``), read off ``COMMANDS``, or None.
 
     Only ``name --opt value ...`` is read: each option once, by its exact
     flag, not a switch, with a value that does not start with ``-`` and that
@@ -469,10 +494,10 @@ def _read_plain(argv: list[str]):
         if value is REQUIRED:
             return None
         values[flag[2:].replace("-", "_")] = value
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
+def _parse_args(argv: list[str]):
     """``_parser().parse_args(argv)``, on one of two paths.
 
     An argv led by a subcommand's name and made of ``--opt value`` pairs of

@@ -101,46 +101,55 @@ def convex_hull(points: Sequence[Point]) -> list[Point]:
     return hull
 
 
-def _column_interval(hull: Sequence[Point], r: int) -> tuple[int, int] | None:
-    """(bottom, top): the integers i with (r, i) in the closed hull, or None.
+def _column_ranges(hull: Sequence[Point]) -> dict[int, tuple[int, int]]:
+    """r -> (bottom, top): the integers i with (r, i) in the closed hull, for every column it meets.
 
-    The hull meets the vertical line at r in one closed interval, whose ends
-    lie on the hull's vertices and edges; each edge crossing is the exact
-    quotient num / den, rounded by integer floor and ceiling division.
+    One sweep over the edges of a hull in the order ``convex_hull`` gives:
+    counterclockwise, so an edge running right bounds its columns from below
+    and one running left bounds them from above (a segment's two edges do
+    both).  Each crossing is the exact quotient num / den, rounded by
+    integer ceiling and floor division; at a vertex the two edges meeting
+    there agree.  A column the hull crosses between two lattice points holds
+    no integer and is left out.
     """
-    tops = [y for x, y in hull if x == r]
-    bottoms = list(tops)
+    bottoms: dict[int, int] = {}
+    tops: dict[int, int] = {}
     for (ax, ay), (bx, by) in zip(hull, list(hull[1:]) + list(hull[:1])):
-        if ax != bx and min(ax, bx) <= r <= max(ax, bx):
-            num, den = ay * (bx - ax) + (by - ay) * (r - ax), bx - ax
-            if den < 0:
-                num, den = -num, -den
-            tops.append(num // den)
-            bottoms.append(-(-num // den))
-    if not tops or max(tops) < min(bottoms):
-        return None
-    return min(bottoms), max(tops)
+        if ax < bx:
+            den, rise = bx - ax, by - ay
+            for r in range(ax, bx + 1):
+                bottoms[r] = -(-(ay * den + rise * (r - ax)) // den)
+        elif bx < ax:
+            den, rise = ax - bx, ay - by
+            for r in range(bx, ax + 1):
+                tops[r] = (by * den + rise * (r - bx)) // den
+    if not tops:  # a point, or a vertical segment
+        ys = [y for _, y in hull]
+        return {hull[0][0]: (min(ys), max(ys))}
+    return {r: (bottoms[r], tops[r]) for r in tops if bottoms[r] <= tops[r]}
 
 
-# `verify --max 12`: 1,584 hits / 144 misses; the hull oracle reads each (s, t) hull per column.
+# `verify --max 12`: 1,584 hits / 144 misses; the hull oracle reads each (s, t) table per column.
 @lru_cache(maxsize=1024)
-def _m_hull(s: int, t: int) -> tuple[Point, ...]:
-    return tuple(convex_hull(m_polygon_vertices(s, t)))
+def _m_hull_columns(s: int, t: int) -> dict[int, range]:
+    """r -> the hull-plus-parity degrees of column r, for each column the (s, t) hull meets.
+
+    Built from the polygon and its hull alone, never from ``m_column``: a
+    degree is marked when it lies in the column's hull interval at even
+    distance from its top.  The cached table is shared, so it is read-only.
+    """
+    columns = _column_ranges(convex_hull(m_polygon_vertices(s, t)))
+    return {r: range(bottom + (top - bottom) % 2, top + 1, 2) for r, (bottom, top) in columns.items()}
 
 
 def m_column_hull(s: int, t: int, r: int) -> range:
     """The degrees i, ascending, that hull-plus-parity marks in column r (oracle).
 
-    The hull of the (s, t) polygon is built once and cached; a degree is
-    marked when it lies in the column's hull interval at even distance from
-    its top.
+    Read off the (s, t) hull's column table, built once per shape by one
+    sweep over the hull's edges.
     """
     _check_st(s, t)
-    interval = _column_interval(_m_hull(s, t), r)
-    if interval is None:
-        return range(0)
-    bottom, top = interval
-    return range(bottom + (top - bottom) % 2, top + 1, 2)
+    return _m_hull_columns(s, t).get(r, range(0))
 
 
 def m_coeff_hull(s: int, t: int, r: int, i: int) -> int:

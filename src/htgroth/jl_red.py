@@ -186,14 +186,18 @@ def _run_cuts(starts2: Sequence[int], lengths: Sequence[int], left_units: int, x
     the bottom piece is free in 1..its row's length, and every later piece
     starts just above the previous top, so its length, the gap between the
     two ends, is forced and must fit its row; the pieces sum to left_units.
-    The run is contiguous, so it ends 2 * remaining above the chain's top: a
-    chain whose run cannot end on some row's end is dropped unwalked.
+    The run is contiguous, so it ends 2 * (left_units - 1) above the bottom
+    piece's bottom, whatever the chain above it: a bottom piece whose run
+    cannot end on some row's end is never pushed.
 
     Each cut adds its sign (-1)^(#a1 pieces - 1) under (a2, xi_sign *
     center2), a2 being the chain's rows trimmed and the other rows whole,
-    sorted.  The transfer takes xi_sign 1 (the Xi slot carries the run's
-    character |.|^(center2/2)); a table cell takes -1 (its cuts of center
-    -i_m/2 carry the twist Xi^(i_m/2)).
+    sorted.  On a ladder, whose starts and ends both strictly increase (every
+    rectangle is one), the rows are already in a2's order and so is the
+    chain: a leaf splices its trimmed rows in, with no sort.  Other rows
+    (shared or falling starts) sort each a2.  The transfer takes xi_sign 1
+    (the Xi slot carries the run's character |.|^(center2/2)); a table cell
+    takes -1 (its cuts of center -i_m/2 carry the twist Xi^(i_m/2)).
 
     On the s-by-t rectangle at rank s + t - 1 only the bottom piece (0, t)
     reaches center 0, and the forced ks above it are a composition of s - 1
@@ -207,28 +211,41 @@ def _run_cuts(starts2: Sequence[int], lengths: Sequence[int], left_units: int, x
     row_ends2 = set(ends2)
     order = sorted(range(n), key=ends2.__getitem__)
     reach2 = 2 * max(lengths, default=0)  # no piece spans a wider gap
+    ladder = all(a < b for a, b in zip(starts2, starts2[1:])) and all(
+        a < b for a, b in zip(ends2, ends2[1:])
+    )
+    whole = tuple(zip(starts2, lengths))  # a2 of a ladder's cut, before its chain rows are trimmed
     terms: dict[TermKey, int] = {}
     chain: list[int] = []  # the rows of the a1 pieces, bottom to top
     # depth first with an explicit stack, in the order a recursion would take, at
     # any depth; a frame is (its row's depth in the chain, row, next position in
-    # order, units left, bottom2)
+    # order, units left, bottom2); a chain's frames share its run's end, so the
+    # bottom piece alone is tested against the rows' ends
     stack = []
     for idx in reversed(range(n)):  # the bottom piece is free in 1 .. its length
         j = order[idx]
         for k in range(min(lengths[j], left_units), 0, -1):
-            stack.append((0, j, idx + 1, left_units - k, ends2[j] - 2 * k + 2))
+            if ends2[j] + 2 * (left_units - k) in row_ends2:
+                stack.append((0, j, idx + 1, left_units - k, ends2[j] - 2 * k + 2))
     while stack:
         depth, j, nxt, remaining, bottom2 = stack.pop()
         top2 = ends2[j]
-        if top2 + 2 * remaining not in row_ends2:
-            continue
         del chain[depth:]
         chain.append(j)
         if remaining == 0:
-            rest, below2 = list(lengths), bottom2 - 2
-            for row in chain:  # the piece of a chain row runs from below2 + 2 to its end
-                rest[row], below2 = (below2 + 2 - starts2[row]) // 2, ends2[row]
-            a2 = tuple(sorted((starts2[i], k) for i, k in enumerate(rest) if k))
+            below2 = bottom2 - 2
+            if ladder:
+                a2, last = (), 0
+                for row in chain:  # the piece of a chain row runs from below2 + 2 to its end
+                    k = (below2 + 2 - starts2[row]) // 2
+                    a2 += whole[last:row] + (((starts2[row], k),) if k else ())
+                    last, below2 = row + 1, ends2[row]
+                a2 += whole[last:]
+            else:
+                rest = list(lengths)
+                for row in chain:
+                    rest[row], below2 = (below2 + 2 - starts2[row]) // 2, ends2[row]
+                a2 = tuple(sorted((starts2[i], k) for i, k in enumerate(rest) if k))
             key = (a2, xi_sign * ((bottom2 + top2) // 2))
             terms[key] = terms.get(key, 0) + (-1) ** depth
             continue

@@ -1,11 +1,11 @@
-"""Test-side readers of the diagrams module's output, and per-point hull oracles."""
+"""Test-side readers of the diagrams module's output, and per-point and per-column hull oracles."""
 
 from __future__ import annotations
 
 import re
 from typing import Sequence
 
-from htgroth.diagrams import Point, _column_interval, _cross, convex_hull
+from htgroth.diagrams import Point, _cross, convex_hull
 
 
 def svg_point_set(svg_text: str) -> set[tuple[int, int]]:
@@ -49,6 +49,28 @@ def _in_hull(hull: Sequence[Point], p: Point) -> bool:
         elif (c > 0) != (sign > 0):
             return False
     return True
+
+
+def _column_interval(hull: Sequence[Point], r: int) -> tuple[int, int] | None:
+    """(bottom, top): the integers i with (r, i) in the closed hull, or None; one column at a time.
+
+    The per-column reference of the sweep ``diagrams._column_ranges``.  The
+    hull meets the vertical line at r in one closed interval, whose ends lie
+    on the hull's vertices and edges; each edge crossing is the exact
+    quotient num / den, rounded by integer floor and ceiling division.
+    """
+    tops = [y for x, y in hull if x == r]
+    bottoms = list(tops)
+    for (ax, ay), (bx, by) in zip(hull, list(hull[1:]) + list(hull[:1])):
+        if ax != bx and min(ax, bx) <= r <= max(ax, bx):
+            num, den = ay * (bx - ax) + (by - ay) * (r - ax), bx - ax
+            if den < 0:
+                num, den = -num, -den
+            tops.append(num // den)
+            bottoms.append(-(-num // den))
+    if not tops or max(tops) < min(bottoms):
+        return None
+    return min(bottoms), max(tops)
 
 
 def hull_column_max_i(vertices: Sequence[Point], r: int) -> int | None:

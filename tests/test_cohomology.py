@@ -415,7 +415,7 @@ def test_clear_euler_caches_clears_every_cache():
         "cohomology._shriek_core",
         "cohomology._weight",
         "cohomology.torsion_detect",
-        "diagrams._m_hull",
+        "diagrams._m_hull_columns",
         "jl_red._formal_label",
         "jl_red._segment",
         "jl_red._transfer_terms",

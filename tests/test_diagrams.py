@@ -5,8 +5,8 @@ import pytest
 
 from htgroth.diagrams import (
     LocalComponent,
-    _column_interval,
-    _m_hull,
+    _column_ranges,
+    _m_hull_columns,
     convex_hull,
     m_coeff,
     m_coeff_hull,
@@ -22,7 +22,14 @@ from htgroth.diagrams import (
 )
 from htgroth.segments import CuspidalLabel
 
-from diagram_oracles import _in_hull, hull_column_max_i, hull_contains, n_polygon_vertices, svg_point_set
+from diagram_oracles import (
+    _column_interval,
+    _in_hull,
+    hull_column_max_i,
+    hull_contains,
+    n_polygon_vertices,
+    svg_point_set,
+)
 
 PI = CuspidalLabel("pi")
 RHO = CuspidalLabel("rho")
@@ -109,13 +116,15 @@ class TestMCoeff:
                         )
 
     def test_prebuilt_hull_matches_hull_contains(self):
-        # the cached hull and the column intervals behind m_column_hull, and the
-        # closed form m_column, against the per-point public oracle, which
-        # rebuilds the hull on every call, on strata and degrees beyond the
-        # polygon
+        # the hull and the sweep's column table behind m_column_hull, and the
+        # closed form m_column, against the per-column reference and the
+        # per-point public oracle, which rebuilds the hull on every call, on
+        # strata and degrees beyond the polygon
         for s in range(1, 13):
             for t in range(1, 13):
-                verts, hull = m_polygon_vertices(s, t), _m_hull(s, t)
+                verts = m_polygon_vertices(s, t)
+                hull = convex_hull(verts)
+                ranges = _column_ranges(hull)
                 degrees = range(-(s + t) - 2, s + t + 3)
                 for r in range(-1, s + t + 2):
                     inside = [i for i in degrees if hull_contains(verts, (r, i))]
@@ -124,9 +133,12 @@ class TestMCoeff:
                     assert hull_column_max_i(verts, r) == top, (s, t, r)
                     interval = (inside[0], top) if inside else None
                     assert _column_interval(hull, r) == interval, (s, t, r)
+                    assert ranges.get(r) == interval, (s, t, r)
                     marked = [i for i in inside if (top - i) % 2 == 0]
+                    assert list(_m_hull_columns(s, t).get(r, ())) == marked, (s, t, r)
                     assert list(m_column_hull(s, t, r)) == marked, (s, t, r)
                     assert list(m_column(s, t, r)) == marked, (s, t, r)
+                assert set(ranges) <= set(range(-1, s + t + 2))  # every column is checked above
 
     def test_column_oracle_matches_points(self):
         for s, t in [(1, 1), (2, 5), (5, 2), (4, 4), (7, 3)]:
@@ -139,16 +151,21 @@ class TestMCoeff:
     def test_column_interval_on_random_polygons(self):
         # the diagram polygons have edge slopes 0 and +-1, so their column
         # ends are always integers; these polygons also cross columns
-        # between lattice points, where the floor and ceiling matter
+        # between lattice points, where the floor and ceiling matter; the
+        # sweep takes any hull, degenerate ones included
         rng = random.Random(20261018)
         for _ in range(100):
             verts = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(1, 6))]
+            hull = convex_hull(verts)
+            ranges = _column_ranges(hull)
+            assert set(ranges) <= set(range(-7, 8))
             for r in range(-7, 8):
                 inside = [i for i in range(-8, 9) if hull_contains(verts, (r, i))]
                 top = inside[-1] if inside else None
                 assert hull_column_max_i(verts, r) == top, (verts, r)
                 interval = (inside[0], top) if inside else None
-                assert _column_interval(convex_hull(verts), r) == interval, (verts, r)
+                assert _column_interval(hull, r) == interval, (verts, r)
+                assert ranges.get(r) == interval, (verts, r)
 
     def test_closed_form_matches_two_case_rule(self):
         # the range -b, -b + 2, ..., b against the two-case inequalities plus

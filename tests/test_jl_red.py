@@ -500,19 +500,32 @@ def test_run_cuts_matches_scan_on_multisegments(data):
         assert_matches_scan(ms, r)
 
 
-# rows (0, 2) and (0, 3) share a start: the cut taking the top two positions of
-# the longer row leaves (0, 2) whole and (0, 1), which a2 lists first
-@example(rows=[(0, 2), (0, 3)], r=2)
+# one example per leaf build of _run_cuts.  Increasing starts and ends: a ladder,
+# whose a2 is spliced in row order; here the cut 0, 2, 4 trims (-2, 2) to
+# (-2, 1) and takes (2, 2) whole.  Rows (0, 2) and (0, 3) share a start: the
+# cut taking the top two positions of the longer row leaves (0, 2) whole and
+# (0, 1), which the sorted a2 lists first.  Decreasing starts: the sorted build.
+@example(rows=[(-2, 2), (2, 2), (4, 2)], arrange="increasing", r=3)
+@example(rows=[(0, 2), (0, 3)], arrange="increasing", r=2)
+@example(rows=[(2, 2), (0, 3), (-2, 1)], arrange="decreasing", r=3)
 @settings(max_examples=300, deadline=None)
 @given(
     rows=st.lists(st.tuples(st.integers(-2, 2), st.integers(1, 4)), min_size=1, max_size=5),
+    arrange=st.sampled_from(("increasing", "as drawn", "decreasing")),
     r=st.integers(0, 21),
 )
-def test_walk_matches_the_summed_scan_on_one_line(rows, r):
+def test_walk_matches_the_summed_scan_on_one_line(rows, arrange, r):
     # starts drawn from five doubled values, so rows often share a start2:
-    # only there does a trimmed row move in the sorted a2
+    # only there does a trimmed row move in the sorted a2.  The walk takes the
+    # rows in the drawn order, the scan the multisegment's sorted one.
+    if arrange != "as drawn":
+        rows = sorted(rows, reverse=arrange == "decreasing")
     lad = Multisegment(Segment(PI, half(start2), length) for start2, length in rows)
-    assert_walk_matches_scan(lad, min(r, sum(length for _, length in rows) + 1))
+    r = min(r, sum(length for _, length in rows) + 1)
+    cuts = assert_matches_scan(lad, r)
+    starts2, lengths = [start2 for start2, _ in rows], [length for _, length in rows]
+    for xi_sign in (1, -1):
+        assert _run_cuts(starts2, lengths, r, xi_sign) == signed_sum(cuts, xi_sign), (r, xi_sign)
 
 
 def _shape_data(pi, s, t, r):

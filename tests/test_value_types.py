@@ -5,6 +5,7 @@ changed; the field names are listed here in their public order, so a
 reordered or renamed field fails too.
 """
 
+import ast
 import copy
 import os
 import pickle
@@ -295,15 +296,32 @@ def test_floats_and_bools_are_refused_as_integer_fields(build):
         build()
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # compared before and after the import, so site hooks do not matter
+SLOW_IMPORTS = ("argparse", "dataclasses", "htgroth.jsonio", "inspect")
+
+
+def run_cli_counting_imports(argv):
+    """stdout of a fresh ``htgroth.cli.main(argv)``, and the SLOW_IMPORTS it loaded at import and by its end."""
+    # compared before and after, so site hooks do not matter
     code = (
         "import sys; before = set(sys.modules); import htgroth.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        "at_import = set(sys.modules) - before; code = htgroth.cli.main(sys.argv[1:]); "
+        f"slow = set({SLOW_IMPORTS!r}); "
+        "sys.stderr.write(repr((sorted(slow & at_import), sorted(slow & (set(sys.modules) - before)), code)))"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out == "[]\n"
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout, ast.literal_eval(out.stderr)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # dataclasses and inspect cost a fresh process ~10 ms, argparse and jsonio
+    # ~2 ms each: a plain verify argv loads none of them, and one the plain
+    # reader refuses builds argparse and prints the same bytes
+    plain, loaded = run_cli_counting_imports(["verify", "--max", "2"])
+    assert loaded == ([], [], 0)
+    full, loaded = run_cli_counting_imports(["verify", "--max=2"])
+    assert loaded == ([], ["argparse"], 0)
+    assert full == plain and plain.startswith("PASS diagram-bullets-vs-hull\n")
