@@ -27,7 +27,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from types import SimpleNamespace
 
 from .cohomology import (
@@ -457,14 +456,6 @@ def build_parser():
     return parser
 
 
-# `tables`, 8,192 ops: 0 builds, as _read_plain reads every query; a build takes ~1.3 ms, and
-# the first ~4 ms with the argparse import (3.11, 2 vCPUs).
-@lru_cache(maxsize=None)
-def _parser():
-    """The parser, built once per process; parsing leaves it unchanged."""
-    return build_parser()
-
-
 def _read_plain(argv: list[str]):
     """The namespace the full parse gives ``argv`` (the same ``vars``), read off ``COMMANDS``, or None.
 
@@ -498,7 +489,7 @@ def _read_plain(argv: list[str]):
 
 
 def _parse_args(argv: list[str]):
-    """``_parser().parse_args(argv)``, on one of two paths.
+    """``build_parser().parse_args(argv)``, on one of two paths.
 
     An argv led by a subcommand's name and made of ``--opt value`` pairs of
     that subcommand's options is read by ``_read_plain``, which neither builds
@@ -508,7 +499,7 @@ def _parse_args(argv: list[str]):
     bytes and exit code.  ``tests/parse_oracle.py`` checks the two agree.
     """
     args = _read_plain(argv)
-    return _parser().parse_args(argv) if args is None else args
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

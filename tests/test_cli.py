@@ -18,15 +18,25 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import htgroth
-from htgroth.cli import COMMANDS, _parse_args, _parser, main
+from htgroth.cli import COMMANDS, _parse_args, _read_plain, build_parser, main
 from htgroth import cli, jl_red, jsonio
 from htgroth.modl import TowerLevel, matched_strata, tower_cuspidal, tower_rank
 from htgroth.segments import CuspidalLabel, GrothElement, make_speh_st
 from htgroth.symbolic import SymExpr, atom
 
 from diagram_oracles import svg_point_set
+from ci_pins import CI_PINS
 from parse_oracle import EXTRAS, HEADS, VALUES, both_parses, draw_argv
 from htgroth_caches import clear_htgroth_caches
+
+
+FULL_PARSER = build_parser()
+
+
+@pytest.fixture(autouse=True)
+def one_parser(monkeypatch):
+    """``main`` builds a parser per full parse (~1.5 ms); parsing leaves it unchanged, so these tests share one."""
+    monkeypatch.setattr(cli, "build_parser", lambda: FULL_PARSER)
 
 
 def run_cli(args, capsys):
@@ -542,72 +552,6 @@ def test_a_cut_cache_miss_builds_no_cut(monkeypatch, capsys):
     assert all(misses) and built == [], misses
 
 
-# The sha256 pins of the "Installed entry point" step of .github/workflows/tests.yml,
-# copied verbatim: (argv, sha256 of its stdout), run in-process here
-CI_PINS = [
-    (
-        [
-            "cohomology", "--profile",
-            '[{"cuspidal": "ρ[u=0]", "s": 2, "t": 2, "xi_numerator": 1, "mult": "2*m0*dxi"}, {"cuspidal": "ρ[u=0]", "s": 3, "t": 1, "xi_numerator": -3}]',
-            "--pi", "ρ[u=0]", "--r", "2", "--extension", "intermediate",
-        ],
-        "5fb42f9eb4f72e4fb15019cbf8f904fa57b2c42820ffb389218f2752568e39f1",
-    ),
-    (
-        ["cohomology", "--profile", '[{"cuspidal": "pi", "s": 2, "t": 1}]', "--pi", "pi", "--r", "5"],
-        "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
-    ),
-    (
-        [
-            "cohomology", "--profile",
-            '[{"cuspidal": "pi", "s": 2, "t": 3}, {"cuspidal": "pi", "s": 2, "t": 3, "xi_numerator": 2, "mult": "m"}, {"cuspidal": "pi", "s": 2, "t": 3, "xi_numerator": -2, "mult": "n*dxi"}, {"cuspidal": "pi", "s": 2, "t": 3, "mult": "2*m"}]',
-            "--pi", "pi", "--r", "2", "--extension", "shriek",
-        ],
-        "a21efe7b0e943b498ae2dc8155ea809ca83455c1a4b862d354a33e0501284901",
-    ),
-    (["red", "--s", "3", "--t", "2", "--r", "2"], "7871e8be893021af5956960df7ac58ddfb93ee65ea19af92708941124d45c310"),
-    (["reduce", "--u", "0", "--s", "3"], "81822d2db9eafc1b919358a63ea4b8cc9ea817efb0de4e1b322ff5bad35c9bb1"),
-    (
-        ["reduce", "--division", "--m-tau", "3", "--iota", "ι"],
-        "24493fdf474fce2b93d592680d786e7252b517c6846c6515e77f184471ea4037",
-    ),
-    (
-        [
-            "balance", "--sc", '{"id": "rho", "g": 1, "q": 2, "l": 7, "epsilon": 3}',
-            "--u", "-1", "--u-prime", "0", "--r", "3", "--r-prime", "1",
-            "--profile-u",
-            '[{"cuspidal": "rho[u=-1]", "s": 3, "t": 2, "xi_numerator": 1}, {"cuspidal": "rho[u=-1]", "s": 1, "t": 4, "xi_numerator": -3, "mult": "2*m"}, {"cuspidal": "rho[u=-1]", "s": 2, "t": 3, "markers": ["nondegenerate-at-auxiliary-place"]}, {"cuspidal": "sigma", "s": 2, "t": 1}]',
-            "--profile-u-prime",
-            '[{"cuspidal": "rho[u=0]", "s": 2, "t": 1, "xi_numerator": 3}, {"cuspidal": "rho[u=0]", "s": 1, "t": 2, "xi_numerator": -1}, {"cuspidal": "rho[u=0]", "s": 1, "t": 3, "xi_numerator": 2, "mult": "m"}]',
-        ],
-        "81359a64b803f9f8befe76881676e00d5a73426ca6ec58a773563823afd88a85",
-    ),
-    (
-        [
-            "cohomology", "--profile",
-            '[{"cuspidal": "pi", "s": 3, "t": 2, "xi_numerator": 1, "mult": "3*μ^2*n"}, {"cuspidal": "pi", "s": 2, "t": 2, "xi_numerator": -2, "mult": "m^3"}, {"cuspidal": "pi", "s": 1, "t": 3, "mult": "2*m*dxi + μ"}]',
-            "--pi", "pi", "--r", "2", "--extension", "intermediate",
-        ],
-        "c87b8b087e23abc3464c554e151c2643320650885da2eb979d7d2e155c6809da",
-    ),
-    (["red", "--s", "4", "--t", "3", "--r", "3"], "497db07d82b3ba8ce389a78b7ccf7353521ba7abfd01982b9c62e31a338c9fa7"),
-    *(
-        (
-            [
-                "cohomology", "--profile",
-                '[{"cuspidal": "pi", "s": 2, "t": 2, "xi_numerator": 2}, {"cuspidal": "pi", "s": 2, "t": 2, "mult": "-1*n"}]',
-                "--pi", "pi", "--r", "2", "--extension", extension,
-            ],
-            digest,
-        )
-        for extension, digest in (
-            ("intermediate", "ca817d17eca56561dd357a6c4742d4918536e113bdbb32086360670687061d2c"),
-            ("shriek", "ee9ea0214eddf6fefe51ddd0dee3b61d353fd7a39c8294d29369b4cca5d3987c"),
-        )
-    ),
-]
-
-
 @pytest.mark.parametrize("argv, sha256", CI_PINS, ids=[f"{argv[0]}-{sha[:8]}" for argv, sha in CI_PINS])
 def test_ci_entry_point_pins(argv, sha256):
     code, out, err = run_main(argv)
@@ -681,7 +625,15 @@ def run_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_main_reuses_its_parser_without_leaking_state():
+def count_parser_builds(monkeypatch) -> list:
+    """A list that grows by one with each ``cli.build_parser`` call from now on."""
+    builds, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    return builds
+
+
+def test_main_builds_a_parser_per_full_parse_without_leaking_state(monkeypatch):
+    builds = count_parser_builds(monkeypatch)
     reduce_argv = ["reduce", "--division", "--m-tau", "2", "--iota", "j"]
     first = run_main(reduce_argv)
     other = run_main(["red", "--s", "2", "--t", "1", "--r", "1"])
@@ -689,7 +641,8 @@ def test_main_reuses_its_parser_without_leaking_state():
     # flags given to the first call do not become defaults of the second
     assert run_main(["reduce"]) == run_main(["reduce", "--u", "-1", "--s", "1"])
     assert run_main(reduce_argv) == first
-    assert _parser() is _parser()
+    # main keeps no parser: the switch and the negative value take the full parse
+    assert len(builds) == 3 and _read_plain(reduce_argv) is None
 
 
 @pytest.mark.parametrize(
@@ -725,7 +678,7 @@ ARGVS = st.randoms(use_true_random=False).map(draw_argv) | st.lists(
 def test_direct_parse_matches_the_full_parse(argv, capsys):
     # the same vars, or the same exit code with the same stdout and stderr
     capsys.readouterr()
-    direct, full = both_parses(argv, capsys.readouterr)
+    direct, full = both_parses(argv, capsys.readouterr, FULL_PARSER.parse_args)
     assert direct == full, argv
 
 
@@ -740,7 +693,7 @@ def test_plain_argv_are_read_without_argparse(monkeypatch):
          "--profile-u", PROFILE, "--profile-u-prime", PROFILE],
         ["torsion", "--d", "4", "--sc", SC, "--u-prime", "0", "--r-prime", "1"],
     ]
-    expected = [vars(_parser().parse_args(argv)) for argv in argvs]
+    expected = [vars(FULL_PARSER.parse_args(argv)) for argv in argvs]
 
     def refuse(*args, **kwargs):
         raise AssertionError("argparse was asked to parse")
@@ -750,22 +703,21 @@ def test_plain_argv_are_read_without_argparse(monkeypatch):
     assert [vars(_parse_args(argv)) for argv in argvs] == expected
 
 
-def test_plain_argv_build_no_parser():
+def test_plain_argv_build_no_parser(monkeypatch):
     # a fresh `htgroth verify` or `cohomology` process skips the argparse build;
     # an argv the plain reader refuses builds it, once, and reads the same
-    _parser.cache_clear()
+    builds = count_parser_builds(monkeypatch)
     query = ["cohomology", "--profile", PROFILE, "--pi", "pi", "--r", "2", "--extension", "intermediate"]
     verify, plain = run_main(["verify", "--max", "2"]), run_main(query)
     assert (verify[0], plain[0]) == (0, 0)
-    assert _parser.cache_info().currsize == 0
+    assert builds == []
     assert run_main(query[:5] + ["--r=2"] + query[7:]) == plain
-    assert _parser.cache_info().currsize == 1
+    assert len(builds) == 1
 
 
 def test_main_runs_the_handler_the_module_holds_when_it_runs(monkeypatch):
-    # a wrapper put on cli.cmd_<name> after the parser is built is the one that runs
+    # a wrapper put on cli.cmd_<name> after the import is the one that runs
     assert all(callable(getattr(cli, f"cmd_{name}", None)) for name in COMMANDS)
-    _parser()
     calls = []
 
     def wrapper(args):

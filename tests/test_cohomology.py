@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from htgroth import cohomology, jl_red, jsonio
-from htgroth.cli import _parser
 from htgroth.diagrams import m_column_hull
 from htgroth.jl_red import R_cell, marked_cells
 from htgroth.cohomology import (
@@ -408,7 +407,6 @@ def test_clear_euler_caches_clears_every_cache():
     # the caches are found, not listed: a new one shows up in this set
     caches = htgroth_caches()
     assert sorted(caches) == [
-        "cli._parser",
         "cohomology._column_classes",
         "cohomology._euler_core",
         "cohomology._public_key",
@@ -424,7 +422,6 @@ def test_clear_euler_caches_clears_every_cache():
         "jsonio._coeff_text",
         "jsonio._label_at",
         "jsonio._read_coeff",
-        "modl.level_rank",
         "segments.half",
     ]
     sc, pi_u, pi_up, lifts, pu, pup = make_balanced_setup()
@@ -436,7 +433,6 @@ def test_clear_euler_caches_clears_every_cache():
     euler_master_identity(2, 2, 1)  # the calls above read only the shriek core
     torsion_detect(4, sc, 0, 1)
     m_column_hull(2, 2, 1)
-    _parser()
     jsonio.dumps(R_cell(2, 2, 2, 1, pi_u))
     jsonio.sym_from_json("2*m")
     half(3)

@@ -7,15 +7,20 @@ reordered or renamed field fails too.
 
 import ast
 import copy
+import importlib
+import inspect
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import MemberDescriptorType
 
 import pytest
 
+import htgroth
 from htgroth.cohomology import (
     CohomologyTable,
     CongruenceConstraint,
@@ -37,6 +42,7 @@ from htgroth.segments import (
     OpaqueFactor,
     Partition,
     Segment,
+    Value,
     label_of_multisegment,
 )
 from htgroth.symbolic import atom
@@ -144,6 +150,78 @@ def test_copy_and_pickle_rebuild_an_equal_value(cls, names, args, other):
         assert type(y) is cls and y == x and hash(y) == hash(x)
 
 
+def value_classes() -> list[type]:
+    """Every subclass of ``Value`` the htgroth modules define, found by walking ``__subclasses__``."""
+    for info in pkgutil.iter_modules(htgroth.__path__):
+        importlib.import_module(f"htgroth.{info.name}")
+    found, todo = [], [Value]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("htgroth.") and cls not in found:
+                found.append(cls)
+                todo.append(cls)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+# the arguments each value class is built from, by position
+ARGS = {case[0]: case[2] for case in CASES}
+ARGS[CuspidalLabel] = ("pi", 2, 3)
+ARGS[Segment] = (PI, Fraction(-3, 2), 2)
+VALUE_CLASSES = value_classes()
+NO_CHECKS = {SignedCharacter, Cut, DiagramSupport, BlockContribution, CongruenceConstraint, CongruenceRecord}
+
+
+def test_every_value_class_is_built_here():
+    # a new value class joins the tests below by giving its arguments in ARGS
+    assert set(VALUE_CLASSES) == set(ARGS) and len(VALUE_CLASSES) == 18
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__name__)
+def test_one_constructor_by_position_or_by_name(cls):
+    x = cls(*ARGS[cls])
+    named = dict(zip(cls._fields, x._astuple()))
+    y = cls(**named)
+    assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
+    for z in (copy.copy(x), pickle.loads(pickle.dumps(x))):
+        assert type(z) is cls and z == x and hash(z) == hash(x) and repr(z) == repr(x)
+    first = cls._fields[0]
+    without_first = {name: value for name, value in named.items() if name != first}
+    builds = [
+        lambda: cls(*x._astuple(), None),  # one argument too many
+        lambda: cls(**named, not_a_field=None),
+        lambda: cls(**without_first),
+        lambda: cls(**without_first, not_a_field=None),  # as many names as fields, one unknown
+        lambda: cls(named[first], **named),  # the first field twice
+    ]
+    if "__init__" not in vars(cls):  # Value.__init__ has no defaults
+        builds.append(lambda: cls(*x._astuple()[:-1]))
+    for build in builds:
+        with pytest.raises(TypeError):
+            build()
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__name__)
+def test_only_a_class_with_more_than_its_slotted_fields_sets_them_itself(cls):
+    slotted = all(isinstance(getattr(cls, name), MemberDescriptorType) for name in cls._fields)
+    assert hasattr(cls, "_setters") == slotted
+    if not slotted:  # a field stored in another form: the class converts it itself
+        assert "__init__" in vars(cls)
+    elif set(cls.__slots__) == set(cls._fields):  # no state beyond the fields
+        assert "__init__" not in vars(cls) or "object.__setattr__" not in inspect.getsource(cls.__init__)
+    assert ("__init__" in vars(cls)) == (cls not in NO_CHECKS)
+
+
+def test_unequal_cuspidal_labels_print_apart():
+    # e_pi sets the cohomology scalar and keys the caches apart: it prints when it is not 1
+    labels = [CuspidalLabel("pi"), CuspidalLabel("pi", e_pi=2), CuspidalLabel("pi", g=2, e_pi=3)]
+    assert [repr(pi) for pi in labels] == [
+        "CuspidalLabel('pi', g=1)",
+        "CuspidalLabel('pi', g=1, e_pi=2)",
+        "CuspidalLabel('pi', g=2, e_pi=3)",
+    ]
+    assert [eval(repr(pi), {"CuspidalLabel": CuspidalLabel}) for pi in labels] == labels
+
+
 def test_segment_pickles_through_its_constructor():
     seg = Segment(PI, Fraction(-3, 2), 2)
     assert seg._astuple() == (PI, Fraction(-3, 2), 2)
@@ -167,7 +245,7 @@ def test_cuspidal_label_is_immutable_with_its_identity_kept():
     assert pi == subclass("pi", 2, 3) and hash(subclass("pi", 2, 3)) == hash(pi)
     ordered = [CuspidalLabel("a", 2), CuspidalLabel("pi", 1, 5), pi, CuspidalLabel("pi", 2, 4)]
     assert sorted(reversed(ordered)) == ordered
-    assert repr(pi) == "CuspidalLabel('pi', g=2)"
+    assert repr(pi) == "CuspidalLabel('pi', g=2, e_pi=3)"
     for y in (copy.copy(pi), copy.deepcopy(pi), pickle.loads(pickle.dumps(pi))):
         assert type(y) is CuspidalLabel and (y.id, y.g, y.e_pi) == ("pi", 2, 3)
 
