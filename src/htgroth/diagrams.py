@@ -231,9 +231,7 @@ def superpose(
             continue
         src = (comp.s + t_k - 1, 0)
         for pt in support_fn(comp.s, t_k):
-            out.setdefault(pt, []).append(
-                BlockContribution(block=k, source=src, from_higher=src[0] > pt[0])
-            )
+            out.setdefault(pt, []).append(BlockContribution(k, src, src[0] > pt[0]))
     return {pt: contribs for pt, contribs in sorted(out.items())}
 
 

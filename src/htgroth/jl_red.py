@@ -138,7 +138,7 @@ def r_tau_sign(a1: Multisegment) -> SignedCharacter:
         raise ValueError(
             f"transfer vanishes: {a1!r} is not a multiplicity-one consecutive run"
         )
-    return SignedCharacter(sign=(-1) ** (len(a1.segments) - 1), k=run[1])
+    return SignedCharacter((-1) ** (len(a1.segments) - 1), run[1])
 
 
 # ---------------------------------------------------------------------------
@@ -288,35 +288,60 @@ def rectangle_shape_groups(s: int, t: int, left_units: int) -> Mapping[int, Term
     return MappingProxyType({c2: tuple(terms) for c2, terms in sorted(groups.items())})
 
 
-# Saves ~1 us per `tables` op, and kept for memory: the tables' labels share row segments, and
-# without it 8 s `tables` runs peaked at 33.9-34.1 MB, not 31.0-31.4 MB (+9 %, against a 10 % bound).
-@lru_cache(maxsize=4096)
-def _segment(cuspidal: CuspidalLabel, start2: int, length: int) -> Segment:
-    """The segment of a piece, built once: a row's remainders recur across its cuts."""
-    return Segment._of2(cuspidal, start2, length)
+LINE_LIMIT = 4096  # the labels, and the segments, that one line's store holds
 
 
-# Saves ~11 us per `tables` op and ~5 us per `towers` op, which fills it with fresh lift lines' labels.
-@lru_cache(maxsize=4096)
-def _formal_label(line: tuple, shape: Shape, shift2: int) -> IrreducibleLabel:
-    """The formal label of ``shape`` on ``line``, every start moved by shift2/2, built once.
+# Saves ~90 us per `tables` op against a fresh store per call, and ~8 us per `towers` op (1.4 label
+# hits, ~6 us a build).  Shared segments keep 10 s `tables` runs at 31.0-31.3 MB, not 32.5-32.6 MB, and
+# dropping dead lift lines whole cut `towers` peak RSS 35.8 -> 32.1 MB (30 s runs; 3.11, 2 vCPUs).
+@lru_cache(maxsize=8)
+def _line_store(line: tuple) -> tuple[CuspidalLabel, dict, dict]:
+    """The store of a line, keyed on its cuspidal's ``_key``: (its label, its segments, its labels).
 
-    ``line`` is the cuspidal's ``_key`` (id, g, e_pi): a query's fresh
-    ``CuspidalLabel`` then hits by tuple equality, and a ``CuspidalLabel``
-    is rebuilt from the key on a miss only.  A shape recurs across cells, strata,
-    profile entries and queries, so every caller shares one label object per
-    line and shifted shape: a miss at shift2 != 0 reads the shifted shape at
-    shift 0, and sums of bound terms compare their keys by identity.  On one
-    line a shape sorted by (start2, length) is in its segments' key order:
-    it is wrapped, not sorted.
+    Segments are keyed on (start2, length) and formal labels on (shape,
+    shift2); a dict of ``LINE_LIMIT`` entries is emptied before it takes
+    another.  A query's fresh ``CuspidalLabel`` reads the store by tuple
+    equality.  Every workload binds on one line per op, so a few lines keep
+    every live hit, and a line no caller asks for again is dropped whole.
     """
-    if not shape:
-        return IrreducibleLabel.unit()
-    if shift2:
-        return _formal_label(line, tuple((start2 + shift2, length) for start2, length in shape), 0)
-    pi = CuspidalLabel(*line)
-    segs = tuple(_segment(pi, start2, length) for start2, length in shape)
-    return IrreducibleLabel((Multisegment._in_order(segs),), KIND_FORMAL)
+    return CuspidalLabel(*line), {}, {}
+
+
+def _kept(table: dict, key, value):
+    if len(table) >= LINE_LIMIT:
+        table.clear()
+    table[key] = value
+    return value
+
+
+def _label_in(store: tuple, shape: Shape, shift2: int) -> IrreducibleLabel:
+    """The formal label of ``shape`` on the store's line, every start moved by shift2/2, built once.
+
+    Every caller shares one label object per line and shifted shape: at
+    shift2 != 0 it is the shifted shape's at shift 0, so sums of bound terms
+    compare their keys by identity.  On one line a shape sorted by (start2,
+    length) is in its segments' key order: it is wrapped, not sorted.
+    """
+    pi, segments, labels = store
+    label = labels.get((shape, shift2))
+    if label is not None:
+        return label
+    if shape and shift2:
+        label = _label_in(store, tuple((start2 + shift2, length) for start2, length in shape), 0)
+    elif shape:
+        segs = []
+        for piece in shape:
+            seg = segments.get(piece)
+            segs.append(_kept(segments, piece, Segment._of2(pi, *piece)) if seg is None else seg)
+        label = IrreducibleLabel((Multisegment._in_order(tuple(segs)),), KIND_FORMAL)
+    else:
+        label = IrreducibleLabel.unit()
+    return _kept(labels, (shape, shift2), label)
+
+
+def _formal_label(line: tuple, shape: Shape, shift2: int) -> IrreducibleLabel:
+    """The interned formal label of ``shape`` on ``line`` moved by shift2/2, as ``bind_shapes`` reads it."""
+    return _label_in(_line_store(line), shape, shift2)
 
 
 def bind_shapes(
@@ -335,8 +360,8 @@ def bind_shapes(
     (``label_product``); ``xi2`` becomes the doubled Xi exponent xi2 + shift2,
     and ``c`` the coefficient ``weight * c``, which for c = +-1 is ``weight``
     itself or its kept negation, one object across calls.  The label of a
-    shape is interned per line and shifted shape (``_formal_label``, keyed
-    on pi's ``_key``, read once per call) and shared by every table, Euler
+    shape is interned in the store of pi's line (``_line_store``, keyed on
+    pi's ``_key``, read once per call) and shared by every table, Euler
     sum and transfer term; the product with the tail is built per call, so
     the cache holds no tail.  On one line a multisegment sorts its segments
     by (start, length), so distinct sorted shapes bind to distinct labels:
@@ -344,9 +369,12 @@ def bind_shapes(
     ``c``.  Given a dict ``row``, it adds the terms there and returns None.
     """
     out = {} if row is None else row
-    line = pi._key
+    store = _line_store(pi._key)
+    labels = store[2]
     for (shape, xi2), c in terms:
-        label = _formal_label(line, shape, shift2)
+        label = labels.get((shape, shift2))
+        if label is None:
+            label = _label_in(store, shape, shift2)
         if tail.factors:  # the product with the unit is the label itself
             label = label_product(tail, label)
         key, c = (label, xi2 + shift2), weight * c

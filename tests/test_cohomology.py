@@ -414,8 +414,7 @@ def test_clear_euler_caches_clears_every_cache():
         "cohomology._weight",
         "cohomology.torsion_detect",
         "diagrams._m_hull_columns",
-        "jl_red._formal_label",
-        "jl_red._segment",
+        "jl_red._line_store",
         "jl_red._transfer_terms",
         "jl_red.rectangle_cuts",
         "jl_red.rectangle_shape_groups",

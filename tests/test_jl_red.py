@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import operator
 import pickle
 from fractions import Fraction
 
@@ -7,12 +8,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from htgroth.cohomology import _shriek_core
+from htgroth import jl_red
 from htgroth.diagrams import m_support
 from htgroth.jl_red import (
+    LINE_LIMIT,
     R_cell,
     S_cell,
     Orientation,
     _formal_label,
+    _line_store,
     _run_cuts,
     _run_data,
     _transfer_terms,
@@ -40,6 +44,7 @@ from htgroth.segments import (
     half,
     label_of_multisegment,
     label_product,
+    make_speh_st,
     make_steinberg,
     speh_st_multisegment,
 )
@@ -564,12 +569,14 @@ PI_G3 = CuspidalLabel("pi", g=3, e_pi=2)  # the id of PI on another line
 TAIL = IrreducibleLabel((OpaqueFactor("tail", 2),), KIND_FORMAL)
 
 
-def test_bind_shapes_matches_the_uncached_reference():
+def test_bind_shapes_matches_the_uncached_reference(monkeypatch):
     # every cell of both tables for s + t <= 8, at every doubled block twist
     # in -8..8, bare and with a tail, on two lines of one id; the lines
     # alternate per twist, so a label interned for one is asked for the
-    # other right after
-    _formal_label.cache_clear()
+    # other right after; fewer labels are built than terms are bound
+    _line_store.cache_clear()
+    built, bound, label_in = [], 0, jl_red._label_in
+    monkeypatch.setattr(jl_red, "_label_in", lambda *key: built.append(key) or label_in(*key))
     bindings = list(itertools.product(range(-8, 9), (PI, PI_G3), (IrreducibleLabel.unit(), TAIL)))
     for s in range(1, 8):
         for t in range(1, 9 - s):
@@ -578,7 +585,8 @@ def test_bind_shapes_matches_the_uncached_reference():
                 for (shift2, pi, tail), sums in itertools.product(bindings, cells):
                     expected = bind_shapes_reference(pi, sums, shift2, tail, atom("m"))
                     assert bind_shapes(pi, sums, shift2, tail, atom("m")) == expected, (s, t, r)
-    assert _formal_label.cache_info().hits
+                    bound += len(sums)
+    assert len(built) < bound
 
 
 def test_bind_shapes_shares_one_label_per_line_shape_and_shift():
@@ -594,7 +602,7 @@ def test_bind_shapes_shares_one_label_per_line_shape_and_shift():
 def test_bound_labels_never_leak_across_lines_of_one_id():
     # PI and PI_G3 share their id, but not g or e_pi: a label interned for
     # one must never be returned for the other
-    _formal_label.cache_clear()
+    _line_store.cache_clear()
     for s, t in [(2, 2), (3, 2), (1, 4)]:
         for r in range(1, s * t + 1):
             for sums in rectangle_shape_groups(s, t, r).values():
@@ -605,7 +613,7 @@ def test_bound_labels_never_leak_across_lines_of_one_id():
 
 def test_formal_label_is_interned_on_its_shifted_shape():
     # a label reached under two (shape, shift2) keys is one object, on each line
-    _formal_label.cache_clear()
+    _line_store.cache_clear()
     for pi in (PI, PI_G3):
         for shape in (((0, 2),), ((-2, 1), (0, 2), (4, 1))):
             for shift2 in (2, -3):
@@ -613,6 +621,50 @@ def test_formal_label_is_interned_on_its_shifted_shape():
                 assert _formal_label(pi._key, shape, shift2) is _formal_label(pi._key, shifted, 0)
                 assert _formal_label(pi._key, shifted, 0) == public_formal_label(pi, shape, shift2)
     assert _formal_label(PI._key, ((0, 2),), 0) is not _formal_label(PI_G3._key, ((0, 2),), 0)
+
+
+def test_the_line_store_keeps_a_few_lines_of_fresh_lifts():
+    # every towers op transfers on fresh lift lines, named as cuspidal_lifts
+    # names them; the store keeps at most its bound of lines, and drops the
+    # others whole
+    _line_store.cache_clear()
+    for lift in cuspidal_lifts(LIFT_LEVEL, 1000):
+        assert not red_tau(lift, 1, GrothElement.of(make_speh_st(lift, 2, 2))).is_zero()
+    info = _line_store.cache_info()
+    assert info.misses == 1000 and info.currsize <= info.maxsize == 8
+
+
+def test_a_line_holds_at_most_line_limit_labels_and_segments():
+    _line_store.cache_clear()
+    shapes = [((2 * j, 1), (2 * j + 4, 2)) for j in range(LINE_LIMIT + 100)]
+    for shape in shapes:
+        _formal_label(PI._key, shape, 1)
+    _, segments, labels = _line_store(PI._key)
+    assert 0 < len(labels) <= LINE_LIMIT and 0 < len(segments) <= LINE_LIMIT
+    # a line that emptied its dicts still binds, and interns again
+    for shape in shapes[:3]:
+        assert _formal_label(PI._key, shape, 1) is _formal_label(PI._key, shape, 1)
+        assert _formal_label(PI._key, shape, 1) == public_formal_label(PI, shape, 1)
+
+
+def test_fresh_labels_of_one_line_read_one_label_object():
+    # every cohomology query builds its own CuspidalLabel("pi"): the tables'
+    # hits are across queries, on the line's key
+    first, second = CuspidalLabel("pi"), CuspidalLabel("pi")
+    assert first is not second
+    terms = [((((-2, 2), (0, 2)), 0), 1), ((((0, 1),), 0), -1)]
+    read = [[label for label, _ in bind_shapes(pi, terms).terms] for pi in (first, second)]
+    assert len(read[0]) == 2 and all(map(operator.is_, *read))
+
+
+def test_segments_of_one_line_share_one_cuspidal_label():
+    _line_store.cache_clear()
+    for r in range(1, 10):
+        for sums in rectangle_shape_groups(3, 3, r).values():
+            bind_shapes(CuspidalLabel("pi"), sums, r % 3)
+    pi, segments, labels = _line_store(PI._key)
+    bound = [seg for label in labels.values() for ms in label.multisegments() for seg in ms]
+    assert len(segments) > 10 and {id(seg.cuspidal) for seg in [*bound, *segments.values()]} == {id(pi)}
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +687,7 @@ def test_formal_label_matches_the_public_constructors():
     # shape of its shriek Euler expansion, at every doubled shift in -4..4, on
     # two lines of one id: wrapped unsorted from the trusted constructors,
     # the label is the one the checked path sorts
-    _formal_label.cache_clear()
+    _line_store.cache_clear()
     shapes = set()
     for s in range(1, 8):
         for t in range(1, 9 - s):

@@ -272,9 +272,8 @@ def fresh_problem(tag):
 
 def test_shriek_tables_and_conj2_build_no_label_on_fresh_lifts():
     # the tables of a towers problem and their comparison bind nothing: on
-    # lift lines never seen before neither label cache moves, and reading
+    # lift lines never seen before the line store is not read, and reading
     # the rows afterwards does bind, so the binding is deferred, not gone
-    caches = (jl_red._formal_label, jl_red._segment)
     lift_a, lift_b, lifts, prof_a, prof_b = fresh_problem("warm")
     conj2_predicate(
         {r: coh_shriek(prof_a, lift_a, r) for r in range(1, 5)},
@@ -283,13 +282,14 @@ def test_shriek_tables_and_conj2_build_no_label_on_fresh_lifts():
         lifts,
     )
     lift_a, lift_b, lifts, prof_a, prof_b = fresh_problem("fresh")
-    before = [cache.cache_info() for cache in caches]
+    before = jl_red._line_store.cache_info()
     run_a = {r: coh_shriek(prof_a, lift_a, r) for r in range(1, 5)}
     run_b = {r: coh_shriek(prof_b, lift_b, r) for r in range(1, 5)}
     assert conj2_predicate(run_a, run_b, lifts, lifts)
-    assert [cache.cache_info() for cache in caches] == before
+    assert jl_red._line_store.cache_info() == before
     assert any(not table.is_zero() for table in run_a.values())
-    assert jl_red._formal_label.cache_info().misses > before[0].misses
+    assert jl_red._line_store.cache_info().misses > before.misses
+    assert jl_red._line_store(lift_a._key)[2]  # the labels of the rows read
 
 
 # ---------------------------------------------------------------------------
