@@ -18,7 +18,8 @@ keeps each center's sums: they depend only on the shape.  Likewise
 ``red_tau`` reads a factor's transfer sums from ``_transfer_terms``, keyed on
 the factor's doubled starts, lengths and depth, not on its line.
 ``marked_cells`` is the one iterator over these cells, and label-free; the
-tables and the Euler sums read its sums directly.  ``bind_shapes`` is the
+tables and the Euler sums read its sums directly, and the Euler identity
+hands it one uncached walk for both of its sides.  ``bind_shapes`` is the
 one place that turns shapes into labels: it binds a cell, an Euler sum or
 a transfer term to the line of pi once, with the block twist and the tail.
 Labels are interned per line and shifted shape: each is built once and
@@ -339,11 +340,6 @@ def _label_in(store: tuple, shape: Shape, shift2: int) -> IrreducibleLabel:
     return _kept(labels, (shape, shift2), label)
 
 
-def _formal_label(line: tuple, shape: Shape, shift2: int) -> IrreducibleLabel:
-    """The interned formal label of ``shape`` on ``line`` moved by shift2/2, as ``bind_shapes`` reads it."""
-    return _label_in(_line_store(line), shape, shift2)
-
-
 def bind_shapes(
     pi: CuspidalLabel,
     terms: Iterable[tuple[TermKey, int]],
@@ -406,7 +402,9 @@ def rectangle_cuts(
 # ---------------------------------------------------------------------------
 
 
-def marked_cells(s: int, t: int, r: int, kind: str) -> Iterator[tuple[int, int, Terms]]:
+def marked_cells(
+    s: int, t: int, r: int, kind: str, groups: Mapping[int, Terms] | None = None
+) -> Iterator[tuple[int, int, Terms]]:
     """(degree, i_m, sums) for every cell of column r marked by the M or N diagram.
 
     ``degree`` indexes the cell in its own diagram and ``i_m`` is the
@@ -414,7 +412,9 @@ def marked_cells(s: int, t: int, r: int, kind: str) -> Iterator[tuple[int, int, 
     i_m = 2 degree + r - (s + t - 1) on the N side.  ``sums`` are the signed
     a2 shapes, keyed on (shape, i_m), of the cuts of the s-by-t rectangle at
     left rank r whose center is -i_m/2: the value of the cell, empty when
-    no cut has that center.  The only walk over the cells of a column.
+    no cut has that center.  They are read from ``groups``, the stratum's
+    ``rectangle_shape_groups`` when a caller has walked it already, and
+    from the cache otherwise.  The only walk over the cells of a column.
     """
     if kind == "M":
         cells = [(i, i) for i in m_column(s, t, r)]
@@ -424,7 +424,8 @@ def marked_cells(s: int, t: int, r: int, kind: str) -> Iterator[tuple[int, int, 
         raise ValueError("kind must be 'M' or 'N'")
     if not cells:
         return
-    groups = rectangle_shape_groups(s, t, r)
+    if groups is None:
+        groups = rectangle_shape_groups(s, t, r)
     for degree, i_m in cells:
         yield degree, i_m, groups.get(-i_m, ())
 

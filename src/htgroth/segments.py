@@ -500,16 +500,12 @@ class GrothElement(Immutable):
         return " + ".join(bits)
 
 
-def _label_sort_key(label: IrreducibleLabel):
-    return (label.kind, tuple(map(_factor_key, label.factors)))
-
-
 def _kept_sort_key(label: IrreducibleLabel):
-    """``_label_sort_key(label)``, computed on the first call and kept on the label."""
+    """The label's kind and its factors' keys, computed on the first call and kept on the label."""
     try:
         return label._sort_key
     except AttributeError:
-        key = _label_sort_key(label)
+        key = (label.kind, tuple(map(_factor_key, label.factors)))
         object.__setattr__(label, "_sort_key", key)
         return key
 

@@ -25,7 +25,7 @@ from htgroth.segments import (
     IrreducibleLabel,
     Multisegment,
     OpaqueFactor,
-    _label_sort_key,
+    _kept_sort_key,
     _suffix_cut,
     cut_tuples,
     half,
@@ -154,7 +154,7 @@ def rl_reduce_fraction(x: FractionTerms, lifts) -> dict:
 
 def groth_to_json_fraction(x: FractionTerms) -> list:
     """``groth_to_json`` of Fraction-keyed terms: sorted by (twist, label), twists doubled."""
-    ordered = sorted(x.items(), key=lambda kv: (kv[0][1], _label_sort_key(kv[0][0])))
+    ordered = sorted(x.items(), key=lambda kv: (kv[0][1], _kept_sort_key(kv[0][0])))
     return [
         {"label": _label_to_json(label), "xi_twist_numerator": twice(tw), "coeff": sym_to_json(c)}
         for (label, tw), c in ordered

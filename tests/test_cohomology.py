@@ -15,6 +15,7 @@ from htgroth.cohomology import (
     _collapsed_rows,
     _column_classes,
     _euler_core,
+    _euler_side,
     _public_key,
     _shriek_core,
     CohomologyTable,
@@ -326,6 +327,28 @@ class TestEulerOracle:
         filled = [name for name, cache in htgroth_caches().items() if cache.cache_info().currsize]
         assert filled == []
 
+    def test_identity_keeps_nothing(self):
+        # the identity walks each stratum once for both sides, so a sweep such
+        # as verify's leaves every cache as it found it
+        clear_htgroth_caches()
+        for s, t in [(8, 8), (1, 7), (7, 1)]:
+            for r in range(1, s * t + 1):
+                assert euler_master_identity(s, t, r), (s, t, r)
+        filled = [name for name, cache in htgroth_caches().items() if cache.cache_info().currsize]
+        assert filled == []
+
+    def test_cached_and_uncached_sides_agree(self):
+        # the side the profile sums read from the cache, the side computed
+        # afresh, and the side computed from the identity's uncached walk
+        for s in range(1, 10):
+            for t in range(1, 11 - s):
+                for r in range(0, s * t + 2):
+                    groups = jl_red.rectangle_shape_groups.__wrapped__(s, t, r)
+                    for core in (_euler_core, _shriek_core):
+                        side = core(s, t, r)
+                        assert _euler_side(core, s, t, r) == side, (core.__name__, s, t, r)
+                        assert core(s, t, r, groups) == side, (core.__name__, s, t, r)
+
 
 # the two labels of the pinned Euler values: same id, told apart by g and e_pi
 EULER_LABELS = {"g1": PI, "g3e2": CuspidalLabel("pi", g=3, e_pi=2)}
@@ -408,9 +431,8 @@ def test_clear_euler_caches_clears_every_cache():
     caches = htgroth_caches()
     assert sorted(caches) == [
         "cohomology._column_classes",
-        "cohomology._euler_core",
+        "cohomology._euler_side",
         "cohomology._public_key",
-        "cohomology._shriek_core",
         "cohomology._weight",
         "cohomology.torsion_detect",
         "diagrams._m_hull_columns",
@@ -428,8 +450,7 @@ def test_clear_euler_caches_clears_every_cache():
     conj2_predicate({2: coh_shriek(pu, pi_u, 2)}, {2: coh_shriek(pup, pi_up, 2)}, lifts, lifts)
     R_cell(2, 2, 2, 1, pi_u)
     jl_red.red_tau(pi_u, 1, GrothElement.of(make_steinberg(pi_u, 2)))
-    euler_shriek_expansion(pu.entries[0], pi_u, 1)
-    euler_master_identity(2, 2, 1)  # the calls above read only the shriek core
+    euler_shriek_profile_expansion(pu, pi_u, 1)
     torsion_detect(4, sc, 0, 1)
     m_column_hull(2, 2, 1)
     jsonio.dumps(R_cell(2, 2, 2, 1, pi_u))

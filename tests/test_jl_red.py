@@ -15,7 +15,7 @@ from htgroth.jl_red import (
     R_cell,
     S_cell,
     Orientation,
-    _formal_label,
+    _label_in,
     _line_store,
     _run_cuts,
     _run_data,
@@ -595,7 +595,7 @@ def test_bind_shapes_shares_one_label_per_line_shape_and_shift():
     assert len(first.terms) == len(sums) > 1
     shared = {label: label for label, _ in second.terms}
     assert all(shared[label] is label for label, _ in first.terms)
-    interned = {id(_formal_label(PI._key, shape, 2)) for (shape, _), _ in sums}
+    interned = {id(_label_in(_line_store(PI._key), shape, 2)) for (shape, _), _ in sums}
     assert {id(label) for label, _ in first.terms} == interned
 
 
@@ -615,12 +615,14 @@ def test_formal_label_is_interned_on_its_shifted_shape():
     # a label reached under two (shape, shift2) keys is one object, on each line
     _line_store.cache_clear()
     for pi in (PI, PI_G3):
+        store = _line_store(pi._key)
         for shape in (((0, 2),), ((-2, 1), (0, 2), (4, 1))):
             for shift2 in (2, -3):
                 shifted = tuple((start2 + shift2, length) for start2, length in shape)
-                assert _formal_label(pi._key, shape, shift2) is _formal_label(pi._key, shifted, 0)
-                assert _formal_label(pi._key, shifted, 0) == public_formal_label(pi, shape, shift2)
-    assert _formal_label(PI._key, ((0, 2),), 0) is not _formal_label(PI_G3._key, ((0, 2),), 0)
+                assert _label_in(store, shape, shift2) is _label_in(store, shifted, 0)
+                assert _label_in(store, shifted, 0) == public_formal_label(pi, shape, shift2)
+    stores = _line_store(PI._key), _line_store(PI_G3._key)
+    assert _label_in(stores[0], ((0, 2),), 0) is not _label_in(stores[1], ((0, 2),), 0)
 
 
 def test_the_line_store_keeps_a_few_lines_of_fresh_lifts():
@@ -637,14 +639,15 @@ def test_the_line_store_keeps_a_few_lines_of_fresh_lifts():
 def test_a_line_holds_at_most_line_limit_labels_and_segments():
     _line_store.cache_clear()
     shapes = [((2 * j, 1), (2 * j + 4, 2)) for j in range(LINE_LIMIT + 100)]
+    store = _line_store(PI._key)
     for shape in shapes:
-        _formal_label(PI._key, shape, 1)
-    _, segments, labels = _line_store(PI._key)
+        _label_in(store, shape, 1)
+    _, segments, labels = store
     assert 0 < len(labels) <= LINE_LIMIT and 0 < len(segments) <= LINE_LIMIT
     # a line that emptied its dicts still binds, and interns again
     for shape in shapes[:3]:
-        assert _formal_label(PI._key, shape, 1) is _formal_label(PI._key, shape, 1)
-        assert _formal_label(PI._key, shape, 1) == public_formal_label(PI, shape, 1)
+        assert _label_in(store, shape, 1) is _label_in(store, shape, 1)
+        assert _label_in(store, shape, 1) == public_formal_label(PI, shape, 1)
 
 
 def test_fresh_labels_of_one_line_read_one_label_object():
@@ -697,7 +700,7 @@ def test_formal_label_matches_the_public_constructors():
                 shapes.update(shape for (shape, _), _ in _shriek_core(s, t, r))
     assert () in shapes and len(shapes) > 500
     for shape, shift2, pi in itertools.product(shapes, range(-4, 5), (PI, PI_G3)):
-        mine, public = _formal_label(pi._key, shape, shift2), public_formal_label(pi, shape, shift2)
+        mine, public = _label_in(_line_store(pi._key), shape, shift2), public_formal_label(pi, shape, shift2)
         assert _same_value(mine, public), (shape, shift2, pi)
         for ms, twin in zip(mine.multisegments(), public.multisegments(), strict=True):
             assert ms._key == twin._key and all(map(_same_value, ms, twin))

@@ -17,7 +17,6 @@ from htgroth.segments import (
     Multisegment,
     OpaqueFactor,
     Segment,
-    _label_sort_key,
     half,
     make_speh_st,
     make_steinberg,
@@ -275,6 +274,11 @@ def elements(draw):
     for _ in range(draw(st.integers(0, 4))):
         terms[(draw(labels()), half(draw(st.integers(-9, 9))))] = draw(coeffs())
     return GrothElement(terms)
+
+
+def _label_sort_key(label: IrreducibleLabel):
+    """A label's sort key computed afresh: its kind, then its factors' keys."""
+    return (label.kind, tuple(factor._key for factor in label.factors))
 
 
 @settings(max_examples=100, deadline=None)

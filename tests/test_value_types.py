@@ -31,7 +31,7 @@ from htgroth.cohomology import (
     torsion_detect,
 )
 from htgroth.diagrams import BlockContribution, DiagramSupport, LocalComponent
-from htgroth.jl_red import Cut, Orientation, SignedCharacter, _formal_label, orientations
+from htgroth.jl_red import Cut, Orientation, SignedCharacter, _label_in, _line_store, orientations
 from htgroth.modl import FieldData, SupercuspidalData, TowerLevel
 from htgroth.segments import (
     KIND_FORMAL,
@@ -295,12 +295,12 @@ def test_unit_label_is_one_shared_object():
     assert unit is IrreducibleLabel.unit() and repr(unit) == "<1>"
     assert unit == IrreducibleLabel(()) and hash(unit) == hash(IrreducibleLabel(()))
     assert label_of_multisegment(Multisegment()) is unit
-    assert all(_formal_label(PI._key, (), shift2) is unit for shift2 in (-2, 0, 3))
+    assert all(_label_in(_line_store(PI._key), (), shift2) is unit for shift2 in (-2, 0, 3))
     # an interned label can no longer be emptied for every later caller
-    label = _formal_label(PI._key, ((0, 2),), 0)
+    label = _label_in(_line_store(PI._key), ((0, 2),), 0)
     with pytest.raises(AttributeError):
         label.factors = ()
-    assert repr(_formal_label(PI._key, ((0, 2),), 0)) == "{[0,1]_pi}"
+    assert repr(_label_in(_line_store(PI._key), ((0, 2),), 0)) == "{[0,1]_pi}"
 
 
 def test_repr_keeps_the_dataclass_form():
