@@ -171,23 +171,25 @@ def frozen_terms(terms: dict[TermKey, int]) -> Terms:
 def _run_cuts(starts2: Sequence[int], lengths: Sequence[int], left_units: int, xi_sign: int) -> Terms:
     """The signed a2 shapes of the cuts whose a1 tiles one run once, summed, of rows on one line.
 
-    The rows are doubled starts and lengths.  Sorted by end, the nonzero
-    pieces of such a cut are a chain of rows with strictly increasing ends:
-    the bottom piece is free in 1..its row's length, and every later piece
-    starts just above the previous top, so its length, the gap between the
-    two ends, is forced and must fit its row; the pieces sum to left_units.
-    The run is contiguous, so it ends 2 * (left_units - 1) above the bottom
-    piece's bottom, whatever the chain above it: a bottom piece whose run
-    cannot end on some row's end is never pushed.
+    The rows are doubled starts and lengths, taken in the order of their
+    ends.  The nonzero pieces of such a cut are then a chain of rows with
+    strictly increasing ends: the bottom piece is free in 1..its row's
+    length, and every later piece starts just above the previous top, so
+    its length, the gap between the two ends, is forced and must fit its
+    row; the pieces sum to left_units.  The run is contiguous, so it ends
+    2 * (left_units - 1) above the bottom piece's bottom, whatever the chain
+    above it: a bottom piece whose run cannot end on some row's end is never
+    pushed.
 
     Each cut adds its sign (-1)^(#a1 pieces - 1) under (a2, xi_sign *
     center2), a2 being the chain's rows trimmed and the other rows whole,
-    sorted.  On a ladder, whose starts and ends both strictly increase (every
-    rectangle is one), the rows are already in a2's order and so is the
-    chain: a leaf splices its trimmed rows in, with no sort.  Other rows
-    (shared or falling starts) sort each a2.  The transfer takes xi_sign 1
-    (the Xi slot carries the run's character |.|^(center2/2)); a table cell
-    takes -1 (its cuts of center -i_m/2 carry the twist Xi^(i_m/2)).
+    sorted.  A leaf splices its trimmed rows into the whole rows, in end
+    order.  A trimmed row keeps its start, so when the starts strictly rise
+    along that order, as on every ladder, the splice is already sorted;
+    other rows (shared or falling starts) sort each a2.  The transfer takes
+    xi_sign 1 (the Xi slot carries the run's character |.|^(center2/2)); a
+    table cell takes -1 (its cuts of center -i_m/2 carry the twist
+    Xi^(i_m/2)).
 
     On the s-by-t rectangle at rank s + t - 1 only the bottom piece (0, t)
     reaches center 0, and the forced ks above it are a composition of s - 1
@@ -196,70 +198,63 @@ def _run_cuts(starts2: Sequence[int], lengths: Sequence[int], left_units: int, x
     x^N coefficient of (1 - x)/(1 - x^(t+1)): 1 for N = 0 mod t + 1, -1 for
     N = 1, else 0.  ``verify`` checks the walk against both counts.
     """
-    n = len(lengths)
-    ends2 = [a + 2 * (k - 1) for a, k in zip(starts2, lengths)]
+    whole = tuple(sorted(zip(starts2, lengths), key=lambda row: row[0] + 2 * row[1]))  # in end order
+    n = len(whole)
+    starts2 = [a for a, _ in whole]
+    lengths = [k for _, k in whole]
+    ends2 = [a + 2 * (k - 1) for a, k in whole]
     row_ends2 = set(ends2)
-    order = sorted(range(n), key=ends2.__getitem__)
     reach2 = 2 * max(lengths, default=0)  # no piece spans a wider gap
-    ladder = all(a < b for a, b in zip(starts2, starts2[1:])) and all(
-        a < b for a, b in zip(ends2, ends2[1:])
-    )
-    whole = tuple(zip(starts2, lengths))  # a2 of a ladder's cut, before its chain rows are trimmed
+    in_order = all(a < b for a, b in zip(starts2, starts2[1:]))  # then every a2 is sorted as spliced
     terms: dict[TermKey, int] = {}
     chain: list[int] = []  # the rows of the a1 pieces, bottom to top
-    # depth first with an explicit stack, in the order a recursion would take, at
-    # any depth; a frame is (its row's depth in the chain, row, next position in
-    # order, units left, bottom2); a chain's frames share its run's end, so the
-    # bottom piece alone is tested against the rows' ends
-    stack = []
-    for idx in reversed(range(n)):  # the bottom piece is free in 1 .. its length
-        j = order[idx]
-        for k in range(min(lengths[j], left_units), 0, -1):
-            if ends2[j] + 2 * (left_units - k) in row_ends2:
-                stack.append((0, j, idx + 1, left_units - k, ends2[j] - 2 * k + 2))
+    # depth first with an explicit stack, at any depth; a frame is (its row's depth
+    # in the chain, row, units left, bottom2), and the pieces above it lie on later
+    # rows; a chain's frames share its run's end, so the bottom piece alone is
+    # tested against the rows' ends
+    stack = [
+        (0, j, left_units - k, ends2[j] - 2 * k + 2)
+        for j in range(n)
+        for k in range(1, min(lengths[j], left_units) + 1)
+        if ends2[j] + 2 * (left_units - k) in row_ends2
+    ]
     while stack:
-        depth, j, nxt, remaining, bottom2 = stack.pop()
+        depth, j, remaining, bottom2 = stack.pop()
         top2 = ends2[j]
         del chain[depth:]
         chain.append(j)
         if remaining == 0:
-            below2 = bottom2 - 2
-            if ladder:
-                a2, last = (), 0
-                for row in chain:  # the piece of a chain row runs from below2 + 2 to its end
-                    k = (below2 + 2 - starts2[row]) // 2
-                    a2 += whole[last:row] + (((starts2[row], k),) if k else ())
-                    last, below2 = row + 1, ends2[row]
-                a2 += whole[last:]
-            else:
-                rest = list(lengths)
-                for row in chain:
-                    rest[row], below2 = (below2 + 2 - starts2[row]) // 2, ends2[row]
-                a2 = tuple(sorted((starts2[i], k) for i, k in enumerate(rest) if k))
-            key = (a2, xi_sign * ((bottom2 + top2) // 2))
+            below2, a2, last = bottom2 - 2, (), 0
+            for row in chain:  # the piece of a chain row runs from below2 + 2 to its end
+                k = (below2 + 2 - starts2[row]) // 2
+                a2 += whole[last:row] + (((starts2[row], k),) if k else ())
+                last, below2 = row + 1, ends2[row]
+            a2 += whole[last:]
+            key = (a2 if in_order else tuple(sorted(a2)), xi_sign * ((bottom2 + top2) // 2))
             terms[key] = terms.get(key, 0) + (-1) ** depth
             continue
-        limit2, above = min(2 * remaining, reach2), []
-        for idx in range(nxt, n):
-            i = order[idx]
+        limit2 = min(2 * remaining, reach2)
+        for i in range(j + 1, n):
             gap2 = ends2[i] - top2
             if gap2 > limit2:
                 break  # ends only grow along the order
             if gap2 < 2 or gap2 % 2 or gap2 > 2 * lengths[i]:
                 continue
-            above.append((depth + 1, i, idx + 1, remaining - gap2 // 2, bottom2))
-        stack.extend(reversed(above))
+            stack.append((depth + 1, i, remaining - gap2 // 2, bottom2))
     return frozen_terms(terms)
 
 
 def run_cuts(lad: Multisegment, left_units: int) -> list[Cut]:
     """All suffix cuts of the ladder whose a1 survives the transfer, by scan: the tests' reference.
 
-    Unlike ``ladder_cuts`` (every Jacquet-module term), this keeps exactly
-    the suffix tuples, in the lexicographic order of ``cut_tuples``, whose a1
-    is a multiplicity-one consecutive run: the terms with a nonzero
-    pseudo-coefficient trace.  Its cost grows with the number of tuples; the
-    walk ``_run_cuts`` sums the same cuts without them.
+    This keeps exactly the suffix tuples, in the lexicographic order of
+    ``cut_tuples``, whose a1 is a multiplicity-one consecutive run: the terms
+    with a nonzero pseudo-coefficient trace.  ``ladder_cuts`` keeps other
+    tuples: the ``box_partitions`` on a rectangle, and elsewhere those whose
+    halves are both ladders, a filter that differs from the Kret-Lapid chain
+    rule (ROADMAP item 9, "One Jacquet rule for ladders").  Its cost grows
+    with the number of tuples; the walk ``_run_cuts`` sums the same cuts
+    without them.
     """
     out = []
     for ks in cut_tuples([seg.length for seg in lad.segments], left_units):
@@ -272,7 +267,9 @@ def run_cuts(lad: Multisegment, left_units: int) -> list[Cut]:
     return out
 
 
-# Saves ~30 us per `tables` op, ~3 us per `towers` op and ~3.4 ms of a `verify --max 12` run (93 hits).
+# Saves ~35 us per `tables` op (1.03 hits), ~1 us per `towers` op (0.067 hits) and ~0.8 ms of a fresh
+# `verify --max 12` run, whose endpoint suite reads the top stratum of each s-by-t with s t <= 12 once per
+# diagram (35 hits, 35 misses).
 @lru_cache(maxsize=1024)
 def rectangle_shape_groups(s: int, t: int, left_units: int) -> Mapping[int, Terms]:
     """``_run_cuts`` of the s-by-t rectangle at xi_sign -1, keyed on (a2, i_m), per center2 = -i_m.

@@ -25,6 +25,7 @@ from .segments import (
     CuspidalLabel,
     GrothElement,
     IrreducibleLabel,
+    Keyed,
     Multisegment,
     OpaqueFactor,
     Value,
@@ -90,14 +91,15 @@ def is_banal(field: FieldData, d: int) -> bool:
     return e_l(field) > d
 
 
-class SupercuspidalData(Value):
+class SupercuspidalData(Keyed, Value):
     """A mod-l supercuspidal line: its label, field data and line size.
 
-    It keys caches such as ``torsion_detect``'s, so its hash is taken once.
+    It keys caches such as ``torsion_detect``'s, so its key, the field
+    tuple, and its hash are kept once, at construction.
     """
 
     _fields = ("label", "field", "epsilon")
-    __slots__ = _fields + ("_hash",)
+    __slots__ = _fields + ("_key", "_hash")
 
     def __init__(self, label: CuspidalLabel, field: FieldData, epsilon: int):
         if require_int("epsilon", epsilon) < 1:
@@ -105,10 +107,8 @@ class SupercuspidalData(Value):
         if e_l(field) % epsilon != 0:
             raise ValueError(f"epsilon={epsilon} must divide e_l(q)={e_l(field)}")
         super().__init__(label, field, epsilon)
-        object.__setattr__(self, "_hash", hash((label, field, epsilon)))
-
-    def __hash__(self):
-        return self._hash
+        object.__setattr__(self, "_key", (label, field, epsilon))
+        object.__setattr__(self, "_hash", hash(self._key))
 
     @property
     def g(self) -> int:

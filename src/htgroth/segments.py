@@ -111,7 +111,27 @@ class Value(Immutable):
         return type(self), self._astuple()
 
 
-class CuspidalLabel(Value):
+class Keyed(Immutable):
+    """Base of the values that key caches: equal by the key ``_key``, hashed as the kept ``_hash``.
+
+    A subclass sets both once, at construction.  Two values are equal only
+    when they are of the same class with equal keys; against any other
+    class ``__eq__`` returns NotImplemented, so a subclass instance is
+    unequal to a base instance, as for ``Value``.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return self._hash
+
+
+class CuspidalLabel(Keyed, Value):
     """Opaque label of an irreducible cuspidal of GL_g.
 
     Labels compare equal exactly when their id, ``g`` (the rank) and
@@ -137,21 +157,12 @@ class CuspidalLabel(Value):
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
 
-    def __eq__(self, other):
-        return isinstance(other, CuspidalLabel) and self._key == other._key
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other):
-        return self._key < other._key
-
     def __repr__(self):
         e_pi = f", e_pi={self.e_pi}" if self.e_pi != 1 else ""  # unequal labels print apart
         return f"CuspidalLabel({self.id!r}, g={self.g}{e_pi})"
 
 
-class Segment(Value):
+class Segment(Keyed, Value):
     """The consecutive run pi{start}, ..., pi{start+length-1}.
 
     Immutable.  The start is stored once, doubled, in the int ``start2``;
@@ -202,31 +213,23 @@ class Segment(Value):
     def twist(self, n) -> "Segment":
         return Segment._of2(self.cuspidal, self.start2 + twice(n), self.length)
 
-    def sort_key(self) -> tuple[str, int, int, int, int]:
-        return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, Segment) and self._key == other._key
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return f"[{self.start},{self.end}]_{self.cuspidal.id}"
 
 
-class Multisegment(Immutable):
+class Multisegment(Keyed):
     """A multiset of segments, stored in canonical sorted order.
 
-    The sort key and the hash are computed once, at construction, from the
-    segments' keys: multisegments key the Grothendieck sums, which look them
-    up many times; ``_in_order`` wraps segments already in key order.
+    The key, which orders and compares them, and the hash are computed once,
+    at construction, from the segments' keys: multisegments key the
+    Grothendieck sums, which look them up many times; ``_in_order`` wraps
+    segments already in key order.
     """
 
     __slots__ = ("segments", "_key", "_hash")
 
     def __init__(self, segments: Iterable[Segment] = ()):
-        self._set(tuple(sorted(segments, key=Segment.sort_key)))
+        self._set(tuple(sorted(segments, key=_key_of)))
 
     def _set(self, segments: tuple[Segment, ...]) -> "Multisegment":
         keys = tuple(s._key for s in segments)
@@ -275,12 +278,6 @@ class Multisegment(Immutable):
         segs = tuple(Segment._of2(s.cuspidal, s.start2 + n2, s.length) for s in self.segments)
         return Multisegment._in_order(segs)
 
-    def __eq__(self, other):
-        return isinstance(other, Multisegment) and self.segments == other.segments
-
-    def __hash__(self):
-        return self._hash
-
     def __reduce__(self):
         return Multisegment._in_order, (self.segments,)
 
@@ -294,7 +291,7 @@ class Multisegment(Immutable):
         return "{" + ", ".join(map(repr, self.segments)) + "}"
 
 
-class OpaqueFactor(Value):
+class OpaqueFactor(Keyed, Value):
     """A factor we do not resolve into segments (profile tails, D-side labels).
 
     Like a multisegment, it keeps its sort key ``_key`` and its hash, computed at construction.
@@ -308,9 +305,6 @@ class OpaqueFactor(Value):
         object.__setattr__(self, "_key", ("~opaque", name, rank))
         object.__setattr__(self, "_hash", hash((name, rank)))
 
-    def __hash__(self):
-        return self._hash
-
     def twist(self, n) -> "OpaqueFactor":
         # opaque factors absorb twists silently; callers that care use the
         # external Xi slot instead
@@ -319,8 +313,8 @@ class OpaqueFactor(Value):
 
 Factor = Union[Multisegment, OpaqueFactor]
 
-# a factor's sort key and hash, kept on it: every multisegment key sorts before every opaque one
-_factor_key = attrgetter("_key")
+# the sort key and the hash kept on a segment or a factor; every multisegment key sorts first
+_key_of = attrgetter("_key")
 _factor_hash = attrgetter("_hash")
 
 
@@ -337,8 +331,10 @@ class IrreducibleLabel(Immutable):
     The factors are kept sorted by their keys (sorted only when there are
     several).  Like a multisegment, a label computes its hash once, at
     construction, from the hashes its factors keep, and is immutable, since
-    the label caches share it; ``unit()`` is one label.  Its sort key is
-    kept in ``_sort_key`` on the first sort that reads it.
+    the label caches share it; ``unit()`` is one label.  It is equal only to
+    a label of the same class with equal factors and kind.  Its sort key is
+    kept in ``_sort_key`` on the first sort that reads it: most labels are
+    never sorted, and keeping it at construction costs ~0.6 us a label.
     """
 
     __slots__ = ("factors", "kind", "_hash", "_sort_key")
@@ -348,7 +344,7 @@ class IrreducibleLabel(Immutable):
             raise ValueError(f"unknown kind {kind!r}")
         factors = tuple(factors)
         if len(factors) > 1:
-            factors = tuple(sorted(factors, key=_factor_key))
+            factors = tuple(sorted(factors, key=_key_of))
         elif not factors:
             kind = KIND_GENERIC  # the empty product is the unit
         object.__setattr__(self, "factors", factors)
@@ -370,11 +366,9 @@ class IrreducibleLabel(Immutable):
         return [f for f in self.factors if isinstance(f, Multisegment)]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, IrreducibleLabel)
-            and self.factors == other.factors
-            and self.kind == other.kind
-        )
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors and self.kind == other.kind
 
     def __hash__(self):
         return self._hash
@@ -505,7 +499,7 @@ def _kept_sort_key(label: IrreducibleLabel):
     try:
         return label._sort_key
     except AttributeError:
-        key = (label.kind, tuple(map(_factor_key, label.factors)))
+        key = (label.kind, tuple(map(_key_of, label.factors)))
         object.__setattr__(label, "_sort_key", key)
         return key
 

@@ -29,7 +29,7 @@ from htgroth.segments import (
     ladder_cuts,
     label_product,
     make_speh_st,
-    _factor_key,
+    _key_of,
     make_steinberg,
     speh_st_multisegment,
     steinberg_multisegment,
@@ -331,13 +331,13 @@ def test_cached_hashes_agree_with_equality_and_the_key(segs, rnd):
     rnd.shuffle(shuffled)
     a, b = Multisegment(segs), Multisegment(shuffled)
     assert a == b and hash(a) == hash(b)
-    assert hash(a) == hash(tuple(seg.sort_key() for seg in a.segments))
+    assert hash(a) == hash(tuple(seg._key for seg in a.segments))
     factors = [a, OpaqueFactor("tail", 2), Multisegment(segs[:1])]
     la = IrreducibleLabel(factors, KIND_FORMAL)
     lb = IrreducibleLabel(reversed(factors), KIND_FORMAL)
     assert la == lb and hash(la) == hash(lb)
     assert hash(la) == hash((tuple(map(hash, la.factors)), la.kind))
-    assert la.factors == tuple(sorted(factors, key=_factor_key))
+    assert la.factors == tuple(sorted(factors, key=_key_of))
 
 
 def test_order_is_canonical_on_lines_sharing_an_id():
@@ -388,7 +388,7 @@ def test_product_kind_matches_the_pairwise_rule(a, b):
     assert _product_kind(a, b) == kind == _product_kind(b, a)
     ab = label_product(a, b)
     assert ab == label_product(b, a) and hash(ab) == hash(label_product(b, a))
-    assert ab.factors == tuple(sorted(a.factors + b.factors, key=_factor_key))
+    assert ab.factors == tuple(sorted(a.factors + b.factors, key=_key_of))
     assert ab.kind == (kind if ab.factors else KIND_GENERIC)
 
 
@@ -454,7 +454,7 @@ def test_segment_is_immutable_and_tells_ranks_apart():
     with pytest.raises(AttributeError):
         del seg.start
     assert (seg.start, seg.length, seg.cuspidal) == (half(1), 2, PI)
-    assert repr(seg) == "[1/2,3/2]_pi" and seg.sort_key() == ("pi", 1, 2, 1, 1)
+    assert repr(seg) == "[1/2,3/2]_pi" and seg._key == ("pi", 1, 2, 1, 1)
     same = Segment(CuspidalLabel("pi"), Fraction(1, 2), 2)
     assert seg == same and hash(seg) == hash(same)
     for other in (CuspidalLabel("pi", g=2), CuspidalLabel("pi", e_pi=3)):

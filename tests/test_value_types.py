@@ -35,6 +35,7 @@ from htgroth.jl_red import Cut, Orientation, SignedCharacter, _label_in, _line_s
 from htgroth.modl import FieldData, SupercuspidalData, TowerLevel
 from htgroth.segments import (
     KIND_FORMAL,
+    KIND_GENERIC,
     CuspidalLabel,
     GrothElement,
     IrreducibleLabel,
@@ -44,6 +45,7 @@ from htgroth.segments import (
     Segment,
     Value,
     label_of_multisegment,
+    make_steinberg,
 )
 from htgroth.symbolic import atom
 
@@ -239,12 +241,6 @@ def test_cuspidal_label_is_immutable_with_its_identity_kept():
         with pytest.raises(AttributeError):
             delattr(pi, name)
     assert (pi.id, pi.g, pi.e_pi) == ("pi", 2, 3) and hash(pi) == hash(("pi", 2, 3))
-    assert pi == CuspidalLabel("pi", 2, 3) and pi != ("pi", 2, 3)
-    assert pi != CuspidalLabel("pi", 2) and pi != CuspidalLabel("pi", 3, 3)
-    subclass = type("Sub", (CuspidalLabel,), {"__slots__": ()})
-    assert pi == subclass("pi", 2, 3) and hash(subclass("pi", 2, 3)) == hash(pi)
-    ordered = [CuspidalLabel("a", 2), CuspidalLabel("pi", 1, 5), pi, CuspidalLabel("pi", 2, 4)]
-    assert sorted(reversed(ordered)) == ordered
     assert repr(pi) == "CuspidalLabel('pi', g=2, e_pi=3)"
     for y in (copy.copy(pi), copy.deepcopy(pi), pickle.loads(pickle.dumps(pi))):
         assert type(y) is CuspidalLabel and (y.id, y.g, y.e_pi) == ("pi", 2, 3)
@@ -288,6 +284,69 @@ def test_shared_values_copy_and_pickle_to_equal_values(x, names):
                 hash(y)
         else:
             assert hash(y) == hash(x) and {x: 1}[y] == 1
+
+
+# (a class whose values key caches, the arguments of a value, arguments that each change one part
+# of its identity, a label that holds such a value); a label's identity is its factors and kind
+KEYED = [
+    (CuspidalLabel, ("pi", 2, 3), [("pi", 2), ("pi", 3, 3), ("rho", 2, 3)], lambda pi: make_steinberg(pi, 2)),
+    (
+        Segment,
+        (PI, Fraction(-3, 2), 2),
+        [(PI, Fraction(-1, 2), 2), (PI, Fraction(-3, 2), 3), (CuspidalLabel("pi", g=2), Fraction(-3, 2), 2)],
+        lambda seg: label_of_multisegment(Multisegment([seg.twist(1), seg, Segment(RHO, 0, 1)])),
+    ),
+    (
+        Multisegment,
+        (list(reversed(MULTISEGMENT.segments)),),
+        [(MULTISEGMENT.segments[:1],)],
+        label_of_multisegment,
+    ),
+    (OpaqueFactor, ("x", 2), [("x", 3), ("y", 2)], lambda factor: IrreducibleLabel((factor, MULTISEGMENT))),
+    (
+        SupercuspidalData,
+        (RHO, FIELD, 3),
+        [(PI, FIELD, 3), (RHO, FieldData(4, 7), 3)],
+        lambda sc: make_steinberg(sc.label, 3),
+    ),
+    (
+        IrreducibleLabel,
+        ((OpaqueFactor("x", 2), MULTISEGMENT), KIND_FORMAL),
+        [((OpaqueFactor("x", 2), MULTISEGMENT), KIND_GENERIC), ((MULTISEGMENT,), KIND_FORMAL)],
+        lambda label: label,
+    ),
+]
+
+
+def identity(x):
+    return (x.factors, x.kind) if isinstance(x, IrreducibleLabel) else x._key
+
+
+def factor_keys(label):
+    return tuple(factor._key for factor in label.factors)
+
+
+@pytest.mark.parametrize("cls, args, others, label_of", KEYED, ids=[case[0].__name__ for case in KEYED])
+def test_values_that_key_caches_share_one_identity_rule(cls, args, others, label_of):
+    # equal exactly when of one class with one identity, hashed alike when equal, and unequal to a subclass
+    x, twin, ys = cls(*args), cls(*args), [cls(*other) for other in others]
+    assert x == twin and not x != twin and identity(x) == identity(twin) and hash(x) == hash(twin)
+    assert {x: 1}[twin] == 1
+    for y in ys:
+        assert x != y and not x == y and identity(x) != identity(y) and y not in {x: 1}
+    for stranger in (identity(x), object(), None):
+        assert x.__eq__(stranger) is NotImplemented and x != stranger
+    sub = type("Sub", (cls,), {"__slots__": ()})(*args)
+    assert identity(sub) == identity(x) and x != sub and sub != x and x.__eq__(sub) is NotImplemented
+    # segments, factors and sorted terms come out in key order, whatever order built them
+    labels = [label_of(value) for value in [x, *ys]]
+    for label in labels:
+        assert list(label.factors) == sorted(label.factors, key=lambda factor: factor._key)
+        for ms in label.multisegments():
+            assert list(ms.segments) == sorted(ms.segments, key=lambda seg: seg._key)
+    element = GrothElement({(label, tw): 1 for label in reversed(labels) for tw in (1, Fraction(-1, 2))})
+    keys = [key for key, _ in element.sorted_terms()]
+    assert keys == sorted(element.terms, key=lambda key: (key[1], key[0].kind, factor_keys(key[0])))
 
 
 def test_unit_label_is_one_shared_object():
@@ -403,3 +462,51 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     full, loaded = run_cli_counting_imports(["verify", "--max=2"])
     assert loaded == ([], ["argparse"], 0)
     assert full == plain and plain.startswith("PASS diagram-bullets-vs-hull\n")
+
+
+# the values a child process builds: each keyed value, an element over them and an unbound shriek table
+BUILD_KEYED_VALUES = """
+from fractions import Fraction
+from htgroth.cohomology import ProfileEntry, SpectrumProfile, coh_shriek
+from htgroth.modl import FieldData, SupercuspidalData
+from htgroth.segments import (
+    CuspidalLabel, GrothElement, IrreducibleLabel, Multisegment, OpaqueFactor, Segment,
+)
+from htgroth.symbolic import atom
+
+def build():
+    pi = CuspidalLabel("pi", 2, 3)
+    seg = Segment(pi, Fraction(-1, 2), 2)
+    ms = Multisegment([Segment(CuspidalLabel("rho"), 0, 1), seg])
+    opaque = OpaqueFactor("tail", 2)
+    label = IrreducibleLabel((opaque, ms))
+    element = GrothElement({(label, Fraction(1, 2)): atom("m"), (IrreducibleLabel((ms,)), 0): 3})
+    entries = (ProfileEntry(2, 3, pi, atom("m"), 1), ProfileEntry(2, 3, pi, atom("n"), 0, label))
+    profile = SpectrumProfile(entries)
+    sc = SupercuspidalData(CuspidalLabel("rho"), FieldData(2, 7), 3)
+    return [pi, seg, ms, opaque, sc, label, element, coh_shriek(profile, pi, 2)]
+"""
+
+
+def run_with_hash_seed(seed: str, code: str, *argv: str):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+    subprocess.run([sys.executable, "-c", BUILD_KEYED_VALUES + code, *argv], env=env, check=True)
+
+
+def test_kept_hashes_are_rebuilt_in_a_process_of_another_hash_seed(tmp_path):
+    # a value pickled with its kept hash would carry the string hashes of the process that built it
+    path = str(tmp_path / "values.pickle")
+    write = "import pathlib, pickle, sys\npathlib.Path(sys.argv[1]).write_bytes(pickle.dumps(build()))"
+    run_with_hash_seed("0", write, path)
+    check = """
+import pathlib, pickle, sys
+loaded, fresh = pickle.loads(pathlib.Path(sys.argv[1]).read_bytes()), build()
+assert len(loaded) == len(fresh) == 8 and loaded == fresh
+*values, table = loaded
+assert table.degrees() and table.rows == fresh[-1].rows
+for x, y in zip(values + list(table.rows.values()), fresh[:-1] + list(fresh[-1].rows.values())):
+    assert type(x) is type(y) and hash(x) == hash(y) and {x: 1}[y] == 1, (x, y)
+    assert all(x.terms[key] == c for key, c in getattr(y, "terms", {}).items())
+"""
+    run_with_hash_seed("12345", check, path)
