@@ -8,43 +8,16 @@ of the intermediate and shriek extensions, the Euler-characteristic identity
 tying them together, mod-l balance constraints across cuspidal towers, and
 torsion certificates.
 
-Degree conventions.  The intermediate table of a block is indexed by the
-degrees i of the intermediate diagram, the shriek table by the sheared
-degrees i_n = (i_m + s + t - 1 - r)/2 of the shriek diagram, so the twists
-of the two tables coincide cut for cut and the vertex (s+t-1, 0) carries
-one cell on both sides.  Both tables and both Euler sides read their cells
-through :func:`htgroth.jl_red.marked_cells`, where the conventions live.
-
-The master identity (the alternating-sum consequence of the two triangular
-base changes) reads, per block and stratum r:
-
-    sum_i (-1)^i [intermediate table](r)[i]
-        = sum_{m >= 0} (-1)^m * (attached shriek Euler term at stratum r+m)
-
-``_shriek_core`` defines the attached terms, which peel m run positions off
-the cuts behind the shriek cells, and sums them in closed form, peeling no
-cut; the tests keep the peeling as its oracle.  These conventions are
-frozen here.  Under them the identity holds at every stratum r >= 1 on
-exactly the one-row, one-column and square blocks; on a non-square mixed
-block it fails at r = 1 .. max(s, t) - 1, because the sheared shriek column
-starts below the M column when s < t and above it when s > t, and the
-groups of cuts between the two starts are left over.
-``euler_oracle_violations`` proves this and lists those strata; the tests
-check the list against the sums.
-
-Both sides are integer sums that know no cuspidal label.  A term is keyed
-by (shape, xi2): ``shape`` is the sorted tuple of (start2, length) of its
-segments, positions doubled as in the cuts (the empty shape is the unit
-label), and ``xi2`` is twice its Xi exponent; coefficients are plain ints.
-The profile Euler sums and ``euler_intermediate`` and
+The tables and the Euler sums bind the label-free sums of
+:mod:`htgroth.cells`, where the degree conventions (``marked_cells``), the
+round trip of the base changes and the master identity with its proof
+(``euler_master_identity``, ``euler_oracle_violations``) live; this module
+re-exports them.  The profile Euler sums and ``euler_intermediate`` and
 ``euler_shriek_expansion`` read each side from one cache, ``_euler_side``,
 for every label alike, and bind each surviving term to the line of pi
-once.  ``euler_master_identity`` walks its stratum once, uncached, builds
-both sides from that walk and compares the integer sums themselves, since
-binding to one line is injective: a sweep over strata keeps nothing.  A
-table keeps the profile entries on the line of pi with their weights and
-walks no cell until a caller first reads its rows; it then binds them
-cell by cell through :func:`htgroth.jl_red.bind_shapes`.  One
+once.  A table keeps the profile entries on the line of pi with their
+weights and walks no cell until a caller first reads its rows; it then
+binds them cell by cell through :func:`htgroth.jl_red.bind_shapes`.  One
 cached label-free mod-l collapse per entry's column, ``_column_classes``,
 reads each piece off its ``collapse_segment_key`` and gives each marked
 cell its integer classes.  The balance signs them by (-1)^degree, and
@@ -61,11 +34,24 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from operator import itemgetter
-from typing import Mapping
 
-from .jl_red import TermKey, Terms, bind_shapes, frozen_terms, marked_cells, rectangle_shape_groups
+# the label-free round trip and Euler identity, re-exported here under their old paths
+from .cells import (
+    Terms,
+    _euler_core,
+    _shriek_core,
+    check_hij,
+    check_se2,
+    euler_master_identity,
+    euler_oracle_violations,
+    euler_shape_established,
+    hij_expand,
+    inclusion_exclusion_ramified,
+    marked_cells,
+    se2_expand,
+)
+from .jl_red import bind_shapes
 from .modl import (
     LiftMap,
     SupercuspidalData,
@@ -268,161 +254,8 @@ def coh_shriek(profile: SpectrumProfile, pi: CuspidalLabel, r: int) -> Cohomolog
 
 
 # ---------------------------------------------------------------------------
-# the stratified base changes and their round trip
+# the Euler sums of blocks and profiles
 # ---------------------------------------------------------------------------
-
-# A stratified class is a pair (stratum, attachment orientation); the
-# attachment accumulated while descending from the base stratum t to the
-# stratum h occupies an abstract run of h - t positions and is stored as its
-# edge tuple.  Appending a width-i Steinberg block fixes the new internal
-# edges rightward and leaves the junction edge free; a Speh block fixes them
-# leftward.
-
-StratState = tuple[int, tuple[bool, ...]]
-StratVector = dict[StratState, int]
-
-
-def _expand(state: StratState, base: int, s_max: int, rightward: bool) -> StratVector:
-    """Append a block of every width 0 .. s_max - h to one class.
-
-    Width 0 is the class itself.  A Steinberg block (``rightward``) fixes its
-    internal edges rightward and enters with +1; a Speh block fixes them
-    leftward and carries (-1)^width.  The junction edge to a nonempty
-    attachment is free, so it gives one class per orientation.
-    """
-    h, edges = state
-    out: StratVector = {state: 1}
-    junctions = [()] if h == base else [edges + (True,), edges + (False,)]
-    for width in range(1, s_max - h + 1):
-        sign = 1 if rightward or width % 2 == 0 else -1
-        for junction in junctions:  # the keys are distinct
-            out[(h + width, junction + (rightward,) * (width - 1))] = sign
-    return out
-
-
-def hij_expand(state: StratState, base: int, s_max: int) -> StratVector:
-    """One shriek class as intermediate classes: Y_h = X_h + deeper St-terms."""
-    return _expand(state, base, s_max, rightward=True)
-
-
-def se2_expand(state: StratState, base: int, s_max: int) -> StratVector:
-    """One intermediate class as shriek classes: alternating Speh-terms."""
-    return _expand(state, base, s_max, rightward=False)
-
-
-def _round_trip(first, then, t: int, s_max: int) -> bool:
-    """``then`` after ``first`` is the identity on the base class (t, ())."""
-    if not (1 <= t <= s_max):
-        raise ValueError("need 1 <= t <= s_max")
-    start: StratState = (t, ())
-    acc: StratVector = {}
-    for mid, c1 in first(start, t, s_max).items():
-        for end, c2 in then(mid, t, s_max).items():
-            acc[end] = acc.get(end, 0) + c1 * c2
-    return {key: c for key, c in acc.items() if c} == {start: 1}
-
-
-def check_se2(t: int, s_max: int) -> bool:
-    """Round trip se2 then hij is the identity on every base class."""
-    return _round_trip(se2_expand, hij_expand, t, s_max)
-
-
-def check_hij(t: int, s_max: int) -> bool:
-    """Round trip hij then se2 is the identity on every base class."""
-    return _round_trip(hij_expand, se2_expand, t, s_max)
-
-
-# ---------------------------------------------------------------------------
-# the Euler-characteristic master identity
-# ---------------------------------------------------------------------------
-
-
-def _alternating_sum(cells) -> Terms:
-    """The sum of (-1)^n sums over the pairs (n, sums) of ``cells``."""
-    terms: dict[TermKey, int] = {}
-    for n, sums in cells:
-        parity = -1 if n % 2 else 1
-        for key, c in sums:
-            terms[key] = terms.get(key, 0) + parity * c
-    return frozen_terms(terms)
-
-
-def _euler_core(s: int, t: int, r: int, groups: Mapping[int, Terms] | None = None) -> Terms:
-    """The alternating sum of the intermediate table of the block, label-free.
-
-    The cell of degree i adds its summed a2 shapes, keyed with the twist
-    xi2 = i of the cuts behind it, with the sign (-1)^i.
-    """
-    return _alternating_sum((i, sums) for i, _, sums in marked_cells(s, t, r, "M", groups))
-
-
-def _shriek_core(s: int, t: int, r: int, groups: Mapping[int, Terms] | None = None) -> Terms:
-    """The se2 expansion of the s-by-t block from shriek-side data, label-free, in closed form.
-
-    The expansion sums (-1)^m T_m over m >= 0.  T_m peels the bottom m run
-    positions of each cut behind the shriek cells at stratum r+m as a
-    Speh_m block: its positions become singletons, a2 keeps its segments,
-    an a2 segment ending just below the block on its row joins it (+1) or
-    breaks from it (-1), and a2 holding a block position or meeting it
-    across rows kills the term.  The weight is the column parity (-1)^{i_m}
-    times the peel sign, (-1)^(kept a1 pieces - 1) (1 with none kept),
-    flipped when the peel cuts a piece; xi2 = i_m - m compensates the Tate
-    twist.  T_0 is the cells' summed a2 shapes.  Below stratum 0 or above
-    s t the sum is empty; the tests run this calculus position by position.
-
-    For s, t >= 2 every T_m with m >= 1 vanishes, so the sum is T_0.
-    Row j has the doubled start a_j = a_0 + 2j, a_0 = 2 - s - t, and end
-    e_j = a_j + 2(t-1).  A run cut's bottom piece is the top k_1 of row j_1,
-    and its lowest position p = e_(j_1) - 2(k_1 - 1) lies in every peeled
-    block; the block survives only when no a2 segment holds p and no
-    junction at its ends crosses rows.  By the cases of (j_1, k_1):
-
-    - j_1 >= 1 and k_1 >= 2: the chain rises from row j_1, so all of row
-      j_1 - 1, [a_(j_1) - 2, e_(j_1) - 2], is in a2; it holds p.
-    - k_1 = 1 with j_1 < s-1, or j_1 = 0 with k_1 < t: the a2 part of row
-      j_1 + 1 holds [a_(j_1) + 2, e_(j_1)], which holds p.  It is the
-      whole row, or, when row j_1 + 1 is the next chain row (its forced k
-      is 1), that interval.
-    - j_1 = 0 and k_1 = t: p = a_0, and the a2 part of row 1 starts at
-      p + 2.  It lies inside the block when m >= 2, and is a junction
-      across rows when m = 1.
-    - j_1 = s-1 and k_1 = 1: the rank is 1, and the a2 rows s-2 and s-1
-      overlap.
-
-    One row (s = 1): stratum R = r+m in 1..t marks one cell, i_m = R - t,
-    with one cut: the top R positions, sign 1, and a2 = [a_0, a_0 + 2(t-R-1)].
-    The weight (-1)^(m + i_m) = (-1)^(r-t) and xi2 = r - t do not depend on
-    m; the peel sign is -1 for R > m, +1 for R = m.  The block gives J_m - B_m,
-    joined and broken, for R < t, and S, the t-r singletons from a_0, for
-    R = t.  B_m = J_(m+1) (a2 of length t-R, m singletons above) and B_m = S
-    at R = t-1: for 1 <= r < t the sum (-1)^(r-t) (J_1 - (J_1 - B_1) - ... - S)
-    telescopes to 0, and for r = t only T_0 is left, the unit at xi2 = 0.
-    At r = 0 (no cell, peel signs +1, weight (-1)^t, xi2 = -t) J_1 is left.
-
-    One column (t = 1, row j the position a_0 + 2j): stratum R in 1..s marks
-    one cell, i_m = s - R, with one cut: rows 0..R-1 in a1, sign (-1)^(R-1).
-    Peeling m < R keeps R - m whole pieces, sign (-1)^(R-m-1), and no a2
-    segment meets the block: T_m is the singletons of the rows outside
-    m..R-1 at xi2 = s - r - 2m, weighed (-1)^(s-1), for m in 0..s-r.
-    Peeling m = R leaves a2 row R just above the block, across rows, unless
-    R = s: at r = 0 only T_s, the s singletons at xi2 = -s, is left, with
-    (-1)^s.  So at r = 0 either block leaves itself at xi2 = -s t, (-1)^(s t).
-    """
-    if r < 0 or r > s * t:
-        return ()
-    if s > 1 and t > 1:  # T_0 alone: every peeled block vanishes
-        return _alternating_sum((i_m, sums) for _, i_m, sums in marked_cells(s, t, r, "N", groups))
-    a0 = 2 - s - t
-    if r == 0:  # the whole block
-        shape = ((a0, t),) if s == 1 else tuple((a0 + 2 * j, 1) for j in range(s))
-        return (((shape, -s * t), (-1) ** (s * t)),)
-    if s == 1:  # the telescoped row
-        return ((((), 0), 1),) if r == t else ()
-    terms: dict[TermKey, int] = {}
-    for m in range(s - r + 1):  # one column: one shape per m
-        shape = tuple((a0 + 2 * j, 1) for j in range(s) if not m <= j < r + m)
-        terms[shape, s - r - 2 * m] = (-1) ** (s - 1)
-    return frozen_terms(terms)
 
 
 # Saves ~15 us per `tables` Euler check (4,131 hits and 109 misses a side over 8,192 ops, seed 1).
@@ -440,21 +273,6 @@ def euler_intermediate(entry: ProfileEntry, pi: CuspidalLabel, r: int) -> GrothE
 def euler_shriek_expansion(entry: ProfileEntry, pi: CuspidalLabel, r: int) -> GrothElement:
     """The se2-expanded Euler characteristic built from shriek-side data."""
     return bind_shapes(pi, _euler_side(_shriek_core, entry.s, entry.t, r))
-
-
-def euler_master_identity(s: int, t: int, r: int) -> bool:
-    """The master sign oracle for the block of shape (s, t) and one stratum.
-
-    Compares the two label-free integer sums: binding to the line of any
-    cuspidal pi is injective (a multisegment on one cuspidal sorts by (start, length)), so
-    they agree exactly when ``euler_intermediate`` and
-    ``euler_shriek_expansion`` do.  Both sides read one uncached walk of the
-    stratum, so a sweep over strata keeps nothing.  Its domain is r >= 1:
-    at r = 0 it is False on every one-row and one-column block and True for
-    s, t >= 2 (see ``euler_oracle_violations``, which catalogues where it fails).
-    """
-    groups = rectangle_shape_groups.__wrapped__(s, t, r)
-    return _euler_core(s, t, r, groups) == _shriek_core(s, t, r, groups)
 
 
 def _profile_euler(profile: SpectrumProfile, pi: CuspidalLabel, core, r: int) -> GrothElement:
@@ -480,61 +298,6 @@ def euler_shriek_profile_expansion(
     twists and products too.
     """
     return _profile_euler(profile, pi, _shriek_core, r)
-
-
-def euler_shape_established(s: int, t: int) -> bool:
-    """Shapes where the master identity is exact at every stratum r >= 1.
-
-    One-row and one-column blocks (the cases the source combinatorics treats
-    directly) and square blocks: ``euler_oracle_violations`` proves it.  On a
-    non-square mixed rectangle the identity fails at r = 1 .. max(s, t) - 1,
-    because the sheared shriek column starts below the M column when s < t
-    and above it when s > t; those strata are reported by
-    euler_oracle_violations rather than silently resolved.
-    """
-    return s == 1 or t == 1 or s == t
-
-
-def euler_oracle_violations(max_sum: int) -> list[tuple[int, int, int]]:
-    """Every (s, t, r) with s + t <= max_sum and r >= 1 where the master identity fails.
-
-    They are the proved rule 2 <= s != t >= 2 and 1 <= r <= max(s, t) - 1,
-    listed by s, t, r; the tests compare the list with the sum-based
-    ``euler_master_identity``.  Stratum 0 is outside the catalogue: there
-    the identity fails on every one-row and one-column block, whose shriek
-    side leaves the whole block while the M diagram has no column 0, and
-    holds for s, t >= 2, where both sides are empty.
-
-    The proof.  Ranges step by 2; b = s - 1 - |t - r|.  The bottom piece of
-    a run cut at rank r is the top k_1 of row j_1, with 1 <= k_1 <= min(t, r)
-    and j_1 + r - k_1 <= s - 1 (``_run_cuts``), and its center gives
-    i_m = -center2 = s - t - r - 1 + 2 (k_1 - j_1).  As k_1 - j_1 takes every
-    value in r - s + 1 .. min(t, r), for 1 <= r <= s + t - 1 the centers with
-    a cut are exactly i_m = r - s - t + 1 .. b; above s + t - 1 there are
-    none.  The M column, -b .. b, has their parity and meets them on
-    |t - r| - s + 1 .. b.  The sheared N column, i_m = 2 i + r - (s + t - 1),
-    meets them on |s - r| - t + 1 .. b, which is empty only for r >= s + t.
-
-    For s, t >= 2 each side is the sum over its range of (-1)^(i_m) times
-    the group at center2 = -i_m (``_shriek_core``).  Groups of different
-    centers have different xi2, so they never cancel, and the group of a
-    center with a cut is never empty (``rectangle_shape_groups``).  So the
-    sides are equal exactly when both ranges start at the same place, as
-    they do where both are empty: when |t - r| + t = |s - r| + s, that is
-    when s = t or r >= max(s, t).
-
-    For s = 1 or t = 1 and r >= 1, ``_shriek_core``'s closed forms are the
-    M cells, term for term: on one row the unit at r = t, the only r where
-    the M column is nonempty; on one column the cell i = s - r - 2m reads
-    rows m .. m + r - 1, with sign (-1)^(s-1).
-    """
-    return [
-        (s, t, r)
-        for s in range(1, max_sum)
-        for t in range(1, max_sum + 1 - s)
-        if not euler_shape_established(s, t)
-        for r in range(1, max(s, t))
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -778,39 +541,6 @@ def strong_congruence_filter(constraints: list[CongruenceConstraint]) -> list[Co
 # ---------------------------------------------------------------------------
 # inclusion-exclusion over ramification sets
 # ---------------------------------------------------------------------------
-
-
-def inclusion_exclusion_ramified(s1_size_max: int) -> bool:
-    """Symbolic telescoping of the ramification-set recurrence.
-
-    The level identity for a set S1 of auxiliary places reads
-    n + sum_{empty != S subset S1} m_S = n' + sum m'_S, where m_S counts the
-    families ramified exactly at S.  Solving the identities size by size
-    pins every difference m_S - m'_S to (-1)^{|S|} (n - n'), the binomial
-    cancellation; the solved recurrence and the closed form are compared
-    exactly in the symbolic ring up to the requested size.  Size 0 is the
-    base identity itself.
-    """
-    if s1_size_max < 0:
-        raise ValueError("size bound must be >= 0")
-    n, n2 = atom("n"), atom("n'")
-    diffs: dict[int, SymExpr] = {}
-    for size in range(1, s1_size_max + 1):
-        solved = n2 - n
-        for k in range(1, size):
-            solved = solved - integer(comb(size, k)) * diffs[k]
-        diffs[size] = solved
-        closed = (n - n2) if size % 2 == 0 else (n2 - n)
-        if solved != closed:
-            return False
-        # the derived congruence identity at this size: with
-        # m_S = m'_S + D_size, the signed difference recovers n' - n
-        m2 = atom(f"m'[{size}]")
-        m1 = m2 + solved
-        signed = (m2 - m1) if size % 2 == 0 else (m1 - m2)
-        if signed != (n2 - n):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

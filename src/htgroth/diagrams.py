@@ -23,11 +23,15 @@ contribution descends.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .segments import CuspidalLabel, Value, require_int
+from .symbolic import Value, require_int
+
+if TYPE_CHECKING:  # annotations only: the diagrams import no labelled layer
+    from fractions import Fraction
+
+    from .segments import CuspidalLabel
 
 Point = tuple[int, int]
 

@@ -10,26 +10,20 @@ character cut out by the run's center.
 
 A cell (stratum r, degree i) of the intermediate or shriek table is the
 signed sum of the cuts of a rectangle ladder at left rank r whose center is
--i_m/2, masked by the M or N diagram of :mod:`htgroth.diagrams`.  One walk,
-``_run_cuts``, sums the signed a2 shapes of the cuts of rows on one line,
-label-free, in doubled integers, and keeps no cut.  The shape layer,
-``rectangle_shape_groups`` keyed on (s, t, r), walks a rectangle once and
-keeps each center's sums: they depend only on the shape.  Likewise
-``red_tau`` reads a factor's transfer sums from ``_transfer_terms``, keyed on
-the factor's doubled starts, lengths and depth, not on its line.
-``marked_cells`` is the one iterator over these cells, and label-free; the
-tables and the Euler sums read its sums directly, and the Euler identity
-hands it one uncached walk for both of its sides.  ``bind_shapes`` is the
-one place that turns shapes into labels: it binds a cell, an Euler sum or
-a transfer term to the line of pi once, with the block twist and the tail.
-Labels are interned per line and shifted shape: each is built once and
-shared by every table, while the product with a tail is built per call.
-``rectangle_cuts``, keyed on (pi, s, t, r), keeps the bare bound values
-that ``R_cell``/``S_cell`` read.  The two tables read off the same
-underlying cut data: the shriek cell of degree i reads the sheared
-intermediate degree i_m = 2 i + r - (s + t - 1), which also makes the two
-twist conventions agree on the nose, and the endpoint identity at
-(s + t - 1, 0) exact.
+-i_m/2, masked by the M or N diagram of :mod:`htgroth.diagrams`.  The
+label-free side of this lives in :mod:`htgroth.cells`, and this module
+re-exports it: the cut walk ``_run_cuts``, the summed shapes of a rectangle
+``rectangle_shape_groups`` and ``marked_cells``, the one iterator over a
+column's cells.  Likewise ``red_tau`` reads a factor's transfer sums from
+``_transfer_terms``, keyed on the factor's doubled starts, lengths and
+depth, not on its line.  ``bind_shapes`` is the one place that turns shapes
+into labels: it binds a cell, an Euler sum or a transfer term to the line
+of pi once, with the block twist and the tail.  Labels are interned per
+line and shifted shape: each is built once and shared by every table, while
+the product with a tail is built per call.  ``rectangle_cuts``, keyed on
+(pi, s, t, r), keeps the bare bound values that ``R_cell``/``S_cell`` read.
+The scan ``run_cuts`` enumerates the cuts one by one: it is the tests'
+reference for the walk.
 """
 
 from __future__ import annotations
@@ -38,9 +32,10 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .diagrams import m_column, n_column
+# the label-free cut walk, re-exported here under its old path
+from .cells import Shape, TermKey, Terms, _run_cuts, frozen_terms, marked_cells, rectangle_shape_groups
 from .segments import (
     CuspidalLabel,
     GrothElement,
@@ -143,12 +138,8 @@ def r_tau_sign(a1: Multisegment) -> SignedCharacter:
 
 
 # ---------------------------------------------------------------------------
-# the cut engine: label-free shapes, then bound cells
+# the scan reference and the bound cells
 # ---------------------------------------------------------------------------
-
-Shape = tuple[tuple[int, int], ...]  # sorted (2 * start, length) of the segments of one line
-TermKey = tuple[Shape, int]  # (shape, 2 * Xi exponent) of a label-free term
-Terms = tuple[tuple[TermKey, int], ...]  # (key, c), sorted by key, c != 0
 
 
 class Cut(Value):
@@ -161,87 +152,6 @@ class Cut(Value):
     """
 
     __slots__ = _fields = ("ks", "sign", "center2", "a2")
-
-
-def frozen_terms(terms: dict[TermKey, int]) -> Terms:
-    """The nonzero terms of an integer sum, sorted by key."""
-    return tuple(sorted((key, c) for key, c in terms.items() if c))
-
-
-def _run_cuts(starts2: Sequence[int], lengths: Sequence[int], left_units: int, xi_sign: int) -> Terms:
-    """The signed a2 shapes of the cuts whose a1 tiles one run once, summed, of rows on one line.
-
-    The rows are doubled starts and lengths, taken in the order of their
-    ends.  The nonzero pieces of such a cut are then a chain of rows with
-    strictly increasing ends: the bottom piece is free in 1..its row's
-    length, and every later piece starts just above the previous top, so
-    its length, the gap between the two ends, is forced and must fit its
-    row; the pieces sum to left_units.  The run is contiguous, so it ends
-    2 * (left_units - 1) above the bottom piece's bottom, whatever the chain
-    above it: a bottom piece whose run cannot end on some row's end is never
-    pushed.
-
-    Each cut adds its sign (-1)^(#a1 pieces - 1) under (a2, xi_sign *
-    center2), a2 being the chain's rows trimmed and the other rows whole,
-    sorted.  A leaf splices its trimmed rows into the whole rows, in end
-    order.  A trimmed row keeps its start, so when the starts strictly rise
-    along that order, as on every ladder, the splice is already sorted;
-    other rows (shared or falling starts) sort each a2.  The transfer takes
-    xi_sign 1 (the Xi slot carries the run's character |.|^(center2/2)); a
-    table cell takes -1 (its cuts of center -i_m/2 carry the twist
-    Xi^(i_m/2)).
-
-    On the s-by-t rectangle at rank s + t - 1 only the bottom piece (0, t)
-    reaches center 0, and the forced ks above it are a composition of s - 1
-    into parts <= t.  So center 0 has C_t(s - 1) cuts, C_t(N) counting the
-    compositions of N into parts <= t, and their signs sum to f_t(s - 1), the
-    x^N coefficient of (1 - x)/(1 - x^(t+1)): 1 for N = 0 mod t + 1, -1 for
-    N = 1, else 0.  ``verify`` checks the walk against both counts.
-    """
-    whole = tuple(sorted(zip(starts2, lengths), key=lambda row: row[0] + 2 * row[1]))  # in end order
-    n = len(whole)
-    starts2 = [a for a, _ in whole]
-    lengths = [k for _, k in whole]
-    ends2 = [a + 2 * (k - 1) for a, k in whole]
-    row_ends2 = set(ends2)
-    reach2 = 2 * max(lengths, default=0)  # no piece spans a wider gap
-    in_order = all(a < b for a, b in zip(starts2, starts2[1:]))  # then every a2 is sorted as spliced
-    terms: dict[TermKey, int] = {}
-    chain: list[int] = []  # the rows of the a1 pieces, bottom to top
-    # depth first with an explicit stack, at any depth; a frame is (its row's depth
-    # in the chain, row, units left, bottom2), and the pieces above it lie on later
-    # rows; a chain's frames share its run's end, so the bottom piece alone is
-    # tested against the rows' ends
-    stack = [
-        (0, j, left_units - k, ends2[j] - 2 * k + 2)
-        for j in range(n)
-        for k in range(1, min(lengths[j], left_units) + 1)
-        if ends2[j] + 2 * (left_units - k) in row_ends2
-    ]
-    while stack:
-        depth, j, remaining, bottom2 = stack.pop()
-        top2 = ends2[j]
-        del chain[depth:]
-        chain.append(j)
-        if remaining == 0:
-            below2, a2, last = bottom2 - 2, (), 0
-            for row in chain:  # the piece of a chain row runs from below2 + 2 to its end
-                k = (below2 + 2 - starts2[row]) // 2
-                a2 += whole[last:row] + (((starts2[row], k),) if k else ())
-                last, below2 = row + 1, ends2[row]
-            a2 += whole[last:]
-            key = (a2 if in_order else tuple(sorted(a2)), xi_sign * ((bottom2 + top2) // 2))
-            terms[key] = terms.get(key, 0) + (-1) ** depth
-            continue
-        limit2 = min(2 * remaining, reach2)
-        for i in range(j + 1, n):
-            gap2 = ends2[i] - top2
-            if gap2 > limit2:
-                break  # ends only grow along the order
-            if gap2 < 2 or gap2 % 2 or gap2 > 2 * lengths[i]:
-                continue
-            stack.append((depth + 1, i, remaining - gap2 // 2, bottom2))
-    return frozen_terms(terms)
 
 
 def run_cuts(lad: Multisegment, left_units: int) -> list[Cut]:
@@ -265,25 +175,6 @@ def run_cuts(lad: Multisegment, left_units: int) -> list[Cut]:
         shape = tuple(sorted((seg.start2, seg.length) for seg in a2.segments))
         out.append(Cut(tuple(ks), (-1) ** (len(a1.segments) - 1), run[1], shape))
     return out
-
-
-# Saves ~35 us per `tables` op (1.03 hits), ~1 us per `towers` op (0.067 hits) and ~0.8 ms of a fresh
-# `verify --max 12` run, whose endpoint suite reads the top stratum of each s-by-t with s t <= 12 once per
-# diagram (35 hits, 35 misses).
-@lru_cache(maxsize=1024)
-def rectangle_shape_groups(s: int, t: int, left_units: int) -> Mapping[int, Terms]:
-    """``_run_cuts`` of the s-by-t rectangle at xi_sign -1, keyed on (a2, i_m), per center2 = -i_m.
-
-    Row j of ``speh_st_multisegment`` starts at 2 - s - t + 2 j, doubled, so
-    a cut's a2 shape fixes its ks (a row with no remainder is taken whole):
-    no two cuts share a key, no term cancels, and a center has a sum, the
-    value of every table cell that reads it, exactly when it has a cut.  The
-    cached mapping is shared, so it is read-only.
-    """
-    groups: dict[int, list[tuple[TermKey, int]]] = {}
-    for term in _run_cuts([2 - s - t + 2 * j for j in range(s)], [t] * s, left_units, -1):
-        groups.setdefault(-term[0][1], []).append(term)
-    return MappingProxyType({c2: tuple(terms) for c2, terms in sorted(groups.items())})
 
 
 LINE_LIMIT = 4096  # the labels, and the segments, that one line's store holds
@@ -397,34 +288,6 @@ def rectangle_cuts(
 # ---------------------------------------------------------------------------
 # cell representations
 # ---------------------------------------------------------------------------
-
-
-def marked_cells(
-    s: int, t: int, r: int, kind: str, groups: Mapping[int, Terms] | None = None
-) -> Iterator[tuple[int, int, Terms]]:
-    """(degree, i_m, sums) for every cell of column r marked by the M or N diagram.
-
-    ``degree`` indexes the cell in its own diagram and ``i_m`` is the
-    intermediate degree behind it: i_m = degree on the M side, and the shear
-    i_m = 2 degree + r - (s + t - 1) on the N side.  ``sums`` are the signed
-    a2 shapes, keyed on (shape, i_m), of the cuts of the s-by-t rectangle at
-    left rank r whose center is -i_m/2: the value of the cell, empty when
-    no cut has that center.  They are read from ``groups``, the stratum's
-    ``rectangle_shape_groups`` when a caller has walked it already, and
-    from the cache otherwise.  The only walk over the cells of a column.
-    """
-    if kind == "M":
-        cells = [(i, i) for i in m_column(s, t, r)]
-    elif kind == "N":
-        cells = [(i, 2 * i + r - (s + t - 1)) for i in n_column(s, t, r)]
-    else:
-        raise ValueError("kind must be 'M' or 'N'")
-    if not cells:
-        return
-    if groups is None:
-        groups = rectangle_shape_groups(s, t, r)
-    for degree, i_m in cells:
-        yield degree, i_m, groups.get(-i_m, ())
 
 
 def _cell(pi: CuspidalLabel, s: int, t: int, r: int, kind: str, i: int) -> GrothElement:

@@ -17,10 +17,9 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
-from types import MemberDescriptorType
 from typing import Iterable, Mapping, Sequence, Union
 
-from .symbolic import Immutable, SymExpr, integer, require_int
+from .symbolic import Immutable, SymExpr, Value, integer, require_int
 
 
 # Saves ~6 us per `towers` op and ~2 us per `tables` op: a hit takes ~0.14 us, a `Fraction` ~0.8 us.
@@ -49,66 +48,6 @@ def ensure_half(x: Union[int, Fraction]) -> Fraction:
     """``x`` as a half-integer Fraction; a Fraction given is returned as it is."""
     n = twice(x)
     return x if type(x) is Fraction else half(n)
-
-
-class Value(Immutable):
-    """Base of the immutable value classes: equal and hashed by their field tuple.
-
-    A subclass names its fields, in order, in ``_fields``, each readable as
-    an attribute, and holds its state in ``__slots__``; assigning or deleting
-    an attribute raises ``AttributeError``.  When every field is a slot,
-    ``Value.__init__`` sets the fields, by position or by name, through the
-    slots' own setters, kept in ``_setters``: a class with checks runs them
-    and calls it, and a class with a field that is no slot, or with state
-    beyond its fields, may set its slots itself.  As for a frozen
-    dataclass, two values are equal only when they are of the same class
-    with equal field tuples, the hash is the hash of the field tuple, and
-    ``repr`` is ``Name(f=v, ...)``; ``copy`` and ``pickle`` rebuild a value
-    through its ``__init__``, which takes the fields in order.  Each class
-    reads its fields through one ``operator.attrgetter``, built when the
-    class is created.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # a plain attrgetter is no descriptor: read as self._values, it is called on self
-        cls._values = attrgetter(*cls._fields)
-        slots = [getattr(cls, name, None) for name in cls._fields]
-        if all(isinstance(slot, MemberDescriptorType) for slot in slots):
-            cls._setters = tuple(slot.__set__ for slot in slots)
-
-    def __init__(self, *values, **named):
-        setters = self._setters
-        if named or len(values) != len(setters):  # bound as a call binds: each field once, none left out
-            fields = self._fields
-            if named.keys() - fields[len(values):] or len(values) + len(named) != len(fields):
-                raise TypeError(f"{type(self).__name__}() takes {', '.join(fields)}, by position or by name")
-            values += tuple(named[name] for name in fields[len(values):])
-        for set_field, value in zip(setters, values):
-            set_field(self, value)
-
-    def _astuple(self) -> tuple:
-        values = self._values(self)
-        return (values,) if len(self._fields) == 1 else values  # one name: a bare value
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        values = self._values
-        return values(self) == values(other)
-
-    def __hash__(self):
-        return hash(self._astuple())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._astuple()
 
 
 class Keyed(Immutable):

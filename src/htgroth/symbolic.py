@@ -5,11 +5,17 @@ dimensions d_xi(Pi_oo) or the class-kernel scalar never get numeric values;
 they are commuting positive symbols.  Equality of two combinations is
 coefficient-wise equality of the monomial dictionaries, so every comparison
 in the package is exact.
+
+The bases of the package's immutable classes, ``Immutable`` and ``Value``,
+live here too, so the label-free layers (:mod:`htgroth.diagrams` and
+:mod:`htgroth.cells`) import nothing beyond this module.
 """
 
 from __future__ import annotations
 
 import re
+from operator import attrgetter
+from types import MemberDescriptorType
 from typing import Iterable, Mapping, Union
 
 # an atom name: a letter or "_" first, then no blank and none of "^", "*", "+",
@@ -59,6 +65,66 @@ class Immutable:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {name!r}: a {type(self).__name__} is immutable")
+
+
+class Value(Immutable):
+    """Base of the immutable value classes: equal and hashed by their field tuple.
+
+    A subclass names its fields, in order, in ``_fields``, each readable as
+    an attribute, and holds its state in ``__slots__``; assigning or deleting
+    an attribute raises ``AttributeError``.  When every field is a slot,
+    ``Value.__init__`` sets the fields, by position or by name, through the
+    slots' own setters, kept in ``_setters``: a class with checks runs them
+    and calls it, and a class with a field that is no slot, or with state
+    beyond its fields, may set its slots itself.  As for a frozen
+    dataclass, two values are equal only when they are of the same class
+    with equal field tuples, the hash is the hash of the field tuple, and
+    ``repr`` is ``Name(f=v, ...)``; ``copy`` and ``pickle`` rebuild a value
+    through its ``__init__``, which takes the fields in order.  Each class
+    reads its fields through one ``operator.attrgetter``, built when the
+    class is created.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # a plain attrgetter is no descriptor: read as self._values, it is called on self
+        cls._values = attrgetter(*cls._fields)
+        slots = [getattr(cls, name, None) for name in cls._fields]
+        if all(isinstance(slot, MemberDescriptorType) for slot in slots):
+            cls._setters = tuple(slot.__set__ for slot in slots)
+
+    def __init__(self, *values, **named):
+        setters = self._setters
+        if named or len(values) != len(setters):  # bound as a call binds: each field once, none left out
+            fields = self._fields
+            if named.keys() - fields[len(values):] or len(values) + len(named) != len(fields):
+                raise TypeError(f"{type(self).__name__}() takes {', '.join(fields)}, by position or by name")
+            values += tuple(named[name] for name in fields[len(values):])
+        for set_field, value in zip(setters, values):
+            set_field(self, value)
+
+    def _astuple(self) -> tuple:
+        values = self._values(self)
+        return (values,) if len(self._fields) == 1 else values  # one name: a bare value
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._astuple()
 
 
 class SymExpr(Immutable):

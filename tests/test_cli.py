@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import htgroth
 from htgroth.cli import COMMANDS, _parse_args, _read_plain, build_parser, main
-from htgroth import cli, jl_red, jsonio
+from htgroth import cells, cli, jl_red, jsonio
 from htgroth.modl import TowerLevel, matched_strata, tower_cuspidal, tower_rank
 from htgroth.segments import CuspidalLabel, GrothElement, make_speh_st
 from htgroth.symbolic import SymExpr, atom
@@ -495,9 +495,9 @@ def test_verify_max_8_stdout_pinned(capsys):
 
 
 def verify_max_8_under(monkeypatch, capsys, mutant):
-    """``verify --max 8`` with ``jl_red._run_cuts`` replaced by ``mutant(terms)``, every cache cleared."""
-    run_cuts = jl_red._run_cuts
-    monkeypatch.setattr(jl_red, "_run_cuts", lambda *args: mutant(run_cuts(*args)))
+    """``verify --max 8`` with ``cells._run_cuts`` replaced by ``mutant(terms)``, every cache cleared."""
+    run_cuts = cells._run_cuts
+    monkeypatch.setattr(cells, "_run_cuts", lambda *args: mutant(run_cuts(*args)))
     clear_htgroth_caches()
     try:
         return run_cli(["verify", "--max", "8"], capsys)

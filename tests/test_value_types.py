@@ -433,7 +433,10 @@ def test_floats_and_bools_are_refused_as_integer_fields(build):
         build()
 
 
-SLOW_IMPORTS = ("argparse", "dataclasses", "htgroth.jsonio", "inspect")
+# the labelled layers: ~55 % of the package's compile time, which a fresh process
+# without cached bytecode pays in full
+LABELLED = ("htgroth.cohomology", "htgroth.jl_red", "htgroth.jsonio", "htgroth.modl", "htgroth.segments")
+SLOW_IMPORTS = ("argparse", "dataclasses", "inspect", *LABELLED)
 
 
 def run_cli_counting_imports(argv):
@@ -454,14 +457,31 @@ def run_cli_counting_imports(argv):
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # dataclasses and inspect cost a fresh process ~10 ms, argparse and jsonio
-    # ~2 ms each: a plain verify argv loads none of them, and one the plain
-    # reader refuses builds argparse and prints the same bytes
+    # dataclasses and inspect cost a fresh process ~10 ms and argparse ~2 ms;
+    # a plain verify argv loads none of them and no labelled layer, one the
+    # plain reader refuses builds argparse and prints the same bytes, and a
+    # plain diagram reads only the label-free layers too
     plain, loaded = run_cli_counting_imports(["verify", "--max", "2"])
     assert loaded == ([], [], 0)
     full, loaded = run_cli_counting_imports(["verify", "--max=2"])
     assert loaded == ([], ["argparse"], 0)
     assert full == plain and plain.startswith("PASS diagram-bullets-vs-hull\n")
+    diagram, loaded = run_cli_counting_imports(["diagram", "--kind", "n", "--s", "3", "--t", "2"])
+    assert loaded == ([], [], 0) and diagram.endswith("(r)\n")
+
+
+def test_a_command_loads_the_labelled_layers_it_reads():
+    # a superposition labels its blocks: segments alone; JSON output adds jsonio,
+    # which reads modl; a transfer adds jl_red, and a table every layer
+    assert run_cli_counting_imports(["diagram", "--kind", "m", "--s", "4", "--blocks", "1,3"])[1] == (
+        [], ["htgroth.segments"], 0
+    )
+    argv = ["diagram", "--kind", "m", "--s", "4", "--blocks", "1,3", "--format", "json"]
+    assert run_cli_counting_imports(argv)[1] == ([], ["htgroth.jsonio", "htgroth.modl", "htgroth.segments"], 0)
+    red = ["red", "--s", "2", "--t", "2", "--r", "1"]
+    assert run_cli_counting_imports(red)[1] == ([], sorted(set(LABELLED) - {"htgroth.cohomology"}), 0)
+    table = ["cohomology", "--profile", '[{"s": 2, "t": 1, "cuspidal": "pi"}]', "--pi", "pi", "--r", "1"]
+    assert run_cli_counting_imports(table)[1] == ([], list(LABELLED), 0)
 
 
 # the values a child process builds: each keyed value, an element over them and an unbound shriek table
