@@ -12,19 +12,20 @@ they build raise ``ValueError`` (or ``OSError``) on input they refuse, and
 parser and from ``_read_json``, the one reader of JSON inputs.  Each
 subcommand and its options are declared once, in ``COMMANDS``:
 ``build_parser`` makes the argparse parser of it, and an argv of the shape
-``name --opt value ...`` is read off it without argparse (``_parse_args``);
-every other argv takes the full parse, so every parse message is argparse's
-own.  ``main`` runs the subcommand ``name`` as ``cmd_<name>``.  The
-subcommands that print Grothendieck elements hand them to ``jsonio.dumps``
-as they are.  argparse is imported only where the full parse is built.
-The label-free layers a ``verify`` or ``diagram`` run reads,
-:mod:`htgroth.diagrams` and :mod:`htgroth.cells`, are bound by name at
-import; the labelled ones, ``segments``, ``modl``, ``jl_red``,
-``cohomology`` and ``jsonio``, each stand in as a ``_Layer`` until a
-command first reads a name of it.  So ``verify`` loads and compiles only
-``cli``, ``symbolic``, ``diagrams`` and ``cells``, which compile in ~11 of
-the package's ~25 ms (3.11, 2 vCPUs): a fresh process without cached
-bytecode pays that in full.
+``name --opt value ...`` is read without argparse (``_parse_args``) off
+``_PLAIN``, each option's dest name, kind and default, derived from
+``COMMANDS`` once, when the module is imported; every other argv takes the
+full parse, so every parse message is argparse's own.  ``main`` runs the
+subcommand ``name`` as ``cmd_<name>``.  The subcommands that print
+Grothendieck elements hand them to ``jsonio.dumps`` as they are.  argparse
+is imported only where the full parse is built.  The label-free layers a
+``verify`` or ``diagram`` run reads, :mod:`htgroth.diagrams` and
+:mod:`htgroth.cells`, are bound by name at import; the labelled ones,
+``segments``, ``modl``, ``jl_red``, ``cohomology`` and ``jsonio``, each
+stand in as a ``_Layer`` until a command first reads a name of it.  So
+``verify`` loads and compiles only ``cli``, ``symbolic``, ``diagrams`` and
+``cells``, which compile in ~11 of the package's ~25 ms (3.11, 2 vCPUs): a
+fresh process without cached bytecode pays that in full.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ from .symbolic import atom_name, require_int
 
 PARSE_ERROR = 2
 PRECONDITION_ERROR = 3
+# an absent optional profile field; JSON gives no frozenset, and no marker is the empty set
+ABSENT = frozenset()
 
 
 class _Layer:
@@ -175,6 +178,8 @@ def _json_field(item: dict, key: str, kinds, default=None):
     """``item[key]``, or ``default`` when given and the key is absent, of the JSON types ``kinds``.
 
     An int must not be a bool: JSON ``true``/``false`` read as 1 and 0.
+    ``_load_profile`` calls it only on a field it has found bad, to raise
+    the field's error.
     """
     value = item[key] if default is None else item.get(key, default)
     if not isinstance(value, kinds):
@@ -185,31 +190,49 @@ def _json_field(item: dict, key: str, kinds, default=None):
 def _load_profile(
     source: str, cuspidals: dict[str, segments.CuspidalLabel]
 ) -> cohomology.SpectrumProfile:
+    """The profile of the JSON ``source``; ``cuspidals`` maps each id read to its one label.
+
+    Each field's type is checked once, where it is read: ``json.loads``
+    gives only exact types, so ``type(x) is int`` is an int and no bool.
+    A field of another type is handed to ``_json_field``, or ``s`` and ``t``
+    to the checked ``ProfileEntry``, only to raise its error.  A bad entry
+    reports the first bad field in the order ``cuspidal``, ``markers``,
+    ``mult``, a missing ``s``, a missing ``t``, ``xi_numerator``, then the
+    values of ``s`` and ``t``; ``tests/profile_oracle.py`` checks this
+    reader against the generic one it replaced.
+    """
     data = _read_json(source, "profile", list)
     entries = []
+    of2 = cohomology.ProfileEntry._of2
     try:
         for item in data:
-            name = _json_field(item, "cuspidal", str)
-            markers = _json_field(item, "markers", list, [])
-            if not all(isinstance(marker, str) for marker in markers):
-                raise TypeError(f"markers must be strings, not {markers!r}")
-            cusp = cuspidals.get(name) or segments.CuspidalLabel(name)
-            cuspidals[name] = cusp
-            if "mult" in item:
-                mult = jsonio.sym_from_json(_json_field(item, "mult", (int, str)))
-            else:  # one atom, so an id with a blank, ^, * or + cannot name it: ValueError;
-                # read like a written mult, so every query of the id shares one object
+            name = item["cuspidal"]
+            if type(name) is not str:
+                _json_field(item, "cuspidal", str)
+            markers = item.get("markers", ABSENT)
+            if markers is not ABSENT:
+                if type(markers) is not list or not all(type(marker) is str for marker in markers):
+                    _json_field(item, "markers", list, [])
+                    raise TypeError(f"markers must be strings, not {markers!r}")
+                markers = frozenset(markers)
+            cusp = cuspidals.get(name)
+            if cusp is None:
+                cusp = cuspidals[name] = segments.CuspidalLabel(name)
+            mult = item.get("mult", ABSENT)
+            if type(mult) is str or type(mult) is int:
+                mult = jsonio.sym_from_json(mult)
+            elif mult is ABSENT:  # one atom, so an id with a blank, ^, * or + cannot name it:
+                # ValueError; read like a written mult, so every query of the id shares one object
                 mult = jsonio.sym_from_json(atom_name(f"m[{name}]"))
-            entries.append(
-                cohomology.ProfileEntry(
-                    s=item["s"],
-                    t=item["t"],
-                    cuspidal=cusp,
-                    mult=mult,
-                    xi=segments.half(_json_field(item, "xi_numerator", int, 0)),
-                    markers=frozenset(markers),
-                )
-            )
+            else:
+                _json_field(item, "mult", (int, str))
+            s, t = item["s"], item["t"]
+            xi2 = item.get("xi_numerator", 0)
+            if type(xi2) is not int:
+                _json_field(item, "xi_numerator", int, 0)
+            if type(s) is not int or type(t) is not int or s < 1 or t < 1:
+                cohomology.ProfileEntry(s, t, cusp, mult)  # raises the checked constructor's error
+            entries.append(of2(s, t, cusp, mult, xi2, markers))
     except (KeyError, TypeError, ValueError) as exc:
         missing = "missing field " if isinstance(exc, KeyError) else ""
         raise ValueError(f"bad profile entry: {missing}{exc}") from exc
@@ -455,36 +478,60 @@ def build_parser():
     return parser
 
 
+def _plain_options(name: str, options: dict) -> tuple[dict, dict, frozenset]:
+    """What ``_read_plain`` reads an argv of the subcommand ``name`` off.
+
+    The namespace values of a call that gives no option, by dest; (dest,
+    kind) of each option but a switch, by its flag; the dests of the
+    required options.
+    """
+    values, readable, required = {"command": name}, {}, set()
+    for flag, (kind, default, *_) in options.items():
+        dest = flag[2:].replace("-", "_")
+        values[dest] = default
+        if kind is not bool:
+            readable[flag] = (dest, kind)
+        if default is REQUIRED:
+            required.add(dest)
+    return values, readable, frozenset(required)
+
+
+# each subcommand's table for _read_plain, derived from COMMANDS once, at import
+_PLAIN = {name: _plain_options(name, options) for name, (_, options) in COMMANDS.items()}
+
+
 def _read_plain(argv: list[str]):
-    """The namespace the full parse gives ``argv`` (the same ``vars``), read off ``COMMANDS``, or None.
+    """The namespace the full parse gives ``argv`` (the same ``vars``), read off ``_PLAIN``, or None.
 
     Only ``name --opt value ...`` is read: each option once, by its exact
     flag, not a switch, with a value that does not start with ``-`` and that
     its kind converts or its choices hold; every required option given.
-    Anything else gives None.
+    Anything else gives None.  ``_PLAIN`` holds, per subcommand, each
+    option's dest name, kind and default, worked out from ``COMMANDS`` when
+    the module is imported.
     """
-    if len(argv) % 2 == 0 or argv[0] not in COMMANDS:
+    plain = _PLAIN.get(argv[0]) if len(argv) % 2 else None
+    if plain is None:
         return None
-    options = COMMANDS[argv[0]][1]
+    values, options, required = plain
     given = {}
     for flag, text in zip(argv[1::2], argv[2::2]):
         option = options.get(flag)
-        if option is None or option[0] is bool or flag in given or text.startswith("-"):
+        if option is None or text.startswith("-"):
             return None
-        kind = option[0]
-        if isinstance(kind, tuple) and text not in kind:
-            return None
-        try:
-            given[flag] = text if isinstance(kind, tuple) else kind(text)
-        except ValueError:
-            return None
-    values = {"command": argv[0]}
-    for flag, option in options.items():
-        value = given.get(flag, option[1])
-        if value is REQUIRED:
-            return None
-        values[flag[2:].replace("-", "_")] = value
-    return SimpleNamespace(**values)
+        dest, kind = option
+        if type(kind) is tuple:
+            if text not in kind:
+                return None
+            given[dest] = text
+        else:
+            try:
+                given[dest] = kind(text)
+            except ValueError:
+                return None
+    if 2 * len(given) + 1 != len(argv) or not given.keys() >= required:  # one given twice, or left out
+        return None
+    return SimpleNamespace(**{**values, **given})
 
 
 def _parse_args(argv: list[str]):

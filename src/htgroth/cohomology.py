@@ -89,6 +89,8 @@ class ProfileEntry(Value):
     ``xi`` the unramified twist tag of the block relative to the reference
     cuspidal, stored only doubled, in ``xi2``, which is no field; ``tail``
     the untouched complementary factor at the place.
+    ``ProfileEntry._of2(s, t, cuspidal, mult, xi2, markers)`` builds one
+    with no tail from checked fields and the doubled twist, unchecked.
     """
 
     _fields = ("s", "t", "cuspidal", "mult", "xi", "tail", "markers")
@@ -106,13 +108,23 @@ class ProfileEntry(Value):
     ):
         if require_int("s", s) < 1 or require_int("t", t) < 1:
             raise ValueError("s and t must be >= 1")
+        self._set(s, t, cuspidal, mult, twice(xi), tail, markers)
+
+    def _set(self, s, t, cuspidal, mult, xi2, tail, markers) -> "ProfileEntry":
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "cuspidal", cuspidal)
         object.__setattr__(self, "mult", mult)
-        object.__setattr__(self, "xi2", twice(xi))
+        object.__setattr__(self, "xi2", xi2)
         object.__setattr__(self, "tail", tail)
         object.__setattr__(self, "markers", markers)
+        return self
+
+    @classmethod
+    def _of2(
+        cls, s: int, t: int, cuspidal: CuspidalLabel, mult: SymExpr, xi2: int, markers: frozenset[str]
+    ) -> "ProfileEntry":
+        return object.__new__(cls)._set(s, t, cuspidal, mult, xi2, IrreducibleLabel.unit(), markers)
 
     @property
     def xi(self) -> Fraction:

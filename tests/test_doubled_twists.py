@@ -422,3 +422,17 @@ def test_fresh_lifts_build_no_fraction_with_warm_caches(monkeypatch):
         assert other == entry and repr(other) == repr(entry) and other.xi2 == 3
     with pytest.raises(AttributeError):
         entry.xi2 = 1
+
+
+@pytest.mark.parametrize("markers", [frozenset(), frozenset({"nondegenerate-at-auxiliary-place", "a"})])
+def test_an_entry_built_doubled_equals_the_keyword_one(markers):
+    # the profile reader keeps the JSON twist numerator as xi2 and builds the
+    # entry unchecked; it must be the entry the checked constructor builds
+    pi = CuspidalLabel("rho[u=0]", g=2)
+    for xi2 in range(-9, 10):
+        mine = ProfileEntry._of2(2, 3, pi, atom("m"), xi2, markers)
+        public = ProfileEntry(s=2, t=3, cuspidal=pi, mult=atom("m"), xi=half(xi2), markers=markers)
+        assert mine == public and hash(mine) == hash(public) and repr(mine) == repr(public)
+        assert mine.xi == public.xi == Fraction(xi2, 2) and mine.xi2 == xi2
+        for other in (copy.copy(mine), copy.deepcopy(mine), pickle.loads(pickle.dumps(mine))):
+            assert other == public and repr(other) == repr(public) and other.xi2 == xi2
